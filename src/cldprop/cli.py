@@ -15,18 +15,8 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .config import CONFIG_SCHEMA_VERSION, load_config, parse_grid
-from .errors import (
-    CldPropError,
-    ConfigError,
-    DegenerateExcitationError,
-    DegenerateImpedanceError,
-    FitConvergenceError,
-    IntegrationDivergenceError,
-    InsufficientRecordError,
-    ParameterDomainError,
-    SignalMismatchError,
-)
+from .config import CONFIG_SCHEMA_VERSION, load_config
+from .errors import CldPropError, ConfigError
 from .harness import (
     create_run_dir,
     emit_plot_data,
@@ -39,17 +29,6 @@ from .harness import (
 )
 from .signals import TimeSeries, hysteresis_loop_area, impedance_fractions, lockin_extract
 from .stiffness import rku_complex_stiffness
-
-_NUMERICAL_ERRORS = (
-    ParameterDomainError,
-    SignalMismatchError,
-    InsufficientRecordError,
-    DegenerateExcitationError,
-    DegenerateImpedanceError,
-    FitConvergenceError,
-    IntegrationDivergenceError,
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -245,15 +224,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except CldPropError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
-    except CldPropError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from ._version import __version__
 from .config import CONFIG_SCHEMA_VERSION, ProtocolConfig
 from .errors import CldPropError
 from .foil import (
-    ConstrainedTrace,
     CycleMetrics,
     FreeSwimTrace,
     propulsion_metrics,
@@ -35,14 +36,13 @@ from .foil import (
 from .prony import PronyFit, fit_prony
 from .signals import (
     ImpedanceFractions,
-    TimeSeries,
-    cycle_fold,
     hysteresis_loop_area,
     impedance_fractions,
     lockin_extract,
     synth_bender_pair,
 )
 from .stiffness import ComplexStiffness, rku_complex_stiffness
+from .svgchart import write_line_chart
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,6 @@ class SweepTable:
 
     def for_design(self, name: str) -> list[SweepRow]:
         return [r for r in self.rows if r.design == name]
-
-
-def _fmt(v: float) -> str:
-    # repr of a float is the shortest digit string that round-trips exactly,
-    # so written tables re-read equal and identical runs diff byte-clean.
-    return repr(float(v))
 
 
 def _annotate(exc: Exception, design: str, freq: float) -> Exception:
@@ -201,223 +195,184 @@ def _check_complete(n_rows: int, n_designs: int, n_grid: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Persistence
+# Tables: one column spec per table drives its writer, reader and plots
+
+# Rows formatted per write: keeps a long trace from being formatted whole in memory.
+_CHUNK_ROWS = 256
+
+
+def _maybe_float(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+@dataclass(frozen=True)
+class _Column:
+    """One CSV column: header, plot-axis label, getter and cell type.
+
+    `get` maps the table's source (its rows, or a whole trace) to the
+    column's values. `cell` parses a cell: `str`, `float`, or `_maybe_float`
+    for a float that may be missing (None, written as an empty cell).
+    """
+
+    header: str
+    label: str
+    get: Callable[[Any], Sequence]
+    cell: Callable[[str], Any] = float
+
+
+def _per_row(header: str, label: str, attr: str, cell: Callable[[str], Any] = float) -> _Column:
+    value = attrgetter(attr)
+    return _Column(header, label, lambda rows: [value(r) for r in rows], cell)
+
+
+_IMPEDANCE_COLUMNS = (
+    _per_row("design", "design", "design", str),
+    _per_row("freq_hz", "frequency (Hz)", "freq_hz"),
+    _per_row("k_storage", "K' (N*m/rad)", "stiffness.storage"),
+    _per_row("k_loss", "K'' (N*m/rad)", "stiffness.loss"),
+    _per_row("f_elastic", "elastic", "fractions.elastic"),
+    _per_row("f_dissipative", "dissipative", "fractions.dissipative"),
+    _per_row("loop_area_j", "loop area (J)", "loop_area_j"),
+)
+
+_SWEEP_COLUMNS = (
+    _per_row("design", "design", "design", str),
+    _per_row("st", "Strouhal number", "st"),
+    _per_row("freq_hz", "frequency (Hz)", "freq_hz"),
+    _per_row("mean_thrust_n", "mean thrust (N)", "metrics.mean_thrust"),
+    _per_row("mean_input_power_w", "mean input power (W)", "metrics.mean_input_power"),
+    _per_row("efficiency", "efficiency", "metrics.efficiency", _maybe_float),
+    _per_row("k_eff_storage", "K'_eff (N*m/rad)", "metrics.effective_stiffness.storage"),
+    _per_row("k_eff_loss", "K''_eff (N*m/rad)", "metrics.effective_stiffness.loss"),
+    _per_row("f_elastic", "elastic", "metrics.fractions.elastic"),
+    _per_row("f_dissipative", "dissipative", "metrics.fractions.dissipative"),
+)
+
+# Trace getters return whole arrays, so a long trace costs no call per cell.
+_FREESWIM_TRACE_COLUMNS = (
+    _Column("time_s", "time (s)", attrgetter("time")),
+    _Column("x_m", "position (m)", attrgetter("x")),
+    _Column("u_mps", "velocity (m/s)", attrgetter("u")),
+    _Column("a_mps2", "acceleration (m/s^2)", attrgetter("accel")),
+    _Column("a_cycavg_mps2", "cycle-mean a (m/s^2)", lambda t: t.expanded_cycle_columns()[0]),
+    _Column("u_cycavg_mps", "cycle-mean u (m/s)", lambda t: t.expanded_cycle_columns()[1]),
+)
+
+
+def _cells(cell: Callable[[str], Any], values: Sequence) -> list[str]:
+    # repr of a float is the shortest digit string that round-trips exactly,
+    # so written tables re-read equal and identical runs diff byte-clean.
+    if cell is str:
+        return list(values)
+    if cell is float:
+        return list(map(repr, np.asarray(values, dtype=float).tolist()))
+    return ["" if v is None else repr(float(v)) for v in values]
+
+
+def _write_csv(path: str, columns: Sequence[_Column], source) -> None:
+    """Write `source` under `columns`, formatting a bounded chunk of rows at a time."""
+    values = [c.get(source) for c in columns]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(c.header for c in columns) + "\n")
+        for start in range(0, len(values[0]), _CHUNK_ROWS):
+            chunk = [_cells(c.cell, v[start : start + _CHUNK_ROWS]) for c, v in zip(columns, values)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*chunk))
+
+
+def _read_csv(path: str, columns: Sequence[_Column]) -> list[dict[str, Any]]:
+    """Rows of a CSV as {header: value}; the header must match `columns` exactly."""
+    expected = ",".join(c.header for c in columns)
+    rows = []
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != expected:
+            raise CldPropError(f"{path}: header {header!r} does not match {expected!r}")
+        for n, line in enumerate(fh, start=2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(columns):
+                raise CldPropError(f"{path}:{n}: {len(cells)} cells, expected {len(columns)}")
+            rows.append({c.header: c.cell(text) for c, text in zip(columns, cells)})
+    return rows
 
 
 def write_impedance_table(table: ImpedanceTable, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative,loop_area_j\n")
-        for r in table.rows:
-            fh.write(
-                f"{r.design},{_fmt(r.freq_hz)},{_fmt(r.stiffness.storage)},{_fmt(r.stiffness.loss)},"
-                f"{_fmt(r.fractions.elastic)},{_fmt(r.fractions.dissipative)},{_fmt(r.loop_area_j)}\n"
-            )
+    _write_csv(path, _IMPEDANCE_COLUMNS, table.rows)
 
 
 def read_impedance_table(path: str) -> ImpedanceTable:
     rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("design,freq_hz,"):
-            raise CldPropError(f"not an impedance table: {path}")
-        for line in fh:
-            d, f, ks, kl, fe, fd, la = line.rstrip("\n").split(",")
-            rows.append(
-                ImpedanceRow(
-                    d,
-                    float(f),
-                    ComplexStiffness(float(ks), float(kl)),
-                    ImpedanceFractions(float(fe), float(fd)),
-                    float(la),
-                )
-            )
+    for c in _read_csv(path, _IMPEDANCE_COLUMNS):
+        k = ComplexStiffness(c["k_storage"], c["k_loss"])
+        fr = ImpedanceFractions(c["f_elastic"], c["f_dissipative"])
+        rows.append(ImpedanceRow(c["design"], c["freq_hz"], k, fr, c["loop_area_j"]))
     return ImpedanceTable(rows=tuple(rows))
 
 
 def write_sweep_table(table: SweepTable, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            "design,st,freq_hz,mean_thrust_n,mean_input_power_w,efficiency,"
-            "k_eff_storage,k_eff_loss,f_elastic,f_dissipative\n"
-        )
-        for r in table.rows:
-            m = r.metrics
-            eff = "" if m.efficiency is None else _fmt(m.efficiency)
-            fh.write(
-                f"{r.design},{_fmt(r.st)},{_fmt(r.freq_hz)},{_fmt(m.mean_thrust)},"
-                f"{_fmt(m.mean_input_power)},{eff},{_fmt(m.effective_stiffness.storage)},"
-                f"{_fmt(m.effective_stiffness.loss)},{_fmt(m.fractions.elastic)},"
-                f"{_fmt(m.fractions.dissipative)}\n"
-            )
+    _write_csv(path, _SWEEP_COLUMNS, table.rows)
 
 
 def read_sweep_table(path: str) -> SweepTable:
     rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("design,st,"):
-            raise CldPropError(f"not a sweep table: {path}")
-        for line in fh:
-            d, st, f, thr, pwr, eff, ks, kl, fe, fd = line.rstrip("\n").split(",")
-            rows.append(
-                SweepRow(
-                    d,
-                    float(st),
-                    float(f),
-                    CycleMetrics(
-                        mean_thrust=float(thr),
-                        mean_input_power=float(pwr),
-                        efficiency=None if eff == "" else float(eff),
-                        effective_stiffness=ComplexStiffness(float(ks), float(kl)),
-                        fractions=ImpedanceFractions(float(fe), float(fd)),
-                    ),
-                )
-            )
+    for c in _read_csv(path, _SWEEP_COLUMNS):
+        metrics = CycleMetrics(
+            mean_thrust=c["mean_thrust_n"],
+            mean_input_power=c["mean_input_power_w"],
+            efficiency=c["efficiency"],
+            effective_stiffness=ComplexStiffness(c["k_eff_storage"], c["k_eff_loss"]),
+            fractions=ImpedanceFractions(c["f_elastic"], c["f_dissipative"]),
+        )
+        rows.append(SweepRow(c["design"], c["st"], c["freq_hz"], metrics))
     return SweepTable(rows=tuple(rows))
 
 
-def write_constrained_trace(trace: ConstrainedTrace, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("time_s,heave_m,pitch_rad,thrust_n,lateral_n,power_w\n")
-        for i in range(trace.time.size):
-            fh.write(
-                f"{_fmt(trace.time[i])},{_fmt(trace.heave[i])},{_fmt(trace.pitch[i])},"
-                f"{_fmt(trace.thrust[i])},{_fmt(trace.lateral[i])},{_fmt(trace.power[i])}\n"
-            )
-
-
 def write_freeswim_trace(trace: FreeSwimTrace, path: str) -> None:
-    a_cyc, u_cyc = trace.expanded_cycle_columns()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("time_s,x_m,u_mps,a_mps2,a_cycavg_mps2,u_cycavg_mps\n")
-        for i in range(trace.time.size):
-            fh.write(
-                f"{_fmt(trace.time[i])},{_fmt(trace.x[i])},{_fmt(trace.u[i])},"
-                f"{_fmt(trace.accel[i])},{_fmt(a_cyc[i])},{_fmt(u_cyc[i])}\n"
-            )
+    _write_csv(path, _FREESWIM_TRACE_COLUMNS, trace)
 
 
 # ---------------------------------------------------------------------------
 # Plot-data emission
 
-PLOT_KINDS = ("impedance", "thrust", "efficiency", "fractions", "trace")
+# kind -> (y columns, title, y-axis label)
+_PLOTS = {
+    "impedance": (("k_storage", "k_loss"), "Complex stiffness", "stiffness (N*m/rad)"),
+    "thrust": (("mean_thrust_n",), "Mean thrust", "thrust (N)"),
+    "efficiency": (("efficiency",), "Propulsive efficiency", "efficiency"),
+    "fractions": (("f_elastic", "f_dissipative"), "Impedance composition", "fraction"),
+}
+PLOT_KINDS = tuple(_PLOTS)
+
+# table type -> (its columns, the x column of its plots)
+_PLOT_TABLES = {ImpedanceTable: (_IMPEDANCE_COLUMNS, "freq_hz"), SweepTable: (_SWEEP_COLUMNS, "st")}
 
 
-def emit_plot_data(table, kind: str, out_dir: str, design: str | None = None) -> list[str]:
-    """Write the plot-ready CSV + SVG pair(s) for one figure kind.
+def emit_plot_data(table, kind: str, out_dir: str) -> list[str]:
+    """Write the plot-ready CSV + SVG pair of one figure kind for each design.
 
-    File names follow `fig_<kind>_<design>.{csv,svg}`. The `trace` kind
-    takes a ConstrainedTrace (with `design` naming it) and emits the
-    cycle-folded thrust/heave overlay; all other kinds take the matching
-    table and emit one file pair per design.
+    File names follow `fig_<kind>_<design>.{csv,svg}`. The CSV holds the
+    table's x column and the kind's y columns, cell for cell as in the
+    table; a missing cell stays empty there and plots as 0.
     """
-    from .svgchart import write_line_chart
-
-    if kind not in PLOT_KINDS:
+    if kind not in _PLOTS:
         raise CldPropError(f"unknown plot kind {kind!r}; known: {PLOT_KINDS}")
-    written: list[str] = []
-
-    def pair(name: str) -> tuple[str, str]:
-        base = os.path.join(out_dir, f"fig_{kind}_{name}")
-        return base + ".csv", base + ".svg"
-
-    if kind == "trace":
-        if not isinstance(table, ConstrainedTrace):
-            raise CldPropError("trace plots need a ConstrainedTrace")
-        fs = table.sample_rate
-        thrust_fold = cycle_fold(TimeSeries(fs, table.thrust), table.drive_freq)
-        heave_fold = cycle_fold(TimeSeries(fs, table.heave), table.drive_freq)
-        phase = np.arange(thrust_fold.size) / thrust_fold.size
-        csv_path, svg_path = pair(design or "trace")
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("cycle_phase,thrust_n_folded,heave_m_folded\n")
-            for i in range(phase.size):
-                fh.write(f"{_fmt(phase[i])},{_fmt(thrust_fold[i])},{_fmt(heave_fold[i])}\n")
-        write_line_chart(
-            svg_path,
-            [
-                ("thrust (N)", phase.tolist(), thrust_fold.tolist()),
-                ("heave x10 (m)", phase.tolist(), (10.0 * heave_fold).tolist()),
-            ],
-            title=f"Cycle-folded thrust, {design or 'trace'}",
-            xlabel="cycle phase",
-            ylabel="thrust / scaled heave",
-        )
-        return [csv_path, svg_path]
-
-    if isinstance(table, ImpedanceTable):
-        designs = list(dict.fromkeys(r.design for r in table.rows))
-    elif isinstance(table, SweepTable):
-        designs = list(dict.fromkeys(r.design for r in table.rows))
-    else:
+    y_headers, title, ylabel = _PLOTS[kind]
+    table_columns, x_header = _PLOT_TABLES.get(type(table), ((), ""))
+    columns = [c for h in (x_header, *y_headers) for c in table_columns if c.header == h]
+    if len(columns) != 1 + len(y_headers):
         raise CldPropError(f"cannot emit {kind!r} plots from {type(table).__name__}")
     if not table.rows:
         raise CldPropError("cannot emit plots from an empty table")
-
-    for name in designs:
+    written: list[str] = []
+    for name in dict.fromkeys(r.design for r in table.rows):
         rows = table.for_design(name)
-        csv_path, svg_path = pair(name)
-        if kind == "impedance":
-            xs = [r.freq_hz for r in rows]
-            with open(csv_path, "w", newline="\n") as fh:
-                fh.write("freq_hz,k_storage,k_loss\n")
-                for r in rows:
-                    fh.write(f"{_fmt(r.freq_hz)},{_fmt(r.stiffness.storage)},{_fmt(r.stiffness.loss)}\n")
-            write_line_chart(
-                svg_path,
-                [
-                    ("K' (N*m/rad)", xs, [r.stiffness.storage for r in rows]),
-                    ("K'' (N*m/rad)", xs, [r.stiffness.loss for r in rows]),
-                ],
-                title=f"Complex stiffness, {name}",
-                xlabel="frequency (Hz)",
-                ylabel="stiffness (N*m/rad)",
-            )
-        elif kind == "thrust":
-            xs = [r.st for r in rows]
-            ys = [r.metrics.mean_thrust for r in rows]
-            with open(csv_path, "w", newline="\n") as fh:
-                fh.write("st,mean_thrust_n\n")
-                for x, y in zip(xs, ys):
-                    fh.write(f"{_fmt(x)},{_fmt(y)}\n")
-            write_line_chart(
-                svg_path, [("mean thrust (N)", xs, ys)],
-                title=f"Mean thrust, {name}", xlabel="Strouhal number", ylabel="thrust (N)",
-            )
-        elif kind == "efficiency":
-            xs = [r.st for r in rows]
-            ys = [0.0 if r.metrics.efficiency is None else r.metrics.efficiency for r in rows]
-            with open(csv_path, "w", newline="\n") as fh:
-                fh.write("st,efficiency\n")
-                for r in rows:
-                    eff = "" if r.metrics.efficiency is None else _fmt(r.metrics.efficiency)
-                    fh.write(f"{_fmt(r.st)},{eff}\n")
-            write_line_chart(
-                svg_path, [("efficiency", xs, ys)],
-                title=f"Propulsive efficiency, {name}", xlabel="Strouhal number", ylabel="efficiency",
-            )
-        else:  # fractions
-            if isinstance(table, SweepTable):
-                xs = [r.st for r in rows]
-                fr = [r.metrics.fractions for r in rows]
-                xlabel = "Strouhal number"
-            else:
-                xs = [r.freq_hz for r in rows]
-                fr = [r.fractions for r in rows]
-                xlabel = "frequency (Hz)"
-            with open(csv_path, "w", newline="\n") as fh:
-                fh.write(f"{'st' if xlabel.startswith('S') else 'freq_hz'},f_elastic,f_dissipative\n")
-                for x, f in zip(xs, fr):
-                    fh.write(f"{_fmt(x)},{_fmt(f.elastic)},{_fmt(f.dissipative)}\n")
-            write_line_chart(
-                svg_path,
-                [
-                    ("elastic", xs, [f.elastic for f in fr]),
-                    ("dissipative", xs, [f.dissipative for f in fr]),
-                ],
-                title=f"Impedance composition, {name}", xlabel=xlabel, ylabel="fraction",
-            )
-        written.extend([csv_path, svg_path])
+        base = os.path.join(out_dir, f"fig_{kind}_{name}")
+        _write_csv(base + ".csv", columns, rows)
+        xs = columns[0].get(rows)
+        series = [(c.label, xs, [0.0 if v is None else v for v in c.get(rows)]) for c in columns[1:]]
+        write_line_chart(
+            base + ".svg", series, title=f"{title}, {name}", xlabel=columns[0].label, ylabel=ylabel
+        )
+        written += [base + ".csv", base + ".svg"]
     return written
 
 

@@ -96,7 +96,6 @@ class SandwichLayup:
     length: float
     width: float
     coverage: float = 1.0
-    symmetric: bool = True
 
     def __post_init__(self):
         if self.length <= 0.0 or self.width <= 0.0:
@@ -105,8 +104,6 @@ class SandwichLayup:
             raise ParameterDomainError(f"coverage must be in [0, 1], got {self.coverage}")
         if self.base.kind != "base" or self.core.kind != "viscoelastic" or self.constraining.kind != "constraining":
             raise ParameterDomainError("layer kinds must be base / viscoelastic / constraining in that order")
-        if not self.symmetric:
-            raise ParameterDomainError("only the symmetric double-sided layup is supported")
 
     def with_coverage(self, coverage: float) -> "SandwichLayup":
         return replace(self, coverage=coverage)

@@ -42,9 +42,9 @@ def _fmt(v: float) -> str:
 def write_line_chart(
     path: str,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> None:
     """Write one SVG line chart; `series` is a list of (label, xs, ys)."""
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -90,19 +90,16 @@ def write_line_chart(
         parts.append(
             f'<line x1="{_ML}" y1="{y:.1f}" x2="{_ML + px}" y2="{y:.1f}" stroke="#ddd" stroke-width="0.5"/>'
         )
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{_ML + px / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{_MT + py / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {_MT + py / 2:.0f})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+    )
+    parts.append(
+        f'<text x="{_ML + px / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{_MT + py / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_MT + py / 2:.0f})">{ylabel}</text>'
+    )
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))

@@ -1,8 +1,10 @@
 """Protocol runners: bender and Strouhal sweeps, free-swim trials,
 persistence and plot-data emission."""
 
+import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cldprop.config import load_config
 from cldprop.errors import CldPropError, UnknownDesignError
 from cldprop.foil import propulsion_metrics, simulate_constrained
 from cldprop.harness import (
+    SweepTable,
     create_run_dir,
     emit_plot_data,
     fit_design_hinge,
@@ -146,6 +149,29 @@ class TestPersistence:
         write_impedance_table(other, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    @pytest.mark.parametrize(
+        "table, write, read, first, second",
+        [
+            ("bender_table", write_impedance_table, read_impedance_table, "k_storage", "k_loss"),
+            ("sweep_table", write_sweep_table, read_sweep_table, "mean_thrust_n", "mean_input_power_w"),
+        ],
+        ids=["impedance", "sweep"],
+    )
+    @pytest.mark.parametrize("damage", ["swap_header", "drop_cell"])
+    def test_reader_rejects_mismatched_layout(
+        self, request, table, write, read, first, second, damage, tmp_path
+    ):
+        path = tmp_path / "table.csv"
+        write(request.getfixturevalue(table), str(path))
+        header, *lines = path.read_text().splitlines(keepends=True)
+        if damage == "swap_header":
+            header = header.replace(first, "@").replace(second, first).replace("@", second)
+        else:
+            lines[0] = lines[0].rsplit(",", 1)[0] + "\n"
+        path.write_text(header + "".join(lines))
+        with pytest.raises(CldPropError):
+            read(str(path))
+
 
 class TestPlotData:
     def test_impedance_files_and_schema(self, bender_table, tmp_path):
@@ -164,21 +190,60 @@ class TestPlotData:
             total = np.atleast_1d(data["f_elastic"] + data["f_dissipative"])
             assert np.allclose(total, 1.0, atol=1e-12)
 
-    def test_trace_fold_matches_direct_indexing(self, small_config, tmp_path):
-        hinge = fit_design_hinge(small_config, 0.667)
-        kin = small_config.sweep.kinematics(2.0)
-        trace = simulate_constrained(small_config.foil, kin, hinge, n_cycles=6, warmup_cycles=3)
-        written = emit_plot_data(trace, "trace", str(tmp_path), design="c")
-        csv_path = [p for p in written if p.endswith(".csv")][0]
-        data = np.genfromtxt(csv_path, delimiter=",", names=True)
-        spc = int(round(trace.sample_rate / trace.drive_freq))
-        ncyc = trace.thrust.size // spc
-        direct = trace.thrust[: ncyc * spc].reshape(ncyc, spc).mean(axis=0)
-        assert np.array_equal(data["thrust_n_folded"], direct)
+    @pytest.mark.parametrize(
+        "table_name, kind, header",
+        [
+            ("bender_table", "impedance", "freq_hz,k_storage,k_loss"),
+            ("bender_table", "fractions", "freq_hz,f_elastic,f_dissipative"),
+            ("sweep_table", "thrust", "st,mean_thrust_n"),
+            ("sweep_table", "efficiency", "st,efficiency"),
+            ("sweep_table", "fractions", "st,f_elastic,f_dissipative"),
+        ],
+    )
+    def test_plot_csv_columns_match_table(self, request, table_name, kind, header, tmp_path):
+        table = request.getfixturevalue(table_name)
+        if isinstance(table, SweepTable):
+            # One missing efficiency, which the plot CSV must keep as an empty cell.
+            first = table.rows[0]
+            missing = replace(first, metrics=replace(first.metrics, efficiency=None))
+            table = SweepTable(rows=(missing,) + table.rows[1:])
+            write_sweep_table(table, str(tmp_path / "table.csv"))
+        else:
+            write_impedance_table(table, str(tmp_path / "table.csv"))
+        with open(tmp_path / "table.csv", newline="") as fh:
+            table_rows = list(csv.DictReader(fh))
+        written = emit_plot_data(table, kind, str(tmp_path))
+        designs = list(dict.fromkeys(r["design"] for r in table_rows))
+        assert written == [
+            str(tmp_path / f"fig_{kind}_{d}.{ext}") for d in designs for ext in ("csv", "svg")
+        ]
+
+        def cell(text):
+            return None if text == "" else float(text)
+
+        for design in designs:
+            with open(tmp_path / f"fig_{kind}_{design}.csv", newline="") as fh:
+                reader = csv.DictReader(fh)
+                plot_rows = list(reader)
+            assert ",".join(reader.fieldnames) == header
+            want = [r for r in table_rows if r["design"] == design]
+            for column in reader.fieldnames:
+                assert [cell(r[column]) for r in plot_rows] == [cell(r[column]) for r in want]
+        if kind == "efficiency":
+            with open(tmp_path / f"fig_efficiency_{designs[0]}.csv") as fh:
+                assert fh.read().splitlines()[1].endswith(",")
 
     def test_unknown_kind_rejected(self, bender_table, tmp_path):
         with pytest.raises(CldPropError):
             emit_plot_data(bender_table, "waterfall", str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "table_name, kind",
+        [("bender_table", "thrust"), ("sweep_table", "impedance"), ("bender_table", "trace")],
+    )
+    def test_kind_without_its_columns_rejected(self, request, table_name, kind, tmp_path):
+        with pytest.raises(CldPropError):
+            emit_plot_data(request.getfixturevalue(table_name), kind, str(tmp_path))
 
 
 class TestRunDir:

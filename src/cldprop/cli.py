@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -103,11 +104,21 @@ def _info(args, message: str) -> None:
 
 
 def _read_signal_csv(path: str, columns: int) -> tuple[np.ndarray, ...]:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None or len(names) != columns:
-        raise ConfigError(f"{path}: expected a {columns}-column CSV with a header row")
-    return tuple(np.asarray(data[n], dtype=float) for n in names)
+    with open(path) as fh:
+        if len(fh.readline().split(",")) != columns:
+            raise ConfigError(f"{path}: expected a {columns}-column CSV with a header row")
+        try:
+            with warnings.catch_warnings():
+                # loadtxt only warns on a record without data rows.
+                warnings.simplefilter("error", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        except UserWarning:
+            raise ConfigError(f"{path}: no data rows") from None
+    if data.shape[1] != columns or not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: every row must hold {columns} finite numbers")
+    return tuple(data.T)
 
 
 def _sample_rate_of(t: np.ndarray, path: str) -> float:

@@ -205,9 +205,10 @@ def synth_bender_pair(
     """Synthesize an angle/torque pair for a prescribed sinusoidal bender test.
 
     The angle is theta_amp * sin(2 pi f t). The torque comes from the plant's
-    frequency response (ComplexStiffness) or from integrating the Prony branch
-    states (PronyFit). Optional additive Gaussian noise on the torque at the
-    given SNR relative to the torque fundamental, reproducible from the seed.
+    frequency response (ComplexStiffness) or, for a PronyFit, from the exact
+    closed-form response of its branches started from rest at t = 0.
+    Optional additive Gaussian noise on the torque at the given SNR relative
+    to the torque fundamental, reproducible from the seed.
     """
     if theta_amp <= 0.0:
         raise ParameterDomainError(f"theta amplitude must be positive, got {theta_amp}")
@@ -241,40 +242,18 @@ def synth_bender_pair(
 
 
 def _prony_torque(fit: PronyFit, theta_amp: float, omega: float, t: np.ndarray) -> np.ndarray:
-    """Integrate the Prony branch states under a prescribed sinusoidal angle.
+    """Exact torque of the Prony branches under a prescribed sinusoidal angle.
 
-    Branch ODEs dm_j/dt = k_j * dtheta/dt - m_j/tau_j, stepped with RK4 on
-    substeps small enough for both the drive period and the fastest branch.
+    Each branch obeys dm_j/dt = k_j * dtheta/dt - m_j/tau_j from rest at
+    t = 0. For theta = theta_amp * sin(wt) its hereditary integral is, with
+    x_j = w * tau_j,
+    m_j = k_j theta_amp x_j / (1 + x_j^2) * (cos wt + x_j sin wt - e^{-t/tau_j}).
     """
-    branches = fit.significant_branches()
-    th = theta_amp * np.sin(omega * t)
-    if not branches:
-        return fit.k_inf * th
-
-    dt_sample = t[1] - t[0]
-    tau_min = min(tau for _, tau in branches)
-    n_sub = max(1, int(math.ceil(dt_sample / (tau_min / 20.0))), int(math.ceil(dt_sample * omega / 0.1)))
-    h = dt_sample / n_sub
-
-    ks = np.array([k for k, _ in branches])
-    inv_tau = np.array([1.0 / tau for _, tau in branches])
-
-    def theta_dot(ti: float) -> float:
-        return theta_amp * omega * math.cos(omega * ti)
-
-    m = np.zeros(len(branches))
-    torque = np.empty_like(t)
-    torque[0] = fit.k_inf * th[0] + m.sum()
-    for i in range(1, t.size):
-        t0 = t[i - 1]
-        for j in range(n_sub):
-            ts = t0 + j * h
-            k1 = ks * theta_dot(ts) - inv_tau * m
-            k2 = ks * theta_dot(ts + h / 2.0) - inv_tau * (m + h / 2.0 * k1)
-            k3 = ks * theta_dot(ts + h / 2.0) - inv_tau * (m + h / 2.0 * k2)
-            k4 = ks * theta_dot(ts + h) - inv_tau * (m + h * k3)
-            m = m + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        torque[i] = fit.k_inf * th[i] + m.sum()
+    cos_wt, sin_wt = np.cos(omega * t), np.sin(omega * t)
+    torque = fit.k_inf * (theta_amp * sin_wt)
+    for k, tau in fit.significant_branches():
+        x = omega * tau
+        torque += k * theta_amp * x / (1.0 + x * x) * (cos_wt + x * sin_wt - np.exp(-t / tau))
     return torque
 
 

@@ -65,6 +65,27 @@ class TestExtract:
     def test_missing_signal_arguments_is_config_error(self, capsys):
         assert main(["extract", "--freq", "3"]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", ["0.0,0.0,0.0\n", ""], ids=["one-row", "header-only"])
+    def test_short_record_is_config_error(self, tmp_path, capsys, rows):
+        path = tmp_path / "short.csv"
+        path.write_text("time_s,theta_rad,torque_nm\n" + rows)
+        assert main(["extract", "--combined", str(path), "--freq", "3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error")
+
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_bad_cell_is_config_error(self, tmp_path, capsys, cell):
+        theta, torque = _write_oracle_files(tmp_path)
+        th = np.loadtxt(theta, delimiter=",", skiprows=1)
+        tq = np.loadtxt(torque, delimiter=",", skiprows=1)
+        rows = [f"{a},{b},{c}" for a, b, c in zip(th[:, 0], th[:, 1], tq[:, 1])]
+        rows[50] = f"{th[50, 0]},{cell},{tq[50, 1]}"
+        path = tmp_path / "combined.csv"
+        path.write_text("time_s,theta_rad,torque_nm\n" + "\n".join(rows) + "\n")
+        assert main(["extract", "--combined", str(path), "--freq", "3"]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):

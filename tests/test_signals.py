@@ -15,7 +15,7 @@ from cldprop.errors import (
     ParameterDomainError,
     SignalMismatchError,
 )
-from cldprop.prony import PronyFit, prony_frequency_response
+from cldprop.prony import NEGLIGIBLE_BRANCH_FRACTION, PronyFit, prony_frequency_response
 from cldprop.signals import (
     TimeSeries,
     cycle_average,
@@ -185,6 +185,53 @@ class TestSynth:
         want = prony_frequency_response(fit, 2.0 * math.pi * f)
         assert result.stiffness.storage == pytest.approx(want.storage, rel=1e-4)
         assert result.stiffness.loss == pytest.approx(want.loss, rel=1e-4)
+
+    def test_prony_start_up_transient_matches_fine_rk4(self):
+        # Independent reference: classical RK4 on the branch ODEs
+        # dm_j/dt = k_j * dtheta/dt - m_j/tau_j from rest, 200 substeps per sample.
+        fit = PronyFit(k_inf=0.09, branches=((0.95, 0.003), (0.005, 0.08)))
+        f, fs, n_sub = 2.0, 200.0, 200
+        omega = 2.0 * math.pi * f
+        theta, torque = synth_bender_pair(fit, f, theta_amp=_AMP, sample_rate=fs, n_cycles=2)
+
+        def theta_dot(t):
+            return _AMP * omega * math.cos(omega * t)
+
+        h = 1.0 / (fs * n_sub)
+        states = [0.0 for _ in fit.branches]
+        want = [fit.k_inf * theta.samples[0]]
+        for i in range(1, len(theta)):
+            for j in range(n_sub):
+                t0 = (i - 1) / fs + j * h
+                d0, d1, d2 = theta_dot(t0), theta_dot(t0 + h / 2.0), theta_dot(t0 + h)
+                for b, (k, tau) in enumerate(fit.branches):
+                    m = states[b]
+                    k1 = k * d0 - m / tau
+                    k2 = k * d1 - (m + h / 2.0 * k1) / tau
+                    k3 = k * d1 - (m + h / 2.0 * k2) / tau
+                    k4 = k * d2 - (m + h * k3) / tau
+                    states[b] = m + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            want.append(fit.k_inf * theta.samples[i] + sum(states))
+        want = np.array(want)
+        assert np.max(np.abs(torque.samples - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_prony_lockin_equals_frequency_response(self):
+        fit = PronyFit(k_inf=0.09, branches=((0.95, 0.003), (0.005, 0.08)))
+        f = 2.0
+        theta, torque = synth_bender_pair(fit, f, theta_amp=_AMP, n_cycles=15)
+        warm = 5.0 / f
+        result = lockin_extract(theta.after(warm), torque.after(warm), f)
+        want = prony_frequency_response(fit, 2.0 * math.pi * f)
+        assert result.stiffness.storage == pytest.approx(want.storage, rel=1e-9)
+        assert result.stiffness.loss == pytest.approx(want.loss, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "branches", [(), ((0.5 * NEGLIGIBLE_BRANCH_FRACTION, 0.01),)], ids=["none", "negligible"]
+    )
+    def test_prony_without_branches_is_pure_spring(self, branches):
+        fit = PronyFit(k_inf=0.7, branches=branches)
+        theta, torque = synth_bender_pair(fit, _F, theta_amp=_AMP)
+        assert np.array_equal(torque.samples, fit.k_inf * theta.samples)
 
     def test_noise_reproducible_from_seed(self):
         plant = ComplexStiffness(_K, _LOSS_ORACLE)

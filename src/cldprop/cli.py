@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from ._version import __version__
-from .config import CONFIG_SCHEMA_VERSION, load_config
+from .config import CONFIG_SCHEMA_VERSION, ProtocolConfig, load_config
 from .errors import CldPropError, ConfigError
 from .harness import (
     create_run_dir,
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> "ProtocolConfig":  # noqa: F821
+def _load(args) -> ProtocolConfig:
     overrides = list(args.overrides)
     if getattr(args, "freq_grid", None):
         section = "bender" if args.command in ("layup", "bender") else "sweep"
@@ -197,6 +197,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_freeswim(args) -> int:
     config = _load(args)
     names = args.design or ["baseline", "c"]
+    for name in names:
+        config.coverage_of(name)  # an unknown design fails before the run directory exists
     run_dir = create_run_dir(config, "freeswim")
     lines = ["design,peak_accel_mps2,terminal_velocity_mps,net_displacement_m,total_travel_m"]
     for name in names:

@@ -108,8 +108,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"non-numeric grid shorthand {text!r}") from exc
-        if step <= 0.0 or stop < start:
-            raise ConfigError(f"grid shorthand needs step > 0 and stop >= start, got {text!r}")
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
+            raise ConfigError(f"grid shorthand needs finite values, step > 0, stop >= start: {text!r}")
         n = int(math.floor((stop - start) / step + 1e-9))
         values = tuple(start + k * step for k in range(n + 1))
     else:
@@ -117,8 +117,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
             values = tuple(float(p) for p in text.split(","))
         except ValueError as exc:
             raise ConfigError(f"non-numeric grid entry in {text!r}") from exc
-    if any(v < 0.0 for v in values):
-        raise ConfigError("grid frequencies must be >= 0")
+    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise ConfigError("grid frequencies must be finite and >= 0")
     if list(values) != sorted(set(values)):
         raise ConfigError("grid frequencies must be strictly increasing")
     return values
@@ -126,9 +126,12 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 def _as_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_int(section: str, key: str, raw: str) -> int:
@@ -202,8 +205,6 @@ def _merged_raw(path: str | None, overrides: list[str] | None) -> dict[str, dict
         try:
             with open(path) as fh:
                 parser.read_file(fh)
-        except OSError:
-            raise
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         for section in parser.sections():
@@ -295,6 +296,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     )
     if bender.cycles < 3 or bender.repeats < 1:
         raise ConfigError("bender.cycles must be >= 3 and bender.repeats >= 1")
+    if bender.sample_rate <= 2.0 * max(bender.freq_grid_hz):
+        raise ConfigError("bender.sample_rate_hz must exceed twice the top of bender.freq_grid_hz (Nyquist)")
 
     s = raw["sweep"]
     sweep = SweepProtocol(
@@ -310,6 +313,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError("sweep.freq_grid_hz must contain positive frequencies only")
     if sweep.prony_fit_grid_hz[0] <= 0.0:
         raise ConfigError("sweep.prony_fit_grid_hz must contain positive frequencies only")
+    if sweep.cycles < 3 or sweep.warmup_cycles < 0:
+        raise ConfigError("sweep.cycles must be >= 3 (whole cycles averaged) and sweep.warmup_cycles >= 0")
 
     fo = raw["foil"]
     foil = FoilConfig(
@@ -331,6 +336,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         body_drag_coeff=_as_float("freeswim", "body_drag_coeff", fr["body_drag_coeff"]),
         heave_freq=_as_float("freeswim", "heave_freq_hz", fr["heave_freq_hz"]),
     )
+    if min(freeswim.virtual_mass, freeswim.duration, freeswim.heave_freq) <= 0.0:
+        raise ConfigError("freeswim.virtual_mass_kg, duration_s and heave_freq_hz must be positive")
 
     return ProtocolConfig(
         layup=_build_layup(raw["layup"]),

@@ -7,6 +7,8 @@ angle of attack built from pitch, heave rate and forward speed sets a
 normal force on the rigid tail, plus a flat-plate added-mass reaction.
 The hinge carries a Prony-series stiffness integrated in time alongside
 the pitch state, so frequency-dependent storage and loss emerge naturally.
+One right-hand side serves both the RK4 stepper (on floats) and the trace
+(on numpy columns of the state history), so the force law is written once.
 
 Sign conventions: pitch is positive when the tail tip moves toward positive
 heave; thrust is positive in the propulsion direction. The hydrodynamic
@@ -155,11 +157,6 @@ class FreeSwimTrace:
         return a, v
 
 
-def _hinge_arrays(hinge: PronyFit) -> tuple[list[float], list[float]]:
-    branches = hinge.significant_branches()
-    return [k for k, _ in branches], [t for _, t in branches]
-
-
 def _steps_per_cycle(hinge: PronyFit, heave_freq: float, minimum: int) -> int:
     branches = hinge.significant_branches()
     steps = minimum
@@ -203,64 +200,102 @@ def simulate_constrained(
     else:
         _check_dt(dt, hinge, kin.heave_freq)
         steps = int(round(1.0 / (dt * kin.heave_freq)))
-    total = (n_cycles + warmup_cycles) * steps
-    state = _integrate(foil, kin, hinge, dt, total, freestream=kin.freestream)
-    keep = warmup_cycles * steps
-    return _constrained_trace(foil, kin, hinge, state, dt, keep)
+    t, hist, d = _run(foil, kin, hinge, dt, (n_cycles + warmup_cycles) * steps, keep=warmup_cycles * steps)
+    pitch, pitch_acc, f_n = hist[:, 0], d[1], d[-2]
+    h0 = kin.heave_amp_pp / 2.0
+    omg = 2.0 * math.pi * kin.heave_freq
+    ydot = h0 * omg * np.cos(omg * t)
+    yddot = -h0 * omg * omg * np.sin(omg * t)
+    lateral = f_n * np.cos(pitch) - foil.added_mass * (yddot + foil.pitch_axis_offset * pitch_acc)
+    thrust_of, _ = _forces(foil, np)
+    return ConstrainedTrace(
+        time=t,
+        heave=h0 * np.sin(omg * t),
+        heave_vel=ydot,
+        pitch=pitch,
+        pitch_rate=hist[:, 1],
+        thrust=thrust_of(f_n, pitch, kin.freestream),
+        lateral=lateral,
+        power=-lateral * ydot,
+        hinge_moment=d[-1],
+        drive_freq=kin.heave_freq,
+    )
 
 
-def _integrate(foil, kin, hinge, dt, total_steps, freestream, virtual_mass=None, body_drag_area=0.0):
-    """RK4 co-integration of pitch, hinge branch states and (optionally) speed.
+def _forces(foil, lib, body_drag_area=0.0):
+    """Streamwise force laws: thrust(f_n, pitch, u) and body drag(u)."""
+    sin, cos = lib.sin, lib.cos
+    half_rho, area, cd0 = 0.5 * foil.fluid_density, foil.planform_area, foil.profile_drag_coeff
+    body = half_rho * body_drag_area
 
-    Returns the state history as a (total_steps+1, 2+J[+1]) array with
-    columns [pitch, pitch_rate, m_1..m_J, (u)].
+    def thrust(f_n, th, u):
+        return f_n * sin(th) - half_rho * u * u * area * cd0 * cos(th)
+
+    def drag(u):
+        return body * u * abs(u)
+
+    return thrust, drag
+
+
+def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
+    """Foil plant right-hand side rhs(t, s) -> [ds/dt..., f_n, m_ve].
+
+    The state is [pitch, pitch_rate, m_1..m_J], plus the speed u when
+    `virtual_mass` is given (free swimming); otherwise u is the freestream.
+    `lib` is `math` for the stepper (s holds floats) or `numpy` for the
+    trace (s holds the state-history columns).
     """
-    ks, taus = _hinge_arrays(hinge)
-    nb = len(ks)
+    branches = hinge.significant_branches()
+    nb = len(branches)
     k_inf = hinge.k_inf
     h0 = kin.heave_amp_pp / 2.0
     omg = 2.0 * math.pi * kin.heave_freq
+    vel_amp, acc_amp = h0 * omg, -h0 * omg * omg
     r = foil.pitch_axis_offset
-    rho = foil.fluid_density
-    area = foil.planform_area
+    half_rho, area = 0.5 * foil.fluid_density, foil.planform_area
     slope = foil.normal_force_slope
     sincos = foil.stall_model == "sin-cos"
-    cd0 = foil.profile_drag_coeff
     m_a = foil.added_mass
     j_tot = foil.tail_inertia + m_a * r * r
     free = virtual_mass is not None
+    freestream = kin.freestream
     inv_mv = 1.0 / virtual_mass if free else 0.0
+    thrust, drag = _forces(foil, lib, body_drag_area)
+    sin, cos, inflow_angle = lib.sin, lib.cos, lib.atan2
 
     def rhs(t, s):
-        th = s[0]
-        w = s[1]
+        th, w = s[0], s[1]
         u = s[2 + nb] if free else freestream
-        ydot = h0 * omg * math.cos(omg * t)
-        yddot = -h0 * omg * omg * math.sin(omg * t)
+        ydot = vel_amp * cos(omg * t)
+        yddot = acc_amp * sin(omg * t)
         v = ydot + r * w
-        phi = math.atan2(v, u)
-        alpha = -(th + phi)
-        vrel2 = u * u + v * v
-        if sincos:
-            cn = slope * math.sin(alpha) * math.cos(alpha)
-        else:
-            cn = slope * alpha
-        f_n = 0.5 * rho * vrel2 * area * cn
+        alpha = -(th + inflow_angle(v, u))
+        cn = slope * sin(alpha) * cos(alpha) if sincos else slope * alpha
+        f_n = half_rho * (u * u + v * v) * area * cn
         m_ve = k_inf * th
-        out = [0.0] * len(s)
-        for j in range(nb):
-            m_ve += s[2 + j]
-            out[2 + j] = ks[j] * w - s[2 + j] / taus[j]
-        thdd = (-m_ve + r * f_n - m_a * r * yddot) / j_tot
-        out[0] = w
-        out[1] = thdd
+        out = [w, 0.0]
+        for j, (k, tau) in enumerate(branches, 2):
+            m_ve += s[j]
+            out.append(k * w - s[j] / tau)
+        out[1] = (-m_ve + r * f_n - m_a * r * yddot) / j_tot
         if free:
-            thrust = f_n * math.sin(th) - 0.5 * rho * u * u * area * cd0 * math.cos(th)
-            drag = 0.5 * rho * body_drag_area * u * abs(u)
-            out[2 + nb] = (thrust - drag) * inv_mv
+            out.append((thrust(f_n, th, u) - drag(u)) * inv_mv)
+        out += (f_n, m_ve)
         return out
 
-    dim = 2 + nb + (1 if free else 0)
+    return rhs
+
+
+def _run(foil, kin, hinge, dt, total_steps, keep=0, **free):
+    """Plant history from rest with the first `keep` steps dropped: (t, states, rhs there)."""
+    dim = 2 + len(hinge.significant_branches()) + ("virtual_mass" in free)
+    hist = _integrate(_equations(foil, kin, hinge, math, **free), dim, dt, total_steps)[keep:]
+    t = np.arange(keep, total_steps + 1) * dt
+    return t, hist, _equations(foil, kin, hinge, np, **free)(t, list(hist.T))
+
+
+def _integrate(rhs, dim, dt, total_steps):
+    """Fixed-step RK4 of the first `dim` rhs entries from rest; the (total_steps+1, dim) history."""
     hist = np.empty((total_steps + 1, dim))
     s = [0.0] * dim
     hist[0] = s
@@ -281,57 +316,6 @@ def _integrate(foil, kin, hinge, dt, total_steps, freestream, virtual_mass=None,
             )
         hist[i + 1] = s
     return hist
-
-
-def _hydro_outputs(foil, kin, hinge, hist, dt, freestream=None):
-    """Vectorized recomputation of forces/power from the state history."""
-    ks, taus = _hinge_arrays(hinge)
-    nb = len(ks)
-    t = np.arange(hist.shape[0]) * dt
-    h0 = kin.heave_amp_pp / 2.0
-    omg = 2.0 * math.pi * kin.heave_freq
-    th = hist[:, 0]
-    w = hist[:, 1]
-    u = hist[:, 2 + nb] if freestream is None else np.full_like(t, freestream)
-
-    y = h0 * np.sin(omg * t)
-    ydot = h0 * omg * np.cos(omg * t)
-    yddot = -h0 * omg * omg * np.sin(omg * t)
-    r = foil.pitch_axis_offset
-    v = ydot + r * w
-    phi = np.arctan2(v, u)
-    alpha = -(th + phi)
-    vrel2 = u * u + v * v
-    if foil.stall_model == "sin-cos":
-        cn = foil.normal_force_slope * np.sin(alpha) * np.cos(alpha)
-    else:
-        cn = foil.normal_force_slope * alpha
-    f_n = 0.5 * foil.fluid_density * vrel2 * foil.planform_area * cn
-    m_ve = hinge.k_inf * th + (hist[:, 2 : 2 + nb].sum(axis=1) if nb else 0.0)
-    m_a = foil.added_mass
-    j_tot = foil.tail_inertia + m_a * r * r
-    thdd = (-m_ve + r * f_n - m_a * r * yddot) / j_tot
-    thrust = f_n * np.sin(th) - 0.5 * foil.fluid_density * u * u * foil.planform_area * foil.profile_drag_coeff * np.cos(th)
-    lateral = f_n * np.cos(th) - m_a * (yddot + r * thdd)
-    power = -lateral * ydot
-    return t, y, ydot, thrust, lateral, power, m_ve
-
-
-def _constrained_trace(foil, kin, hinge, hist, dt, keep_from) -> ConstrainedTrace:
-    t, y, ydot, thrust, lateral, power, m_ve = _hydro_outputs(foil, kin, hinge, hist, dt, freestream=kin.freestream)
-    sl = slice(keep_from, None)
-    return ConstrainedTrace(
-        time=t[sl],
-        heave=y[sl],
-        heave_vel=ydot[sl],
-        pitch=hist[sl, 0],
-        pitch_rate=hist[sl, 1],
-        thrust=thrust[sl],
-        lateral=lateral[sl],
-        power=power[sl],
-        hinge_moment=m_ve[sl],
-        drive_freq=kin.heave_freq,
-    )
 
 
 def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMetrics:
@@ -392,29 +376,20 @@ def simulate_free_swim(
     else:
         _check_dt(dt, hinge, kin.heave_freq)
     total = int(math.ceil(duration / dt))
-    s_body = foil.planform_area if body_ref_area is None else body_ref_area
-    drag_area = body_drag_coeff * s_body
-    hist = _integrate(
-        foil, kin, hinge, dt, total, freestream=0.0, virtual_mass=virtual_mass, body_drag_area=drag_area
-    )
-    nb = len(hinge.significant_branches())
-    t = np.arange(total + 1) * dt
-    u = hist[:, 2 + nb]
-    _, _, _, thrust, _, _, _ = _hydro_outputs(foil, kin, hinge, hist, dt, freestream=None)
-    drag = 0.5 * foil.fluid_density * drag_area * u * np.abs(u)
-    accel = (thrust - drag) / virtual_mass
-    x = np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))])
-    a_cyc = cycle_average(TimeSeries(1.0 / dt, accel), kin.heave_freq)
-    u_cyc = cycle_average(TimeSeries(1.0 / dt, u), kin.heave_freq)
+    drag_area = body_drag_coeff * (foil.planform_area if body_ref_area is None else body_ref_area)
+    t, hist, d = _run(foil, kin, hinge, dt, total, virtual_mass=virtual_mass, body_drag_area=drag_area)
+    u = hist[:, -1]
+    accel = d[-3]  # du/dt; f_n and the hinge moment follow it
+    thrust_of, drag_of = _forces(foil, np, drag_area)
     return FreeSwimTrace(
         time=t,
-        x=x,
+        x=np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))]),
         u=u,
         accel=accel,
-        accel_cycle_mean=a_cyc,
-        u_cycle_mean=u_cyc,
-        thrust=thrust,
-        drag=drag,
+        accel_cycle_mean=cycle_average(TimeSeries(1.0 / dt, accel), kin.heave_freq),
+        u_cycle_mean=cycle_average(TimeSeries(1.0 / dt, u), kin.heave_freq),
+        thrust=thrust_of(d[-2], hist[:, 0], u),
+        drag=drag_of(u),
         drive_freq=kin.heave_freq,
     )
 

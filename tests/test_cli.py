@@ -101,6 +101,22 @@ class TestUsage:
     def test_bad_override_exits_2(self, capsys):
         assert main(["layup", "--set", "nope.key=1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freeswim", "--design", "zz"],
+            ["freeswim", "--design", "c", "--design", "zz"],
+            ["sweep", "--set", "sweep.cycles=2"],
+        ],
+        ids=["unknown-design", "one-unknown-design", "too-few-cycles"],
+    )
+    def test_config_error_writes_no_run_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "runs"
+        out.mkdir()
+        assert main(argv + ["--output-dir", str(out), "--quiet"]) == 2
+        assert os.listdir(out) == []
+        assert capsys.readouterr().err.startswith("config error")
+
 
 class TestLayup:
     def test_csv_on_stdout(self, capsys):

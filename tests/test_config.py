@@ -15,7 +15,9 @@ class TestGrid:
     def test_comma_list(self):
         assert parse_grid("0.5,1,2") == (0.5, 1.0, 2.0)
 
-    @pytest.mark.parametrize("text", ["", "1:2", "2:1:0.5", "1:2:0", "a:b:c", "1,0.5", "1,1"])
+    @pytest.mark.parametrize(
+        "text", ["", "1:2", "2:1:0.5", "1:2:0", "a:b:c", "1,0.5", "1,1", "nan", "1,inf", "0:inf:1", "nan:2:1"]
+    )
     def test_invalid_grids_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_grid(text)
@@ -94,3 +96,28 @@ class TestFileAndOverrides:
             load_config(overrides=["bender.cycles=2"])
         with pytest.raises(ConfigError):
             load_config(overrides=["sweep.freq_grid_hz=0:2:1"])  # 0 Hz invalid for sweep
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            "sweep.cycles=0",
+            "sweep.cycles=2",  # the cycle statistics need 3 whole cycles
+            "sweep.warmup_cycles=-1",
+            "freeswim.virtual_mass_kg=0",
+            "freeswim.duration_s=-1",
+            "freeswim.heave_freq_hz=0",
+            "bender.sample_rate_hz=8",  # below Nyquist for the 5 Hz grid top
+            "bender.sample_rate_hz=10",  # exactly Nyquist
+            "freeswim.duration_s=nan",  # passes every <= 0 test
+            "layup.length_mm=inf",
+        ],
+    )
+    def test_rejected_at_load(self, item):
+        with pytest.raises(ConfigError):
+            load_config(overrides=[item])
+
+    def test_limits_accepted_at_load(self):
+        config = load_config(
+            overrides=["sweep.cycles=3", "sweep.warmup_cycles=0", "bender.sample_rate_hz=10.5"]
+        )
+        assert (config.sweep.cycles, config.sweep.warmup_cycles) == (3, 0)

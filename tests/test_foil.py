@@ -17,6 +17,7 @@ from cldprop.foil import (
     strouhal,
     swim_metrics,
 )
+from cldprop.foil import _equations
 from cldprop.prony import PronyFit, prony_frequency_response
 from cldprop.signals import TimeSeries, cycle_average
 
@@ -103,6 +104,47 @@ class TestConstrained:
     def test_unknown_stall_model_rejected(self):
         with pytest.raises(ParameterDomainError):
             FoilConfig(stall_model="flat")
+
+
+class TestEquations:
+    @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
+    @pytest.mark.parametrize("virtual_mass", [None, 3.0], ids=["constrained", "free"])
+    def test_math_and_numpy_evaluations_agree(self, stall_model, virtual_mass):
+        # The RK4 stepper evaluates rhs on floats, the trace on state-history
+        # columns; both must give the same derivatives and forces.
+        foil = FoilConfig(stall_model=stall_model)
+        kin = KinematicsSpec(heave_freq=2.0)
+        free = {}
+        if virtual_mass is not None:
+            free = {"virtual_mass": virtual_mass, "body_drag_area": 0.3 * foil.planform_area}
+        rng = np.random.default_rng(7)
+        n, dim = 6, 2 + len(_SOFT.significant_branches()) + bool(free)
+        states = rng.uniform(-0.5, 0.5, size=(n, dim))  # u < 0 reaches the u|u| drag sign
+        t = rng.uniform(0.0, 2.0, size=n)
+        scalar = np.array(
+            [_equations(foil, kin, _SOFT, math, **free)(ti, list(si)) for ti, si in zip(t, states)]
+        )
+        vector = np.array(_equations(foil, kin, _SOFT, np, **free)(t, list(states.T))).T
+        assert scalar.shape == vector.shape == (n, dim + 2)  # ds/dt, f_n, hinge moment
+        scale = np.max(np.abs(scalar), axis=0)
+        assert np.all(scale > 0.0)
+        assert np.all(np.abs(vector - scalar) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
+    def test_normal_force_closed_form(self, stall_model):
+        # Level tail at rest at t = 0: the inflow is the peak heave rate
+        # against the freestream, so alpha = -atan(v/U).
+        foil = FoilConfig(stall_model=stall_model)
+        kin = KinematicsSpec(heave_freq=2.0)
+        v = kin.heave_amp_pp / 2.0 * 2.0 * math.pi * kin.heave_freq
+        alpha = -math.atan(v / kin.freestream)
+        cn = math.sin(alpha) * math.cos(alpha) if stall_model == "sin-cos" else alpha
+        q = 0.5 * foil.fluid_density * (kin.freestream**2 + v**2)
+        want = q * foil.planform_area * foil.normal_force_slope * cn
+        dim = 2 + len(_SOFT.significant_branches())
+        f_n, m_ve = _equations(foil, kin, _SOFT, math)(0.0, [0.0] * dim)[-2:]
+        assert f_n == pytest.approx(want, rel=1e-12)
+        assert m_ve == 0.0
 
 
 def _synthetic_trace(thrust_value, power_value, n=801, fs=200.0, f=2.0):

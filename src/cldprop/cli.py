@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from ._version import __version__
-from .config import CONFIG_SCHEMA_VERSION, ProtocolConfig, load_config
+from .config import CONFIG_SCHEMA_VERSION, ProtocolConfig, load_config, parse_grid
 from .errors import CldPropError, ConfigError
 from .harness import (
     create_run_dir,
@@ -90,9 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ProtocolConfig:
     overrides = list(args.overrides)
-    if getattr(args, "freq_grid", None):
-        section = "bender" if args.command in ("layup", "bender") else "sweep"
-        overrides.append(f"{section}.freq_grid_hz={args.freq_grid}")
+    if args.command == "bender" and args.freq_grid:
+        overrides.append(f"bender.freq_grid_hz={args.freq_grid}")
     if args.output_dir:
         overrides.append(f"output.directory={args.output_dir}")
     return load_config(args.config, overrides)
@@ -130,7 +129,8 @@ def _sample_rate_of(t: np.ndarray, path: str) -> float:
 
 def _cmd_layup(args) -> int:
     config = _load(args)
-    grid = config.bender.freq_grid_hz
+    # layup samples nothing, so its grid is not held to the bender's Nyquist limit.
+    grid = parse_grid(args.freq_grid) if args.freq_grid else config.bender.freq_grid_hz
     print("design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative")
     for design, coverage in config.designs:
         layup = config.layup.with_coverage(coverage)

@@ -315,6 +315,10 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError("sweep.prony_fit_grid_hz must contain positive frequencies only")
     if sweep.cycles < 3 or sweep.warmup_cycles < 0:
         raise ConfigError("sweep.cycles must be >= 3 (whole cycles averaged) and sweep.warmup_cycles >= 0")
+    if sweep.freestream <= 0.0 or sweep.heave_amp_pp < 0.0:
+        raise ConfigError("sweep.freestream_mps must be positive and sweep.heave_amp_pp_m >= 0")
+    if not 1 <= sweep.prony_branches <= (len(sweep.prony_fit_grid_hz) - 1) // 2:
+        raise ConfigError("sweep.prony_branches must be >= 1, with 2 * branches + 1 fit grid points")
 
     fo = raw["foil"]
     foil = FoilConfig(

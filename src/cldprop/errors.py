@@ -45,9 +45,8 @@ class FitConvergenceError(CldPropError, RuntimeError):
 class IntegrationDivergenceError(CldPropError, RuntimeError):
     """Simulation state became non-finite."""
 
-    def __init__(self, message: str, step: int | None = None, time: float | None = None):
+    def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
-        self.step = step
         self.time = time
 
 

@@ -7,7 +7,8 @@ angle of attack built from pitch, heave rate and forward speed sets a
 normal force on the rigid tail, plus a flat-plate added-mass reaction.
 The hinge carries a Prony-series stiffness integrated in time alongside
 the pitch state, so frequency-dependent storage and loss emerge naturally.
-One right-hand side serves both the RK4 stepper (on floats) and the trace
+LSODA (scipy's odeint) integrates the plant under error control onto a fixed
+sample grid. One right-hand side serves both LSODA (on floats) and the trace
 (on numpy columns of the state history), so the force law is written once.
 
 Sign conventions: pitch is positive when the tail tip moves toward positive
@@ -19,6 +20,7 @@ motion and the product of normal force and pitch tilt produces net thrust.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +31,14 @@ from .signals import TimeSeries, cycle_average, impedance_fractions, lockin_extr
 from .signals import ImpedanceFractions, LockinResult
 from .stiffness import ComplexStiffness
 
-# Integrator resolution: at least this many RK4 steps per heave cycle, and at
-# least this many steps per fastest hinge relaxation time.
+# Sample grid: at least this many samples per heave cycle, and at least this
+# many samples per fastest hinge relaxation time.
 MIN_STEPS_PER_CYCLE = 1000
 STEPS_PER_TAU = 10
 # Free-swim runs use a finer grid so that trapezoidal requadrature of the
 # logged force trace reproduces the momentum balance to ~1e-7.
 FREESWIM_MIN_STEPS_PER_CYCLE = 6000
+RTOL, ATOL = 1e-10, 1e-13  # LSODA error tolerances, per state component
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class FoilConfig:
 
 @dataclass(frozen=True)
 class ConstrainedTrace:
-    """Per-step log of a constrained run (warm-up cycles already removed)."""
+    """Per-sample log of a constrained run (warm-up cycles already removed)."""
 
     time: np.ndarray
     heave: np.ndarray
@@ -172,10 +175,10 @@ def _check_dt(dt: float, hinge: PronyFit, heave_freq: float) -> None:
         tau_min = min(t for _, t in branches)
         if dt >= tau_min / STEPS_PER_TAU:
             raise ConfigError(
-                f"dt={dt:.3e} s violates the stability bound min(tau)/{STEPS_PER_TAU}={tau_min / STEPS_PER_TAU:.3e} s"
+                f"dt={dt:.3e} s violates the sampling bound min(tau)/{STEPS_PER_TAU}={tau_min / STEPS_PER_TAU:.3e} s"
             )
     if dt > 1.0 / (100.0 * heave_freq):
-        raise ConfigError(f"dt={dt:.3e} s resolves fewer than 100 steps per heave cycle")
+        raise ConfigError(f"dt={dt:.3e} s resolves fewer than 100 samples per heave cycle")
 
 
 def simulate_constrained(
@@ -189,8 +192,8 @@ def simulate_constrained(
     """Integrate the passive-pitch foil at fixed streamwise position.
 
     Heave y(t) = (A_pp/2) sin(2 pi f t) is prescribed; pitch and the hinge
-    branch states are advanced with fixed-step RK4. The first warmup_cycles
-    cycles are dropped from the returned trace.
+    branch states are integrated with LSODA and sampled every dt. The first
+    warmup_cycles cycles are dropped from the returned trace.
     """
     if n_cycles < 1 or warmup_cycles < 0:
         raise ParameterDomainError("need n_cycles >= 1 and warmup_cycles >= 0")
@@ -242,7 +245,7 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
 
     The state is [pitch, pitch_rate, m_1..m_J], plus the speed u when
     `virtual_mass` is given (free swimming); otherwise u is the freestream.
-    `lib` is `math` for the stepper (s holds floats) or `numpy` for the
+    `lib` is `math` for the integrator (s holds floats) or `numpy` for the
     trace (s holds the state-history columns).
     """
     branches = hinge.significant_branches()
@@ -287,35 +290,36 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
 
 
 def _run(foil, kin, hinge, dt, total_steps, keep=0, **free):
-    """Plant history from rest with the first `keep` steps dropped: (t, states, rhs there)."""
+    """Plant history from rest with the first `keep` samples dropped: (t, states, rhs there)."""
     dim = 2 + len(hinge.significant_branches()) + ("virtual_mass" in free)
-    hist = _integrate(_equations(foil, kin, hinge, math, **free), dim, dt, total_steps)[keep:]
     t = np.arange(keep, total_steps + 1) * dt
+    warmup = np.arange(0, keep, 10) * dt  # thinned: as one interval it would exceed odeint's 500 steps
+    rhs = _equations(foil, kin, hinge, math, **free)
+    hist = _integrate(rhs, dim, np.concatenate((warmup, t)))[warmup.size :]
     return t, hist, _equations(foil, kin, hinge, np, **free)(t, list(hist.T))
 
 
-def _integrate(rhs, dim, dt, total_steps):
-    """Fixed-step RK4 of the first `dim` rhs entries from rest; the (total_steps+1, dim) history."""
-    hist = np.empty((total_steps + 1, dim))
-    s = [0.0] * dim
-    hist[0] = s
-    half = dt / 2.0
-    for i in range(total_steps):
-        t = i * dt
-        k1 = rhs(t, s)
-        s2 = [s[q] + half * k1[q] for q in range(dim)]
-        k2 = rhs(t + half, s2)
-        s3 = [s[q] + half * k2[q] for q in range(dim)]
-        k3 = rhs(t + half, s3)
-        s4 = [s[q] + dt * k3[q] for q in range(dim)]
-        k4 = rhs(t + dt, s4)
-        s = [s[q] + dt / 6.0 * (k1[q] + 2.0 * k2[q] + 2.0 * k3[q] + k4[q]) for q in range(dim)]
-        if not all(math.isfinite(v) for v in s):
-            raise IntegrationDivergenceError(
-                f"non-finite state at step {i + 1} (t={t + dt:.4f} s)", step=i + 1, time=t + dt
-            )
-        hist[i + 1] = s
-    return hist
+def _integrate(rhs, dim, t):
+    """LSODA of the first `dim` rhs entries from rest at t[0] = 0; the (t.size, dim) history at t."""
+    from scipy.integrate import ODEintWarning, odeint
+
+    reached = [0.0]
+
+    def derivs(time, s):
+        reached[0] = time
+        return rhs(time, s.tolist())[:dim]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ODEintWarning)  # odeint only warns when a solve fails
+        try:
+            hist = odeint(derivs, np.zeros(dim), t, rtol=RTOL, atol=ATOL, tfirst=True)
+            bad = np.flatnonzero(~np.isfinite(hist).all(axis=1))
+            if bad.size == 0:
+                return hist
+            failed = float(t[bad[0]])
+        except (ODEintWarning, ValueError):  # ValueError: math.sin of an infinite trial state
+            failed = reached[0]  # where LSODA stopped; its rows from there on are not written
+    raise IntegrationDivergenceError(f"state diverged near t={failed:.6g} s", time=failed)
 
 
 def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMetrics:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import count
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
@@ -383,12 +384,13 @@ def emit_plot_data(table, kind: str, out_dir: str) -> list[str]:
 def create_run_dir(config: ProtocolConfig, protocol: str) -> str:
     """Timestamped run directory with a manifest of the resolved config."""
     stamp = datetime.datetime.now().strftime("%Y%m%d_%H%M%S")
-    path = os.path.join(config.output_dir, f"{protocol}_{stamp}")
-    suffix = 0
-    while os.path.exists(path):
-        suffix += 1
-        path = os.path.join(config.output_dir, f"{protocol}_{stamp}_{suffix}")
-    os.makedirs(path)
+    base = path = os.path.join(config.output_dir, f"{protocol}_{stamp}")
+    for suffix in count(1):
+        try:
+            os.makedirs(path)  # fails on a name another run holds: no gap between check and create
+            break
+        except FileExistsError:
+            path = f"{base}_{suffix}"
     manifest = {
         "toolkit_version": __version__,
         "config_schema_version": CONFIG_SCHEMA_VERSION,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitConvergenceError, ParameterDomainError
 from .stiffness import ComplexStiffness
@@ -60,6 +59,13 @@ def prony_frequency_response(fit: PronyFit, omega: float) -> ComplexStiffness:
         s = 1j * omega * tau_j
         k += k_j * s / (1.0 + s)
     return ComplexStiffness(storage=k.real, loss=k.imag)
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first call so `import cldprop` stays light."""
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
 
 
 def _response_vec(k_inf: float, ks: np.ndarray, taus: np.ndarray, omegas: np.ndarray) -> np.ndarray:

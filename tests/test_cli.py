@@ -2,10 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cldprop
 from cldprop.cli import main
 
 _K, _C, _F, _FS = 2.0, 0.05, 3.0, 200.0
@@ -127,6 +130,31 @@ class TestLayup:
         # 4 designs x 4 grid points
         assert len(lines) == 1 + 16
 
+    def test_grid_above_bender_nyquist(self, tmp_path, capsys):
+        # layup samples nothing; the bender, sampling at 200 Hz, cannot reach 200 Hz.
+        assert main(["layup", "--freq-grid", "0:200:50"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 4 * 5
+        out = tmp_path / "runs"
+        out.mkdir()
+        assert main(["bender", "--freq-grid", "0:200:50", "--output-dir", str(out), "--quiet"]) == 2
+        assert os.listdir(out) == []
+        assert "Nyquist" in capsys.readouterr().err
+
+
+def test_light_commands_load_no_scipy():
+    code = (
+        "import sys, cldprop\n"
+        "from cldprop.cli import main\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'import cldprop'\n"
+        "main(['layup', '--quiet'])\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'cldprop layup --quiet'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("design,freq_hz")
+
 
 class TestProtocols:
     def test_sweep_and_freeswim_runs(self, tmp_path, capsys):
@@ -160,6 +188,18 @@ class TestProtocols:
         assert code == 0
         stdout = capsys.readouterr().out
         assert stdout.startswith("design,peak_accel_mps2")
+
+    def test_diverging_lane_is_numerical_failure(self, tmp_path, capfd):
+        # An anti-restoring normal-force law blows up the pitch state in simulate_constrained.
+        out = tmp_path / "runs"
+        argv = ["sweep", "--output-dir", str(out), "--quiet", "--set", "sweep.freq_grid_hz=1"]
+        argv += ["--set", "foil.normal_force_slope=-5000", "--set", "foil.stall_model=none"]
+        assert main(argv) == 3
+        captured = capfd.readouterr()  # file-descriptor level: LSODA itself must print nothing
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: state diverged near t=")
+        assert not out.exists()
 
     def test_bender_run(self, tmp_path, capsys):
         out = str(tmp_path / "runs")

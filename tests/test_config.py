@@ -110,6 +110,10 @@ class TestFileAndOverrides:
             "bender.sample_rate_hz=10",  # exactly Nyquist
             "freeswim.duration_s=nan",  # passes every <= 0 test
             "layup.length_mm=inf",
+            "sweep.freestream_mps=0",
+            "sweep.heave_amp_pp_m=-0.1",
+            "sweep.prony_branches=0",
+            "sweep.prony_branches=10",  # 20 fit grid points hold at most 9 branches
         ],
     )
     def test_rejected_at_load(self, item):
@@ -121,3 +125,5 @@ class TestFileAndOverrides:
             overrides=["sweep.cycles=3", "sweep.warmup_cycles=0", "bender.sample_rate_hz=10.5"]
         )
         assert (config.sweep.cycles, config.sweep.warmup_cycles) == (3, 0)
+        config = load_config(overrides=["sweep.heave_amp_pp_m=0", "sweep.prony_branches=9"])
+        assert (config.sweep.heave_amp_pp, config.sweep.prony_branches) == (0.0, 9)

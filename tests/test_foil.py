@@ -17,6 +17,7 @@ from cldprop.foil import (
     strouhal,
     swim_metrics,
 )
+from cldprop import foil as foil_module
 from cldprop.foil import _equations
 from cldprop.prony import PronyFit, prony_frequency_response
 from cldprop.signals import TimeSeries, cycle_average
@@ -98,8 +99,10 @@ class TestConstrained:
         # integrator must fail loudly, not return garbage.
         foil = FoilConfig(normal_force_slope=-5000.0, stall_model="none")
         kin = KinematicsSpec(heave_freq=1.0)
-        with pytest.raises(IntegrationDivergenceError):
+        with pytest.raises(IntegrationDivergenceError, match=r"diverged near t=") as info:
             simulate_constrained(foil, kin, _SOFT, n_cycles=10, warmup_cycles=0)
+        assert 0.0 < info.value.time < 10.0
+        assert "full_output" not in str(info.value)  # odeint's advice names options cldprop lacks
 
     def test_unknown_stall_model_rejected(self):
         with pytest.raises(ParameterDomainError):
@@ -110,8 +113,8 @@ class TestEquations:
     @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
     @pytest.mark.parametrize("virtual_mass", [None, 3.0], ids=["constrained", "free"])
     def test_math_and_numpy_evaluations_agree(self, stall_model, virtual_mass):
-        # The RK4 stepper evaluates rhs on floats, the trace on state-history
-        # columns; both must give the same derivatives and forces.
+        # LSODA evaluates rhs on floats, the trace on state-history columns;
+        # both must give the same derivatives and forces.
         foil = FoilConfig(stall_model=stall_model)
         kin = KinematicsSpec(heave_freq=2.0)
         free = {}
@@ -145,6 +148,56 @@ class TestEquations:
         f_n, m_ve = _equations(foil, kin, _SOFT, math)(0.0, [0.0] * dim)[-2:]
         assert f_n == pytest.approx(want, rel=1e-12)
         assert m_ve == 0.0
+
+
+def _rk4(rhs, dim, t):
+    """The integrator LSODA replaced: RK4 from rest, one step per finest sample spacing."""
+    dt = t[-1] - t[-2]
+    n = int(round(t[-1] / dt))
+    hist = np.zeros((n + 1, dim))
+    s = [0.0] * dim
+    for i in range(n):
+        ti = i * dt
+        k1 = rhs(ti, s)
+        k2 = rhs(ti + dt / 2.0, [s[q] + dt / 2.0 * k1[q] for q in range(dim)])
+        k3 = rhs(ti + dt / 2.0, [s[q] + dt / 2.0 * k2[q] for q in range(dim)])
+        k4 = rhs(ti + dt, [s[q] + dt * k3[q] for q in range(dim)])
+        s = [s[q] + dt / 6.0 * (k1[q] + 2.0 * k2[q] + 2.0 * k3[q] + k4[q]) for q in range(dim)]
+        hist[i + 1] = s
+    return hist[np.rint(t / dt).astype(int)]
+
+
+class TestIntegrator:
+    def test_metrics_match_rk4_reference(self, monkeypatch):
+        # Same sample grid, same post-processing: only the integrator differs.
+        kin = KinematicsSpec(heave_freq=2.0)
+        assert len(_SOFT.significant_branches()) == 2
+        lsoda = propulsion_metrics(simulate_constrained(_FOIL, kin, _SOFT, n_cycles=4, warmup_cycles=2), kin)
+        monkeypatch.setattr(foil_module, "_integrate", _rk4)
+        rk4 = propulsion_metrics(simulate_constrained(_FOIL, kin, _SOFT, n_cycles=4, warmup_cycles=2), kin)
+        pairs = [
+            (lsoda.mean_thrust, rk4.mean_thrust),
+            (lsoda.mean_input_power, rk4.mean_input_power),
+            (lsoda.effective_stiffness.storage, rk4.effective_stiffness.storage),
+            (lsoda.effective_stiffness.loss, rk4.effective_stiffness.loss),
+        ]
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "blow_up",
+        [lambda: math.nan, lambda: math.inf, lambda: math.sin(math.inf)],
+        ids=["nan-rows", "odeint-warning", "rhs-raises"],
+    )
+    def test_failure_is_divergence_with_its_time(self, blow_up, recwarn):
+        # The three ways an LSODA solve fails; none may pass silently or warn.
+        def rhs(t, s):
+            return [blow_up() if t > 0.5 else 1.0, 0.0]
+
+        with pytest.raises(IntegrationDivergenceError, match=r"diverged near t=") as info:
+            foil_module._integrate(rhs, 1, np.linspace(0.0, 1.0, 11))
+        assert 0.3 < info.value.time < 2.0
+        assert len(recwarn) == 0
 
 
 def _synthetic_trace(thrust_value, power_value, n=801, fs=200.0, f=2.0):

@@ -2,13 +2,16 @@
 persistence and plot-data emission."""
 
 import csv
+import datetime
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cldprop import harness
 from cldprop.config import load_config
 from cldprop.errors import CldPropError, UnknownDesignError
 from cldprop.foil import propulsion_metrics, simulate_constrained
@@ -253,3 +256,29 @@ class TestRunDir:
         assert os.path.isdir(run_dir)
         manifest = open(os.path.join(run_dir, "manifest.json")).read()
         assert "toolkit_version" in manifest and "resolved_config" in manifest
+
+    def test_same_second_names_take_the_next_free_suffix(self, tmp_path, monkeypatch):
+        class Frozen(datetime.datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return cls(2026, 1, 2, 3, 4, 5)
+
+        monkeypatch.setattr(harness, "datetime", SimpleNamespace(datetime=Frozen))
+        config = load_config(overrides=[f"output.directory={tmp_path}"])
+        for name in ("sweep_20260102_030405", "sweep_20260102_030405_1"):
+            (tmp_path / name).mkdir()
+        real_makedirs, taken = os.makedirs, []
+
+        def rival_first(path, *args, **kwargs):
+            # Another run claims the first free name just before this one creates it.
+            if not taken and not os.path.exists(path):
+                taken.append(path)
+                real_makedirs(path)
+            return real_makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness.os, "makedirs", rival_first)
+        run_dir = create_run_dir(config, "sweep")
+        assert taken == [str(tmp_path / "sweep_20260102_030405_2")]
+        assert run_dir == str(tmp_path / "sweep_20260102_030405_3")
+        assert os.listdir(run_dir) == ["manifest.json"]
+        assert os.listdir(tmp_path / "sweep_20260102_030405_2") == []

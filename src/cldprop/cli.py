@@ -133,7 +133,7 @@ def _cmd_layup(args) -> int:
     grid = parse_grid(args.freq_grid) if args.freq_grid else config.bender.freq_grid_hz
     print("design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative")
     for design, coverage in config.designs:
-        layup = config.layup.with_coverage(coverage)
+        layup = config.layups[coverage]
         for f in grid:
             k = rku_complex_stiffness(layup, 2.0 * math.pi * f)
             fr = impedance_fractions(k)
@@ -198,11 +198,11 @@ def _cmd_freeswim(args) -> int:
     config = _load(args)
     names = args.design or ["baseline", "c"]
     for name in names:
-        config.coverage_of(name)  # an unknown design fails before the run directory exists
+        config.coverage_of(name)  # an unknown design fails before any trial runs
+    trials = [(name, *run_freeswim_trial(config, name)) for name in names]
     run_dir = create_run_dir(config, "freeswim")
     lines = ["design,peak_accel_mps2,terminal_velocity_mps,net_displacement_m,total_travel_m"]
-    for name in names:
-        trace, metrics = run_freeswim_trial(config, name)
+    for name, trace, metrics in trials:
         write_freeswim_trace(trace, f"{run_dir}/trace_{name}.csv")
         lines.append(
             f"{name},{metrics['peak_accel']:.12g},{metrics['terminal_velocity']:.12g},"
@@ -235,14 +235,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        kind, code, error = "config error", 2, exc
     except CldPropError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        kind, code, error = "numerical failure", 3, exc
     except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return 4
+        kind, code, error = "i/o failure", 4, exc
+    # One line: the error and its notes, such as the design and frequency of a failing sweep lane.
+    print("; ".join([f"{kind}: {error}", *getattr(error, "__notes__", ())]), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, UnknownDesignError
+from .errors import ConfigError, ParameterDomainError, UnknownDesignError
 from .foil import FoilConfig, KinematicsSpec
 from .stiffness import FractionalZenerParams, Layer, SandwichLayup
 
@@ -160,11 +160,11 @@ class SweepProtocol:
     warmup_cycles: int
     prony_fit_grid_hz: tuple[float, ...]
     prony_branches: int
+    kinematics: tuple[KinematicsSpec, ...] = field(init=False, repr=False)  # one per grid frequency
 
-    def kinematics(self, heave_freq: float) -> KinematicsSpec:
-        return KinematicsSpec(
-            heave_freq=heave_freq, heave_amp_pp=self.heave_amp_pp, freestream=self.freestream
-        )
+    def __post_init__(self):
+        kin = tuple(KinematicsSpec(f, self.heave_amp_pp, self.freestream) for f in self.freq_grid_hz)
+        object.__setattr__(self, "kinematics", kin)
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ class FreeSwimProtocol:
     virtual_mass: float  # kg
     duration: float  # s
     body_drag_coeff: float
-    heave_freq: float  # Hz
+    kinematics: KinematicsSpec  # heave_freq_hz with the sweep's amplitude and freestream
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,10 @@ class ProtocolConfig:
     output_dir: str
     seed: int
     raw: dict[str, dict[str, str]] = field(repr=False, default_factory=dict)
+    layups: dict[float, SandwichLayup] = field(init=False, repr=False)  # coverage -> design layup
+
+    def __post_init__(self):
+        object.__setattr__(self, "layups", {cov: self.layup.with_coverage(cov) for _, cov in self.designs})
 
     def coverage_of(self, name: str) -> float:
         for design, coverage in self.designs:
@@ -267,20 +271,25 @@ def _build_layup(vals: dict[str, str]) -> SandwichLayup:
     )
 
 
+def _built(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a domain object's ParameterDomainError as a ConfigError of `section`."""
+    try:
+        return make(*args, **kwargs)
+    except ParameterDomainError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> ProtocolConfig:
     """Load, merge and validate a protocol configuration.
 
     `path=None` yields the built-in defaults; `overrides` are applied on top
-    of whatever the file provided.
+    of whatever the file provided. The domain objects the protocols use are
+    built here, once, and own their range checks; the checks written out
+    here guard what would otherwise fail only at run time.
     """
     raw = _merged_raw(path, overrides)
 
-    designs = []
-    for name, value in raw["designs"].items():
-        cov = _as_float("designs", name, value)
-        if not (0.0 <= cov <= 1.0):
-            raise ConfigError(f"designs.{name}: coverage must be in [0, 1], got {cov}")
-        designs.append((name, cov))
+    designs = tuple((name, _as_float("designs", name, value)) for name, value in raw["designs"].items())
     if not designs:
         raise ConfigError("at least one design must be defined")
 
@@ -294,13 +303,15 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         noise_snr_db=None if not snr_raw else _as_float("bender", "noise_snr_db", snr_raw),
         repeats=_as_int("bender", "repeats", b["repeats"]),
     )
-    if bender.cycles < 3 or bender.repeats < 1:
-        raise ConfigError("bender.cycles must be >= 3 and bender.repeats >= 1")
+    if bender.theta_amp <= 0.0 or bender.cycles < 3 or bender.repeats < 1:
+        raise ConfigError("bender.theta_amp_deg must be positive, bender.cycles >= 3 and bender.repeats >= 1")
     if bender.sample_rate <= 2.0 * max(bender.freq_grid_hz):
         raise ConfigError("bender.sample_rate_hz must exceed twice the top of bender.freq_grid_hz (Nyquist)")
 
     s = raw["sweep"]
-    sweep = SweepProtocol(
+    sweep = _built(
+        "sweep",
+        SweepProtocol,
         freq_grid_hz=parse_grid(s["freq_grid_hz"]),
         heave_amp_pp=_as_float("sweep", "heave_amp_pp_m", s["heave_amp_pp_m"]),
         freestream=_as_float("sweep", "freestream_mps", s["freestream_mps"]),
@@ -309,19 +320,17 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         prony_fit_grid_hz=parse_grid(s["prony_fit_grid_hz"]),
         prony_branches=_as_int("sweep", "prony_branches", s["prony_branches"]),
     )
-    if sweep.freq_grid_hz[0] <= 0.0:
-        raise ConfigError("sweep.freq_grid_hz must contain positive frequencies only")
     if sweep.prony_fit_grid_hz[0] <= 0.0:
         raise ConfigError("sweep.prony_fit_grid_hz must contain positive frequencies only")
     if sweep.cycles < 3 or sweep.warmup_cycles < 0:
         raise ConfigError("sweep.cycles must be >= 3 (whole cycles averaged) and sweep.warmup_cycles >= 0")
-    if sweep.freestream <= 0.0 or sweep.heave_amp_pp < 0.0:
-        raise ConfigError("sweep.freestream_mps must be positive and sweep.heave_amp_pp_m >= 0")
     if not 1 <= sweep.prony_branches <= (len(sweep.prony_fit_grid_hz) - 1) // 2:
         raise ConfigError("sweep.prony_branches must be >= 1, with 2 * branches + 1 fit grid points")
 
     fo = raw["foil"]
-    foil = FoilConfig(
+    foil = _built(
+        "foil",
+        FoilConfig,
         tail_chord=_as_float("foil", "tail_chord_m", fo["tail_chord_m"]),
         tail_span=_as_float("foil", "tail_span_m", fo["tail_span_m"]),
         tail_inertia=_as_float("foil", "tail_inertia_kgm2", fo["tail_inertia_kgm2"]),
@@ -334,23 +343,30 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     )
 
     fr = raw["freeswim"]
+    heave_freq = _as_float("freeswim", "heave_freq_hz", fr["heave_freq_hz"])
     freeswim = FreeSwimProtocol(
         virtual_mass=_as_float("freeswim", "virtual_mass_kg", fr["virtual_mass_kg"]),
         duration=_as_float("freeswim", "duration_s", fr["duration_s"]),
         body_drag_coeff=_as_float("freeswim", "body_drag_coeff", fr["body_drag_coeff"]),
-        heave_freq=_as_float("freeswim", "heave_freq_hz", fr["heave_freq_hz"]),
+        kinematics=_built("freeswim", KinematicsSpec, heave_freq, sweep.heave_amp_pp, sweep.freestream),
     )
-    if min(freeswim.virtual_mass, freeswim.duration, freeswim.heave_freq) <= 0.0:
-        raise ConfigError("freeswim.virtual_mass_kg, duration_s and heave_freq_hz must be positive")
+    if min(freeswim.virtual_mass, freeswim.duration) <= 0.0:
+        raise ConfigError("freeswim.virtual_mass_kg and duration_s must be positive")
 
-    return ProtocolConfig(
-        layup=_build_layup(raw["layup"]),
-        designs=tuple(designs),
+    seed = _as_int("output", "seed", raw["output"]["seed"])
+    if seed < 0:
+        raise ConfigError("output.seed must be >= 0")
+
+    return _built(
+        "designs",  # ProtocolConfig builds each design's layup
+        ProtocolConfig,
+        layup=_built("layup", _build_layup, raw["layup"]),
+        designs=designs,
         bender=bender,
         sweep=sweep,
         foil=foil,
         freeswim=freeswim,
         output_dir=raw["output"]["directory"].strip(),
-        seed=_as_int("output", "seed", raw["output"]["seed"]),
+        seed=seed,
         raw=raw,
     )

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-Exit-code mapping (used by the CLI): ConfigError -> 2, numerical failures
-(FitConvergenceError, IntegrationDivergenceError, Degenerate*) -> 3,
-I/O problems -> 4.
+Exit-code mapping (used by the CLI): ConfigError -> 2, raised at load for
+every config mistake (load_config reports a domain object's
+ParameterDomainError as one); any other CldPropError, a numerical failure
+-> 3; OSError -> 4. Protocols compute before they write their run directory.
 """
 
 

@@ -362,15 +362,14 @@ def simulate_free_swim(
     virtual_mass: float = 3.0,
     body_drag_coeff: float = 0.3,
     duration: float = 3.8,
-    body_ref_area: float | None = None,
     dt: float | None = None,
 ) -> FreeSwimTrace:
     """Virtual-mass free-swimming trial from a standing start in still water.
 
     The carriage speed u replaces the fixed freestream and obeys
-    m_v * du/dt = thrust - 0.5 * rho * C_D,body * S_body * u|u|. Position is
-    the cumulative trapezoid of u, so the position/velocity consistency
-    holds by construction.
+    m_v * du/dt = thrust - 0.5 * rho * C_D,body * S_body * u|u|, with the
+    tail planform area as S_body. Position is the cumulative trapezoid of
+    u, so the position/velocity consistency holds by construction.
     """
     if virtual_mass <= 0.0 or duration <= 0.0:
         raise ParameterDomainError("virtual mass and duration must be positive")
@@ -380,7 +379,7 @@ def simulate_free_swim(
     else:
         _check_dt(dt, hinge, kin.heave_freq)
     total = int(math.ceil(duration / dt))
-    drag_area = body_drag_coeff * (foil.planform_area if body_ref_area is None else body_ref_area)
+    drag_area = body_drag_coeff * foil.planform_area
     t, hist, d = _run(foil, kin, hinge, dt, total, virtual_mass=virtual_mass, body_drag_area=drag_area)
     u = hist[:, -1]
     accel = d[-3]  # du/dt; f_n and the hinge moment follow it

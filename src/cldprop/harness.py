@@ -89,8 +89,8 @@ def _annotate(exc: Exception, design: str, freq: float) -> Exception:
 
 
 def fit_design_hinge(config: ProtocolConfig, coverage: float) -> PronyFit:
-    """Prony surrogate of one design's root stiffness over the configured fit grid."""
-    layup = config.layup.with_coverage(coverage)
+    """Prony surrogate, over the fit grid, of the root stiffness of the design with this coverage."""
+    layup = config.layups[coverage]
     samples = [
         (2.0 * math.pi * f, rku_complex_stiffness(layup, 2.0 * math.pi * f))
         for f in config.sweep.prony_fit_grid_hz
@@ -108,7 +108,7 @@ def run_bender_sweep(config: ProtocolConfig) -> ImpedanceTable:
     """
     rows = []
     for d_idx, (design, coverage) in enumerate(config.designs):
-        layup = config.layup.with_coverage(coverage)
+        layup = config.layups[coverage]
         for f_idx, freq in enumerate(config.bender.freq_grid_hz):
             try:
                 if freq == 0.0:
@@ -143,9 +143,7 @@ def run_bender_sweep(config: ProtocolConfig) -> ImpedanceTable:
                 )
             except CldPropError as exc:
                 raise _annotate(exc, design, freq)
-    table = ImpedanceTable(rows=tuple(rows))
-    _check_complete(len(table.rows), len(config.designs), len(config.bender.freq_grid_hz))
-    return table
+    return ImpedanceTable(rows=tuple(rows))
 
 
 def run_strouhal_sweep(config: ProtocolConfig) -> SweepTable:
@@ -153,8 +151,7 @@ def run_strouhal_sweep(config: ProtocolConfig) -> SweepTable:
     rows = []
     for design, coverage in config.designs:
         hinge = fit_design_hinge(config, coverage)
-        for freq in config.sweep.freq_grid_hz:
-            kin = config.sweep.kinematics(freq)
+        for kin in config.sweep.kinematics:
             try:
                 trace = simulate_constrained(
                     config.foil,
@@ -165,34 +162,24 @@ def run_strouhal_sweep(config: ProtocolConfig) -> SweepTable:
                 )
                 metrics = propulsion_metrics(trace, kin)
             except CldPropError as exc:
-                raise _annotate(exc, design, freq)
-            rows.append(SweepRow(design, strouhal(kin), freq, metrics))
-    rows.sort(key=lambda r: ([d for d, _ in config.designs].index(r.design), r.st))
-    table = SweepTable(rows=tuple(rows))
-    _check_complete(len(table.rows), len(config.designs), len(config.sweep.freq_grid_hz))
-    return table
+                raise _annotate(exc, design, kin.heave_freq)
+            rows.append(SweepRow(design, strouhal(kin), kin.heave_freq, metrics))
+    return SweepTable(rows=tuple(rows))
 
 
 def run_freeswim_trial(config: ProtocolConfig, design_name: str) -> tuple[FreeSwimTrace, dict[str, float]]:
     """Free-swim trial of one design at the configured kinematics."""
     coverage = config.coverage_of(design_name)
     hinge = fit_design_hinge(config, coverage)
-    kin = config.sweep.kinematics(config.freeswim.heave_freq)
     trace = simulate_free_swim(
         config.foil,
-        kin,
+        config.freeswim.kinematics,
         hinge,
         virtual_mass=config.freeswim.virtual_mass,
         body_drag_coeff=config.freeswim.body_drag_coeff,
         duration=config.freeswim.duration,
     )
     return trace, swim_metrics(trace)
-
-
-def _check_complete(n_rows: int, n_designs: int, n_grid: int) -> None:
-    expected = n_designs * n_grid
-    if n_rows != expected:
-        raise CldPropError(f"incomplete sweep: {n_rows} rows, expected {expected}")
 
 
 # ---------------------------------------------------------------------------

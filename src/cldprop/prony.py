@@ -23,6 +23,7 @@ from .stiffness import ComplexStiffness
 # Branches with k_j below this fraction of the total stiffness carry no
 # meaningful relaxation and are ignored for stability bookkeeping.
 NEGLIGIBLE_BRANCH_FRACTION = 1e-9
+N_STARTS, MAX_ITER = 8, 200  # fit budget: log-spaced starting taus; residual evaluations per start
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,6 @@ def _response_vec(k_inf: float, ks: np.ndarray, taus: np.ndarray, omegas: np.nda
 def fit_prony(
     samples: Sequence[tuple[float, ComplexStiffness]],
     n_branches: int,
-    *,
-    n_starts: int = 8,
-    max_iter: int = 200,
 ) -> PronyFit:
     """Fit a Prony series to sampled complex stiffness data.
 
@@ -120,7 +118,7 @@ def fit_prony(
         [[np.inf], np.full(n_branches, np.inf), np.full(n_branches, np.log(tau_hi) + 10.0)]
     )
 
-    start_taus = np.geomspace(tau_lo, tau_hi, n_starts)
+    start_taus = np.geomspace(tau_lo, tau_hi, N_STARTS)
     best = None
     for tau0 in start_taus:
         taus0 = tau0 * np.geomspace(1.0, 10.0 ** (n_branches - 1), n_branches)
@@ -128,7 +126,7 @@ def fit_prony(
             [[max(targets.real.min(), 1e-6 * k_scale)], np.full(n_branches, 0.1 * k_scale), np.log(taus0)]
         )
         try:
-            result = least_squares(residuals, p0, bounds=(lower, upper), max_nfev=max_iter, method="trf")
+            result = least_squares(residuals, p0, bounds=(lower, upper), max_nfev=MAX_ITER, method="trf")
         except ValueError:
             continue
         rms = float(np.sqrt(np.mean(result.fun**2)))

@@ -40,11 +40,11 @@ class TimeSeries:
     start_time: float = 0.0
 
     def __post_init__(self):
-        if self.sample_rate <= 0.0:
-            raise ParameterDomainError(f"sample rate must be positive, got {self.sample_rate}")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ParameterDomainError(f"sample rate must be positive and finite, got {self.sample_rate}")
         arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ParameterDomainError("a time series needs at least 2 samples")
+        if arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr)):
+            raise ParameterDomainError("a time series needs at least 2 samples, all finite")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)

@@ -182,8 +182,6 @@ def rku_complex_stiffness(layup: SandwichLayup, omega: float) -> ComplexStiffnes
     between base and constraining-layer neutral axes, and p1 = 1.875/L the
     first cantilever-mode wavenumber. Returned as K* = EI*/L.
     """
-    if omega < 0.0:
-        raise ParameterDomainError(f"omega must be >= 0, got {omega}")
     b = layup.width
     h_b = layup.base.thickness
     h_v = layup.core.thickness

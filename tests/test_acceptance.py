@@ -41,8 +41,8 @@ def sweep_results(default_config, design_hinges):
     traces, metrics = {}, {}
     for design in _DESIGNS:
         hinge = design_hinges[design]
-        for freq in default_config.sweep.freq_grid_hz:
-            kin = default_config.sweep.kinematics(freq)
+        for kin in default_config.sweep.kinematics:
+            freq = kin.heave_freq
             trace = simulate_constrained(
                 default_config.foil,
                 kin,
@@ -62,10 +62,9 @@ def freeswim_results(default_config, design_hinges):
     t0 = time.perf_counter()
     out = {}
     for design in ("baseline", "c"):
-        kin = default_config.sweep.kinematics(2.0)
         trace = simulate_free_swim(
             default_config.foil,
-            kin,
+            default_config.freeswim.kinematics,
             design_hinges[design],
             virtual_mass=default_config.freeswim.virtual_mass,
             body_drag_coeff=default_config.freeswim.body_drag_coeff,
@@ -159,8 +158,7 @@ def test_criterion_05_prony_fidelity():
 
 
 def test_criterion_06_strouhal_arithmetic(default_config):
-    grid = default_config.sweep.freq_grid_hz
-    sts = [strouhal(default_config.sweep.kinematics(f)) for f in grid]
+    sts = [strouhal(kin) for kin in default_config.sweep.kinematics]
     expected = [0.2 + 0.1 * k for k in range(7)]
     worst = max(abs(a - b) for a, b in zip(sts, expected))
     ok = len(sts) == 7 and worst < 1e-12

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import cldprop
+from cldprop import cli
 from cldprop.cli import main
+from cldprop.errors import IntegrationDivergenceError
 
 _K, _C, _F, _FS = 2.0, 0.05, 3.0, 200.0
 
@@ -110,15 +112,34 @@ class TestUsage:
             ["freeswim", "--design", "zz"],
             ["freeswim", "--design", "c", "--design", "zz"],
             ["sweep", "--set", "sweep.cycles=2"],
+            ["sweep", "--set", "foil.stall_model=xx"],
+            ["sweep", "--set", "layup.length_mm=0"],
+            ["bender", "--set", "layup.core_alpha=1.5"],
+            ["bender", "--set", "layup.core_g_low_kpa=5000"],
+            ["freeswim", "--set", "foil.tail_chord_m=-1"],
+            ["bender", "--set", "bender.theta_amp_deg=0"],
+            ["bender", "--set", "output.seed=-5000000", "--set", "bender.noise_snr_db=20"],
         ],
-        ids=["unknown-design", "one-unknown-design", "too-few-cycles"],
+        ids=[
+            "unknown-design",
+            "one-unknown-design",
+            "too-few-cycles",
+            "stall-model",
+            "zero-length",
+            "core-alpha",
+            "core-g-low-above-g-high",
+            "negative-chord",
+            "zero-bender-amplitude",
+            "negative-seed",
+        ],
     )
     def test_config_error_writes_no_run_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "runs"
         out.mkdir()
         assert main(argv + ["--output-dir", str(out), "--quiet"]) == 2
         assert os.listdir(out) == []
-        assert capsys.readouterr().err.startswith("config error")
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err.splitlines()) == 1
 
 
 class TestLayup:
@@ -199,6 +220,27 @@ class TestProtocols:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: state diverged near t=")
+        assert not out.exists()
+
+    def test_failure_line_names_design_and_frequency(self, tmp_path, capsys):
+        argv = ["sweep", "--output-dir", str(tmp_path / "runs"), "--quiet", "--set", "sweep.freq_grid_hz=1"]
+        argv += ["--set", "foil.normal_force_slope=-5000", "--set", "foil.stall_model=none"]
+        assert main(argv) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: ") and "design='baseline', freq=1 Hz" in line
+
+    def test_failing_second_trial_leaves_no_run_dir(self, tmp_path, capsys, monkeypatch):
+        real_trial = cli.run_freeswim_trial
+
+        def trial(config, name):
+            if name == "c":
+                raise IntegrationDivergenceError("state diverged near t=0.1 s", time=0.1)
+            return real_trial(config, name)
+
+        monkeypatch.setattr(cli, "run_freeswim_trial", trial)
+        out = tmp_path / "runs"
+        argv = ["freeswim", "--design", "baseline", "--design", "c", "--set", "freeswim.duration_s=0.5"]
+        assert main(argv + ["--output-dir", str(out), "--quiet"]) == 3
         assert not out.exists()
 
     def test_bender_run(self, tmp_path, capsys):

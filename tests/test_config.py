@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cldprop.config import load_config, parse_grid
-from cldprop.errors import ConfigError, UnknownDesignError
+from cldprop.errors import ConfigError, ParameterDomainError, UnknownDesignError
 
 
 class TestGrid:
@@ -114,11 +116,32 @@ class TestFileAndOverrides:
             "sweep.heave_amp_pp_m=-0.1",
             "sweep.prony_branches=0",
             "sweep.prony_branches=10",  # 20 fit grid points hold at most 9 branches
+            "bender.theta_amp_deg=0",
+            "output.seed=-5000000",  # numpy's generators take no negative seed
         ],
     )
     def test_rejected_at_load(self, item):
         with pytest.raises(ConfigError):
             load_config(overrides=[item])
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            "foil.stall_model=xx",
+            "foil.tail_chord_m=-1",
+            "layup.length_mm=0",
+            "layup.core_alpha=1.5",
+            "layup.core_g_low_kpa=5000",  # above core_g_high_mpa
+            "designs.c=1.5",
+            "sweep.freq_grid_hz=0,1",
+            "freeswim.heave_freq_hz=0",
+        ],
+    )
+    def test_domain_check_is_config_error_of_its_section(self, item):
+        with pytest.raises(ConfigError) as info:
+            load_config(overrides=[item])
+        assert str(info.value).startswith(f"[{item.split('.')[0]}] ")
+        assert isinstance(info.value.__cause__, ParameterDomainError)
 
     def test_limits_accepted_at_load(self):
         config = load_config(
@@ -127,3 +150,23 @@ class TestFileAndOverrides:
         assert (config.sweep.cycles, config.sweep.warmup_cycles) == (3, 0)
         config = load_config(overrides=["sweep.heave_amp_pp_m=0", "sweep.prony_branches=9"])
         assert (config.sweep.heave_amp_pp, config.sweep.prony_branches) == (0.0, 9)
+
+
+_KEYS = [f"{section}.{key}" for section, keys in load_config().raw.items() for key in keys]
+_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "1e308", "-1e308", "1e400", str(10**30)]),
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.text(max_size=4),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(key=st.sampled_from(_KEYS), value=_VALUES)
+def test_single_override_loads_or_is_config_error(key, value):
+    # Every schema key and the design keys: a value either loads or is a
+    # config mistake, never another exception.
+    try:
+        load_config(overrides=[f"{key}={value}"])
+    except ConfigError:
+        pass

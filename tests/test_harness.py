@@ -115,7 +115,7 @@ class TestStrouhalSweep:
         table = run_strouhal_sweep(config)
         assert len(table.rows) == 1
         hinge = fit_design_hinge(config, 0.667)
-        kin = config.sweep.kinematics(2.0)
+        (kin,) = config.sweep.kinematics
         trace = simulate_constrained(config.foil, kin, hinge, n_cycles=6, warmup_cycles=3)
         want = propulsion_metrics(trace, kin)
         assert table.rows[0].metrics == want

@@ -55,6 +55,13 @@ class TestTimeSeries:
         with pytest.raises(ParameterDomainError):
             TimeSeries(100.0, np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterDomainError):
+            TimeSeries(100.0, [0.0, bad, 1.0])
+        with pytest.raises(ParameterDomainError):
+            TimeSeries(bad, [0.0, 1.0])
+
 
 class TestLockin:
     def test_spring_damper_oracle_exact(self):

@@ -57,7 +57,6 @@ from .signals import (
 from .stiffness import (
     ComplexStiffness,
     FractionalZenerParams,
-    Layer,
     SandwichLayup,
     default_layup,
     rku_complex_stiffness,
@@ -82,7 +81,6 @@ __all__ = [
     "InsufficientRecordError",
     "IntegrationDivergenceError",
     "KinematicsSpec",
-    "Layer",
     "LockinResult",
     "ParameterDomainError",
     "PronyFit",

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParameterDomainError, UnknownDesignError
 from .foil import FoilConfig, KinematicsSpec
-from .stiffness import FractionalZenerParams, Layer, SandwichLayup
+from .stiffness import FractionalZenerParams, SandwichLayup
 
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 
 # section -> key -> default (as the string configparser would hand back).
 # The `designs` section is free-form (design name -> coverage fraction) and
@@ -31,16 +31,13 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "length_mm": "100.0",
         "width_mm": "76.5",
         "base_thickness_mm": "0.5",
-        "base_density_kgpm3": "1240.0",
         "base_modulus_gpa": "3.5",
         "core_thickness_mm": "1.0",
-        "core_density_kgpm3": "800.0",
         "core_g_low_kpa": "10.0",
         "core_g_high_mpa": "2.0",
         "core_tau_s": "2.0e-4",
         "core_alpha": "0.95",
         "face_thickness_mm": "0.3",
-        "face_density_kgpm3": "1380.0",
         "face_modulus_gpa": "3.0",
     },
     "bender": {
@@ -239,33 +236,18 @@ def _merged_raw(path: str | None, overrides: list[str] | None) -> dict[str, dict
 
 def _build_layup(vals: dict[str, str]) -> SandwichLayup:
     f = lambda key: _as_float("layup", key, vals[key])  # noqa: E731
-    base = Layer(
-        thickness=f("base_thickness_mm") * 1e-3,
-        density=f("base_density_kgpm3"),
-        kind="base",
-        youngs_modulus=f("base_modulus_gpa") * 1e9,
-    )
-    core = Layer(
-        thickness=f("core_thickness_mm") * 1e-3,
-        density=f("core_density_kgpm3"),
-        kind="viscoelastic",
-        zener=FractionalZenerParams(
+    return SandwichLayup(
+        base_thickness=f("base_thickness_mm") * 1e-3,
+        base_modulus=f("base_modulus_gpa") * 1e9,
+        core_thickness=f("core_thickness_mm") * 1e-3,
+        core_shear=FractionalZenerParams(
             g_low=f("core_g_low_kpa") * 1e3,
             g_high=f("core_g_high_mpa") * 1e6,
             tau=f("core_tau_s"),
             alpha=f("core_alpha"),
         ),
-    )
-    face = Layer(
-        thickness=f("face_thickness_mm") * 1e-3,
-        density=f("face_density_kgpm3"),
-        kind="constraining",
-        youngs_modulus=f("face_modulus_gpa") * 1e9,
-    )
-    return SandwichLayup(
-        base=base,
-        core=core,
-        constraining=face,
+        face_thickness=f("face_thickness_mm") * 1e-3,
+        face_modulus=f("face_modulus_gpa") * 1e9,
         length=f("length_mm") * 1e-3,
         width=f("width_mm") * 1e-3,
     )

@@ -293,14 +293,15 @@ def _run(foil, kin, hinge, dt, total_steps, keep=0, **free):
     """Plant history from rest with the first `keep` samples dropped: (t, states, rhs there)."""
     dim = 2 + len(hinge.significant_branches()) + ("virtual_mass" in free)
     t = np.arange(keep, total_steps + 1) * dt
-    warmup = np.arange(0, keep, 10) * dt  # thinned: as one interval it would exceed odeint's 500 steps
+    start = [0.0] if keep else []  # the warm-up is one output interval, with 500 steps per 10 of its samples
     rhs = _equations(foil, kin, hinge, math, **free)
-    hist = _integrate(rhs, dim, np.concatenate((warmup, t)))[warmup.size :]
+    hist = _integrate(rhs, dim, np.concatenate((start, t)), mxstep=max(500, 50 * keep))[len(start) :]
     return t, hist, _equations(foil, kin, hinge, np, **free)(t, list(hist.T))
 
 
-def _integrate(rhs, dim, t):
-    """LSODA of the first `dim` rhs entries from rest at t[0] = 0; the (t.size, dim) history at t."""
+def _integrate(rhs, dim, t, mxstep=500):
+    """LSODA of the first `dim` rhs entries from rest at t[0] = 0, at most `mxstep` steps between
+    two entries of t; the (t.size, dim) history at t."""
     from scipy.integrate import ODEintWarning, odeint
 
     reached = [0.0]
@@ -312,7 +313,7 @@ def _integrate(rhs, dim, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ODEintWarning)  # odeint only warns when a solve fails
         try:
-            hist = odeint(derivs, np.zeros(dim), t, rtol=RTOL, atol=ATOL, tfirst=True)
+            hist = odeint(derivs, np.zeros(dim), t, rtol=RTOL, atol=ATOL, mxstep=mxstep, tfirst=True)
             bad = np.flatnonzero(~np.isfinite(hist).all(axis=1))
             if bad.size == 0:
                 return hist

@@ -110,6 +110,15 @@ def _truncate_to_cycles(n_samples: int, sample_rate: float, drive_freq: float, n
     return min(n_samples, int(math.ceil(n_full * sample_rate / drive_freq - 1e-9)))
 
 
+def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> tuple[int, int]:
+    """(n_full, m) of a checked pair: n_full >= 3 whole drive cycles in its first m samples."""
+    _check_pair(theta, torque)
+    if drive_freq <= 0.0:
+        raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
+    n_full = _whole_cycle_count(theta, drive_freq, minimum=3)
+    return n_full, _truncate_to_cycles(len(theta), theta.sample_rate, drive_freq, n_full)
+
+
 def _complex_amplitude(series: TimeSeries, omega: float, m: int) -> tuple[complex, float, float]:
     """Least-squares fundamental of the first m samples.
 
@@ -132,15 +141,11 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
     number of whole drive cycles (trailing partial cycle discarded); the
     stiffness is the ratio of complex torque to angle amplitudes.
     """
-    _check_pair(theta, torque)
-    if drive_freq <= 0.0:
-        raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
-    if drive_freq >= theta.sample_rate / 2.0:
+    if drive_freq >= theta.sample_rate / 2.0:  # ahead of the cycle count, which a short record also fails
         raise ParameterDomainError(
             f"drive frequency {drive_freq} Hz violates Nyquist for fs={theta.sample_rate} Hz"
         )
-    n_full = _whole_cycle_count(theta, drive_freq, minimum=3)
-    m = _truncate_to_cycles(len(theta), theta.sample_rate, drive_freq, n_full)
+    _, m = _whole_cycle_window(theta, torque, drive_freq)
 
     omega = 2.0 * math.pi * drive_freq
     theta_hat, _, _ = _complex_amplitude(theta, omega, m)
@@ -178,11 +183,7 @@ def hysteresis_loop_area(theta: TimeSeries, torque: TimeSeries, drive_freq: floa
     polygon closed back onto its first vertex. For a linear plant this
     equals pi * K'' * theta0^2.
     """
-    _check_pair(theta, torque)
-    if drive_freq <= 0.0:
-        raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
-    n_full = _whole_cycle_count(theta, drive_freq, minimum=3)
-    m = _truncate_to_cycles(len(theta), theta.sample_rate, drive_freq, n_full)
+    n_full, m = _whole_cycle_window(theta, torque, drive_freq)
 
     # Close the polygon back to the first vertex: after whole cycles a
     # periodic loop returns to its starting point, so this closure is exact

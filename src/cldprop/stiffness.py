@@ -18,11 +18,10 @@ high-frequency plateau g_high with a single relaxation scale.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .errors import ParameterDomainError
+from .errors import CldPropError, ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -50,60 +49,32 @@ class FractionalZenerParams:
 
 
 @dataclass(frozen=True)
-class Layer:
-    """One layer of the sandwich: geometry plus exactly one constitutive model.
-
-    Elastic layers (kind 'base' or 'constraining') carry a Young's modulus;
-    the 'viscoelastic' layer carries a FractionalZenerParams instead.
-    """
-
-    thickness: float
-    density: float
-    kind: str
-    youngs_modulus: float | None = None
-    zener: FractionalZenerParams | None = None
-
-    _KINDS = ("base", "viscoelastic", "constraining")
-
-    def __post_init__(self):
-        if self.thickness <= 0.0:
-            raise ParameterDomainError(f"layer thickness must be positive, got {self.thickness}")
-        if self.density <= 0.0:
-            raise ParameterDomainError(f"layer density must be positive, got {self.density}")
-        if self.kind not in self._KINDS:
-            raise ParameterDomainError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "viscoelastic":
-            if self.zener is None or self.youngs_modulus is not None:
-                raise ParameterDomainError("viscoelastic layer requires zener params and no Young's modulus")
-        else:
-            if self.youngs_modulus is None or self.zener is not None:
-                raise ParameterDomainError(f"{self.kind} layer requires a Young's modulus and no zener params")
-            if self.youngs_modulus <= 0.0:
-                raise ParameterDomainError("Young's modulus must be positive")
-
-
-@dataclass(frozen=True)
 class SandwichLayup:
-    """Symmetric damped sandwich plate: base + (core + constraining layer) per face.
+    """Symmetric damped sandwich plate: base + (core + constraining face) per side.
 
-    `coverage` is the covered fraction of the base plate in [0, 1]; the damping
-    correction scales linearly with it.
+    Thicknesses, length and width in m, the base and face Young's moduli in
+    Pa, the core's shear law a FractionalZenerParams. `coverage` is the
+    covered fraction of the base plate in [0, 1]; the damping correction
+    scales linearly with it.
     """
 
-    base: Layer
-    core: Layer
-    constraining: Layer
+    base_thickness: float
+    base_modulus: float
+    core_thickness: float
+    core_shear: FractionalZenerParams
+    face_thickness: float
+    face_modulus: float
     length: float
     width: float
     coverage: float = 1.0
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.width <= 0.0:
-            raise ParameterDomainError("layup length and width must be positive")
+        for name in ("base_thickness", "base_modulus", "core_thickness", "face_thickness", "face_modulus",
+                     "length", "width"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterDomainError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0.0 <= self.coverage <= 1.0):
             raise ParameterDomainError(f"coverage must be in [0, 1], got {self.coverage}")
-        if self.base.kind != "base" or self.core.kind != "viscoelastic" or self.constraining.kind != "constraining":
-            raise ParameterDomainError("layer kinds must be base / viscoelastic / constraining in that order")
 
     def with_coverage(self, coverage: float) -> "SandwichLayup":
         return replace(self, coverage=coverage)
@@ -139,26 +110,21 @@ def zener_shear_modulus(params: FractionalZenerParams, omega: float) -> complex:
     return complex((params.g_low + params.g_high * s) / (1.0 + s))
 
 
-# Defaults for the stock module: PLA base, closed-cell acrylic foam core,
-# PET constraining layers, 100 x 76.5 mm. Moduli and Zener parameters are
-# toolkit defaults chosen so the stock layup shows a flat storage stiffness
-# and a monotonically growing loss over 0.5-5 Hz; they are not measured values.
-DEFAULT_BASE = Layer(thickness=0.5e-3, density=1240.0, kind="base", youngs_modulus=3.5e9)
-DEFAULT_CORE = Layer(
-    thickness=1.0e-3,
-    density=800.0,
-    kind="viscoelastic",
-    zener=FractionalZenerParams(g_low=10e3, g_high=2.0e6, tau=2.0e-4, alpha=0.95),
-)
-DEFAULT_CONSTRAINING = Layer(thickness=0.3e-3, density=1380.0, kind="constraining", youngs_modulus=3.0e9)
-
-
 def default_layup(coverage: float = 1.0) -> SandwichLayup:
-    """Stock layup: 0.5 mm PLA base, 1 mm foam core, 0.3 mm PET faces, 100 x 76.5 mm."""
+    """Stock layup: 0.5 mm PLA base, 1 mm foam core, 0.3 mm PET faces, 100 x 76.5 mm.
+
+    The core is a closed-cell acrylic foam. Moduli and Zener parameters are
+    toolkit defaults chosen so the stock layup shows a flat storage stiffness
+    and a monotonically growing loss over 0.5-5 Hz; they are not measured
+    values.
+    """
     return SandwichLayup(
-        base=DEFAULT_BASE,
-        core=DEFAULT_CORE,
-        constraining=DEFAULT_CONSTRAINING,
+        base_thickness=0.5e-3,
+        base_modulus=3.5e9,
+        core_thickness=1.0e-3,
+        core_shear=FractionalZenerParams(g_low=10e3, g_high=2.0e6, tau=2.0e-4, alpha=0.95),
+        face_thickness=0.3e-3,
+        face_modulus=3.0e9,
         length=0.100,
         width=0.0765,
         coverage=coverage,
@@ -183,22 +149,23 @@ def rku_complex_stiffness(layup: SandwichLayup, omega: float) -> ComplexStiffnes
     first cantilever-mode wavenumber. Returned as K* = EI*/L.
     """
     b = layup.width
-    h_b = layup.base.thickness
-    h_v = layup.core.thickness
-    h_c = layup.constraining.thickness
-    e_b = layup.base.youngs_modulus
-    e_c = layup.constraining.youngs_modulus
+    h_b, h_v, h_c = layup.base_thickness, layup.core_thickness, layup.face_thickness
+    e_b, e_c = layup.base_modulus, layup.face_modulus
+    try:
+        i_base = b * h_b**3 / 12.0
+        i_face = b * h_c**3 / 12.0
+        a_face = b * h_c
+        d = h_b / 2.0 + h_v + h_c / 2.0
+        p1 = _FIRST_MODE_COEFF / layup.length
 
-    i_base = b * h_b**3 / 12.0
-    i_face = b * h_c**3 / 12.0
-    a_face = b * h_c
-    d = h_b / 2.0 + h_v + h_c / 2.0
-    p1 = _FIRST_MODE_COEFF / layup.length
-
-    g_star = zener_shear_modulus(layup.core.zener, omega)
-    shear_param = g_star / (e_c * h_c * h_v * p1**2)
-    correction = e_c * i_face + e_c * a_face * d**2 * shear_param / (1.0 + shear_param)
-    ei = e_b * i_base + 2.0 * layup.coverage * correction
-    k = ei / layup.length
+        g_star = zener_shear_modulus(layup.core_shear, omega)
+        shear_param = g_star / (e_c * h_c * h_v * p1**2)
+        correction = e_c * i_face + e_c * a_face * d**2 * shear_param / (1.0 + shear_param)
+        ei = e_b * i_base + 2.0 * layup.coverage * correction
+        k = ei / layup.length
+        if not cmath.isfinite(k):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError) as exc:  # float arithmetic beyond its range
+        raise CldPropError(f"K*(omega) is not finite at omega={omega:.6g} rad/s") from exc
     # Zero frequency stays exactly real: the shear parameter is real there.
-    return ComplexStiffness(storage=float(np.real(k)), loss=float(np.imag(k)))
+    return ComplexStiffness(storage=k.real, loss=k.imag)

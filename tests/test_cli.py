@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, override plumbing, exit codes."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -7,6 +9,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_config import _KEYS, _VALUES
 
 import cldprop
 from cldprop import cli
@@ -161,6 +166,35 @@ class TestLayup:
         assert main(["bender", "--freq-grid", "0:200:50", "--output-dir", str(out), "--quiet"]) == 2
         assert os.listdir(out) == []
         assert "Nyquist" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "item", ["layup.length_mm=1e-300", "layup.core_tau_s=1e308", "layup.base_modulus_gpa=1e308"]
+    )
+    def test_overflowing_stiffness_is_numerical_failure(self, item, capsys):
+        assert main(["layup", "--quiet", "--set", item]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: K*(omega) is not finite") and len(err.splitlines()) == 1
+
+
+def _layup_run(item: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["layup", "--quiet", "--set", item])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(key=st.sampled_from(_KEYS), value=_VALUES)
+def test_layup_override_prints_finite_table_or_fails_in_one_line(key, value):
+    # layup only: a bender or sweep override such as bender.repeats=10**30 makes the work unbounded.
+    code, out, err = _layup_run(f"{key}={value}")
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code:
+        assert len(err.splitlines()) == 1
+    else:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
 
 
 def test_light_commands_load_no_scipy():

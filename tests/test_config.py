@@ -83,6 +83,16 @@ class TestFileAndOverrides:
         with pytest.raises(ConfigError):
             load_config(overrides=[item])
 
+    @pytest.mark.parametrize("key", ["base_density_kgpm3", "core_density_kgpm3", "face_density_kgpm3"])
+    def test_density_keys_rejected(self, key, tmp_path):
+        # K*(omega) reads no density, so the layup has no density key.
+        with pytest.raises(ConfigError, match=f"unknown config key layup.{key}"):
+            load_config(overrides=[f"layup.{key}=1240"])
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[layup]\n{key} = 1240\n")
+        with pytest.raises(ConfigError, match=f"unknown config key layup.{key}"):
+            load_config(str(cfg))
+
     def test_missing_file_raises_oserror(self):
         with pytest.raises(OSError):
             load_config("/nonexistent/bench.cfg")

@@ -150,7 +150,7 @@ class TestEquations:
         assert m_ve == 0.0
 
 
-def _rk4(rhs, dim, t):
+def _rk4(rhs, dim, t, mxstep=None):
     """The integrator LSODA replaced: RK4 from rest, one step per finest sample spacing."""
     dt = t[-1] - t[-2]
     n = int(round(t[-1] / dt))

@@ -131,16 +131,17 @@ def _cmd_layup(args) -> int:
     config = _load(args)
     # layup samples nothing, so its grid is not held to the bender's Nyquist limit.
     grid = parse_grid(args.freq_grid) if args.freq_grid else config.bender.freq_grid_hz
-    print("design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative")
+    lines = ["design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative"]
     for design, coverage in config.designs:
         layup = config.layups[coverage]
         for f in grid:
             k = rku_complex_stiffness(layup, 2.0 * math.pi * f)
             fr = impedance_fractions(k)
-            print(
+            lines.append(
                 f"{design},{f:.12g},{k.storage:.12g},{k.loss:.12g},"
                 f"{fr.elastic:.12g},{fr.dissipative:.12g}"
             )
+    print("\n".join(lines))  # a K* failure part-way leaves stdout empty
     return 0
 
 

@@ -113,6 +113,13 @@ def fit_prony(
         r = (_response_vec(k_inf, ks, taus, omegas) - targets) / scale
         return np.concatenate([r.real, r.imag])
 
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        # dK/dk_inf = 1, dK/dk_j = s/(1+s), dK/dlog(tau_j) = k_j s/(1+s)^2, with s = i w tau_j
+        s = 1j * omegas[:, None] * np.exp(p[None, 1 + n_branches :])
+        g = s / (1.0 + s)
+        d = np.hstack([np.ones((omegas.size, 1)), g, p[1 : 1 + n_branches] * g / (1.0 + s)]) / scale[:, None]
+        return np.vstack([d.real, d.imag])
+
     lower = np.concatenate([[0.0], np.zeros(n_branches), np.full(n_branches, np.log(tau_lo) - 10.0)])
     upper = np.concatenate(
         [[np.inf], np.full(n_branches, np.inf), np.full(n_branches, np.log(tau_hi) + 10.0)]
@@ -126,7 +133,9 @@ def fit_prony(
             [[max(targets.real.min(), 1e-6 * k_scale)], np.full(n_branches, 0.1 * k_scale), np.log(taus0)]
         )
         try:
-            result = least_squares(residuals, p0, bounds=(lower, upper), max_nfev=MAX_ITER, method="trf")
+            result = least_squares(
+                residuals, p0, jac=jacobian, bounds=(lower, upper), max_nfev=MAX_ITER, method="trf"
+            )
         except ValueError:
             continue
         rms = float(np.sqrt(np.mean(result.fun**2)))

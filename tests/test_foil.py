@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cldprop.config import load_config
 from cldprop.errors import ConfigError, IntegrationDivergenceError, ParameterDomainError
 from cldprop.foil import (
     ConstrainedTrace,
@@ -19,6 +20,7 @@ from cldprop.foil import (
 )
 from cldprop import foil as foil_module
 from cldprop.foil import _equations
+from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, prony_frequency_response
 from cldprop.signals import TimeSeries, cycle_average
 
@@ -150,8 +152,8 @@ class TestEquations:
         assert m_ve == 0.0
 
 
-def _rk4(rhs, dim, t, mxstep=None):
-    """The integrator LSODA replaced: RK4 from rest, one step per finest sample spacing."""
+def _rk4(rhs, dim, t, rtol, mxstep=None):
+    """The integrator LSODA replaced: RK4 from rest, one step per finest sample spacing (rtol unused)."""
     dt = t[-1] - t[-2]
     n = int(round(t[-1] / dt))
     hist = np.zeros((n + 1, dim))
@@ -184,6 +186,33 @@ class TestIntegrator:
         for got, want in pairs:
             assert got == pytest.approx(want, rel=1e-7)
 
+    def test_cycle_rtol_is_converged_on_the_default_sweep(self, monkeypatch):
+        # The convergence study behind CYCLE_RTOL, on the default sweep lanes that need it most:
+        # the bare hinge at 1.75 Hz (still settling) and 2 Hz (a period-6 response), and design c
+        # at 0.5 Hz (the tau floor). Design c at 2 Hz holds the sweep's thrust and power peaks, the
+        # scale of the 1e-7 rule; against the first three lanes' peaks alone, a 1e-13 change of a
+        # fitted k_inf moves the result across 1e-7.
+        config = load_config(None, [])
+        lanes = [("baseline", 1.75), ("baseline", 2.0), ("c", 0.5), ("c", 2.0)]
+        hinges = {name: fit_design_hinge(config, config.coverage_of(name)) for name in ("baseline", "c")}
+
+        def metrics(rtol):
+            monkeypatch.setattr(foil_module, "CYCLE_RTOL", rtol)
+            rows = []
+            for name, freq in lanes:
+                kin = next(k for k in config.sweep.kinematics if k.heave_freq == freq)
+                trace = simulate_constrained(
+                    config.foil, kin, hinges[name], config.sweep.cycles, config.sweep.warmup_cycles
+                )
+                m = propulsion_metrics(trace, kin)
+                rows.append(
+                    [m.mean_thrust, m.mean_input_power, m.effective_stiffness.storage, m.effective_stiffness.loss]
+                )
+            return np.array(rows)
+
+        loose, tight = metrics(foil_module.CYCLE_RTOL), metrics(1e-12)
+        assert np.all(np.abs(loose - tight) <= 1e-7 * np.abs(tight).max(axis=0))
+
     @pytest.mark.parametrize(
         "blow_up",
         [lambda: math.nan, lambda: math.inf, lambda: math.sin(math.inf)],
@@ -195,7 +224,7 @@ class TestIntegrator:
             return [blow_up() if t > 0.5 else 1.0, 0.0]
 
         with pytest.raises(IntegrationDivergenceError, match=r"diverged near t=") as info:
-            foil_module._integrate(rhs, 1, np.linspace(0.0, 1.0, 11))
+            foil_module._integrate(rhs, 1, np.linspace(0.0, 1.0, 11), foil_module.RTOL)
         assert 0.3 < info.value.time < 2.0
         assert len(recwarn) == 0
 

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cldprop import prony
+from cldprop.config import load_config
 from cldprop.errors import ParameterDomainError
+from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, fit_prony, prony_frequency_response
 from cldprop.stiffness import ComplexStiffness, default_layup, rku_complex_stiffness
 
@@ -91,3 +94,41 @@ class TestFit:
         dup = samples + [samples[0]]
         with pytest.raises(ParameterDomainError):
             fit_prony(dup, n_branches=1)
+
+
+_CONFIG = load_config(None, [])
+
+
+def _design_fit(name):
+    return fit_design_hinge(_CONFIG, _CONFIG.coverage_of(name))
+
+
+class TestExactJacobian:
+    def test_matches_central_differences(self, monkeypatch):
+        # The Jacobian passed to least_squares, checked column by column at every start.
+        starts, real = [], prony.least_squares
+
+        def spy(fun, x0, jac, **kwargs):
+            starts.append((fun, jac, x0))
+            return real(fun, x0, jac=jac, **kwargs)
+
+        monkeypatch.setattr(prony, "least_squares", spy)
+        _design_fit("c")
+        assert len(starts) == prony.N_STARTS
+        for fun, jac, x0 in starts:
+            steps = np.diag(1e-6 * np.maximum(np.abs(x0), 1.0))
+            numeric = np.column_stack([(fun(x0 + h) - fun(x0 - h)) / (2.0 * h.sum()) for h in steps])
+            assert np.allclose(jac(x0), numeric, rtol=1e-6, atol=1e-7 * np.abs(numeric).max())
+
+    @pytest.mark.parametrize("name", ["baseline", "a", "c"])
+    def test_fit_matches_finite_difference_fit(self, name, monkeypatch):
+        # Both fits stop at least_squares' default 1e-8 tolerances along different paths, so they
+        # agree to about that (6e-8 at worst), not to rounding.
+        exact, real = _design_fit(name), prony.least_squares
+        monkeypatch.setattr(prony, "least_squares", lambda fun, x0, jac, **kwargs: real(fun, x0, **kwargs))
+        fd = _design_fit(name)
+        assert exact.k_inf == pytest.approx(fd.k_inf, rel=1e-6)
+        assert len(exact.significant_branches()) == len(fd.significant_branches())
+        for got, want in zip(exact.significant_branches(), fd.significant_branches()):
+            assert got == pytest.approx(want, rel=1e-6)
+        assert exact.fit_residual == pytest.approx(fd.fit_residual, rel=1e-6, abs=1e-12)

@@ -157,6 +157,8 @@ def _cmd_bender(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if not 0.0 < args.freq < math.inf:
+        raise ConfigError(f"--freq must be a finite drive frequency above 0 Hz, got {args.freq:g}")
     if args.combined:
         t, th, tq = _read_signal_csv(args.combined, 3)
         fs = _sample_rate_of(t, args.combined)

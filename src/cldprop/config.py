@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .errors import ConfigError, ParameterDomainError, UnknownDesignError
 from .foil import FoilConfig, KinematicsSpec
@@ -23,69 +24,9 @@ from .stiffness import FractionalZenerParams, SandwichLayup
 
 CONFIG_SCHEMA_VERSION = 2
 
-# section -> key -> default (as the string configparser would hand back).
-# The `designs` section is free-form (design name -> coverage fraction) and
-# is validated separately.
-_SCHEMA: dict[str, dict[str, str]] = {
-    "layup": {
-        "length_mm": "100.0",
-        "width_mm": "76.5",
-        "base_thickness_mm": "0.5",
-        "base_modulus_gpa": "3.5",
-        "core_thickness_mm": "1.0",
-        "core_g_low_kpa": "10.0",
-        "core_g_high_mpa": "2.0",
-        "core_tau_s": "2.0e-4",
-        "core_alpha": "0.95",
-        "face_thickness_mm": "0.3",
-        "face_modulus_gpa": "3.0",
-    },
-    "bender": {
-        "freq_grid_hz": "0:5:0.5",
-        "theta_amp_deg": "9.0",
-        "sample_rate_hz": "200.0",
-        "cycles": "10",
-        "noise_snr_db": "",
-        "repeats": "1",
-    },
-    "sweep": {
-        "freq_grid_hz": "0.5:2:0.25",
-        "heave_amp_pp_m": "0.08",
-        "freestream_mps": "0.2",
-        "cycles": "10",
-        "warmup_cycles": "5",
-        "prony_fit_grid_hz": "0.25:5:0.25",
-        "prony_branches": "2",
-    },
-    "foil": {
-        "tail_chord_m": "0.11",
-        "tail_span_m": "0.0765",
-        "tail_inertia_kgm2": "6.3e-5",
-        "pitch_axis_offset_m": "0.03",
-        "fluid_density_kgpm3": "1000.0",
-        "normal_force_slope": repr(2.0 * math.pi),
-        "stall_model": "sin-cos",
-        "profile_drag_coeff": "0.05",
-        "added_mass_coeff": "0.5",
-    },
-    "freeswim": {
-        "virtual_mass_kg": "3.0",
-        "duration_s": "3.8",
-        "body_drag_coeff": "0.3",
-        "heave_freq_hz": "2.0",
-    },
-    "output": {
-        "directory": "runs",
-        "seed": "1234",
-    },
-}
-
-_DEFAULT_DESIGNS: tuple[tuple[str, float], ...] = (
-    ("baseline", 0.0),
-    ("a", 0.167),
-    ("b", 0.333),
-    ("c", 0.667),
-)
+# Longest synthetic bender record load_config accepts, in samples: one float
+# array of it is about 80 MB, and the default record holds 4,000 samples.
+MAX_RECORD_SAMPLES = 10**7
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -121,21 +62,102 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _as_float(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
-    return value
+def _si(scale: float) -> Callable[[str, str], float]:
+    """Parser of a finite number in a key's unit, returned times `scale` (to SI)."""
+
+    def parse(name: str, text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: expected a number, got {text!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: expected a finite number, got {text!r}")
+        return value * scale
+
+    return parse
 
 
-def _as_int(section: str, key: str, raw: str) -> int:
+_num = _si(1.0)
+
+
+def _as_int(name: str, text: str) -> int:
     try:
-        return int(raw)
+        return int(text)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from exc
+        raise ConfigError(f"{name}: expected an integer, got {text!r}") from exc
+
+
+def _grid(name: str, text: str) -> tuple[float, ...]:
+    return parse_grid(text)
+
+
+def _snr(name: str, text: str) -> float | None:
+    """A noise SNR in dB; an empty value means noise-free."""
+    return _num(name, text.strip()) if text.strip() else None
+
+
+def _text(name: str, text: str) -> str:
+    return text.strip()
+
+
+# section -> key -> (default, as the string configparser would hand back;
+# the field it fills; the parser of ("section.key", text) to the SI value).
+# The `designs` section is free-form (design name -> coverage fraction).
+_SCHEMA: dict[str, dict[str, tuple[str, str, Callable[[str, str], Any]]]] = {
+    "layup": {
+        "length_mm": ("100.0", "length", _si(1e-3)),
+        "width_mm": ("76.5", "width", _si(1e-3)),
+        "base_thickness_mm": ("0.5", "base_thickness", _si(1e-3)),
+        "base_modulus_gpa": ("3.5", "base_modulus", _si(1e9)),
+        "core_thickness_mm": ("1.0", "core_thickness", _si(1e-3)),
+        "core_g_low_kpa": ("10.0", "g_low", _si(1e3)),
+        "core_g_high_mpa": ("2.0", "g_high", _si(1e6)),
+        "core_tau_s": ("2.0e-4", "tau", _num),
+        "core_alpha": ("0.95", "alpha", _num),
+        "face_thickness_mm": ("0.3", "face_thickness", _si(1e-3)),
+        "face_modulus_gpa": ("3.0", "face_modulus", _si(1e9)),
+    },
+    "bender": {
+        "freq_grid_hz": ("0:5:0.5", "freq_grid_hz", _grid),
+        "theta_amp_deg": ("9.0", "theta_amp", _si(math.pi / 180.0)),  # as math.radians
+        "sample_rate_hz": ("200.0", "sample_rate", _num),
+        "cycles": ("10", "cycles", _as_int),
+        "noise_snr_db": ("", "noise_snr_db", _snr),
+        "repeats": ("1", "repeats", _as_int),
+    },
+    "sweep": {
+        "freq_grid_hz": ("0.5:2:0.25", "freq_grid_hz", _grid),
+        "heave_amp_pp_m": ("0.08", "heave_amp_pp", _num),
+        "freestream_mps": ("0.2", "freestream", _num),
+        "cycles": ("10", "cycles", _as_int),
+        "warmup_cycles": ("5", "warmup_cycles", _as_int),
+        "prony_fit_grid_hz": ("0.25:5:0.25", "prony_fit_grid_hz", _grid),
+        "prony_branches": ("2", "prony_branches", _as_int),
+    },
+    "foil": {
+        "tail_chord_m": ("0.11", "tail_chord", _num),
+        "tail_span_m": ("0.0765", "tail_span", _num),
+        "tail_inertia_kgm2": ("6.3e-5", "tail_inertia", _num),
+        "pitch_axis_offset_m": ("0.03", "pitch_axis_offset", _num),
+        "fluid_density_kgpm3": ("1000.0", "fluid_density", _num),
+        "normal_force_slope": (repr(2.0 * math.pi), "normal_force_slope", _num),
+        "stall_model": ("sin-cos", "stall_model", _text),
+        "profile_drag_coeff": ("0.05", "profile_drag_coeff", _num),
+        "added_mass_coeff": ("0.5", "added_mass_coeff", _num),
+    },
+    "freeswim": {
+        "virtual_mass_kg": ("3.0", "virtual_mass", _num),
+        "duration_s": ("3.8", "duration", _num),
+        "body_drag_coeff": ("0.3", "body_drag_coeff", _num),
+        "heave_freq_hz": ("2.0", "heave_freq", _num),
+    },
+    "output": {
+        "directory": ("runs", "output_dir", _text),
+        "seed": ("1234", "seed", _as_int),
+    },
+}
+
+_DEFAULT_DESIGNS = {"baseline": "0.0", "a": "0.167", "b": "0.333", "c": "0.667"}  # name -> coverage
 
 
 @dataclass(frozen=True)
@@ -198,9 +220,10 @@ class ProtocolConfig:
 
 
 def _merged_raw(path: str | None, overrides: list[str] | None) -> dict[str, dict[str, str]]:
-    raw = {section: dict(keys) for section, keys in _SCHEMA.items()}
-    raw["designs"] = {name: repr(cov) for name, cov in _DEFAULT_DESIGNS}
+    raw = {section: {key: spec[0] for key, spec in keys.items()} for section, keys in _SCHEMA.items()}
+    raw["designs"] = dict(_DEFAULT_DESIGNS)
 
+    entries = []  # (section, key, value, origin): the file's entries, then the overrides
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -208,49 +231,31 @@ def _merged_raw(path: str | None, overrides: list[str] | None) -> dict[str, dict
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
-        for section in parser.sections():
-            if section not in raw:
-                raise ConfigError(f"unknown config section [{section}]")
-            if section == "designs":
-                # A designs section replaces the default set wholesale.
-                raw["designs"] = dict(parser.items(section))
-                continue
-            for key, value in parser.items(section):
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                raw[section][key] = value
-
+        for section in parser.sections():  # key None: the section header, checked even when empty
+            entries += [(section, None, None, path), *((section, k, v, path) for k, v in parser.items(section))]
     for item in overrides or []:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        target, eq, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"override must be section.key=value, got {item!r}")
-        target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
-        section, key = section.strip(), key.strip()
+        entries.append((section.strip(), key.strip(), value.strip(), f"override {item!r}"))
+
+    for section, key, value, origin in entries:
         if section not in raw:
-            raise ConfigError(f"unknown config section {section!r} in override {item!r}")
-        if section != "designs" and key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown config key {section}.{key} in override {item!r}")
-        raw[section][key] = value.strip()
+            raise ConfigError(f"unknown config section [{section}] in {origin}")
+        if key is None:
+            if section == "designs":
+                raw["designs"] = {}  # a [designs] section replaces the default set wholesale
+        elif section == "designs" or key in raw[section]:
+            raw[section][key] = value
+        else:
+            raise ConfigError(f"unknown config key {section}.{key} in {origin}")
     return raw
 
 
-def _build_layup(vals: dict[str, str]) -> SandwichLayup:
-    f = lambda key: _as_float("layup", key, vals[key])  # noqa: E731
-    return SandwichLayup(
-        base_thickness=f("base_thickness_mm") * 1e-3,
-        base_modulus=f("base_modulus_gpa") * 1e9,
-        core_thickness=f("core_thickness_mm") * 1e-3,
-        core_shear=FractionalZenerParams(
-            g_low=f("core_g_low_kpa") * 1e3,
-            g_high=f("core_g_high_mpa") * 1e6,
-            tau=f("core_tau_s"),
-            alpha=f("core_alpha"),
-        ),
-        face_thickness=f("face_thickness_mm") * 1e-3,
-        face_modulus=f("face_modulus_gpa") * 1e9,
-        length=f("length_mm") * 1e-3,
-        width=f("width_mm") * 1e-3,
-    )
+def _layup(g_low: float, g_high: float, tau: float, alpha: float, **plate: float) -> SandwichLayup:
+    """The [layup] section's plate, its four core keys the core's shear law."""
+    return SandwichLayup(core_shear=FractionalZenerParams(g_low, g_high, tau, alpha), **plate)
 
 
 def _built(section: str, make, *args, **kwargs):
@@ -265,43 +270,32 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     """Load, merge and validate a protocol configuration.
 
     `path=None` yields the built-in defaults; `overrides` are applied on top
-    of whatever the file provided. The domain objects the protocols use are
-    built here, once, and own their range checks; the checks written out
-    here guard what would otherwise fail only at run time.
+    of whatever the file provided. Every key is parsed to its SI value
+    first; then the domain objects the protocols use are built here, once,
+    and own their range checks. The checks written out here guard what
+    would otherwise fail only at run time.
     """
     raw = _merged_raw(path, overrides)
-
-    designs = tuple((name, _as_float("designs", name, value)) for name, value in raw["designs"].items())
+    designs = tuple((name, _num(f"designs.{name}", value)) for name, value in raw["designs"].items())
     if not designs:
         raise ConfigError("at least one design must be defined")
+    vals = {
+        section: {fld: parse(f"{section}.{key}", raw[section][key]) for key, (_, fld, parse) in keys.items()}
+        for section, keys in _SCHEMA.items()
+    }
 
-    b = raw["bender"]
-    snr_raw = b["noise_snr_db"].strip()
-    bender = BenderProtocol(
-        freq_grid_hz=parse_grid(b["freq_grid_hz"]),
-        theta_amp=math.radians(_as_float("bender", "theta_amp_deg", b["theta_amp_deg"])),
-        sample_rate=_as_float("bender", "sample_rate_hz", b["sample_rate_hz"]),
-        cycles=_as_int("bender", "cycles", b["cycles"]),
-        noise_snr_db=None if not snr_raw else _as_float("bender", "noise_snr_db", snr_raw),
-        repeats=_as_int("bender", "repeats", b["repeats"]),
-    )
+    bender = BenderProtocol(**vals["bender"])
     if bender.theta_amp <= 0.0 or bender.cycles < 3 or bender.repeats < 1:
         raise ConfigError("bender.theta_amp_deg must be positive, bender.cycles >= 3 and bender.repeats >= 1")
     if bender.sample_rate <= 2.0 * max(bender.freq_grid_hz):
         raise ConfigError("bender.sample_rate_hz must exceed twice the top of bender.freq_grid_hz (Nyquist)")
+    lowest = min((f for f in bender.freq_grid_hz if f > 0.0), default=None)  # its record is the longest
+    if lowest is not None and bender.cycles > MAX_RECORD_SAMPLES * lowest / bender.sample_rate:
+        raise ConfigError(
+            f"bender record of cycles * sample_rate_hz / {lowest:g} Hz is over {MAX_RECORD_SAMPLES} samples"
+        )
 
-    s = raw["sweep"]
-    sweep = _built(
-        "sweep",
-        SweepProtocol,
-        freq_grid_hz=parse_grid(s["freq_grid_hz"]),
-        heave_amp_pp=_as_float("sweep", "heave_amp_pp_m", s["heave_amp_pp_m"]),
-        freestream=_as_float("sweep", "freestream_mps", s["freestream_mps"]),
-        cycles=_as_int("sweep", "cycles", s["cycles"]),
-        warmup_cycles=_as_int("sweep", "warmup_cycles", s["warmup_cycles"]),
-        prony_fit_grid_hz=parse_grid(s["prony_fit_grid_hz"]),
-        prony_branches=_as_int("sweep", "prony_branches", s["prony_branches"]),
-    )
+    sweep = _built("sweep", SweepProtocol, **vals["sweep"])
     if sweep.prony_fit_grid_hz[0] <= 0.0:
         raise ConfigError("sweep.prony_fit_grid_hz must contain positive frequencies only")
     if sweep.cycles < 3 or sweep.warmup_cycles < 0:
@@ -309,46 +303,17 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     if not 1 <= sweep.prony_branches <= (len(sweep.prony_fit_grid_hz) - 1) // 2:
         raise ConfigError("sweep.prony_branches must be >= 1, with 2 * branches + 1 fit grid points")
 
-    fo = raw["foil"]
-    foil = _built(
-        "foil",
-        FoilConfig,
-        tail_chord=_as_float("foil", "tail_chord_m", fo["tail_chord_m"]),
-        tail_span=_as_float("foil", "tail_span_m", fo["tail_span_m"]),
-        tail_inertia=_as_float("foil", "tail_inertia_kgm2", fo["tail_inertia_kgm2"]),
-        pitch_axis_offset=_as_float("foil", "pitch_axis_offset_m", fo["pitch_axis_offset_m"]),
-        fluid_density=_as_float("foil", "fluid_density_kgpm3", fo["fluid_density_kgpm3"]),
-        normal_force_slope=_as_float("foil", "normal_force_slope", fo["normal_force_slope"]),
-        stall_model=fo["stall_model"].strip(),
-        profile_drag_coeff=_as_float("foil", "profile_drag_coeff", fo["profile_drag_coeff"]),
-        added_mass_coeff=_as_float("foil", "added_mass_coeff", fo["added_mass_coeff"]),
-    )
+    foil = _built("foil", FoilConfig, **vals["foil"])
 
-    fr = raw["freeswim"]
-    heave_freq = _as_float("freeswim", "heave_freq_hz", fr["heave_freq_hz"])
-    freeswim = FreeSwimProtocol(
-        virtual_mass=_as_float("freeswim", "virtual_mass_kg", fr["virtual_mass_kg"]),
-        duration=_as_float("freeswim", "duration_s", fr["duration_s"]),
-        body_drag_coeff=_as_float("freeswim", "body_drag_coeff", fr["body_drag_coeff"]),
-        kinematics=_built("freeswim", KinematicsSpec, heave_freq, sweep.heave_amp_pp, sweep.freestream),
-    )
+    fr = vals["freeswim"]
+    kinematics = _built("freeswim", KinematicsSpec, fr.pop("heave_freq"), sweep.heave_amp_pp, sweep.freestream)
+    freeswim = FreeSwimProtocol(**fr, kinematics=kinematics)
     if min(freeswim.virtual_mass, freeswim.duration) <= 0.0:
         raise ConfigError("freeswim.virtual_mass_kg and duration_s must be positive")
 
-    seed = _as_int("output", "seed", raw["output"]["seed"])
-    if seed < 0:
+    if vals["output"]["seed"] < 0:
         raise ConfigError("output.seed must be >= 0")
 
-    return _built(
-        "designs",  # ProtocolConfig builds each design's layup
-        ProtocolConfig,
-        layup=_built("layup", _build_layup, raw["layup"]),
-        designs=designs,
-        bender=bender,
-        sweep=sweep,
-        foil=foil,
-        freeswim=freeswim,
-        output_dir=raw["output"]["directory"].strip(),
-        seed=seed,
-        raw=raw,
-    )
+    layup = _built("layup", _layup, **vals["layup"])
+    # ProtocolConfig builds each design's layup.
+    return _built("designs", ProtocolConfig, layup, designs, bender, sweep, foil, freeswim, raw=raw, **vals["output"])

@@ -54,9 +54,9 @@ class KinematicsSpec:
     freestream: float = 0.2
 
     def __post_init__(self):
-        if self.heave_freq <= 0.0 or self.freestream <= 0.0:
+        if not (self.heave_freq > 0.0 and self.freestream > 0.0):
             raise ParameterDomainError("heave frequency and freestream must be positive")
-        if self.heave_amp_pp < 0.0:
+        if not self.heave_amp_pp >= 0.0:
             raise ParameterDomainError("heave amplitude must be >= 0")
 
 
@@ -90,7 +90,7 @@ class FoilConfig:
 
     def __post_init__(self):
         for name in ("tail_chord", "tail_span", "tail_inertia", "pitch_axis_offset", "fluid_density"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ParameterDomainError(f"{name} must be positive")
         if self.stall_model not in ("none", "sin-cos"):
             raise ParameterDomainError(f"unknown stall model {self.stall_model!r}")
@@ -377,7 +377,7 @@ def simulate_free_swim(
     tail planform area as S_body. Position is the cumulative trapezoid of
     u, so the position/velocity consistency holds by construction.
     """
-    if virtual_mass <= 0.0 or duration <= 0.0:
+    if not (virtual_mass > 0.0 and duration > 0.0):
         raise ParameterDomainError("virtual mass and duration must be positive")
     steps = _steps_per_cycle(hinge, kin.heave_freq, FREESWIM_MIN_STEPS_PER_CYCLE)
     if dt is None:

@@ -35,11 +35,11 @@ class PronyFit:
     fit_residual: float = 0.0
 
     def __post_init__(self):
-        if self.k_inf <= 0.0:
+        if not self.k_inf > 0.0:
             raise ParameterDomainError(f"k_inf must be positive, got {self.k_inf}")
         taus = []
         for k_j, tau_j in self.branches:
-            if k_j < 0.0 or tau_j <= 0.0:
+            if not (k_j >= 0.0 and tau_j > 0.0):
                 raise ParameterDomainError(f"invalid branch (k={k_j}, tau={tau_j})")
             taus.append(tau_j)
         if taus != sorted(taus):

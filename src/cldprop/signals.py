@@ -113,7 +113,7 @@ def _truncate_to_cycles(n_samples: int, sample_rate: float, drive_freq: float, n
 def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> tuple[int, int]:
     """(n_full, m) of a checked pair: n_full >= 3 whole drive cycles in its first m samples."""
     _check_pair(theta, torque)
-    if drive_freq <= 0.0:
+    if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
     n_full = _whole_cycle_count(theta, drive_freq, minimum=3)
     return n_full, _truncate_to_cycles(len(theta), theta.sample_rate, drive_freq, n_full)
@@ -211,9 +211,9 @@ def synth_bender_pair(
     Optional additive Gaussian noise on the torque at the given SNR relative
     to the torque fundamental, reproducible from the seed.
     """
-    if theta_amp <= 0.0:
+    if not theta_amp > 0.0:
         raise ParameterDomainError(f"theta amplitude must be positive, got {theta_amp}")
-    if drive_freq <= 0.0:
+    if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
     if drive_freq >= sample_rate / 2.0:
         raise ParameterDomainError(
@@ -266,7 +266,7 @@ def cycle_fold(signal: TimeSeries, drive_freq: float) -> np.ndarray:
     cycle. The trailing partial cycle is discarded. Requires an integer
     number of samples per cycle so bins line up exactly.
     """
-    if drive_freq <= 0.0:
+    if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
     n_full = _whole_cycle_count(signal, drive_freq, minimum=1)
     spc_exact = signal.sample_rate / drive_freq
@@ -280,7 +280,7 @@ def cycle_fold(signal: TimeSeries, drive_freq: float) -> np.ndarray:
 
 def cycle_average(signal: TimeSeries, drive_freq: float) -> np.ndarray:
     """Per-cycle means of a record, trailing partial cycle discarded."""
-    if drive_freq <= 0.0:
+    if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
     n_full = _whole_cycle_count(signal, drive_freq, minimum=1)
     spc = signal.sample_rate / drive_freq

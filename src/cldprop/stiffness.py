@@ -42,7 +42,7 @@ class FractionalZenerParams:
             raise ParameterDomainError(
                 f"require g_high > g_low > 0, got g_low={self.g_low}, g_high={self.g_high}"
             )
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ParameterDomainError(f"relaxation time must be positive, got {self.tau}")
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterDomainError(f"fractional order must be in (0, 1], got {self.alpha}")

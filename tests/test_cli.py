@@ -75,6 +75,13 @@ class TestExtract:
     def test_missing_signal_arguments_is_config_error(self, capsys):
         assert main(["extract", "--freq", "3"]) == 2
 
+    @pytest.mark.parametrize("freq", ["nan", "-3", "0", "inf"])
+    def test_bad_drive_frequency_is_config_error(self, capsys, freq):
+        # Checked before any file is read: the signal files do not exist.
+        assert main(["extract", "--combined", "/nope/rec.csv", "--freq", freq]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: --freq")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows", ["0.0,0.0,0.0\n", ""], ids=["one-row", "header-only"])
     def test_short_record_is_config_error(self, tmp_path, capsys, rows):
@@ -124,6 +131,7 @@ class TestUsage:
             ["freeswim", "--set", "foil.tail_chord_m=-1"],
             ["bender", "--set", "bender.theta_amp_deg=0"],
             ["bender", "--set", "output.seed=-5000000", "--set", "bender.noise_snr_db=20"],
+            ["bender", "--set", "bender.freq_grid_hz=1", "--set", "bender.sample_rate_hz=1e300"],
         ],
         ids=[
             "unknown-design",
@@ -136,6 +144,7 @@ class TestUsage:
             "negative-chord",
             "zero-bender-amplitude",
             "negative-seed",
+            "record-too-long",
         ],
     )
     def test_config_error_writes_no_run_dir(self, tmp_path, capsys, argv):

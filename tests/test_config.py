@@ -1,6 +1,8 @@
 """Config ingestion: defaults, files, overrides, grids, unit suffixes."""
 
+import inspect
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 
 from cldprop.config import load_config, parse_grid
 from cldprop.errors import ConfigError, ParameterDomainError, UnknownDesignError
+from cldprop.foil import FoilConfig, KinematicsSpec, simulate_constrained, simulate_free_swim
+from cldprop.signals import synth_bender_pair
+from cldprop.stiffness import default_layup
 
 
 class TestGrid:
@@ -40,6 +45,26 @@ class TestDefaults:
         assert config.freeswim.virtual_mass == 3.0
         assert config.freeswim.duration == 3.8
 
+    def test_defaults_match_the_library_defaults(self):
+        # The stock values are written both in the config schema and as the
+        # library's own defaults; the two must not drift apart.
+        def defaults(fn, *names):
+            params = inspect.signature(fn).parameters
+            return tuple(params[name].default for name in names)
+
+        config = load_config()
+        assert config.layup == default_layup()
+        assert config.foil == FoilConfig()
+        sweep, freeswim, bender = config.sweep, config.freeswim, config.bender
+        assert (sweep.heave_amp_pp, sweep.freestream) == defaults(KinematicsSpec, "heave_amp_pp", "freestream")
+        assert (sweep.cycles, sweep.warmup_cycles) == defaults(simulate_constrained, "n_cycles", "warmup_cycles")
+        assert (freeswim.virtual_mass, freeswim.body_drag_coeff, freeswim.duration) == defaults(
+            simulate_free_swim, "virtual_mass", "body_drag_coeff", "duration"
+        )
+        assert (bender.theta_amp, bender.sample_rate, bender.cycles) == defaults(
+            synth_bender_pair, "theta_amp", "sample_rate", "n_cycles"
+        )
+
     def test_unknown_design_lookup(self):
         with pytest.raises(UnknownDesignError):
             load_config().coverage_of("d")
@@ -62,14 +87,19 @@ class TestFileAndOverrides:
     def test_unknown_key_in_file_rejected(self, tmp_path):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("[bender]\nfrequencey_grid_hz = 0:5:1\n")
-        with pytest.raises(ConfigError):
+        origin = re.escape(str(cfg))
+        with pytest.raises(ConfigError, match=rf"^unknown config key bender\.frequencey_grid_hz in {origin}$"):
             load_config(str(cfg))
 
     def test_unknown_section_in_file_rejected(self, tmp_path):
         cfg = tmp_path / "bench.cfg"
-        cfg.write_text("[motor]\nvoltage = 12\n")
-        with pytest.raises(ConfigError):
-            load_config(str(cfg))
+        origin = re.escape(str(cfg))
+        for text in ("[motor]\nvoltage = 12\n", "[layup]\nlength_mm = 200.0\n\n[motor]\n"):  # empty too
+            cfg.write_text(text)
+            with pytest.raises(ConfigError, match=rf"^unknown config section \[motor\] in {origin}$"):
+                load_config(str(cfg))
+        with pytest.raises(ConfigError, match=r"^unknown config section \[motor\] in override 'motor\.x=1'$"):
+            load_config(overrides=["motor.x=1"])
 
     def test_override_applies(self):
         config = load_config(overrides=["sweep.freq_grid_hz=0.5,2", "freeswim.duration_s=1.0"])
@@ -86,11 +116,11 @@ class TestFileAndOverrides:
     @pytest.mark.parametrize("key", ["base_density_kgpm3", "core_density_kgpm3", "face_density_kgpm3"])
     def test_density_keys_rejected(self, key, tmp_path):
         # K*(omega) reads no density, so the layup has no density key.
-        with pytest.raises(ConfigError, match=f"unknown config key layup.{key}"):
+        with pytest.raises(ConfigError, match=rf"^unknown config key layup\.{key} in override 'layup\.{key}=1240'"):
             load_config(overrides=[f"layup.{key}=1240"])
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[layup]\n{key} = 1240\n")
-        with pytest.raises(ConfigError, match=f"unknown config key layup.{key}"):
+        with pytest.raises(ConfigError, match=rf"^unknown config key layup\.{key} in {re.escape(str(cfg))}$"):
             load_config(str(cfg))
 
     def test_missing_file_raises_oserror(self):
@@ -128,6 +158,8 @@ class TestFileAndOverrides:
             "sweep.prony_branches=10",  # 20 fit grid points hold at most 9 branches
             "bender.theta_amp_deg=0",
             "output.seed=-5000000",  # numpy's generators take no negative seed
+            f"bender.cycles={10**30}",  # a record of 4e32 samples
+            "bender.cycles=25001",  # 25,001 cycles of 400 samples at 0.5 Hz: over 1e7
         ],
     )
     def test_rejected_at_load(self, item):
@@ -160,6 +192,7 @@ class TestFileAndOverrides:
         assert (config.sweep.cycles, config.sweep.warmup_cycles) == (3, 0)
         config = load_config(overrides=["sweep.heave_amp_pp_m=0", "sweep.prony_branches=9"])
         assert (config.sweep.heave_amp_pp, config.sweep.prony_branches) == (0.0, 9)
+        assert load_config(overrides=["bender.cycles=25000"]).bender.cycles == 25000  # 1e7 samples at 0.5 Hz
 
 
 _KEYS = [f"{section}.{key}" for section, keys in load_config().raw.items() for key in keys]

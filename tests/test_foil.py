@@ -44,6 +44,10 @@ class TestStrouhal:
             KinematicsSpec(heave_freq=1.0, heave_amp_pp=-0.1)
         with pytest.raises(ParameterDomainError):
             KinematicsSpec(heave_freq=1.0, freestream=0.0)
+        for bad in (dict(heave_freq=math.nan), dict(heave_freq=1.0, heave_amp_pp=math.nan),
+                    dict(heave_freq=1.0, freestream=math.nan)):
+            with pytest.raises(ParameterDomainError):
+                KinematicsSpec(**bad)
 
 
 class TestConstrained:
@@ -109,6 +113,14 @@ class TestConstrained:
     def test_unknown_stall_model_rejected(self):
         with pytest.raises(ParameterDomainError):
             FoilConfig(stall_model="flat")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "name", ["tail_chord", "tail_span", "tail_inertia", "pitch_axis_offset", "fluid_density"]
+    )
+    def test_non_positive_geometry_rejected(self, name, value):
+        with pytest.raises(ParameterDomainError, match=f"^{name} must be positive"):
+            FoilConfig(**{name: value})
 
 
 class TestEquations:
@@ -296,6 +308,10 @@ class TestFreeSwim:
             simulate_free_swim(_FOIL, kin, _SOFT, virtual_mass=0.0)
         with pytest.raises(ParameterDomainError):
             simulate_free_swim(_FOIL, kin, _SOFT, duration=-1.0)
+        with pytest.raises(ParameterDomainError):
+            simulate_free_swim(_FOIL, kin, _SOFT, virtual_mass=math.nan)
+        with pytest.raises(ParameterDomainError):
+            simulate_free_swim(_FOIL, kin, _SOFT, duration=math.nan)
 
 
 def _trace_from_u(u, fs, f):

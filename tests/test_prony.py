@@ -46,6 +46,12 @@ class TestResponse:
         with pytest.raises(ParameterDomainError):
             PronyFit(k_inf=1.0, branches=((-0.1, 0.01),))
         with pytest.raises(ParameterDomainError):
+            PronyFit(k_inf=math.nan, branches=())
+        with pytest.raises(ParameterDomainError):
+            PronyFit(1.0, ((math.nan, 1.0),))
+        with pytest.raises(ParameterDomainError):
+            PronyFit(1.0, ((0.1, math.nan),))
+        with pytest.raises(ParameterDomainError):
             PronyFit(k_inf=1.0, branches=((0.1, 0.3), (0.1, 0.01)))  # tau not ascending
         with pytest.raises(ParameterDomainError):
             prony_frequency_response(PronyFit(k_inf=1.0, branches=()), -1.0)

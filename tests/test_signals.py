@@ -252,6 +252,11 @@ class TestSynth:
         with pytest.raises(ParameterDomainError):
             synth_bender_pair(ComplexStiffness(_K, 0.0), 150.0, sample_rate=200.0)
 
+    @pytest.mark.parametrize("freq, amp", [(0.0, _AMP), (math.nan, _AMP), (_F, 0.0), (_F, math.nan)])
+    def test_non_positive_drive_rejected(self, freq, amp):
+        with pytest.raises(ParameterDomainError):
+            synth_bender_pair(ComplexStiffness(_K, 0.0), freq, theta_amp=amp)
+
 
 class TestCycleStats:
     def test_constant_signal(self):
@@ -283,6 +288,16 @@ class TestCycleStats:
         folded = cycle_fold(ts, 1.0)
         direct = np.stack([x[k * spc : (k + 1) * spc] for k in range(ncyc)]).mean(axis=0)
         assert np.array_equal(folded, direct)
+
+    @pytest.mark.parametrize("freq", [0.0, -1.0, math.nan])
+    def test_non_positive_drive_frequency_rejected(self, freq):
+        theta, torque = _spring_damper_pair()
+        for reduce in (lockin_extract, hysteresis_loop_area):
+            with pytest.raises(ParameterDomainError):
+                reduce(theta, torque, freq)
+        for reduce in (cycle_fold, cycle_average):
+            with pytest.raises(ParameterDomainError):
+                reduce(torque, freq)
 
     def test_fold_requires_integer_samples_per_cycle(self):
         ts = TimeSeries(100.0, np.zeros(400))

@@ -57,6 +57,9 @@ class TestZener:
             dict(g_low=2e6, g_high=1e6, tau=0.05, alpha=0.6),  # g_high <= g_low
             dict(g_low=-1.0, g_high=1e6, tau=0.05, alpha=0.6),
             dict(g_low=1e5, g_high=1e6, tau=0.0, alpha=0.6),
+            dict(g_low=10e3, g_high=2e6, tau=math.nan, alpha=0.9),
+            dict(g_low=math.nan, g_high=1e6, tau=0.05, alpha=0.6),
+            dict(g_low=1e5, g_high=1e6, tau=0.05, alpha=math.nan),
             dict(g_low=1e5, g_high=1e6, tau=0.05, alpha=0.0),
             dict(g_low=1e5, g_high=1e6, tau=0.05, alpha=1.5),
         ],
@@ -86,7 +89,7 @@ _POSITIVE_FIELDS = (
 
 
 class TestLayerValidation:
-    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan])
     @pytest.mark.parametrize("name", _POSITIVE_FIELDS)
     def test_non_positive_field_rejected_by_name(self, name, value):
         with pytest.raises(ParameterDomainError, match=rf"^{name} must be positive"):

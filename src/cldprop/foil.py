@@ -43,6 +43,8 @@ STEPS_PER_TAU = 10
 # logged force trace reproduces the momentum balance to ~1e-7.
 FREESWIM_MIN_STEPS_PER_CYCLE = 6000
 RTOL, CYCLE_RTOL = 1e-10, 3e-9  # LSODA relative tolerances: free swimming, constrained lanes
+# Longest plant run, in output samples, as for a bender record; the default lanes hold about 45,000.
+MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -296,6 +298,8 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
 
 def _run(foil, kin, hinge, dt, total_steps, rtol, keep=0, **free):
     """Plant history from rest with the first `keep` samples dropped: (t, states, rhs there)."""
+    if total_steps > MAX_SAMPLES:  # a hinge branch with a tiny tau asks for far too many samples
+        raise ParameterDomainError(f"plant run of {total_steps} samples at dt={dt:.3e} s is over {MAX_SAMPLES}")
     dim = 2 + len(hinge.significant_branches()) + ("virtual_mass" in free)
     t = np.arange(keep, total_steps + 1) * dt
     start = [0.0] if keep else []  # the warm-up is one output interval, with 500 steps per 10 of its samples

@@ -5,7 +5,8 @@ has the frequency response
 
     K*(w) = k_inf + sum_j k_j * (i w tau_j) / (1 + i w tau_j)
 
-which is fitted to sampled K*(w_i) data by damped nonlinear least squares.
+which is fitted to sampled K*(w_i) data by variable projection: the
+stiffnesses enter linearly, so only log tau_j is iterated on (numpy only).
 The branch states can then be integrated alongside an ODE, which is how the
 foil simulator consumes hinge stiffness.
 """
@@ -13,6 +14,7 @@ foil simulator consumes hinge stiffness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +26,7 @@ from .stiffness import ComplexStiffness
 # meaningful relaxation and are ignored for stability bookkeeping.
 NEGLIGIBLE_BRANCH_FRACTION = 1e-9
 N_STARTS, MAX_ITER = 8, 200  # fit budget: log-spaced starting taus; residual evaluations per start
+XTOL, GTOL = 1e-10, 1e-12  # Levenberg-Marquardt stopping tests on log tau
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class PronyFit:
 
 def prony_frequency_response(fit: PronyFit, omega: float) -> ComplexStiffness:
     """Evaluate the Prony frequency response at a single angular frequency."""
-    if omega < 0.0:
+    if not omega >= 0.0:
         raise ParameterDomainError(f"omega must be >= 0, got {omega}")
     k = complex(fit.k_inf, 0.0)
     for k_j, tau_j in fit.branches:
@@ -62,16 +65,43 @@ def prony_frequency_response(fit: PronyFit, omega: float) -> ComplexStiffness:
     return ComplexStiffness(storage=k.real, loss=k.imag)
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on first call so `import cldprop` stays light."""
-    from scipy.optimize import least_squares
+def least_squares(fun, x0: np.ndarray, lower: float, upper: float, max_nfev: int) -> SimpleNamespace:
+    """Levenberg-Marquardt on a stack of starts x0 (S, n), all advanced in one batched iteration.
 
-    return least_squares(*args, **kwargs)
-
-
-def _response_vec(k_inf: float, ks: np.ndarray, taus: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    s = 1j * omegas[:, None] * taus[None, :]
-    return k_inf + (ks[None, :] * s / (1.0 + s)).sum(axis=1)
+    `fun` maps a stack (s, n) to residuals (s, m), relative errors of order one at worst, and
+    their Jacobians (s, m, n). Trials are clipped into [lower, upper] and kept only if they
+    lower the sum of squares; the damping follows Nielsen's gain-ratio rule. A start stops when
+    every |J_k . r| < GTOL |J_k| sqrt(m), when its step is below XTOL relative to x, or after
+    max_nfev evaluations. Returns .x, .fun (a row per start) and .nfev, summed over starts.
+    """
+    x = np.array(x0, dtype=float)
+    r, jac = fun(x)
+    lam, nu = np.full(len(x), 1e-3), np.full(len(x), 2.0)
+    weight = np.zeros_like(x)  # damping weights: the largest diag(J^T J) seen so far (More 1978)
+    n_eval = np.ones(len(x), dtype=int)
+    live = np.isfinite(r).all(axis=1)
+    while live.any():
+        i = np.flatnonzero(live)
+        jt = np.swapaxes(jac[i], 1, 2)
+        grad, jtj = (jt @ r[i][..., None])[..., 0], jt @ jac[i]
+        flat = np.abs(grad) <= GTOL * np.sqrt(r.shape[1]) * np.linalg.norm(jac[i], axis=1)
+        weight[i] = np.maximum(weight[i], np.diagonal(jtj, axis1=1, axis2=2))
+        diag = lam[i, None] * weight[i] + 1e-300  # positive, so the damped system is never singular
+        step = np.linalg.solve(jtj + diag[..., None] * np.eye(x.shape[1]), -grad[..., None])[..., 0]
+        trial = np.clip(x[i] + step, lower, upper)
+        step = trial - x[i]
+        r_t, jac_t = fun(trial)
+        n_eval[i] += 1
+        ss, ss_t = np.sum(r[i] ** 2, axis=1), np.sum(r_t**2, axis=1)
+        better = ss_t < ss
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero step is rejected anyway
+            gain = (ss - ss_t) / np.sum(step * (diag * step - grad), axis=1)
+        x[i[better]], r[i[better]], jac[i[better]] = trial[better], r_t[better], jac_t[better]
+        lam[i] *= np.where(better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), nu[i])
+        nu[i] = np.where(better, 2.0, 2.0 * nu[i])
+        small = np.linalg.norm(step, axis=1) <= XTOL * (XTOL + np.linalg.norm(x[i], axis=1))
+        live[i] = ~(flat.all(axis=1) | small | (n_eval[i] >= max_nfev))
+    return SimpleNamespace(x=x, fun=r, nfev=int(n_eval.sum()))
 
 
 def fit_prony(
@@ -80,10 +110,12 @@ def fit_prony(
 ) -> PronyFit:
     """Fit a Prony series to sampled complex stiffness data.
 
-    Minimizes the relative error of the frequency response against the
-    samples, with a deterministic multi-start schedule of log-spaced branch
-    time constants. Raises FitConvergenceError (carrying the best residual)
-    if no start converges within the iteration budget.
+    Minimizes the relative error of the frequency response against the samples by variable
+    projection (Golub & Pereyra 1973; Kaufman 1975): for given tau_j the stiffnesses solve a
+    linear least-squares problem, so Levenberg-Marquardt iterates on log tau_j alone, from a
+    deterministic multi-start schedule. Nonnegativity is applied once, after convergence:
+    negative or negligible branches are dropped (k_j = 0) and the linear problem solved again.
+    Raises FitConvergenceError (carrying the best residual) if no start gives a finite fit.
     """
     if n_branches < 1:
         raise ParameterDomainError(f"n_branches must be >= 1, got {n_branches}")
@@ -106,52 +138,61 @@ def fit_prony(
     tau_hi = 10.0 / w_pos.min()
     k_scale = float(np.abs(targets).max())
 
-    def residuals(p: np.ndarray) -> np.ndarray:
-        k_inf = p[0]
-        ks = p[1 : 1 + n_branches]
-        taus = np.exp(p[1 + n_branches :])
-        r = (_response_vec(k_inf, ks, taus, omegas) - targets) / scale
-        return np.concatenate([r.real, r.imag])
+    b = np.concatenate([(targets / scale).real, (targets / scale).imag])
+    lower, upper = np.log(tau_lo) - 10.0, np.log(tau_hi) + 10.0
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        # dK/dk_inf = 1, dK/dk_j = s/(1+s), dK/dlog(tau_j) = k_j s/(1+s)^2, with s = i w tau_j
-        s = 1j * omegas[:, None] * np.exp(p[None, 1 + n_branches :])
-        g = s / (1.0 + s)
-        d = np.hstack([np.ones((omegas.size, 1)), g, p[1 : 1 + n_branches] * g / (1.0 + s)]) / scale[:, None]
-        return np.vstack([d.real, d.imag])
+    def design(log_taus: np.ndarray) -> np.ndarray:
+        # Columns dK/dk_inf = 1, dK/dk_j = s/(1+s), d(dK/dk_j)/dlog(tau_j) = s/(1+s)^2 with s = i w tau_j,
+        # relative to |K*|, real rows over imaginary rows: (..., 2M, 1 + 2J).
+        s = 1j * omegas[:, None] * np.exp(log_taus)[..., None, :]
+        cols = np.concatenate([np.ones_like(s[..., :1]), s / (1.0 + s), s / (1.0 + s) ** 2], axis=-1)
+        cols = cols / scale[:, None]
+        return np.concatenate([cols.real, cols.imag], axis=-2)
 
-    lower = np.concatenate([[0.0], np.zeros(n_branches), np.full(n_branches, np.log(tau_lo) - 10.0)])
-    upper = np.concatenate(
-        [[np.inf], np.full(n_branches, np.inf), np.full(n_branches, np.log(tau_hi) + 10.0)]
-    )
+    def projected(log_taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Residual at the least-squares stiffnesses, and its Golub-Pereyra Jacobian
+        # dr/dlog(tau_j) = P_perp dA_j c - (A^+)^T dA_j^T r, from A = U S V^T; singular
+        # values at rounding level (coincident or vanishing branches) are left out, as in lstsq.
+        full = design(log_taus)
+        a, da = full[..., : 1 + n_branches], full[..., 1 + n_branches :]
+        u, sv, vt = np.linalg.svd(a, full_matrices=False)
+        kept = sv > np.finfo(float).eps * a.shape[1] * sv[:, :1]
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
+        u = u * kept[:, None, :]
+        ub = np.swapaxes(u, 1, 2) @ b
+        c = (np.swapaxes(vt, 1, 2) @ (inv * ub)[..., None])[..., 0]
+        r = (u @ ub[..., None])[..., 0] - b
+        kaufman = da * c[:, None, 1:]
+        kaufman -= u @ (np.swapaxes(u, 1, 2) @ kaufman)
+        pinv_t = (u * inv[:, None, :]) @ vt[..., 1:]
+        return r, kaufman - pinv_t * (np.swapaxes(da, 1, 2) @ r[..., None])[..., 0][:, None, :]
 
-    start_taus = np.geomspace(tau_lo, tau_hi, N_STARTS)
-    best = None
-    for tau0 in start_taus:
-        taus0 = tau0 * np.geomspace(1.0, 10.0 ** (n_branches - 1), n_branches)
-        p0 = np.concatenate(
-            [[max(targets.real.min(), 1e-6 * k_scale)], np.full(n_branches, 0.1 * k_scale), np.log(taus0)]
-        )
-        try:
-            result = least_squares(
-                residuals, p0, jac=jacobian, bounds=(lower, upper), max_nfev=MAX_ITER, method="trf"
-            )
-        except ValueError:
-            continue
-        rms = float(np.sqrt(np.mean(result.fun**2)))
-        n_active = int(np.sum(result.x[1 : 1 + n_branches] > NEGLIGIBLE_BRANCH_FRACTION * k_scale))
-        key = (round(rms, 12), n_active)
+    # Branch time constants a decade apart from each start, slid down into the bounds.
+    x0 = np.log(np.geomspace(tau_lo, tau_hi, N_STARTS))[:, None] + np.log(10.0) * np.arange(n_branches)
+    x0 = np.clip(x0 - np.maximum(x0[:, -1:] - upper, 0.0), lower, upper)
+    result = least_squares(projected, x0, lower, upper, MAX_ITER)
+
+    best, finite = None, np.isfinite(result.fun).all(axis=1)
+    for log_taus, a in zip(result.x[finite], design(result.x[finite])[..., : 1 + n_branches]):
+        keep = np.ones(1 + n_branches, dtype=bool)
+        while True:
+            c = np.zeros(1 + n_branches)
+            c[keep] = np.linalg.lstsq(a[:, keep], b, rcond=None)[0]
+            drop = keep[1:] & ~(c[1:] > NEGLIGIBLE_BRANCH_FRACTION * k_scale)
+            if not drop.any():
+                break
+            keep[1:] &= ~drop
+        rms = float(np.sqrt(np.mean((a @ c - b) ** 2)))
+        key = (not c[0] > 0.0, round(rms, 12), int(keep[1:].sum()))  # a collapsed k_inf only as a last resort
         if best is None or key < best[0]:
-            best = (key, result.x, rms)
+            best = (key, c, np.exp(log_taus), rms)
 
     if best is None:
         raise FitConvergenceError("no Prony fit start converged within budget")
-    _, p, rms = best
-    k_inf = float(p[0])
-    ks = p[1 : 1 + n_branches]
-    taus = np.exp(p[1 + n_branches :])
+    _, c, taus, rms = best
+    k_inf = float(c[0])
     order = np.argsort(taus)
-    branches = tuple((float(ks[i]), float(taus[i])) for i in order)
+    branches = tuple((float(c[1 + i]), float(taus[i])) for i in order)
     if k_inf <= 0.0:
         raise FitConvergenceError("fit collapsed to non-positive equilibrium stiffness", best_residual=rms)
     return PronyFit(k_inf=k_inf, branches=branches, fit_residual=rms)

@@ -215,6 +215,8 @@ def synth_bender_pair(
         raise ParameterDomainError(f"theta amplitude must be positive, got {theta_amp}")
     if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
+    if not 0.0 < sample_rate < math.inf:
+        raise ParameterDomainError(f"sample rate must be positive and finite, got {sample_rate}")
     if drive_freq >= sample_rate / 2.0:
         raise ParameterDomainError(
             f"drive frequency {drive_freq} Hz violates Nyquist for fs={sample_rate} Hz"

@@ -82,6 +82,14 @@ class TestExtract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: --freq")
 
+    @pytest.mark.parametrize("freq", ["100", "150"])
+    def test_drive_frequency_at_or_above_nyquist_is_config_error(self, tmp_path, capsys, freq):
+        # The records are sampled at 200 Hz, so the limit is known only once they are read.
+        theta, torque = _write_oracle_files(tmp_path)
+        assert main(["extract", "--theta", theta, "--torque", torque, "--freq", freq]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: --freq must be below the record's Nyquist limit of 100 Hz, got {freq}"]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows", ["0.0,0.0,0.0\n", ""], ids=["one-row", "header-only"])
     def test_short_record_is_config_error(self, tmp_path, capsys, rows):
@@ -219,6 +227,25 @@ def test_light_commands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("design,freq_hz")
+
+
+def test_surrogate_path_loads_no_scipy():
+    # The Prony fit, its closed-form torque and the lock-in are numpy only.
+    code = (
+        "import sys\n"
+        "from cldprop.config import load_config\n"
+        "from cldprop.harness import fit_design_hinge\n"
+        "from cldprop.signals import lockin_extract, synth_bender_pair\n"
+        "cfg = load_config(None, [])\n"
+        "fit = fit_design_hinge(cfg, cfg.coverage_of('c'))\n"
+        "theta, torque = synth_bender_pair(fit, 3.0, sample_rate=200.0, n_cycles=10)\n"
+        "print(lockin_extract(theta.after(5.0 / 3.0), torque.after(5.0 / 3.0), 3.0).stiffness)\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], sorted(sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ComplexStiffness(")
 
 
 class TestProtocols:

@@ -100,6 +100,12 @@ class TestConstrained:
         with pytest.raises(ConfigError):
             simulate_constrained(_FOIL, kin, _RIGID, dt=6e-3)  # under 100 steps/cycle
 
+    def test_sample_budget_checked_before_allocating(self):
+        # A fitted branch with tau = 1e-9 s asks for 5e9 samples per 2 Hz cycle.
+        hinge = PronyFit(k_inf=0.05, branches=((1.0, 1e-9),))
+        with pytest.raises(ParameterDomainError, match=r"samples at dt=.* is over 10000000$"):
+            simulate_constrained(_FOIL, KinematicsSpec(heave_freq=2.0), hinge)
+
     def test_divergence_reported(self):
         # An anti-restoring hydrodynamic law blows the pitch state up; the
         # integrator must fail loudly, not return garbage.

@@ -53,8 +53,9 @@ class TestResponse:
             PronyFit(1.0, ((0.1, math.nan),))
         with pytest.raises(ParameterDomainError):
             PronyFit(k_inf=1.0, branches=((0.1, 0.3), (0.1, 0.01)))  # tau not ascending
-        with pytest.raises(ParameterDomainError):
-            prony_frequency_response(PronyFit(k_inf=1.0, branches=()), -1.0)
+        for omega in (-1.0, math.nan):
+            with pytest.raises(ParameterDomainError):
+                prony_frequency_response(PronyFit(k_inf=1.0, branches=()), omega)
 
     def test_significant_branches_filters_negligible(self):
         fit = PronyFit(k_inf=1.0, branches=((1e-15, 0.01), (0.5, 0.3)))
@@ -73,10 +74,12 @@ class TestFit:
             assert abs(got - want) <= 1e-8 * abs(want)
 
     def test_elastic_plant_collapses_to_spring(self):
-        samples = [(w, ComplexStiffness(0.028, 0.0)) for w in _BAND]
-        fit = fit_prony(samples, n_branches=2)
-        assert fit.k_inf == pytest.approx(0.028, rel=1e-6)
-        assert sum(k for k, _ in fit.significant_branches()) <= 1e-6 * fit.k_inf
+        # Every branch is dropped after the fit, so the spring is exact; the baseline design's
+        # K*(w) is its static stiffness up to rounding.
+        for samples in ([(w, ComplexStiffness(0.028, 0.0)) for w in _BAND], _design_samples("baseline")):
+            fit = fit_prony(samples, n_branches=2)
+            assert fit.k_inf == pytest.approx(samples[0][1].storage, rel=1e-15)
+            assert [k for k, _ in fit.branches] == [0.0, 0.0]
 
     def test_default_layup_band_rms_under_half_percent(self):
         layup = default_layup(1.0)
@@ -109,32 +112,92 @@ def _design_fit(name):
     return fit_design_hinge(_CONFIG, _CONFIG.coverage_of(name))
 
 
-class TestExactJacobian:
-    def test_matches_central_differences(self, monkeypatch):
-        # The Jacobian passed to least_squares, checked column by column at every start.
-        starts, real = [], prony.least_squares
+def _design_samples(name):
+    layup = _CONFIG.layups[_CONFIG.coverage_of(name)]
+    omegas = 2.0 * math.pi * np.array(_CONFIG.sweep.prony_fit_grid_hz)
+    return [(w, rku_complex_stiffness(layup, w)) for w in omegas]
 
-        def spy(fun, x0, jac, **kwargs):
-            starts.append((fun, jac, x0))
-            return real(fun, x0, jac=jac, **kwargs)
+
+def _trf_reference(samples, n_branches):
+    """scipy's TRF over all 2J+1 parameters from log-spaced starts, at tolerances of 1e-15."""
+    from scipy.optimize import least_squares
+
+    omegas = np.array([w for w, _ in samples])
+    targets = np.array([k.as_complex for _, k in samples])
+
+    def residuals(p):
+        s = 1j * omegas[:, None] * np.exp(p[None, 1 + n_branches :])
+        r = (p[0] + (p[1 : 1 + n_branches] * s / (1.0 + s)).sum(axis=1) - targets) / np.abs(targets)
+        return np.concatenate([r.real, r.imag])
+
+    tau_lo, tau_hi, k_scale = 0.1 / omegas.max(), 10.0 / omegas.min(), np.abs(targets).max()
+    lower = np.r_[np.zeros(1 + n_branches), np.full(n_branches, np.log(tau_lo) - 10.0)]
+    upper = np.r_[np.full(1 + n_branches, np.inf), np.full(n_branches, np.log(tau_hi) + 10.0)]
+    best = None
+    for tau0 in np.geomspace(tau_lo, tau_hi, prony.N_STARTS):
+        taus0 = tau0 * np.geomspace(1.0, 10.0 ** (n_branches - 1), n_branches)
+        p0 = np.r_[max(targets.real.min(), 1e-6 * k_scale), np.full(n_branches, 0.1 * k_scale), np.log(taus0)]
+        tight = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        p = least_squares(residuals, p0, bounds=(lower, upper), method="trf", **tight).x
+        rms = float(np.sqrt(np.mean(residuals(p) ** 2)))
+        if best is None or rms < best[0]:
+            best = (rms, p)
+    rms, p = best
+    order = np.argsort(p[1 + n_branches :])
+    return PronyFit(p[0], tuple((p[1 + i], math.exp(p[1 + n_branches + i])) for i in order), rms)
+
+
+class TestVariableProjection:
+    def test_jacobian_matches_central_differences(self, monkeypatch):
+        # The Golub-Pereyra Jacobian handed to the solver, checked column by column at every start.
+        calls, real = [], prony.least_squares
+
+        def spy(fun, x0, *args):
+            calls.append((fun, x0))
+            return real(fun, x0, *args)
 
         monkeypatch.setattr(prony, "least_squares", spy)
         _design_fit("c")
-        assert len(starts) == prony.N_STARTS
-        for fun, jac, x0 in starts:
-            steps = np.diag(1e-6 * np.maximum(np.abs(x0), 1.0))
-            numeric = np.column_stack([(fun(x0 + h) - fun(x0 - h)) / (2.0 * h.sum()) for h in steps])
-            assert np.allclose(jac(x0), numeric, rtol=1e-6, atol=1e-7 * np.abs(numeric).max())
+        ((fun, x0),) = calls
+        assert x0.shape == (prony.N_STARTS, _CONFIG.sweep.prony_branches)
+        steps = 1e-6 * np.maximum(np.abs(x0), 1.0)
+        columns = []
+        for k in range(x0.shape[1]):
+            h = np.zeros_like(x0)
+            h[:, k] = steps[:, k]
+            columns.append((fun(x0 + h)[0] - fun(x0 - h)[0]) / (2.0 * steps[:, k, None]))
+        numeric = np.stack(columns, axis=-1)
+        for got, want in zip(fun(x0)[1], numeric):
+            assert np.allclose(got, want, rtol=1e-6, atol=1e-7 * np.abs(want).max())
 
     @pytest.mark.parametrize("name", ["baseline", "a", "c"])
-    def test_fit_matches_finite_difference_fit(self, name, monkeypatch):
-        # Both fits stop at least_squares' default 1e-8 tolerances along different paths, so they
-        # agree to about that (6e-8 at worst), not to rounding.
-        exact, real = _design_fit(name), prony.least_squares
-        monkeypatch.setattr(prony, "least_squares", lambda fun, x0, jac, **kwargs: real(fun, x0, **kwargs))
-        fd = _design_fit(name)
-        assert exact.k_inf == pytest.approx(fd.k_inf, rel=1e-6)
-        assert len(exact.significant_branches()) == len(fd.significant_branches())
-        for got, want in zip(exact.significant_branches(), fd.significant_branches()):
-            assert got == pytest.approx(want, rel=1e-6)
-        assert exact.fit_residual == pytest.approx(fd.fit_residual, rel=1e-6, abs=1e-12)
+    def test_fit_matches_tight_trf_reference(self, name):
+        # The starts agree on tau_2 only to about 5e-8 (a conditioning floor), hence 1e-6; the
+        # fit may not be worse than the reference beyond rounding.
+        samples = _design_samples(name)
+        got, ref = fit_prony(samples, 2), _trf_reference(samples, 2)
+        assert got.k_inf == pytest.approx(ref.k_inf, rel=1e-6)
+        assert len(got.significant_branches()) == len(ref.significant_branches())
+        for branch, want in zip(got.significant_branches(), ref.significant_branches()):
+            assert branch == pytest.approx(want, rel=1e-6)
+        assert got.fit_residual <= ref.fit_residual * (1.0 + 1e-9) + 1e-15
+
+    def test_every_start_runs_for_every_branch_count(self, monkeypatch):
+        # Starts are slid into the time-constant bounds, so none is skipped at any allowed order.
+        layup = default_layup(1.0)
+        samples = [(w, rku_complex_stiffness(layup, w)) for w in _BAND]
+        runs, real = [], prony.least_squares
+
+        def spy(fun, x0, lower, upper, max_nfev):
+            runs.append((x0, lower, upper, real(fun, x0, lower, upper, max_nfev)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(prony, "least_squares", spy)
+        for n_branches in range(1, (len(_BAND) - 1) // 2 + 1):
+            fit = fit_prony(samples, n_branches)
+            x0, lower, upper, result = runs[-1]
+            assert x0.shape == (prony.N_STARTS, n_branches)
+            assert np.all((lower <= x0) & (x0 <= upper))
+            assert np.isfinite(result.fun).all()
+            assert len(fit.branches) == n_branches
+            assert fit.fit_residual < (1e-2 if n_branches == 1 else 5e-3)

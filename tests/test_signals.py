@@ -257,6 +257,11 @@ class TestSynth:
         with pytest.raises(ParameterDomainError):
             synth_bender_pair(ComplexStiffness(_K, 0.0), freq, theta_amp=amp)
 
+    @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -200.0])
+    def test_bad_sample_rate_rejected(self, fs):
+        with pytest.raises(ParameterDomainError, match="sample rate must be positive and finite"):
+            synth_bender_pair(ComplexStiffness(_K, 0.0), _F, sample_rate=fs)
+
 
 class TestCycleStats:
     def test_constant_signal(self):

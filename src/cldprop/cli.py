@@ -9,7 +9,9 @@ only CSV data; all diagnostics go to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import shutil
 import sys
 import warnings
 
@@ -102,6 +104,17 @@ def _info(args, message: str) -> None:
     print(message, file=stream)
 
 
+@contextlib.contextmanager
+def _run_dir(config: ProtocolConfig, protocol: str):
+    """A new run directory for the body to write into, removed again if the body fails."""
+    run_dir = create_run_dir(config, protocol)
+    try:
+        yield run_dir
+    except BaseException:
+        shutil.rmtree(run_dir, ignore_errors=True)
+        raise
+
+
 def _read_signal_csv(path: str, columns: int) -> tuple[np.ndarray, ...]:
     with open(path) as fh:
         if len(fh.readline().split(",")) != columns:
@@ -148,10 +161,10 @@ def _cmd_layup(args) -> int:
 def _cmd_bender(args) -> int:
     config = _load(args)
     table = run_bender_sweep(config)
-    run_dir = create_run_dir(config, "bender")
-    write_impedance_table(table, f"{run_dir}/impedance_table.csv")
-    emit_plot_data(table, "impedance", run_dir)
-    emit_plot_data(table, "fractions", run_dir)
+    with _run_dir(config, "bender") as run_dir:
+        write_impedance_table(table, f"{run_dir}/impedance_table.csv")
+        emit_plot_data(table, "impedance", run_dir)
+        emit_plot_data(table, "fractions", run_dir)
     _info(args, f"bender sweep written to {run_dir}")
     return 0
 
@@ -192,11 +205,11 @@ def _cmd_extract(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load(args)
     table = run_strouhal_sweep(config)
-    run_dir = create_run_dir(config, "sweep")
-    write_sweep_table(table, f"{run_dir}/sweep_table.csv")
-    emit_plot_data(table, "thrust", run_dir)
-    emit_plot_data(table, "efficiency", run_dir)
-    emit_plot_data(table, "fractions", run_dir)
+    with _run_dir(config, "sweep") as run_dir:
+        write_sweep_table(table, f"{run_dir}/sweep_table.csv")
+        emit_plot_data(table, "thrust", run_dir)
+        emit_plot_data(table, "efficiency", run_dir)
+        emit_plot_data(table, "fractions", run_dir)
     _info(args, f"Strouhal sweep written to {run_dir}")
     return 0
 
@@ -207,17 +220,18 @@ def _cmd_freeswim(args) -> int:
     for name in names:
         config.coverage_of(name)  # an unknown design fails before any trial runs
     trials = [(name, *run_freeswim_trial(config, name)) for name in names]
-    run_dir = create_run_dir(config, "freeswim")
     lines = ["design,peak_accel_mps2,terminal_velocity_mps,net_displacement_m,total_travel_m"]
-    for name, trace, metrics in trials:
-        write_freeswim_trace(trace, f"{run_dir}/trace_{name}.csv")
-        lines.append(
-            f"{name},{metrics['peak_accel']:.12g},{metrics['terminal_velocity']:.12g},"
-            f"{metrics['net_displacement']:.12g},{metrics['total_travel']:.12g}"
-        )
+    lines += [
+        f"{name},{metrics['peak_accel']:.12g},{metrics['terminal_velocity']:.12g},"
+        f"{metrics['net_displacement']:.12g},{metrics['total_travel']:.12g}"
+        for name, _, metrics in trials
+    ]
     summary = "\n".join(lines) + "\n"
-    with open(f"{run_dir}/swim_metrics.csv", "w", newline="\n") as fh:
-        fh.write(summary)
+    with _run_dir(config, "freeswim") as run_dir:
+        for name, trace, _ in trials:
+            write_freeswim_trace(trace, f"{run_dir}/trace_{name}.csv")
+        with open(f"{run_dir}/swim_metrics.csv", "w", newline="\n") as fh:
+            fh.write(summary)
     print(summary, end="")
     _info(args, f"free-swim trial written to {run_dir}")
     return 0

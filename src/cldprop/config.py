@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import ConfigError, ParameterDomainError, UnknownDesignError
-from .foil import FoilConfig, KinematicsSpec
+from .foil import FREESWIM_MIN_STEPS_PER_CYCLE, MAX_SAMPLES, MIN_STEPS_PER_CYCLE, FoilConfig, KinematicsSpec
 from .stiffness import FractionalZenerParams, SandwichLayup
 
 CONFIG_SCHEMA_VERSION = 2
@@ -27,6 +27,13 @@ CONFIG_SCHEMA_VERSION = 2
 # Longest synthetic bender record load_config accepts, in samples: one float
 # array of it is about 80 MB, and the default record holds 4,000 samples.
 MAX_RECORD_SAMPLES = 10**7
+# Most points a `start:stop:step` grid may expand to; the default grids hold 7 to 20.
+MAX_GRID_POINTS = 10**5
+# Most samples a bender run may synthesize over all designs, grid points and
+# repeats: twenty records of the longest length, about 80 s at 0.4 us per
+# sample on a 2-core Xeon. The default run synthesizes 46,860 and a noisy
+# run of 5 repeats 234,300.
+MAX_BENDER_SAMPLES = 2 * 10**8
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -48,8 +55,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise ConfigError(f"non-numeric grid shorthand {text!r}") from exc
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
             raise ConfigError(f"grid shorthand needs finite values, step > 0, stop >= start: {text!r}")
-        n = int(math.floor((stop - start) / step + 1e-9))
-        values = tuple(start + k * step for k in range(n + 1))
+        steps = (stop - start) / step + 1e-9  # inf for a step far below the span
+        if not steps < MAX_GRID_POINTS:
+            raise ConfigError(f"grid shorthand {text!r} expands to over {MAX_GRID_POINTS} points")
+        values = tuple(start + k * step for k in range(int(math.floor(steps)) + 1))
     else:
         try:
             values = tuple(float(p) for p in text.split(","))
@@ -294,12 +303,22 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError(
             f"bender record of cycles * sample_rate_hz / {lowest:g} Hz is over {MAX_RECORD_SAMPLES} samples"
         )
+    # Record lengths as synth_bender_pair rounds them; the 0 Hz point synthesizes nothing.
+    record_samples = sum(round(bender.cycles * bender.sample_rate / f) for f in bender.freq_grid_hz if f > 0.0)
+    if bender.repeats * len(designs) * record_samples > MAX_BENDER_SAMPLES:
+        raise ConfigError(
+            f"bender run of repeats * designs * {record_samples} record samples is over {MAX_BENDER_SAMPLES}"
+        )
 
     sweep = _built("sweep", SweepProtocol, **vals["sweep"])
     if sweep.prony_fit_grid_hz[0] <= 0.0:
         raise ConfigError("sweep.prony_fit_grid_hz must contain positive frequencies only")
     if sweep.cycles < 3 or sweep.warmup_cycles < 0:
         raise ConfigError("sweep.cycles must be >= 3 (whole cycles averaged) and sweep.warmup_cycles >= 0")
+    if (sweep.cycles + sweep.warmup_cycles) * MIN_STEPS_PER_CYCLE > MAX_SAMPLES:
+        raise ConfigError(
+            f"sweep lane of (cycles + warmup_cycles) * {MIN_STEPS_PER_CYCLE} samples is over {MAX_SAMPLES}"
+        )
     if not 1 <= sweep.prony_branches <= (len(sweep.prony_fit_grid_hz) - 1) // 2:
         raise ConfigError("sweep.prony_branches must be >= 1, with 2 * branches + 1 fit grid points")
 
@@ -308,8 +327,15 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     fr = vals["freeswim"]
     kinematics = _built("freeswim", KinematicsSpec, fr.pop("heave_freq"), sweep.heave_amp_pp, sweep.freestream)
     freeswim = FreeSwimProtocol(**fr, kinematics=kinematics)
-    if min(freeswim.virtual_mass, freeswim.duration) <= 0.0:
-        raise ConfigError("freeswim.virtual_mass_kg and duration_s must be positive")
+    if freeswim.virtual_mass <= 0.0:
+        raise ConfigError("freeswim.virtual_mass_kg must be positive")
+    cycles = freeswim.duration * kinematics.heave_freq  # a float product: never an OverflowError
+    if cycles < 1.0:
+        raise ConfigError(f"freeswim.duration_s spans {cycles:.2f} heave cycles, need at least 1")
+    if cycles * FREESWIM_MIN_STEPS_PER_CYCLE > MAX_SAMPLES:
+        raise ConfigError(
+            f"free-swim trial of {cycles:.4g} cycles * {FREESWIM_MIN_STEPS_PER_CYCLE} samples is over {MAX_SAMPLES}"
+        )
 
     if vals["output"]["seed"] < 0:
         raise ConfigError("output.seed must be >= 0")

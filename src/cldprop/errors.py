@@ -3,7 +3,8 @@
 Exit-code mapping (used by the CLI): ConfigError -> 2, raised at load for
 every config mistake (load_config reports a domain object's
 ParameterDomainError as one); any other CldPropError, a numerical failure
--> 3; OSError -> 4. Protocols compute before they write their run directory.
+-> 3; OSError -> 4. Protocols compute before they write their run directory,
+and remove it again if writing fails.
 """
 
 

@@ -154,10 +154,14 @@ class FreeSwimTrace:
     drag: np.ndarray
     drive_freq: float
 
+    @property
+    def samples_per_cycle(self) -> int:
+        fs = 1.0 / float(self.time[1] - self.time[0])
+        return int(round(fs / self.drive_freq))
+
     def expanded_cycle_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """(a_cycavg, u_cycavg) aligned with the time grid."""
-        fs = 1.0 / float(self.time[1] - self.time[0])
-        spc = int(round(fs / self.drive_freq))
+        spc = self.samples_per_cycle
         a = np.full_like(self.time, np.nan)
         v = np.full_like(self.time, np.nan)
         for k in range(self.accel_cycle_mean.size):
@@ -414,7 +418,8 @@ def swim_metrics(trace: FreeSwimTrace) -> dict[str, float]:
     a_exp, u_exp = trace.expanded_cycle_columns()
     n = trace.time.size
     tail = slice(int(math.floor(0.8 * n)), None)
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():  # a tail past the last whole cycle is all NaN
+        warnings.simplefilter("ignore", RuntimeWarning)
         terminal = float(np.nanmean(u_exp[tail]))
     if math.isnan(terminal):
         terminal = float(trace.u_cycle_mean[-1]) if trace.u_cycle_mean.size else float(trace.u[-1])

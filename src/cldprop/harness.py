@@ -15,6 +15,7 @@ import datetime
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
@@ -171,15 +172,19 @@ def run_freeswim_trial(config: ProtocolConfig, design_name: str) -> tuple[FreeSw
     """Free-swim trial of one design at the configured kinematics."""
     coverage = config.coverage_of(design_name)
     hinge = fit_design_hinge(config, coverage)
-    trace = simulate_free_swim(
-        config.foil,
-        config.freeswim.kinematics,
-        hinge,
-        virtual_mass=config.freeswim.virtual_mass,
-        body_drag_coeff=config.freeswim.body_drag_coeff,
-        duration=config.freeswim.duration,
-    )
-    return trace, swim_metrics(trace)
+    kin = config.freeswim.kinematics
+    try:
+        trace = simulate_free_swim(
+            config.foil,
+            kin,
+            hinge,
+            virtual_mass=config.freeswim.virtual_mass,
+            body_drag_coeff=config.freeswim.body_drag_coeff,
+            duration=config.freeswim.duration,
+        )
+        return trace, swim_metrics(trace)
+    except CldPropError as exc:
+        raise _annotate(exc, design_name, kin.heave_freq)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +204,9 @@ class _Column:
 
     `get` maps the table's source (its rows, or a whole trace) to the
     column's values. `cell` parses a cell: `str`, `float`, or `_maybe_float`
-    for a float that may be missing (None, written as an empty cell).
+    for a float that may be missing (None, written as an empty cell). A `str`
+    column is written as its values are, so a getter may return preformatted
+    cells.
     """
 
     header: str
@@ -236,14 +243,32 @@ _SWEEP_COLUMNS = (
     _per_row("f_dissipative", "dissipative", "metrics.fractions.dissipative"),
 )
 
-# Trace getters return whole arrays, so a long trace costs no call per cell.
+
+def _cycle_mean_cells(attr: str) -> Callable[[FreeSwimTrace], list[str]]:
+    """Getter of a trace's cycle-mean column as preformatted cells.
+
+    Each per-cycle mean is formatted once and repeated over its cycle's
+    samples; rows past the last whole cycle read "nan". The text is that of
+    `FreeSwimTrace.expanded_cycle_columns` written as floats.
+    """
+    means = attrgetter(attr)
+
+    def get(trace: FreeSwimTrace) -> list[str]:
+        spc = trace.samples_per_cycle
+        cells = [text for text in map(repr, means(trace).tolist()) for _ in range(spc)]
+        return cells + ["nan"] * (trace.time.size - len(cells))
+
+    return get
+
+
+# Trace getters return whole columns, so a long trace costs no call per cell.
 _FREESWIM_TRACE_COLUMNS = (
     _Column("time_s", "time (s)", attrgetter("time")),
     _Column("x_m", "position (m)", attrgetter("x")),
     _Column("u_mps", "velocity (m/s)", attrgetter("u")),
     _Column("a_mps2", "acceleration (m/s^2)", attrgetter("accel")),
-    _Column("a_cycavg_mps2", "cycle-mean a (m/s^2)", lambda t: t.expanded_cycle_columns()[0]),
-    _Column("u_cycavg_mps", "cycle-mean u (m/s)", lambda t: t.expanded_cycle_columns()[1]),
+    _Column("a_cycavg_mps2", "cycle-mean a (m/s^2)", _cycle_mean_cells("accel_cycle_mean"), str),
+    _Column("u_cycavg_mps", "cycle-mean u (m/s)", _cycle_mean_cells("u_cycle_mean"), str),
 )
 
 
@@ -384,7 +409,11 @@ def create_run_dir(config: ProtocolConfig, protocol: str) -> str:
         "protocol": protocol,
         "resolved_config": config.raw,
     }
-    with open(os.path.join(path, "manifest.json"), "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(os.path.join(path, "manifest.json"), "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except BaseException:
+        shutil.rmtree(path, ignore_errors=True)
+        raise
     return path

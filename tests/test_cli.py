@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, override plumbing, exit codes."""
 
 import contextlib
+import errno
 import io
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from test_config import _KEYS, _VALUES
 
 import cldprop
-from cldprop import cli
+from cldprop import cli, harness
 from cldprop.cli import main
 from cldprop.errors import IntegrationDivergenceError
 
@@ -140,6 +141,11 @@ class TestUsage:
             ["bender", "--set", "bender.theta_amp_deg=0"],
             ["bender", "--set", "output.seed=-5000000", "--set", "bender.noise_snr_db=20"],
             ["bender", "--set", "bender.freq_grid_hz=1", "--set", "bender.sample_rate_hz=1e300"],
+            ["bender", "--set", f"bender.repeats={10**30}"],
+            ["bender", "--freq-grid", "0:1e308:1e-308"],
+            ["sweep", "--set", "sweep.cycles=100000"],
+            ["freeswim", "--set", "freeswim.duration_s=0.3"],
+            ["freeswim", "--set", "freeswim.duration_s=1e6"],
         ],
         ids=[
             "unknown-design",
@@ -153,9 +159,19 @@ class TestUsage:
             "zero-bender-amplitude",
             "negative-seed",
             "record-too-long",
+            "bender-work-too-long",
+            "grid-too-long",
+            "sweep-lane-too-long",
+            "freeswim-under-one-cycle",
+            "freeswim-trial-too-long",
         ],
     )
-    def test_config_error_writes_no_run_dir(self, tmp_path, capsys, argv):
+    def test_config_error_writes_no_run_dir(self, tmp_path, capsys, monkeypatch, argv):
+        def no_run(*args):
+            raise AssertionError("a protocol started on a config that should not load")
+
+        for runner in ("run_bender_sweep", "run_strouhal_sweep", "run_freeswim_trial"):
+            monkeypatch.setattr(cli, runner, no_run)
         out = tmp_path / "runs"
         out.mkdir()
         assert main(argv + ["--output-dir", str(out), "--quiet"]) == 2
@@ -205,7 +221,7 @@ def _layup_run(item: str) -> tuple[int, str, str]:
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(key=st.sampled_from(_KEYS), value=_VALUES)
 def test_layup_override_prints_finite_table_or_fails_in_one_line(key, value):
-    # layup only: a bender or sweep override such as bender.repeats=10**30 makes the work unbounded.
+    # layup only: load_config bounds bender and sweep work, but the bounds admit minutes of it.
     code, out, err = _layup_run(f"{key}={value}")
     assert code in (0, 2, 3) and "Traceback" not in err
     if code:
@@ -313,6 +329,53 @@ class TestProtocols:
         argv = ["freeswim", "--design", "baseline", "--design", "c", "--set", "freeswim.duration_s=0.5"]
         assert main(argv + ["--output-dir", str(out), "--quiet"]) == 3
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_trial_with_an_all_nan_tail_warns_nothing(self, tmp_path, capfd):
+        # 1.3 s at 2 Hz: the last fifth of the trace lies past the last whole cycle.
+        argv = ["freeswim", "--design", "baseline", "--set", "freeswim.duration_s=1.3"]
+        assert main(argv + ["--output-dir", str(tmp_path), "--quiet"]) == 0
+        assert capfd.readouterr().err.startswith("free-swim trial written to ")
+
+    def test_failing_trial_names_its_design(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise IntegrationDivergenceError("state diverged near t=0.1 s", time=0.1)
+
+        monkeypatch.setattr(harness, "simulate_free_swim", diverge)
+        out = tmp_path / "runs"
+        assert main(["freeswim", "--design", "c", "--output-dir", str(out), "--quiet"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "numerical failure: state diverged near t=0.1 s; while processing design='c', freq=2 Hz"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, writer, whole", [("sweep", "write_sweep_table", 0), ("freeswim", "write_freeswim_trace", 1)]
+    )
+    def test_write_failure_leaves_no_run_dir(self, tmp_path, capsys, monkeypatch, command, writer, whole):
+        real_writer, calls = getattr(cli, writer), []
+
+        def full_disk(table, path):
+            # The first `whole` files are written whole; the next stops part-way, as on a full disk.
+            calls.append(path)
+            if len(calls) <= whole:
+                return real_writer(table, path)
+            with open(path, "w") as fh:
+                fh.write("partial,row\n")
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+
+        monkeypatch.setattr(cli, writer, full_disk)
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("[designs]\nbaseline = 0.0\nc = 0.667\n")
+        out = tmp_path / "runs"
+        argv = [command, "--config", str(cfg), "--output-dir", str(out), "--quiet"]
+        if command == "sweep":
+            argv += ["--set", "sweep.freq_grid_hz=2", "--set", "sweep.cycles=3", "--set", "sweep.warmup_cycles=0"]
+        else:
+            argv += ["--set", "freeswim.duration_s=0.5"]
+        assert main(argv) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("i/o failure: [Errno 28] No space left on device")
+        assert len(calls) == whole + 1 and os.listdir(out) == []
 
     def test_bender_run(self, tmp_path, capsys):
         out = str(tmp_path / "runs")

@@ -160,6 +160,14 @@ class TestFileAndOverrides:
             "output.seed=-5000000",  # numpy's generators take no negative seed
             f"bender.cycles={10**30}",  # a record of 4e32 samples
             "bender.cycles=25001",  # 25,001 cycles of 400 samples at 0.5 Hz: over 1e7
+            "bender.repeats=4269",  # 4,269 runs of 46,860 samples: over 2e8
+            f"bender.repeats={10**30}",
+            "bender.freq_grid_hz=0:1e308:1e-308",  # a shorthand of over 1e5 points
+            "sweep.cycles=100000",  # a lane of 1e8 samples
+            "sweep.warmup_cycles=9998",  # 10,001 cycles of 1,000 samples: over 1e7
+            "freeswim.duration_s=0.3",  # 0.6 cycles at 2 Hz
+            "freeswim.duration_s=833.34",  # 1,666.68 cycles of 6,000 samples: over 1e7
+            "freeswim.duration_s=1e308",  # the cycle count overflows to inf
         ],
     )
     def test_rejected_at_load(self, item):
@@ -193,6 +201,12 @@ class TestFileAndOverrides:
         config = load_config(overrides=["sweep.heave_amp_pp_m=0", "sweep.prony_branches=9"])
         assert (config.sweep.heave_amp_pp, config.sweep.prony_branches) == (0.0, 9)
         assert load_config(overrides=["bender.cycles=25000"]).bender.cycles == 25000  # 1e7 samples at 0.5 Hz
+        assert load_config(overrides=["bender.repeats=4268"]).bender.repeats == 4268  # 199,998,480 samples
+        assert len(load_config(overrides=["bender.freq_grid_hz=0:99999:1", "bender.sample_rate_hz=2e5"])
+                   .bender.freq_grid_hz) == 10**5
+        assert load_config(overrides=["sweep.cycles=9995"]).sweep.cycles == 9995  # 1e7 samples per lane
+        assert load_config(overrides=["freeswim.duration_s=0.5"]).freeswim.duration == 0.5  # one cycle
+        assert load_config(overrides=["freeswim.duration_s=833.33"]).freeswim.duration == 833.33
 
 
 _KEYS = [f"{section}.{key}" for section, keys in load_config().raw.items() for key in keys]

@@ -131,6 +131,23 @@ class TestFreeSwim:
         _, m2 = run_freeswim_trial(small_config, "baseline")
         assert m1 == m2
 
+    @pytest.mark.parametrize(
+        "duration, nan_rows", [(1.3, 3602), (1.0, 1), (0.5, 1)], ids=["nan-tail", "whole-cycles", "one-cycle"]
+    )
+    def test_trace_is_each_sample_written_as_float(self, tmp_path, duration, nan_rows):
+        # The cycle-mean columns are formatted once per cycle; the text must be
+        # that of every sample of expanded_cycle_columns written as a float.
+        config = load_config(overrides=[f"freeswim.duration_s={duration}"])
+        trace, _ = run_freeswim_trial(config, "baseline")
+        a_cycavg, u_cycavg = trace.expanded_cycle_columns()
+        assert np.isnan(a_cycavg).sum() == np.isnan(u_cycavg).sum() == nan_rows
+        path = tmp_path / "trace.csv"
+        harness.write_freeswim_trace(trace, str(path))
+        rows = zip(trace.time, trace.x, trace.u, trace.accel, a_cycavg, u_cycavg)
+        want = "time_s,x_m,u_mps,a_mps2,a_cycavg_mps2,u_cycavg_mps\n"
+        want += "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()
+
 
 class TestPersistence:
     def test_impedance_round_trip(self, bender_table, tmp_path):
@@ -256,6 +273,16 @@ class TestRunDir:
         assert os.path.isdir(run_dir)
         manifest = open(os.path.join(run_dir, "manifest.json")).read()
         assert "toolkit_version" in manifest and "resolved_config" in manifest
+
+    def test_failed_manifest_write_leaves_no_run_dir(self, tmp_path, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(harness.json, "dump", full_disk)
+        config = load_config(overrides=[f"output.directory={tmp_path}"])
+        with pytest.raises(OSError):
+            create_run_dir(config, "sweep")
+        assert os.listdir(tmp_path) == []
 
     def test_same_second_names_take_the_next_free_suffix(self, tmp_path, monkeypatch):
         class Frozen(datetime.datetime):

@@ -21,14 +21,18 @@ from ._version import __version__
 from .config import CONFIG_SCHEMA_VERSION, ProtocolConfig, load_config, parse_grid
 from .errors import CldPropError, ConfigError
 from .harness import (
+    ImpedanceRow,
     create_run_dir,
     emit_plot_data,
     run_bender_sweep,
     run_freeswim_trial,
     run_strouhal_sweep,
+    write_extract_report,
     write_freeswim_trace,
     write_impedance_table,
+    write_layup_table,
     write_sweep_table,
+    write_swim_metrics,
 )
 from .signals import TimeSeries, hysteresis_loop_area, impedance_fractions, lockin_extract
 from .stiffness import rku_complex_stiffness
@@ -144,17 +148,12 @@ def _cmd_layup(args) -> int:
     config = _load(args)
     # layup samples nothing, so its grid is not held to the bender's Nyquist limit.
     grid = parse_grid(args.freq_grid) if args.freq_grid else config.bender.freq_grid_hz
-    lines = ["design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative"]
+    rows = []
     for design, coverage in config.designs:
-        layup = config.layups[coverage]
         for f in grid:
-            k = rku_complex_stiffness(layup, 2.0 * math.pi * f)
-            fr = impedance_fractions(k)
-            lines.append(
-                f"{design},{f:.12g},{k.storage:.12g},{k.loss:.12g},"
-                f"{fr.elastic:.12g},{fr.dissipative:.12g}"
-            )
-    print("\n".join(lines))  # a K* failure part-way leaves stdout empty
+            k = rku_complex_stiffness(config.layups[coverage], 2.0 * math.pi * f)
+            rows.append(ImpedanceRow(design, f, k, impedance_fractions(k), None))
+    write_layup_table(rows, sys.stdout)  # after the last K*, so a K* failure part-way leaves stdout empty
     return 0
 
 
@@ -192,13 +191,7 @@ def _cmd_extract(args) -> int:
     torque = TimeSeries(fs, tq, float(t[0]))
     result = lockin_extract(theta, torque, args.freq)
     area = hysteresis_loop_area(theta, torque, args.freq)
-    fr = impedance_fractions(result.stiffness)
-    print("freq_hz,k_storage,k_loss,phase_lag_rad,f_elastic,f_dissipative,coherence,loop_area_j")
-    print(
-        f"{args.freq:.12g},{result.stiffness.storage:.12g},{result.stiffness.loss:.12g},"
-        f"{result.phase_lag:.12g},{fr.elastic:.12g},{fr.dissipative:.12g},"
-        f"{result.coherence:.12g},{area:.12g}"
-    )
+    write_extract_report(args.freq, result, area, sys.stdout)
     return 0
 
 
@@ -220,19 +213,13 @@ def _cmd_freeswim(args) -> int:
     for name in names:
         config.coverage_of(name)  # an unknown design fails before any trial runs
     trials = [(name, *run_freeswim_trial(config, name)) for name in names]
-    lines = ["design,peak_accel_mps2,terminal_velocity_mps,net_displacement_m,total_travel_m"]
-    lines += [
-        f"{name},{metrics['peak_accel']:.12g},{metrics['terminal_velocity']:.12g},"
-        f"{metrics['net_displacement']:.12g},{metrics['total_travel']:.12g}"
-        for name, _, metrics in trials
-    ]
-    summary = "\n".join(lines) + "\n"
+    summary = [(name, metrics) for name, _, metrics in trials]
     with _run_dir(config, "freeswim") as run_dir:
         for name, trace, _ in trials:
             write_freeswim_trace(trace, f"{run_dir}/trace_{name}.csv")
         with open(f"{run_dir}/swim_metrics.csv", "w", newline="\n") as fh:
-            fh.write(summary)
-    print(summary, end="")
+            write_swim_metrics(summary, fh)
+    write_swim_metrics(summary, sys.stdout)
     _info(args, f"free-swim trial written to {run_dir}")
     return 0
 

@@ -34,6 +34,10 @@ MAX_GRID_POINTS = 10**5
 # sample on a 2-core Xeon. The default run synthesizes 46,860 and a noisy
 # run of 5 repeats 234,300.
 MAX_BENDER_SAMPLES = 2 * 10**8
+# Most plant samples a sweep may integrate over all lanes at MIN_STEPS_PER_CYCLE;
+# one plant run's limit, so it bounds each lane too. About 37 s of sweep: the
+# default sweep's 420,000 take 1.6 s in-process on a 1-core Xeon, 3x as many 4.7 s.
+MAX_SWEEP_SAMPLES = MAX_SAMPLES
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -315,9 +319,10 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError("sweep.prony_fit_grid_hz must contain positive frequencies only")
     if sweep.cycles < 3 or sweep.warmup_cycles < 0:
         raise ConfigError("sweep.cycles must be >= 3 (whole cycles averaged) and sweep.warmup_cycles >= 0")
-    if (sweep.cycles + sweep.warmup_cycles) * MIN_STEPS_PER_CYCLE > MAX_SAMPLES:
+    lanes = len(designs) * len(sweep.freq_grid_hz)
+    if lanes * (sweep.cycles + sweep.warmup_cycles) * MIN_STEPS_PER_CYCLE > MAX_SWEEP_SAMPLES:
         raise ConfigError(
-            f"sweep lane of (cycles + warmup_cycles) * {MIN_STEPS_PER_CYCLE} samples is over {MAX_SAMPLES}"
+            f"sweep of {lanes} lanes * (cycles + warmup_cycles) * {MIN_STEPS_PER_CYCLE} samples is over {MAX_SWEEP_SAMPLES}"
         )
     if not 1 <= sweep.prony_branches <= (len(sweep.prony_fit_grid_hz) - 1) // 2:
         raise ConfigError("sweep.prony_branches must be >= 1, with 2 * branches + 1 fit grid points")

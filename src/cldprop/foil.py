@@ -140,8 +140,8 @@ class CycleMetrics:
 class FreeSwimTrace:
     """Carriage kinematics of a virtual-mass trial.
 
-    Cycle-averaged columns hold the per-cycle mean repeated across that
-    cycle's samples; samples past the last whole cycle are NaN.
+    `accel_cycle_mean` and `u_cycle_mean` hold one mean per whole heave cycle;
+    `expanded_cycle_columns` lays them on the time grid, NaN past the last.
     """
 
     time: np.ndarray

@@ -19,7 +19,8 @@ import shutil
 from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .foil import (
 from .prony import PronyFit, fit_prony
 from .signals import (
     ImpedanceFractions,
+    LockinResult,
     hysteresis_loop_area,
     impedance_fractions,
     lockin_extract,
@@ -53,7 +55,7 @@ class ImpedanceRow:
     freq_hz: float
     stiffness: ComplexStiffness
     fractions: ImpedanceFractions
-    loop_area_j: float
+    loop_area_j: float | None  # None in the model table of `cldprop layup`, which measures no loop
 
 
 @dataclass(frozen=True)
@@ -188,40 +190,47 @@ def run_freeswim_trial(config: ProtocolConfig, design_name: str) -> tuple[FreeSw
 
 
 # ---------------------------------------------------------------------------
-# Tables: one column spec per table drives its writer, reader and plots
+# Tables: one column spec per table drives its writer and its plots
 
 # Rows formatted per write: keeps a long trace from being formatted whole in memory.
 _CHUNK_ROWS = 256
 
 
-def _maybe_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+# Cell formatters. repr of a float is the shortest digit string that
+# round-trips exactly, so float() of a written cell gives back its value and
+# identical runs diff byte-clean.
+def _floats(values: Sequence) -> list[str]:
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _optional_floats(values: Sequence) -> list[str]:
+    return ["" if v is None else repr(float(v)) for v in values]
 
 
 @dataclass(frozen=True)
 class _Column:
-    """One CSV column: header, plot-axis label, getter and cell type.
+    """One CSV column: header, plot-axis label, getter and cell formatter.
 
     `get` maps the table's source (its rows, or a whole trace) to the
-    column's values. `cell` parses a cell: `str`, `float`, or `_maybe_float`
-    for a float that may be missing (None, written as an empty cell). A `str`
-    column is written as its values are, so a getter may return preformatted
-    cells.
+    column's values. `cell` formats a run of them: `_floats`,
+    `_optional_floats` for a float that may be missing (None, written as an
+    empty cell), or `list` for text, written as it is, so a getter may
+    return preformatted cells.
     """
 
     header: str
     label: str
     get: Callable[[Any], Sequence]
-    cell: Callable[[str], Any] = float
+    cell: Callable[[Sequence], list[str]] = _floats
 
 
-def _per_row(header: str, label: str, attr: str, cell: Callable[[str], Any] = float) -> _Column:
+def _per_row(header: str, label: str, attr: str, cell: Callable[[Sequence], list[str]] = _floats) -> _Column:
     value = attrgetter(attr)
     return _Column(header, label, lambda rows: [value(r) for r in rows], cell)
 
 
 _IMPEDANCE_COLUMNS = (
-    _per_row("design", "design", "design", str),
+    _per_row("design", "design", "design", list),
     _per_row("freq_hz", "frequency (Hz)", "freq_hz"),
     _per_row("k_storage", "K' (N*m/rad)", "stiffness.storage"),
     _per_row("k_loss", "K'' (N*m/rad)", "stiffness.loss"),
@@ -231,16 +240,34 @@ _IMPEDANCE_COLUMNS = (
 )
 
 _SWEEP_COLUMNS = (
-    _per_row("design", "design", "design", str),
+    _per_row("design", "design", "design", list),
     _per_row("st", "Strouhal number", "st"),
     _per_row("freq_hz", "frequency (Hz)", "freq_hz"),
     _per_row("mean_thrust_n", "mean thrust (N)", "metrics.mean_thrust"),
     _per_row("mean_input_power_w", "mean input power (W)", "metrics.mean_input_power"),
-    _per_row("efficiency", "efficiency", "metrics.efficiency", _maybe_float),
+    _per_row("efficiency", "efficiency", "metrics.efficiency", _optional_floats),
     _per_row("k_eff_storage", "K'_eff (N*m/rad)", "metrics.effective_stiffness.storage"),
     _per_row("k_eff_loss", "K''_eff (N*m/rad)", "metrics.effective_stiffness.loss"),
     _per_row("f_elastic", "elastic", "metrics.fractions.elastic"),
     _per_row("f_dissipative", "dissipative", "metrics.fractions.dissipative"),
+)
+
+# The one-row lock-in report: a LockinResult's fields with freq_hz, fractions and loop_area_j.
+_EXTRACT_COLUMNS = (
+    *_IMPEDANCE_COLUMNS[1:4],
+    _per_row("phase_lag_rad", "phase lag (rad)", "phase_lag"),
+    *_IMPEDANCE_COLUMNS[4:6],
+    _per_row("coherence", "coherence", "coherence"),
+    _IMPEDANCE_COLUMNS[6],
+)
+
+# One row per free-swim trial: its design and its swim_metrics.
+_SWIM_METRICS_COLUMNS = (
+    _per_row("design", "design", "design", list),
+    _per_row("peak_accel_mps2", "peak acceleration (m/s^2)", "peak_accel"),
+    _per_row("terminal_velocity_mps", "terminal velocity (m/s)", "terminal_velocity"),
+    _per_row("net_displacement_m", "net displacement (m)", "net_displacement"),
+    _per_row("total_travel_m", "total travel (m)", "total_travel"),
 )
 
 
@@ -267,80 +294,48 @@ _FREESWIM_TRACE_COLUMNS = (
     _Column("x_m", "position (m)", attrgetter("x")),
     _Column("u_mps", "velocity (m/s)", attrgetter("u")),
     _Column("a_mps2", "acceleration (m/s^2)", attrgetter("accel")),
-    _Column("a_cycavg_mps2", "cycle-mean a (m/s^2)", _cycle_mean_cells("accel_cycle_mean"), str),
-    _Column("u_cycavg_mps", "cycle-mean u (m/s)", _cycle_mean_cells("u_cycle_mean"), str),
+    _Column("a_cycavg_mps2", "cycle-mean a (m/s^2)", _cycle_mean_cells("accel_cycle_mean"), list),
+    _Column("u_cycavg_mps", "cycle-mean u (m/s)", _cycle_mean_cells("u_cycle_mean"), list),
 )
 
 
-def _cells(cell: Callable[[str], Any], values: Sequence) -> list[str]:
-    # repr of a float is the shortest digit string that round-trips exactly,
-    # so written tables re-read equal and identical runs diff byte-clean.
-    if cell is str:
-        return list(values)
-    if cell is float:
-        return list(map(repr, np.asarray(values, dtype=float).tolist()))
-    return ["" if v is None else repr(float(v)) for v in values]
-
-
-def _write_csv(path: str, columns: Sequence[_Column], source) -> None:
-    """Write `source` under `columns`, formatting a bounded chunk of rows at a time."""
+def _write_csv(out: TextIO, columns: Sequence[_Column], source) -> None:
+    """Write `source` under `columns` to `out`, formatting a bounded chunk of rows at a time."""
     values = [c.get(source) for c in columns]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(c.header for c in columns) + "\n")
-        for start in range(0, len(values[0]), _CHUNK_ROWS):
-            chunk = [_cells(c.cell, v[start : start + _CHUNK_ROWS]) for c, v in zip(columns, values)]
-            fh.writelines(",".join(row) + "\n" for row in zip(*chunk))
-
-
-def _read_csv(path: str, columns: Sequence[_Column]) -> list[dict[str, Any]]:
-    """Rows of a CSV as {header: value}; the header must match `columns` exactly."""
-    expected = ",".join(c.header for c in columns)
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != expected:
-            raise CldPropError(f"{path}: header {header!r} does not match {expected!r}")
-        for n, line in enumerate(fh, start=2):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(columns):
-                raise CldPropError(f"{path}:{n}: {len(cells)} cells, expected {len(columns)}")
-            rows.append({c.header: c.cell(text) for c, text in zip(columns, cells)})
-    return rows
+    out.write(",".join(c.header for c in columns) + "\n")
+    for start in range(0, len(values[0]), _CHUNK_ROWS):
+        chunk = [c.cell(v[start : start + _CHUNK_ROWS]) for c, v in zip(columns, values)]
+        out.writelines(",".join(row) + "\n" for row in zip(*chunk))
 
 
 def write_impedance_table(table: ImpedanceTable, path: str) -> None:
-    _write_csv(path, _IMPEDANCE_COLUMNS, table.rows)
-
-
-def read_impedance_table(path: str) -> ImpedanceTable:
-    rows = []
-    for c in _read_csv(path, _IMPEDANCE_COLUMNS):
-        k = ComplexStiffness(c["k_storage"], c["k_loss"])
-        fr = ImpedanceFractions(c["f_elastic"], c["f_dissipative"])
-        rows.append(ImpedanceRow(c["design"], c["freq_hz"], k, fr, c["loop_area_j"]))
-    return ImpedanceTable(rows=tuple(rows))
+    with open(path, "w", newline="\n") as fh:
+        _write_csv(fh, _IMPEDANCE_COLUMNS, table.rows)
 
 
 def write_sweep_table(table: SweepTable, path: str) -> None:
-    _write_csv(path, _SWEEP_COLUMNS, table.rows)
-
-
-def read_sweep_table(path: str) -> SweepTable:
-    rows = []
-    for c in _read_csv(path, _SWEEP_COLUMNS):
-        metrics = CycleMetrics(
-            mean_thrust=c["mean_thrust_n"],
-            mean_input_power=c["mean_input_power_w"],
-            efficiency=c["efficiency"],
-            effective_stiffness=ComplexStiffness(c["k_eff_storage"], c["k_eff_loss"]),
-            fractions=ImpedanceFractions(c["f_elastic"], c["f_dissipative"]),
-        )
-        rows.append(SweepRow(c["design"], c["st"], c["freq_hz"], metrics))
-    return SweepTable(rows=tuple(rows))
+    with open(path, "w", newline="\n") as fh:
+        _write_csv(fh, _SWEEP_COLUMNS, table.rows)
 
 
 def write_freeswim_trace(trace: FreeSwimTrace, path: str) -> None:
-    _write_csv(path, _FREESWIM_TRACE_COLUMNS, trace)
+    with open(path, "w", newline="\n") as fh:
+        _write_csv(fh, _FREESWIM_TRACE_COLUMNS, trace)
+
+
+def write_layup_table(rows: Sequence[ImpedanceRow], out: TextIO) -> None:
+    _write_csv(out, _IMPEDANCE_COLUMNS[:6], rows)
+
+
+def write_extract_report(freq_hz: float, lockin: LockinResult, loop_area_j: float, out: TextIO) -> None:
+    fractions = impedance_fractions(lockin.stiffness)
+    row = SimpleNamespace(**vars(lockin), freq_hz=freq_hz, fractions=fractions, loop_area_j=loop_area_j)
+    _write_csv(out, _EXTRACT_COLUMNS, [row])
+
+
+def write_swim_metrics(trials: Sequence[tuple[str, dict[str, float]]], out: TextIO) -> None:
+    rows = [SimpleNamespace(design=name, **metrics) for name, metrics in trials]
+    _write_csv(out, _SWIM_METRICS_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +374,8 @@ def emit_plot_data(table, kind: str, out_dir: str) -> list[str]:
     for name in dict.fromkeys(r.design for r in table.rows):
         rows = table.for_design(name)
         base = os.path.join(out_dir, f"fig_{kind}_{name}")
-        _write_csv(base + ".csv", columns, rows)
+        with open(base + ".csv", "w", newline="\n") as fh:
+            _write_csv(fh, columns, rows)
         xs = columns[0].get(rows)
         series = [(c.label, xs, [0.0 if v is None else v for v in c.get(rows)]) for c in columns[1:]]
         write_line_chart(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from test_config import _KEYS, _VALUES
 import cldprop
 from cldprop import cli, harness
 from cldprop.cli import main
+from cldprop.config import load_config, parse_grid
 from cldprop.errors import IntegrationDivergenceError
+from cldprop.harness import run_freeswim_trial
+from cldprop.signals import TimeSeries, hysteresis_loop_area, impedance_fractions, lockin_extract
+from cldprop.stiffness import rku_complex_stiffness
 
 _K, _C, _F, _FS = 2.0, 0.05, 3.0, 200.0
 
@@ -144,6 +149,7 @@ class TestUsage:
             ["bender", "--set", f"bender.repeats={10**30}"],
             ["bender", "--freq-grid", "0:1e308:1e-308"],
             ["sweep", "--set", "sweep.cycles=100000"],
+            ["sweep", "--set", "sweep.freq_grid_hz=1:100000:1"],
             ["freeswim", "--set", "freeswim.duration_s=0.3"],
             ["freeswim", "--set", "freeswim.duration_s=1e6"],
         ],
@@ -162,6 +168,7 @@ class TestUsage:
             "bender-work-too-long",
             "grid-too-long",
             "sweep-lane-too-long",
+            "sweep-too-long",
             "freeswim-under-one-cycle",
             "freeswim-trial-too-long",
         ],
@@ -211,24 +218,136 @@ class TestLayup:
         assert out == ""
 
 
-def _layup_run(item: str) -> tuple[int, str, str]:
+def _cli_run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["layup", "--quiet", "--set", item])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _assert_finite_table(text: str, optional: tuple[str, ...] = ()) -> None:
+    # Every cell after the design is a finite number; a column in `optional` may also be empty.
+    header, *lines = text.splitlines()
+    assert lines
+    for line in lines:
+        for name, cell in zip(header.split(",")[1:], line.split(",")[1:]):
+            assert (cell == "" and name in optional) or math.isfinite(float(cell)), (name, cell)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(key=st.sampled_from(_KEYS), value=_VALUES)
 def test_layup_override_prints_finite_table_or_fails_in_one_line(key, value):
-    # layup only: load_config bounds bender and sweep work, but the bounds admit minutes of it.
-    code, out, err = _layup_run(f"{key}={value}")
+    code, out, err = _cli_run(["layup", "--quiet", "--set", f"{key}={value}"])
     assert code in (0, 2, 3) and "Traceback" not in err
     if code:
         assert len(err.splitlines()) == 1
     else:
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+        _assert_finite_table(out)
+
+
+# load_config bounds bender and sweep work, but the bounds admit about a minute
+# of it, so the fuzz caps each protocol's grid, cycles and repeats and draws none
+# of those keys. Nor does it draw the bender sample rate (a record may reach 1e7
+# samples) or, for the sweep, a key that changes a Prony fit (layup, designs,
+# sweep.prony_*): the tau floor lets a fit ask for up to 1e7 samples per lane.
+_PROTOCOL_FUZZ = {
+    "bender": (
+        ["bender.freq_grid_hz=1,2", "bender.cycles=3", "bender.repeats=1"],
+        ("bender.freq_grid_hz", "bender.cycles", "bender.repeats", "bender.sample_rate_hz"),
+        "impedance_table.csv",
+    ),
+    "sweep": (
+        ["sweep.freq_grid_hz=2", "sweep.cycles=3", "sweep.warmup_cycles=0"],
+        ("sweep.freq_grid_hz", "sweep.cycles", "sweep.warmup_cycles", "sweep.prony_", "layup.", "designs."),
+        "sweep_table.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_PROTOCOL_FUZZ))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, data):
+    caps, undrawn, table = _PROTOCOL_FUZZ[command]
+    key = data.draw(st.sampled_from([k for k in _KEYS if not k.startswith(undrawn)]), label="key")
+    value = data.draw(_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as out:
+        argv = [command, "--quiet", "--output-dir", out]
+        for item in [*caps, f"{key}={value}"]:
+            argv += ["--set", item]
+        code, _, err = _cli_run(argv)
+        assert code in (0, 2, 3) and "Traceback" not in err
+        runs = os.listdir(out)
+        if code:
+            assert len(err.splitlines()) == 1 and runs == []
+        else:
+            (run,) = runs
+            with open(os.path.join(out, run, table)) as fh:
+                _assert_finite_table(fh.read(), optional=("efficiency",))
+
+
+def test_stdout_cells_are_the_library_values(tmp_path, capsys):
+    # float() of each cell that layup, extract and freeswim print gives back the value exactly.
+    config = load_config()
+    assert main(["layup", "--quiet", "--freq-grid", "0:2:0.3"]) == 0
+    want = []
+    for design, coverage in config.designs:
+        for f in parse_grid("0:2:0.3"):
+            k = rku_complex_stiffness(config.layups[coverage], 2.0 * math.pi * f)
+            fr = impedance_fractions(k)
+            want.append([design, f, k.storage, k.loss, fr.elastic, fr.dissipative])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [[r[0], *map(float, r[1:])] for r in rows] == want
+
+    theta, torque = _write_oracle_files(tmp_path)
+    assert main(["extract", "--quiet", "--theta", theta, "--torque", torque, "--freq", "3"]) == 0
+    (row,) = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    t, th = np.loadtxt(theta, delimiter=",", skiprows=1, unpack=True)
+    tq = np.loadtxt(torque, delimiter=",", skiprows=1, usecols=1)
+    pair = TimeSeries(1.0 / float(np.diff(t)[0]), th, float(t[0])), TimeSeries(1.0 / float(np.diff(t)[0]), tq, float(t[0]))
+    lockin, area = lockin_extract(*pair, 3.0), hysteresis_loop_area(*pair, 3.0)
+    k, fr = lockin.stiffness, impedance_fractions(lockin.stiffness)
+    assert [float(c) for c in row] == [
+        3.0, k.storage, k.loss, lockin.phase_lag, fr.elastic, fr.dissipative, lockin.coherence, area
+    ]
+
+    out = tmp_path / "runs"
+    argv = ["freeswim", "--quiet", "--design", "c", "--set", "freeswim.duration_s=1.0", "--output-dir", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    (run,) = os.listdir(out)
+    assert (out / run / "swim_metrics.csv").read_text() == printed
+    (row,) = [line.split(",") for line in printed.splitlines()[1:]]
+    _, metrics = run_freeswim_trial(load_config(overrides=["freeswim.duration_s=1.0"]), "c")
+    assert row[0] == "c"
+    assert [float(c) for c in row[1:]] == [
+        metrics[k] for k in ("peak_accel", "terminal_velocity", "net_displacement", "total_travel")
+    ]
+
+
+def test_traced_benchmark_finds_its_names_and_arguments(tmp_path):
+    # perfbench/spans.py patches names bound in cli and harness and reads dt,
+    # n_cycles and duration from the calls; only traced benchmark runs use it.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import spans\n"
+        "rec = spans.install()\n"
+        "from cldprop import cli\n"
+        "runs = ['--output-dir', 'runs', '--quiet']\n"
+        "assert cli.main(['layup', '--quiet']) == 0\n"
+        "lane = ['--set', 'sweep.freq_grid_hz=2', '--set', 'sweep.cycles=3', '--set', 'sweep.warmup_cycles=0']\n"
+        "assert cli.main(['sweep', *runs, *lane]) == 0\n"
+        "assert cli.main(['freeswim', *runs, '--design', 'c', '--set', 'freeswim.duration_s=1']) == 0\n"
+        "sims = [s[4] for s in rec.spans if s[0] == 'foil.sim']\n"
+        "assert sims and all('rule_steps' in counts for counts in sims), sims\n"
+        "assert spans.step_rule_mismatches(rec.spans) == []\n"
+        "metrics = spans.layer_metrics(rec.spans, rec.counts)\n"
+        "assert metrics['foil.sim_calls'] == 5 and metrics['harness.write_bytes'] > 0, metrics\n"
+    )
+    path = os.pathsep.join([os.path.join(root, "src"), os.path.join(root, "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_light_commands_load_no_scipy():

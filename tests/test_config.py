@@ -164,7 +164,9 @@ class TestFileAndOverrides:
             f"bender.repeats={10**30}",
             "bender.freq_grid_hz=0:1e308:1e-308",  # a shorthand of over 1e5 points
             "sweep.cycles=100000",  # a lane of 1e8 samples
-            "sweep.warmup_cycles=9998",  # 10,001 cycles of 1,000 samples: over 1e7
+            "sweep.warmup_cycles=9998",  # a lane of 10,008 cycles of 1,000 samples: over 1e7
+            "sweep.cycles=353",  # 28 lanes of 358 cycles of 1,000 samples: 10,024,000
+            "sweep.freq_grid_hz=1:100000:1",  # 4e5 lanes of 15,000 samples
             "freeswim.duration_s=0.3",  # 0.6 cycles at 2 Hz
             "freeswim.duration_s=833.34",  # 1,666.68 cycles of 6,000 samples: over 1e7
             "freeswim.duration_s=1e308",  # the cycle count overflows to inf
@@ -204,7 +206,8 @@ class TestFileAndOverrides:
         assert load_config(overrides=["bender.repeats=4268"]).bender.repeats == 4268  # 199,998,480 samples
         assert len(load_config(overrides=["bender.freq_grid_hz=0:99999:1", "bender.sample_rate_hz=2e5"])
                    .bender.freq_grid_hz) == 10**5
-        assert load_config(overrides=["sweep.cycles=9995"]).sweep.cycles == 9995  # 1e7 samples per lane
+        assert load_config(overrides=["sweep.cycles=352"]).sweep.cycles == 352  # 28 lanes: 9,996,000 samples
+        assert load_config(overrides=["sweep.freq_grid_hz=2", "sweep.cycles=2495"]).sweep.cycles == 2495  # 1e7
         assert load_config(overrides=["freeswim.duration_s=0.5"]).freeswim.duration == 0.5  # one cycle
         assert load_config(overrides=["freeswim.duration_s=833.33"]).freeswim.duration == 833.33
 

@@ -20,8 +20,6 @@ from cldprop.harness import (
     create_run_dir,
     emit_plot_data,
     fit_design_hinge,
-    read_impedance_table,
-    read_sweep_table,
     run_bender_sweep,
     run_freeswim_trial,
     run_strouhal_sweep,
@@ -149,18 +147,49 @@ class TestFreeSwim:
         assert path.read_bytes() == want.encode()
 
 
+def _csv_cells(path) -> tuple[str, list[list[str]]]:
+    header, *lines = path.read_text().splitlines()
+    return header, [line.split(",") for line in lines]
+
+
 class TestPersistence:
+    # float() of every written cell gives back its row's value exactly.
     def test_impedance_round_trip(self, bender_table, tmp_path):
-        path = str(tmp_path / "impedance.csv")
-        write_impedance_table(bender_table, path)
-        again = read_impedance_table(path)
-        assert again == bender_table
+        path = tmp_path / "impedance.csv"
+        write_impedance_table(bender_table, str(path))
+        header, rows = _csv_cells(path)
+        assert header == "design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative,loop_area_j"
+        assert len(rows) == len(bender_table.rows)
+        for cells, row in zip(rows, bender_table.rows):
+            k, fr = row.stiffness, row.fractions
+            assert cells[0] == row.design
+            assert [float(c) for c in cells[1:]] == [
+                row.freq_hz, k.storage, k.loss, fr.elastic, fr.dissipative, row.loop_area_j
+            ]
 
     def test_sweep_round_trip(self, sweep_table, tmp_path):
-        path = str(tmp_path / "sweep.csv")
-        write_sweep_table(sweep_table, path)
-        again = read_sweep_table(path)
-        assert again == sweep_table
+        first = sweep_table.rows[0]
+        missing = replace(first, metrics=replace(first.metrics, efficiency=None))
+        table = SweepTable(rows=(missing,) + sweep_table.rows[1:])
+        path = tmp_path / "sweep.csv"
+        write_sweep_table(table, str(path))
+        header, rows = _csv_cells(path)
+        assert header == (
+            "design,st,freq_hz,mean_thrust_n,mean_input_power_w,efficiency,"
+            "k_eff_storage,k_eff_loss,f_elastic,f_dissipative"
+        )
+        assert len(rows) == len(table.rows)
+        for cells, row in zip(rows, table.rows):
+            m, k = row.metrics, row.metrics.effective_stiffness
+            assert cells[0] == row.design
+            if m.efficiency is None:
+                assert cells[5] == ""
+            else:
+                assert float(cells[5]) == m.efficiency
+            assert [float(c) for c in cells[1:5] + cells[6:]] == [
+                row.st, row.freq_hz, m.mean_thrust, m.mean_input_power,
+                k.storage, k.loss, m.fractions.elastic, m.fractions.dissipative,
+            ]
 
     def test_byte_identical_between_runs(self, small_config, bender_table, tmp_path):
         other = run_bender_sweep(small_config)
@@ -168,29 +197,6 @@ class TestPersistence:
         write_impedance_table(bender_table, p1)
         write_impedance_table(other, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
-
-    @pytest.mark.parametrize(
-        "table, write, read, first, second",
-        [
-            ("bender_table", write_impedance_table, read_impedance_table, "k_storage", "k_loss"),
-            ("sweep_table", write_sweep_table, read_sweep_table, "mean_thrust_n", "mean_input_power_w"),
-        ],
-        ids=["impedance", "sweep"],
-    )
-    @pytest.mark.parametrize("damage", ["swap_header", "drop_cell"])
-    def test_reader_rejects_mismatched_layout(
-        self, request, table, write, read, first, second, damage, tmp_path
-    ):
-        path = tmp_path / "table.csv"
-        write(request.getfixturevalue(table), str(path))
-        header, *lines = path.read_text().splitlines(keepends=True)
-        if damage == "swap_header":
-            header = header.replace(first, "@").replace(second, first).replace("@", second)
-        else:
-            lines[0] = lines[0].rsplit(",", 1)[0] + "\n"
-        path.write_text(header + "".join(lines))
-        with pytest.raises(CldPropError):
-            read(str(path))
 
 
 class TestPlotData:

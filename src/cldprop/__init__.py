@@ -58,7 +58,6 @@ from .stiffness import (
     ComplexStiffness,
     FractionalZenerParams,
     SandwichLayup,
-    default_layup,
     rku_complex_stiffness,
     zener_shear_modulus,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "UnknownDesignError",
     "cycle_average",
     "cycle_fold",
-    "default_layup",
     "emit_plot_data",
     "fit_design_hinge",
     "fit_prony",

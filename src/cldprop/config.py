@@ -2,8 +2,9 @@
 
 A single config file drives every protocol runner. Keys carry their unit in
 the name (`_mm`, `_hz`, `_mps`, ...) so a value can never be silently
-misread in the wrong unit. Every key has a default matching the stock
-bench protocols, so an empty file (or no file) is a valid configuration.
+misread in the wrong unit. Every key has a default: the stock bench
+protocols, declared only here (the library takes every physical value
+explicitly), so an empty file (or no file) is a valid configuration.
 
 Overrides use the flat grammar `section.key=value` and are validated
 against the schema: unknown sections or keys are errors, not warnings.
@@ -20,13 +21,11 @@ from typing import Any, Callable
 
 from .errors import ConfigError, ParameterDomainError, UnknownDesignError
 from .foil import FREESWIM_MIN_STEPS_PER_CYCLE, MAX_SAMPLES, MIN_STEPS_PER_CYCLE, FoilConfig, KinematicsSpec
+from .signals import DEFAULT_THETA_AMP
 from .stiffness import FractionalZenerParams, SandwichLayup
 
 CONFIG_SCHEMA_VERSION = 2
 
-# Longest synthetic bender record load_config accepts, in samples: one float
-# array of it is about 80 MB, and the default record holds 4,000 samples.
-MAX_RECORD_SAMPLES = 10**7
 # Most points a `start:stop:step` grid may expand to; the default grids hold 7 to 20.
 MAX_GRID_POINTS = 10**5
 # Most samples a bender run may synthesize over all designs, grid points and
@@ -34,10 +33,6 @@ MAX_GRID_POINTS = 10**5
 # sample on a 2-core Xeon. The default run synthesizes 46,860 and a noisy
 # run of 5 repeats 234,300.
 MAX_BENDER_SAMPLES = 2 * 10**8
-# Most plant samples a sweep may integrate over all lanes at MIN_STEPS_PER_CYCLE;
-# one plant run's limit, so it bounds each lane too. About 37 s of sweep: the
-# default sweep's 420,000 take 1.6 s in-process on a 1-core Xeon, 3x as many 4.7 s.
-MAX_SWEEP_SAMPLES = MAX_SAMPLES
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -117,6 +112,10 @@ def _text(name: str, text: str) -> str:
 # the field it fills; the parser of ("section.key", text) to the SI value).
 # The `designs` section is free-form (design name -> coverage fraction).
 _SCHEMA: dict[str, dict[str, tuple[str, str, Callable[[str, str], Any]]]] = {
+    # The stock layup: 0.5 mm PLA base, 1 mm closed-cell acrylic foam core and
+    # 0.3 mm PET faces, 100 x 76.5 mm. Moduli and Zener parameters are toolkit
+    # defaults chosen so it shows a flat storage stiffness and a monotonically
+    # growing loss over 0.5-5 Hz; they are not measured values.
     "layup": {
         "length_mm": ("100.0", "length", _si(1e-3)),
         "width_mm": ("76.5", "width", _si(1e-3)),
@@ -132,7 +131,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, str, Callable[[str, str], Any]]]] = {
     },
     "bender": {
         "freq_grid_hz": ("0:5:0.5", "freq_grid_hz", _grid),
-        "theta_amp_deg": ("9.0", "theta_amp", _si(math.pi / 180.0)),  # as math.radians
+        "theta_amp_deg": (repr(math.degrees(DEFAULT_THETA_AMP)), "theta_amp", _si(math.pi / 180.0)),  # as math.radians
         "sample_rate_hz": ("200.0", "sample_rate", _num),
         "cycles": ("10", "cycles", _as_int),
         "noise_snr_db": ("", "noise_snr_db", _snr),
@@ -147,6 +146,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, str, Callable[[str, str], Any]]]] = {
         "prony_fit_grid_hz": ("0.25:5:0.25", "prony_fit_grid_hz", _grid),
         "prony_branches": ("2", "prony_branches", _as_int),
     },
+    # A rigid tail matched to the stock damping module's width: flat-plate
+    # inertia, thin-plate added mass at half the theoretical coefficient and an
+    # attached-flow normal-force law with sine-cosine rolloff. It is sized so
+    # the stock hinges span the regimes of interest: the undamped bare-plate
+    # hinge goes unstable in pitch at high Strouhal number, while the damped
+    # designs stay attached and thrust-productive.
     "foil": {
         "tail_chord_m": ("0.11", "tail_chord", _num),
         "tail_span_m": ("0.0765", "tail_span", _num),
@@ -302,11 +307,11 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError("bender.theta_amp_deg must be positive, bender.cycles >= 3 and bender.repeats >= 1")
     if bender.sample_rate <= 2.0 * max(bender.freq_grid_hz):
         raise ConfigError("bender.sample_rate_hz must exceed twice the top of bender.freq_grid_hz (Nyquist)")
+    # A bender record is bounded as a plant run: one float array of MAX_SAMPLES is
+    # about 80 MB, and the default record holds 4,000 samples.
     lowest = min((f for f in bender.freq_grid_hz if f > 0.0), default=None)  # its record is the longest
-    if lowest is not None and bender.cycles > MAX_RECORD_SAMPLES * lowest / bender.sample_rate:
-        raise ConfigError(
-            f"bender record of cycles * sample_rate_hz / {lowest:g} Hz is over {MAX_RECORD_SAMPLES} samples"
-        )
+    if lowest is not None and bender.cycles > MAX_SAMPLES * lowest / bender.sample_rate:
+        raise ConfigError(f"bender record of cycles * sample_rate_hz / {lowest:g} Hz is over {MAX_SAMPLES} samples")
     # Record lengths as synth_bender_pair rounds them; the 0 Hz point synthesizes nothing.
     record_samples = sum(round(bender.cycles * bender.sample_rate / f) for f in bender.freq_grid_hz if f > 0.0)
     if bender.repeats * len(designs) * record_samples > MAX_BENDER_SAMPLES:
@@ -319,10 +324,13 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError("sweep.prony_fit_grid_hz must contain positive frequencies only")
     if sweep.cycles < 3 or sweep.warmup_cycles < 0:
         raise ConfigError("sweep.cycles must be >= 3 (whole cycles averaged) and sweep.warmup_cycles >= 0")
+    # Plant samples over all lanes at MIN_STEPS_PER_CYCLE are bounded as one plant run,
+    # which bounds each lane too. About 37 s of sweep: the default sweep's 420,000 take
+    # 1.6 s in-process on a 1-core Xeon, 3x as many 4.7 s.
     lanes = len(designs) * len(sweep.freq_grid_hz)
-    if lanes * (sweep.cycles + sweep.warmup_cycles) * MIN_STEPS_PER_CYCLE > MAX_SWEEP_SAMPLES:
+    if lanes * (sweep.cycles + sweep.warmup_cycles) * MIN_STEPS_PER_CYCLE > MAX_SAMPLES:
         raise ConfigError(
-            f"sweep of {lanes} lanes * (cycles + warmup_cycles) * {MIN_STEPS_PER_CYCLE} samples is over {MAX_SWEEP_SAMPLES}"
+            f"sweep of {lanes} lanes * (cycles + warmup_cycles) * {MIN_STEPS_PER_CYCLE} samples is over {MAX_SAMPLES}"
         )
     if not 1 <= sweep.prony_branches <= (len(sweep.prony_fit_grid_hz) - 1) // 2:
         raise ConfigError("sweep.prony_branches must be >= 1, with 2 * branches + 1 fit grid points")

@@ -33,15 +33,7 @@ class DegenerateImpedanceError(CldPropError, ValueError):
 
 
 class FitConvergenceError(CldPropError, RuntimeError):
-    """Optimizer exhausted its budget without converging.
-
-    Carries the best residual achieved so callers can decide whether the
-    partial result is still usable.
-    """
-
-    def __init__(self, message: str, best_residual: float | None = None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """The fit found no usable parameters within its budget."""
 
 
 class IntegrationDivergenceError(CldPropError, RuntimeError):

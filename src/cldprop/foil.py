@@ -52,8 +52,8 @@ class KinematicsSpec:
     """Prescribed heave kinematics and freestream speed."""
 
     heave_freq: float
-    heave_amp_pp: float = 0.08
-    freestream: float = 0.2
+    heave_amp_pp: float
+    freestream: float
 
     def __post_init__(self):
         if not (self.heave_freq > 0.0 and self.freestream > 0.0):
@@ -69,26 +69,17 @@ def strouhal(kin: KinematicsSpec) -> float:
 
 @dataclass(frozen=True)
 class FoilConfig:
-    """Rigid-tail geometry and quasi-steady hydrodynamic coefficients.
+    """Rigid-tail geometry and quasi-steady hydrodynamic coefficients; `stall_model` is "none" or "sin-cos"."""
 
-    Defaults are modeling choices for a tail matched to the stock damping
-    module width: 0.11 m chord, 76.5 mm span, flat-plate inertia, thin-plate
-    added mass at half the theoretical coefficient, attached-flow
-    normal-force law with sine-cosine rolloff. This default tail is sized so
-    the stock hinge designs span the qualitative regimes of interest: the
-    undamped bare-plate hinge goes unstable in pitch at high Strouhal number
-    while the damped designs stay attached and thrust-productive.
-    """
-
-    tail_chord: float = 0.11
-    tail_span: float = 0.0765
-    tail_inertia: float = 6.3e-5
-    pitch_axis_offset: float = 0.03
-    fluid_density: float = 1000.0
-    normal_force_slope: float = 2.0 * math.pi
-    stall_model: str = "sin-cos"
-    profile_drag_coeff: float = 0.05
-    added_mass_coeff: float = 0.5
+    tail_chord: float
+    tail_span: float
+    tail_inertia: float
+    pitch_axis_offset: float
+    fluid_density: float
+    normal_force_slope: float
+    stall_model: str
+    profile_drag_coeff: float
+    added_mass_coeff: float
 
     def __post_init__(self):
         for name in ("tail_chord", "tail_span", "tail_inertia", "pitch_axis_offset", "fluid_density"):
@@ -140,8 +131,8 @@ class CycleMetrics:
 class FreeSwimTrace:
     """Carriage kinematics of a virtual-mass trial.
 
-    `accel_cycle_mean` and `u_cycle_mean` hold one mean per whole heave cycle;
-    `expanded_cycle_columns` lays them on the time grid, NaN past the last.
+    `accel_cycle_mean` and `u_cycle_mean` hold one mean per whole heave cycle
+    of `samples_per_cycle` samples, counted from the trace's start.
     """
 
     time: np.ndarray
@@ -158,16 +149,6 @@ class FreeSwimTrace:
     def samples_per_cycle(self) -> int:
         fs = 1.0 / float(self.time[1] - self.time[0])
         return int(round(fs / self.drive_freq))
-
-    def expanded_cycle_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a_cycavg, u_cycavg) aligned with the time grid."""
-        spc = self.samples_per_cycle
-        a = np.full_like(self.time, np.nan)
-        v = np.full_like(self.time, np.nan)
-        for k in range(self.accel_cycle_mean.size):
-            a[k * spc : (k + 1) * spc] = self.accel_cycle_mean[k]
-            v[k * spc : (k + 1) * spc] = self.u_cycle_mean[k]
-        return a, v
 
 
 def _steps_per_cycle(hinge: PronyFit, heave_freq: float, minimum: int) -> int:
@@ -195,8 +176,8 @@ def simulate_constrained(
     foil: FoilConfig,
     kin: KinematicsSpec,
     hinge: PronyFit,
-    n_cycles: int = 10,
-    warmup_cycles: int = 5,
+    n_cycles: int,
+    warmup_cycles: int,
     dt: float | None = None,
 ) -> ConstrainedTrace:
     """Integrate the passive-pitch foil at fixed streamwise position.
@@ -373,9 +354,9 @@ def simulate_free_swim(
     foil: FoilConfig,
     kin: KinematicsSpec,
     hinge: PronyFit,
-    virtual_mass: float = 3.0,
-    body_drag_coeff: float = 0.3,
-    duration: float = 3.8,
+    virtual_mass: float,
+    body_drag_coeff: float,
+    duration: float,
     dt: float | None = None,
 ) -> FreeSwimTrace:
     """Virtual-mass free-swimming trial from a standing start in still water.
@@ -415,13 +396,11 @@ def swim_metrics(trace: FreeSwimTrace) -> dict[str, float]:
     """Trial-level kinematic summary of a free-swim trace."""
     if trace.time.size == 0:
         raise ParameterDomainError("empty trace")
-    a_exp, u_exp = trace.expanded_cycle_columns()
-    n = trace.time.size
-    tail = slice(int(math.floor(0.8 * n)), None)
-    with warnings.catch_warnings():  # a tail past the last whole cycle is all NaN
-        warnings.simplefilter("ignore", RuntimeWarning)
-        terminal = float(np.nanmean(u_exp[tail]))
-    if math.isnan(terminal):
+    # Terminal velocity: u's cycle means, laid on their samples, averaged over the last 20 % of the trace.
+    tail = np.repeat(trace.u_cycle_mean, trace.samples_per_cycle)[int(math.floor(0.8 * trace.time.size)) :]
+    if tail.size:
+        terminal = float(np.mean(tail))
+    else:  # the tail lies past the last whole cycle
         terminal = float(trace.u_cycle_mean[-1]) if trace.u_cycle_mean.size else float(trace.u[-1])
     peak_accel = float(np.max(trace.accel_cycle_mean)) if trace.accel_cycle_mean.size else 0.0
     net = float(trace.x[-1] - trace.x[0])

@@ -275,8 +275,7 @@ def _cycle_mean_cells(attr: str) -> Callable[[FreeSwimTrace], list[str]]:
     """Getter of a trace's cycle-mean column as preformatted cells.
 
     Each per-cycle mean is formatted once and repeated over its cycle's
-    samples; rows past the last whole cycle read "nan". The text is that of
-    `FreeSwimTrace.expanded_cycle_columns` written as floats.
+    samples; rows past the last whole cycle read "nan".
     """
     means = attrgetter(attr)
 

@@ -115,7 +115,7 @@ def fit_prony(
     linear least-squares problem, so Levenberg-Marquardt iterates on log tau_j alone, from a
     deterministic multi-start schedule. Nonnegativity is applied once, after convergence:
     negative or negligible branches are dropped (k_j = 0) and the linear problem solved again.
-    Raises FitConvergenceError (carrying the best residual) if no start gives a finite fit.
+    Raises FitConvergenceError if no start gives a finite fit or the best one has k_inf <= 0.
     """
     if n_branches < 1:
         raise ParameterDomainError(f"n_branches must be >= 1, got {n_branches}")
@@ -194,5 +194,5 @@ def fit_prony(
     order = np.argsort(taus)
     branches = tuple((float(c[1 + i]), float(taus[i])) for i in order)
     if k_inf <= 0.0:
-        raise FitConvergenceError("fit collapsed to non-positive equilibrium stiffness", best_residual=rms)
+        raise FitConvergenceError("fit collapsed to non-positive equilibrium stiffness")
     return PronyFit(k_inf=k_inf, branches=branches, fit_residual=rms)

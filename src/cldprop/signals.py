@@ -23,9 +23,8 @@ from .errors import (
 from .prony import PronyFit, prony_frequency_response
 from .stiffness import ComplexStiffness
 
-# Bender protocol defaults: +/-9 degrees at 200 Hz sampling.
+# Bender angle amplitude, +/-9 degrees: the [bender] theta_amp_deg default is this value.
 DEFAULT_THETA_AMP = math.radians(9.0)
-DEFAULT_SAMPLE_RATE = 200.0
 
 # Angle amplitudes below this are treated as no excitation at all.
 EXCITATION_FLOOR = 1e-6
@@ -198,8 +197,9 @@ def synth_bender_pair(
     plant: ComplexStiffness | PronyFit,
     drive_freq: float,
     theta_amp: float = DEFAULT_THETA_AMP,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-    n_cycles: int = 10,
+    *,
+    sample_rate: float,
+    n_cycles: int,
     noise_snr_db: float | None = None,
     seed: int = 0,
 ) -> tuple[TimeSeries, TimeSeries]:
@@ -260,13 +260,11 @@ def _prony_torque(fit: PronyFit, theta_amp: float, omega: float, t: np.ndarray) 
     return torque
 
 
-def cycle_fold(signal: TimeSeries, drive_freq: float) -> np.ndarray:
-    """Phase-average a record over its whole drive cycles.
+def _whole_cycles(signal: TimeSeries, drive_freq: float) -> np.ndarray:
+    """The record's whole drive cycles as an (n_full, samples per cycle) view.
 
-    Folds every complete cycle onto a common phase grid (one bin per sample
-    interval) and returns the per-bin mean, i.e. the mean waveform of one
-    cycle. The trailing partial cycle is discarded. Requires an integer
-    number of samples per cycle so bins line up exactly.
+    The trailing partial cycle is discarded. Requires an integer number of
+    samples per cycle, so every cycle starts on a sample.
     """
     if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
@@ -275,18 +273,21 @@ def cycle_fold(signal: TimeSeries, drive_freq: float) -> np.ndarray:
     spc = int(round(spc_exact))
     if abs(spc_exact - spc) > 1e-9 * spc_exact:
         raise ParameterDomainError(
-            f"cycle folding needs an integer number of samples per cycle, got {spc_exact}"
+            f"whole cycles need an integer number of samples per cycle, got {spc_exact}"
         )
-    return signal.samples[: n_full * spc].reshape(n_full, spc).mean(axis=0)
+    return signal.samples[: n_full * spc].reshape(n_full, spc)
+
+
+def cycle_fold(signal: TimeSeries, drive_freq: float) -> np.ndarray:
+    """Phase-average a record over its whole drive cycles.
+
+    Folds every complete cycle onto a common phase grid (one bin per sample
+    interval) and returns the per-bin mean, i.e. the mean waveform of one
+    cycle.
+    """
+    return _whole_cycles(signal, drive_freq).mean(axis=0)
 
 
 def cycle_average(signal: TimeSeries, drive_freq: float) -> np.ndarray:
-    """Per-cycle means of a record, trailing partial cycle discarded."""
-    if not drive_freq > 0.0:
-        raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
-    n_full = _whole_cycle_count(signal, drive_freq, minimum=1)
-    spc = signal.sample_rate / drive_freq
-    bounds = [int(round(k * spc)) for k in range(n_full + 1)]
-    return np.array(
-        [float(np.mean(signal.samples[bounds[k] : bounds[k + 1]])) for k in range(n_full)]
-    )
+    """Per-cycle means of a record over its whole drive cycles."""
+    return _whole_cycles(signal, drive_freq).mean(axis=1)

@@ -110,27 +110,6 @@ def zener_shear_modulus(params: FractionalZenerParams, omega: float) -> complex:
     return complex((params.g_low + params.g_high * s) / (1.0 + s))
 
 
-def default_layup(coverage: float = 1.0) -> SandwichLayup:
-    """Stock layup: 0.5 mm PLA base, 1 mm foam core, 0.3 mm PET faces, 100 x 76.5 mm.
-
-    The core is a closed-cell acrylic foam. Moduli and Zener parameters are
-    toolkit defaults chosen so the stock layup shows a flat storage stiffness
-    and a monotonically growing loss over 0.5-5 Hz; they are not measured
-    values.
-    """
-    return SandwichLayup(
-        base_thickness=0.5e-3,
-        base_modulus=3.5e9,
-        core_thickness=1.0e-3,
-        core_shear=FractionalZenerParams(g_low=10e3, g_high=2.0e6, tau=2.0e-4, alpha=0.95),
-        face_thickness=0.3e-3,
-        face_modulus=3.0e9,
-        length=0.100,
-        width=0.0765,
-        coverage=coverage,
-    )
-
-
 # First cantilever-mode wavenumber coefficient (clamped-free beam).
 _FIRST_MODE_COEFF = 1.875
 

@@ -23,7 +23,7 @@ from cldprop.signals import (
     lockin_extract,
     synth_bender_pair,
 )
-from cldprop.stiffness import ComplexStiffness, default_layup, rku_complex_stiffness
+from cldprop.stiffness import ComplexStiffness, rku_complex_stiffness
 
 _DESIGNS = ("baseline", "a", "b", "c")
 _BAND = [0.25 * k for k in range(1, 21)]  # 0.25 .. 5.0 Hz
@@ -98,7 +98,7 @@ def test_criterion_02_lockin_noise_robustness():
     errs_k, errs_l = [], []
     for seed in range(100):
         theta, torque = synth_bender_pair(
-            plant, f, theta_amp=0.157, n_cycles=10, noise_snr_db=20.0, seed=seed
+            plant, f, theta_amp=0.157, sample_rate=200.0, n_cycles=10, noise_snr_db=20.0, seed=seed
         )
         r = lockin_extract(theta, torque, f)
         errs_k.append(abs(r.stiffness.storage - k) / k)
@@ -109,13 +109,13 @@ def test_criterion_02_lockin_noise_robustness():
     _report(2, ok, f"median storage err {med_k:.4f}, loss err {med_l:.4f}, runtime {elapsed:.2f} s")
 
 
-def test_criterion_03_hysteresis_identity():
-    layup = default_layup(1.0)
-    amp = math.radians(9.0)
+def test_criterion_03_hysteresis_identity(default_config):
+    bender = default_config.bender
+    amp = bender.theta_amp
     worst = 0.0
     for freq in [0.5 * k for k in range(1, 11)]:  # 0.5 .. 5.0 Hz
-        plant = rku_complex_stiffness(layup, 2.0 * math.pi * freq)
-        theta, torque = synth_bender_pair(plant, freq, theta_amp=amp, n_cycles=10)
+        plant = rku_complex_stiffness(default_config.layup, 2.0 * math.pi * freq)
+        theta, torque = synth_bender_pair(plant, freq, amp, sample_rate=bender.sample_rate, n_cycles=bender.cycles)
         area = hysteresis_loop_area(theta, torque, freq)
         expected = math.pi * plant.loss * amp**2
         worst = max(worst, abs(area - expected) / expected)
@@ -123,8 +123,8 @@ def test_criterion_03_hysteresis_identity():
     _report(3, ok, f"worst loop-area error {worst:.4%} over 0.5-5 Hz")
 
 
-def test_criterion_04_stiffness_signature():
-    layup = default_layup(1.0)
+def test_criterion_04_stiffness_signature(default_config):
+    layup = default_config.layup
     ks = [rku_complex_stiffness(layup, 2.0 * math.pi * f) for f in _BAND if f >= 0.5]
     storages = [k.storage for k in ks]
     losses = [k.loss for k in ks]
@@ -134,8 +134,8 @@ def test_criterion_04_stiffness_signature():
     _report(4, ok, f"storage variation {flatness:.4f} (< 0.15), loss strictly increasing: {monotone}")
 
 
-def test_criterion_05_prony_fidelity():
-    layup = default_layup(1.0)
+def test_criterion_05_prony_fidelity(default_config):
+    layup = default_config.layup
     samples = [(2.0 * math.pi * f, rku_complex_stiffness(layup, 2.0 * math.pi * f)) for f in _BAND]
     fit = fit_prony(samples, n_branches=2)
     rms = fit.fit_residual

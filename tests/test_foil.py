@@ -1,6 +1,7 @@
 """Passive-hinge foil simulator: limits, conservation, metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from cldprop.config import load_config
 from cldprop.errors import ConfigError, IntegrationDivergenceError, ParameterDomainError
 from cldprop.foil import (
     ConstrainedTrace,
-    FoilConfig,
     FreeSwimTrace,
     KinematicsSpec,
     propulsion_metrics,
@@ -24,7 +24,9 @@ from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, prony_frequency_response
 from cldprop.signals import TimeSeries, cycle_average
 
-_FOIL = FoilConfig()
+_CONFIG = load_config()
+_FOIL = _CONFIG.foil
+_VIRTUAL_MASS, _BODY_DRAG = _CONFIG.freeswim.virtual_mass, _CONFIG.freeswim.body_drag_coeff
 _RIGID = PronyFit(k_inf=1e6, branches=())
 _SOFT = PronyFit(k_inf=0.09, branches=((0.95, 0.003), (0.005, 0.08)))
 
@@ -38,16 +40,10 @@ class TestStrouhal:
         assert strouhal(kin) == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_kinematics(self):
-        with pytest.raises(ParameterDomainError):
-            KinematicsSpec(heave_freq=0.0)
-        with pytest.raises(ParameterDomainError):
-            KinematicsSpec(heave_freq=1.0, heave_amp_pp=-0.1)
-        with pytest.raises(ParameterDomainError):
-            KinematicsSpec(heave_freq=1.0, freestream=0.0)
-        for bad in (dict(heave_freq=math.nan), dict(heave_freq=1.0, heave_amp_pp=math.nan),
-                    dict(heave_freq=1.0, freestream=math.nan)):
+        for bad in ((0.0, 0.08, 0.2), (1.0, -0.1, 0.2), (1.0, 0.08, 0.0),
+                    (math.nan, 0.08, 0.2), (1.0, math.nan, 0.2), (1.0, 0.08, math.nan)):
             with pytest.raises(ParameterDomainError):
-                KinematicsSpec(**bad)
+                KinematicsSpec(*bad)
 
 
 class TestConstrained:
@@ -55,7 +51,7 @@ class TestConstrained:
         # With a near-rigid hinge the tail never tilts, so the mean thrust is
         # the pure-heave flat-plate value: just the profile-drag term
         # -0.5 * rho * U^2 * S * C_d0 (independent quasi-steady closed form).
-        kin = KinematicsSpec(heave_freq=2.0)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         # The near-rigid hinge has a very fast pitch mode; resolve it.
         trace = simulate_constrained(_FOIL, kin, _RIGID, n_cycles=3, warmup_cycles=1, dt=2e-5)
         assert float(np.max(np.abs(trace.pitch))) < 1e-3
@@ -76,7 +72,7 @@ class TestConstrained:
         assert mean_thrust == pytest.approx(expected, rel=1e-2)
 
     def test_deterministic(self):
-        kin = KinematicsSpec(heave_freq=2.0)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         a = simulate_constrained(_FOIL, kin, _SOFT, n_cycles=4, warmup_cycles=2)
         b = simulate_constrained(_FOIL, kin, _SOFT, n_cycles=4, warmup_cycles=2)
         assert np.array_equal(a.pitch, b.pitch)
@@ -86,7 +82,7 @@ class TestConstrained:
         # The hinge is linear, so the lock-in ratio of hinge moment to pitch
         # at the drive frequency must equal the Prony frequency response even
         # though the coupled pitch motion is multi-harmonic.
-        kin = KinematicsSpec(heave_freq=2.0)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         trace = simulate_constrained(_FOIL, kin, _SOFT, n_cycles=8, warmup_cycles=4)
         metrics = propulsion_metrics(trace, kin)
         want = prony_frequency_response(_SOFT, 2.0 * math.pi * 2.0)
@@ -94,23 +90,23 @@ class TestConstrained:
         assert metrics.effective_stiffness.loss == pytest.approx(want.loss, rel=1e-3)
 
     def test_dt_stability_guards(self):
-        kin = KinematicsSpec(heave_freq=2.0)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         with pytest.raises(ConfigError):
-            simulate_constrained(_FOIL, kin, _SOFT, dt=1e-3)  # violates tau_min/10
+            simulate_constrained(_FOIL, kin, _SOFT, 10, 5, dt=1e-3)  # violates tau_min/10
         with pytest.raises(ConfigError):
-            simulate_constrained(_FOIL, kin, _RIGID, dt=6e-3)  # under 100 steps/cycle
+            simulate_constrained(_FOIL, kin, _RIGID, 10, 5, dt=6e-3)  # under 100 steps/cycle
 
     def test_sample_budget_checked_before_allocating(self):
         # A fitted branch with tau = 1e-9 s asks for 5e9 samples per 2 Hz cycle.
         hinge = PronyFit(k_inf=0.05, branches=((1.0, 1e-9),))
         with pytest.raises(ParameterDomainError, match=r"samples at dt=.* is over 10000000$"):
-            simulate_constrained(_FOIL, KinematicsSpec(heave_freq=2.0), hinge)
+            simulate_constrained(_FOIL, KinematicsSpec(2.0, 0.08, 0.2), hinge, 10, 5)
 
     def test_divergence_reported(self):
         # An anti-restoring hydrodynamic law blows the pitch state up; the
         # integrator must fail loudly, not return garbage.
-        foil = FoilConfig(normal_force_slope=-5000.0, stall_model="none")
-        kin = KinematicsSpec(heave_freq=1.0)
+        foil = replace(_FOIL, normal_force_slope=-5000.0, stall_model="none")
+        kin = KinematicsSpec(1.0, 0.08, 0.2)
         with pytest.raises(IntegrationDivergenceError, match=r"diverged near t=") as info:
             simulate_constrained(foil, kin, _SOFT, n_cycles=10, warmup_cycles=0)
         assert 0.0 < info.value.time < 10.0
@@ -118,7 +114,7 @@ class TestConstrained:
 
     def test_unknown_stall_model_rejected(self):
         with pytest.raises(ParameterDomainError):
-            FoilConfig(stall_model="flat")
+            replace(_FOIL, stall_model="flat")
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize(
@@ -126,7 +122,7 @@ class TestConstrained:
     )
     def test_non_positive_geometry_rejected(self, name, value):
         with pytest.raises(ParameterDomainError, match=f"^{name} must be positive"):
-            FoilConfig(**{name: value})
+            replace(_FOIL, **{name: value})
 
 
 class TestEquations:
@@ -135,11 +131,11 @@ class TestEquations:
     def test_math_and_numpy_evaluations_agree(self, stall_model, virtual_mass):
         # LSODA evaluates rhs on floats, the trace on state-history columns;
         # both must give the same derivatives and forces.
-        foil = FoilConfig(stall_model=stall_model)
-        kin = KinematicsSpec(heave_freq=2.0)
+        foil = replace(_FOIL, stall_model=stall_model)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         free = {}
         if virtual_mass is not None:
-            free = {"virtual_mass": virtual_mass, "body_drag_area": 0.3 * foil.planform_area}
+            free = {"virtual_mass": virtual_mass, "body_drag_area": _BODY_DRAG * foil.planform_area}
         rng = np.random.default_rng(7)
         n, dim = 6, 2 + len(_SOFT.significant_branches()) + bool(free)
         states = rng.uniform(-0.5, 0.5, size=(n, dim))  # u < 0 reaches the u|u| drag sign
@@ -157,8 +153,8 @@ class TestEquations:
     def test_normal_force_closed_form(self, stall_model):
         # Level tail at rest at t = 0: the inflow is the peak heave rate
         # against the freestream, so alpha = -atan(v/U).
-        foil = FoilConfig(stall_model=stall_model)
-        kin = KinematicsSpec(heave_freq=2.0)
+        foil = replace(_FOIL, stall_model=stall_model)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         v = kin.heave_amp_pp / 2.0 * 2.0 * math.pi * kin.heave_freq
         alpha = -math.atan(v / kin.freestream)
         cn = math.sin(alpha) * math.cos(alpha) if stall_model == "sin-cos" else alpha
@@ -190,7 +186,7 @@ def _rk4(rhs, dim, t, rtol, mxstep=None):
 class TestIntegrator:
     def test_metrics_match_rk4_reference(self, monkeypatch):
         # Same sample grid, same post-processing: only the integrator differs.
-        kin = KinematicsSpec(heave_freq=2.0)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         assert len(_SOFT.significant_branches()) == 2
         lsoda = propulsion_metrics(simulate_constrained(_FOIL, kin, _SOFT, n_cycles=4, warmup_cycles=2), kin)
         monkeypatch.setattr(foil_module, "_integrate", _rk4)
@@ -266,19 +262,19 @@ def _synthetic_trace(thrust_value, power_value, n=801, fs=200.0, f=2.0):
 
 class TestPropulsionMetrics:
     def test_constant_thrust_and_power(self):
-        kin = KinematicsSpec(heave_freq=2.0, freestream=0.2)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         metrics = propulsion_metrics(_synthetic_trace(0.5, 1.0), kin)
         assert metrics.mean_thrust == pytest.approx(0.5)
         assert metrics.efficiency == pytest.approx(0.1)
 
     def test_zero_thrust_gives_undefined_efficiency(self):
-        kin = KinematicsSpec(heave_freq=2.0)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         metrics = propulsion_metrics(_synthetic_trace(0.0, 1.0), kin)
         assert metrics.mean_thrust == pytest.approx(0.0, abs=1e-15)
         assert metrics.efficiency is None
 
     def test_negative_power_excluded(self):
-        kin = KinematicsSpec(heave_freq=2.0)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         metrics = propulsion_metrics(_synthetic_trace(0.5, -1.0), kin)
         assert metrics.mean_input_power == 0.0
         assert metrics.efficiency is None
@@ -286,22 +282,22 @@ class TestPropulsionMetrics:
 
 class TestFreeSwim:
     def test_zero_actuation_stays_at_rest(self):
-        kin = KinematicsSpec(heave_freq=2.0, heave_amp_pp=0.0)
-        trace = simulate_free_swim(_FOIL, kin, _SOFT, duration=1.0)
+        kin = KinematicsSpec(2.0, 0.0, 0.2)
+        trace = simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, 1.0)
         assert np.all(trace.u == 0.0)
         assert np.all(trace.x == 0.0)
 
     def test_impulse_momentum_balance(self):
-        kin = KinematicsSpec(heave_freq=2.0)
-        trace = simulate_free_swim(_FOIL, kin, _SOFT, duration=2.0)
-        m_v = 3.0
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
+        trace = simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, 2.0)
+        m_v = _VIRTUAL_MASS
         impulse = float(np.trapezoid(trace.thrust - trace.drag, trace.time))
         momentum = m_v * (trace.u[-1] - trace.u[0])
         assert abs(impulse - momentum) <= 1e-6 * max(abs(momentum), 1e-12)
 
     def test_position_velocity_consistency(self):
-        kin = KinematicsSpec(heave_freq=2.0)
-        trace = simulate_free_swim(_FOIL, kin, _SOFT, duration=1.5)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
+        trace = simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, 1.5)
         x_check = np.concatenate(
             [[0.0], np.cumsum(0.5 * (trace.u[1:] + trace.u[:-1]) * np.diff(trace.time))]
         )
@@ -309,15 +305,15 @@ class TestFreeSwim:
         assert float(np.max(np.abs(trace.x - x_check))) <= 1e-9 * scale
 
     def test_validation(self):
-        kin = KinematicsSpec(heave_freq=2.0)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
         with pytest.raises(ParameterDomainError):
-            simulate_free_swim(_FOIL, kin, _SOFT, virtual_mass=0.0)
+            simulate_free_swim(_FOIL, kin, _SOFT, 0.0, _BODY_DRAG, 1.0)
         with pytest.raises(ParameterDomainError):
-            simulate_free_swim(_FOIL, kin, _SOFT, duration=-1.0)
+            simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, -1.0)
         with pytest.raises(ParameterDomainError):
-            simulate_free_swim(_FOIL, kin, _SOFT, virtual_mass=math.nan)
+            simulate_free_swim(_FOIL, kin, _SOFT, math.nan, _BODY_DRAG, 1.0)
         with pytest.raises(ParameterDomainError):
-            simulate_free_swim(_FOIL, kin, _SOFT, duration=math.nan)
+            simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, math.nan)
 
 
 def _trace_from_u(u, fs, f):

@@ -133,11 +133,19 @@ class TestFreeSwim:
         "duration, nan_rows", [(1.3, 3602), (1.0, 1), (0.5, 1)], ids=["nan-tail", "whole-cycles", "one-cycle"]
     )
     def test_trace_is_each_sample_written_as_float(self, tmp_path, duration, nan_rows):
-        # The cycle-mean columns are formatted once per cycle; the text must be
-        # that of every sample of expanded_cycle_columns written as a float.
+        # The cycle-mean columns are formatted once per cycle; the text must be that of
+        # each cycle's mean laid on its samples, NaN past the last whole cycle, written as a float.
         config = load_config(overrides=[f"freeswim.duration_s={duration}"])
         trace, _ = run_freeswim_trial(config, "baseline")
-        a_cycavg, u_cycavg = trace.expanded_cycle_columns()
+        spc = trace.samples_per_cycle
+
+        def expanded(means):
+            column = np.full_like(trace.time, np.nan)
+            for k, mean in enumerate(means):
+                column[k * spc : (k + 1) * spc] = mean
+            return column
+
+        a_cycavg, u_cycavg = expanded(trace.accel_cycle_mean), expanded(trace.u_cycle_mean)
         assert np.isnan(a_cycavg).sum() == np.isnan(u_cycavg).sum() == nan_rows
         path = tmp_path / "trace.csv"
         harness.write_freeswim_trace(trace, str(path))

@@ -7,10 +7,10 @@ import pytest
 
 from cldprop import prony
 from cldprop.config import load_config
-from cldprop.errors import ParameterDomainError
+from cldprop.errors import FitConvergenceError, ParameterDomainError
 from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, fit_prony, prony_frequency_response
-from cldprop.stiffness import ComplexStiffness, default_layup, rku_complex_stiffness
+from cldprop.stiffness import ComplexStiffness, rku_complex_stiffness
 
 _BAND = [2.0 * math.pi * f for f in np.arange(0.25, 5.01, 0.25)]
 
@@ -81,18 +81,25 @@ class TestFit:
             assert fit.k_inf == pytest.approx(samples[0][1].storage, rel=1e-15)
             assert [k for k, _ in fit.branches] == [0.0, 0.0]
 
-    def test_default_layup_band_rms_under_half_percent(self):
-        layup = default_layup(1.0)
+    def test_default_layup_band_rms_under_half_percent(self, default_config):
+        layup = default_config.layup
         samples = [(w, rku_complex_stiffness(layup, w)) for w in _BAND]
         fit = fit_prony(samples, n_branches=2)
         assert fit.fit_residual < 5e-3
 
-    def test_deterministic(self):
-        layup = default_layup(0.667)
+    def test_deterministic(self, default_config):
+        layup = default_config.layups[default_config.coverage_of("c")]
         samples = [(w, rku_complex_stiffness(layup, w)) for w in _BAND]
         a = fit_prony(samples, n_branches=2)
         b = fit_prony(samples, n_branches=2)
         assert a == b
+
+    def test_pure_dashpot_collapses_to_an_error(self, default_config):
+        # K* = i w c has no equilibrium stiffness: every fit puts k_inf <= 0.
+        omegas = [2.0 * math.pi * f for f in default_config.sweep.prony_fit_grid_hz]
+        samples = [(w, ComplexStiffness(0.0, 0.01 * w)) for w in omegas]
+        with pytest.raises(FitConvergenceError, match="^fit collapsed to non-positive equilibrium stiffness$"):
+            fit_prony(samples, n_branches=2)
 
     def test_input_validation(self):
         samples = _sample(PronyFit(k_inf=1.0, branches=((0.5, 0.01),)), _BAND)
@@ -182,9 +189,9 @@ class TestVariableProjection:
             assert branch == pytest.approx(want, rel=1e-6)
         assert got.fit_residual <= ref.fit_residual * (1.0 + 1e-9) + 1e-15
 
-    def test_every_start_runs_for_every_branch_count(self, monkeypatch):
+    def test_every_start_runs_for_every_branch_count(self, monkeypatch, default_config):
         # Starts are slid into the time-constant bounds, so none is skipped at any allowed order.
-        layup = default_layup(1.0)
+        layup = default_config.layup
         samples = [(w, rku_complex_stiffness(layup, w)) for w in _BAND]
         runs, real = [], prony.least_squares
 

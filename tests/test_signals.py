@@ -32,6 +32,7 @@ from cldprop.stiffness import ComplexStiffness
 _K, _C, _F, _FS = 2.0, 0.05, 3.0, 200.0
 _LOSS_ORACLE = _C * 2.0 * math.pi * _F
 _AMP = 0.157
+_RECORD = dict(sample_rate=_FS, n_cycles=10)
 
 
 def _spring_damper_pair(theta_amp=_AMP, n_cycles=10, fs=_FS, f=_F):
@@ -71,13 +72,13 @@ class TestLockin:
         assert result.stiffness.loss == pytest.approx(_LOSS_ORACLE, rel=1e-9)
 
     def test_pure_spring_phase_zero(self):
-        theta, torque = synth_bender_pair(ComplexStiffness(_K, 0.0), _F, theta_amp=_AMP)
+        theta, torque = synth_bender_pair(ComplexStiffness(_K, 0.0), _F, theta_amp=_AMP, **_RECORD)
         result = lockin_extract(theta, torque, _F)
         assert result.phase_lag == pytest.approx(0.0, abs=1e-9)
         assert result.coherence == pytest.approx(1.0, rel=1e-6)
 
     def test_pure_damper_phase_quarter_turn(self):
-        theta, torque = synth_bender_pair(ComplexStiffness(0.0, _LOSS_ORACLE), _F, theta_amp=_AMP)
+        theta, torque = synth_bender_pair(ComplexStiffness(0.0, _LOSS_ORACLE), _F, theta_amp=_AMP, **_RECORD)
         result = lockin_extract(theta, torque, _F)
         assert result.phase_lag == pytest.approx(math.pi / 2.0, abs=1e-6)
 
@@ -98,7 +99,7 @@ class TestLockin:
         errs_k, errs_l = [], []
         for seed in range(100):
             theta, torque = synth_bender_pair(
-                plant, _F, theta_amp=_AMP, n_cycles=10, noise_snr_db=20.0, seed=seed
+                plant, _F, theta_amp=_AMP, **_RECORD, noise_snr_db=20.0, seed=seed
             )
             r = lockin_extract(theta, torque, _F)
             errs_k.append(abs(r.stiffness.storage - _K) / _K)
@@ -155,7 +156,7 @@ class TestFractions:
 
 class TestHysteresis:
     def test_pure_spring_area_vanishes(self):
-        theta, torque = synth_bender_pair(ComplexStiffness(_K, 0.0), _F, theta_amp=_AMP)
+        theta, torque = synth_bender_pair(ComplexStiffness(_K, 0.0), _F, theta_amp=_AMP, **_RECORD)
         area = hysteresis_loop_area(theta, torque, _F)
         assert abs(area) <= 1e-9 * _K * _AMP**2
 
@@ -168,7 +169,7 @@ class TestHysteresis:
     @pytest.mark.parametrize("freq", [0.5, 1.0, 2.0, 3.5, 5.0])
     def test_lockin_loop_consistency(self, freq):
         plant = ComplexStiffness(1.7, 0.4)
-        theta, torque = synth_bender_pair(plant, freq, theta_amp=_AMP, n_cycles=8)
+        theta, torque = synth_bender_pair(plant, freq, theta_amp=_AMP, sample_rate=_FS, n_cycles=8)
         result = lockin_extract(theta, torque, freq)
         area = hysteresis_loop_area(theta, torque, freq)
         expected = math.pi * result.stiffness.loss * result.theta_amplitude**2
@@ -178,7 +179,7 @@ class TestHysteresis:
 class TestSynth:
     def test_frequency_domain_round_trip(self):
         plant = ComplexStiffness(2.0, 0.9425)
-        theta, torque = synth_bender_pair(plant, _F, theta_amp=_AMP)
+        theta, torque = synth_bender_pair(plant, _F, theta_amp=_AMP, **_RECORD)
         result = lockin_extract(theta, torque, _F)
         assert result.stiffness.storage == pytest.approx(plant.storage, rel=1e-9)
         assert result.stiffness.loss == pytest.approx(plant.loss, rel=1e-9)
@@ -186,7 +187,7 @@ class TestSynth:
     def test_prony_ode_matches_frequency_response(self):
         fit = PronyFit(k_inf=0.09, branches=((0.95, 0.003), (0.005, 0.08)))
         f = 2.0
-        theta, torque = synth_bender_pair(fit, f, theta_amp=_AMP, n_cycles=15)
+        theta, torque = synth_bender_pair(fit, f, theta_amp=_AMP, sample_rate=_FS, n_cycles=15)
         warm = 5.0 / f
         result = lockin_extract(theta.after(warm), torque.after(warm), f)
         want = prony_frequency_response(fit, 2.0 * math.pi * f)
@@ -225,7 +226,7 @@ class TestSynth:
     def test_prony_lockin_equals_frequency_response(self):
         fit = PronyFit(k_inf=0.09, branches=((0.95, 0.003), (0.005, 0.08)))
         f = 2.0
-        theta, torque = synth_bender_pair(fit, f, theta_amp=_AMP, n_cycles=15)
+        theta, torque = synth_bender_pair(fit, f, theta_amp=_AMP, sample_rate=_FS, n_cycles=15)
         warm = 5.0 / f
         result = lockin_extract(theta.after(warm), torque.after(warm), f)
         want = prony_frequency_response(fit, 2.0 * math.pi * f)
@@ -237,30 +238,30 @@ class TestSynth:
     )
     def test_prony_without_branches_is_pure_spring(self, branches):
         fit = PronyFit(k_inf=0.7, branches=branches)
-        theta, torque = synth_bender_pair(fit, _F, theta_amp=_AMP)
+        theta, torque = synth_bender_pair(fit, _F, theta_amp=_AMP, **_RECORD)
         assert np.array_equal(torque.samples, fit.k_inf * theta.samples)
 
     def test_noise_reproducible_from_seed(self):
         plant = ComplexStiffness(_K, _LOSS_ORACLE)
-        _, t1 = synth_bender_pair(plant, _F, noise_snr_db=20.0, seed=42)
-        _, t2 = synth_bender_pair(plant, _F, noise_snr_db=20.0, seed=42)
-        _, t3 = synth_bender_pair(plant, _F, noise_snr_db=20.0, seed=43)
+        _, t1 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=42)
+        _, t2 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=42)
+        _, t3 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=43)
         assert np.array_equal(t1.samples, t2.samples)
         assert not np.array_equal(t1.samples, t3.samples)
 
     def test_nyquist_rejected(self):
         with pytest.raises(ParameterDomainError):
-            synth_bender_pair(ComplexStiffness(_K, 0.0), 150.0, sample_rate=200.0)
+            synth_bender_pair(ComplexStiffness(_K, 0.0), 150.0, sample_rate=200.0, n_cycles=10)
 
     @pytest.mark.parametrize("freq, amp", [(0.0, _AMP), (math.nan, _AMP), (_F, 0.0), (_F, math.nan)])
     def test_non_positive_drive_rejected(self, freq, amp):
         with pytest.raises(ParameterDomainError):
-            synth_bender_pair(ComplexStiffness(_K, 0.0), freq, theta_amp=amp)
+            synth_bender_pair(ComplexStiffness(_K, 0.0), freq, theta_amp=amp, **_RECORD)
 
     @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -200.0])
     def test_bad_sample_rate_rejected(self, fs):
         with pytest.raises(ParameterDomainError, match="sample rate must be positive and finite"):
-            synth_bender_pair(ComplexStiffness(_K, 0.0), _F, sample_rate=fs)
+            synth_bender_pair(ComplexStiffness(_K, 0.0), _F, sample_rate=fs, n_cycles=10)
 
 
 class TestCycleStats:
@@ -306,5 +307,6 @@ class TestCycleStats:
 
     def test_fold_requires_integer_samples_per_cycle(self):
         ts = TimeSeries(100.0, np.zeros(400))
-        with pytest.raises(ParameterDomainError):
-            cycle_fold(ts, 3.0)
+        for reduce in (cycle_fold, cycle_average):
+            with pytest.raises(ParameterDomainError, match="integer number of samples per cycle"):
+                reduce(ts, 3.0)

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cldprop.config import load_config
 from cldprop.errors import CldPropError, ParameterDomainError
 from cldprop.stiffness import (
     ComplexStiffness,
     FractionalZenerParams,
-    default_layup,
     rku_complex_stiffness,
     zener_shear_modulus,
 )
+
+_LAYUP = load_config().layup  # the stock layup, full coverage
 
 # Frozen golden computed by an independent script from the closed-form
 # modulus expression (parameters chosen distinct from the shipped defaults).
@@ -93,32 +95,32 @@ class TestLayerValidation:
     @pytest.mark.parametrize("name", _POSITIVE_FIELDS)
     def test_non_positive_field_rejected_by_name(self, name, value):
         with pytest.raises(ParameterDomainError, match=rf"^{name} must be positive"):
-            replace(default_layup(), **{name: value})
+            replace(_LAYUP, **{name: value})
 
     def test_coverage_out_of_range(self):
         with pytest.raises(ParameterDomainError):
-            default_layup(1.5)
+            _LAYUP.with_coverage(1.5)
 
 
 class TestRku:
     def test_bare_plate_is_exact_elastic_value(self):
-        k = rku_complex_stiffness(default_layup(0.0), 2.0 * math.pi * 3.0)
+        k = rku_complex_stiffness(_LAYUP.with_coverage(0.0), 2.0 * math.pi * 3.0)
         assert k.storage == pytest.approx(_BARE_PLATE_K, rel=1e-12)
         assert k.loss == 0.0
 
     def test_frozen_golden_full_coverage(self):
-        k = rku_complex_stiffness(default_layup(1.0), 2.0 * math.pi * 2.0)
+        k = rku_complex_stiffness(_LAYUP, 2.0 * math.pi * 2.0)
         assert k.storage == pytest.approx(_RKU_GOLDEN_STORAGE, rel=1e-12)
         assert k.loss == pytest.approx(_RKU_GOLDEN_LOSS, rel=1e-12)
 
     def test_zero_frequency_is_real(self):
-        k = rku_complex_stiffness(default_layup(1.0), 0.0)
+        k = rku_complex_stiffness(_LAYUP, 0.0)
         assert k.loss == 0.0
         assert k.storage > _BARE_PLATE_K
 
     def test_storage_and_loss_grow_with_coverage(self):
         omega = 2.0 * math.pi * 2.0
-        ks = [rku_complex_stiffness(default_layup(c), omega) for c in (0.0, 0.167, 0.333, 0.667, 1.0)]
+        ks = [rku_complex_stiffness(_LAYUP.with_coverage(c), omega) for c in (0.0, 0.167, 0.333, 0.667, 1.0)]
         storages = [k.storage for k in ks]
         losses = [k.loss for k in ks]
         assert storages == sorted(storages)
@@ -127,32 +129,32 @@ class TestRku:
 
     def test_coverage_scaling_is_linear(self):
         omega = 2.0 * math.pi * 1.0
-        k0 = rku_complex_stiffness(default_layup(0.0), omega).as_complex
-        k1 = rku_complex_stiffness(default_layup(1.0), omega).as_complex
-        k_half = rku_complex_stiffness(default_layup(0.5), omega).as_complex
+        k0 = rku_complex_stiffness(_LAYUP.with_coverage(0.0), omega).as_complex
+        k1 = rku_complex_stiffness(_LAYUP, omega).as_complex
+        k_half = rku_complex_stiffness(_LAYUP.with_coverage(0.5), omega).as_complex
         assert k_half == pytest.approx(k0 + 0.5 * (k1 - k0), rel=1e-12)
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ParameterDomainError):
-            rku_complex_stiffness(default_layup(1.0), -0.1)
+            rku_complex_stiffness(_LAYUP, -0.1)
 
     @pytest.mark.parametrize(
         "change",
         [
             dict(length=1e-303),  # p1**2 overflows
-            dict(core_shear=replace(default_layup().core_shear, tau=1e308)),  # (i w tau)**alpha overflows
+            dict(core_shear=replace(_LAYUP.core_shear, tau=1e308)),  # (i w tau)**alpha overflows
             dict(base_modulus=1e308 * 1e9),  # inf, so K* = inf + nan i
         ],
         ids=["length", "core-tau", "base-modulus"],
     )
     def test_overflow_is_a_numerical_failure(self, change):
         with pytest.raises(CldPropError, match=r"^K\*\(omega\) is not finite at omega="):
-            rku_complex_stiffness(replace(default_layup(), **change), 2.0 * math.pi * 2.0)
+            rku_complex_stiffness(replace(_LAYUP, **change), 2.0 * math.pi * 2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(coverage=st.floats(0.0, 1.0), freq=st.floats(0.01, 50.0))
     def test_loss_nonnegative_and_storage_above_bare_plate(self, coverage, freq):
-        k = rku_complex_stiffness(default_layup(coverage), 2.0 * math.pi * freq)
+        k = rku_complex_stiffness(_LAYUP.with_coverage(coverage), 2.0 * math.pi * freq)
         assert k.loss >= 0.0
         assert k.storage >= _BARE_PLATE_K * (1 - 1e-12)
 

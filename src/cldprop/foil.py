@@ -11,9 +11,15 @@ LSODA (scipy's odeint) integrates the plant under error control onto a fixed
 sample grid. One right-hand side serves both LSODA (on floats) and the trace
 (on numpy columns of the state history), so the force law is written once.
 
-Tolerances rest on a convergence study (atol = rtol / 1000): CYCLE_RTOL = 3e-9
-keeps constrained sweeps within 1e-7 of rtol 1e-12 under fit rounding; free
-swimming keeps RTOL = 1e-10, as its transient from rest amplifies solver error.
+LSODA weighs state i's error by rtol |y_i| + atol. Constrained lanes use (3e-9,
+3e-9), chosen by a study of the default sweep against (1e-12, 1e-15); per pair, RHS
+calls and largest deviation of thrust, power, K'/K''_eff, fractions over column peak:
+
+    (3e-9, 3e-12) 250,926 1.2e-8     (3e-9, 3e-10) 220,100 2.0e-8
+    (3e-9, 3e-9)  182,804 2.1e-8     (1e-9, 1e-9)  209,853 7.7e-9
+
+Free swimming keeps (1e-10, 1e-13): its transient from rest amplifies solver
+error, and (1e-10, 1e-10) moves the baseline trace 1.5e-7 of a column peak.
 
 Sign conventions: pitch is positive when the tail tip moves toward positive
 heave; thrust is positive in the propulsion direction. The hydrodynamic
@@ -31,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationDivergenceError, ParameterDomainError
 from .prony import PronyFit
-from .signals import TimeSeries, cycle_average, impedance_fractions, lockin_extract
+from .signals import TimeSeries, cycle_average, impedance_fractions, lockin_extract, samples_per_cycle
 from .signals import ImpedanceFractions, LockinResult
 from .stiffness import ComplexStiffness
 
@@ -42,7 +48,8 @@ STEPS_PER_TAU = 10
 # Free-swim runs use a finer grid so that trapezoidal requadrature of the
 # logged force trace reproduces the momentum balance to ~1e-7.
 FREESWIM_MIN_STEPS_PER_CYCLE = 6000
-RTOL, CYCLE_RTOL = 1e-10, 3e-9  # LSODA relative tolerances: free swimming, constrained lanes
+RTOL, ATOL = 1e-10, 1e-13  # LSODA tolerances of free swimming
+CYCLE_RTOL = CYCLE_ATOL = 3e-9  # and of constrained lanes
 # Longest plant run, in output samples, as for a bender record; the default lanes hold about 45,000.
 MAX_SAMPLES = 10_000_000
 
@@ -160,7 +167,7 @@ def _steps_per_cycle(hinge: PronyFit, heave_freq: float, minimum: int) -> int:
     return steps
 
 
-def _check_dt(dt: float, hinge: PronyFit, heave_freq: float) -> None:
+def _check_dt(dt: float, hinge: PronyFit, heave_freq: float) -> int:
     branches = hinge.significant_branches()
     if branches:
         tau_min = min(t for _, t in branches)
@@ -170,6 +177,7 @@ def _check_dt(dt: float, hinge: PronyFit, heave_freq: float) -> None:
             )
     if dt > 1.0 / (100.0 * heave_freq):
         raise ConfigError(f"dt={dt:.3e} s resolves fewer than 100 samples per heave cycle")
+    return samples_per_cycle(1.0 / dt, heave_freq)  # the cycle statistics need whole cycles of samples
 
 
 def simulate_constrained(
@@ -192,20 +200,20 @@ def simulate_constrained(
     if dt is None:
         dt = 1.0 / (steps * kin.heave_freq)
     else:
-        _check_dt(dt, hinge, kin.heave_freq)
-        steps = int(round(1.0 / (dt * kin.heave_freq)))
+        steps = _check_dt(dt, hinge, kin.heave_freq)
     total = (n_cycles + warmup_cycles) * steps
-    t, hist, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, keep=warmup_cycles * steps)
+    t, hist, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * steps)
     pitch, pitch_acc, f_n = hist[:, 0], d[1], d[-2]
     h0 = kin.heave_amp_pp / 2.0
     omg = 2.0 * math.pi * kin.heave_freq
+    heave = h0 * np.sin(omg * t)
     ydot = h0 * omg * np.cos(omg * t)
-    yddot = -h0 * omg * omg * np.sin(omg * t)
+    yddot = -omg * omg * heave
     lateral = f_n * np.cos(pitch) - foil.added_mass * (yddot + foil.pitch_axis_offset * pitch_acc)
     thrust_of, _ = _forces(foil, np)
     return ConstrainedTrace(
         time=t,
-        heave=h0 * np.sin(omg * t),
+        heave=heave,
         heave_vel=ydot,
         pitch=pitch,
         pitch_rate=hist[:, 1],
@@ -240,18 +248,17 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     `lib` is `math` for the integrator (s holds floats) or `numpy` for the
     trace (s holds the state-history columns).
     """
-    branches = hinge.significant_branches()
+    branches = [(k, 1.0 / tau) for k, tau in hinge.significant_branches()]
     nb = len(branches)
     k_inf = hinge.k_inf
     h0 = kin.heave_amp_pp / 2.0
     omg = 2.0 * math.pi * kin.heave_freq
-    vel_amp, acc_amp = h0 * omg, -h0 * omg * omg
+    vel_amp = h0 * omg
     r = foil.pitch_axis_offset
-    half_rho, area = 0.5 * foil.fluid_density, foil.planform_area
-    slope = foil.normal_force_slope
+    force = 0.5 * foil.fluid_density * foil.planform_area * foil.normal_force_slope  # f_n = force (u^2 + v^2) cn
     sincos = foil.stall_model == "sin-cos"
-    m_a = foil.added_mass
-    j_tot = foil.tail_inertia + m_a * r * r
+    inv_j = 1.0 / (foil.tail_inertia + foil.added_mass * r * r)
+    heave_moment = foil.added_mass * r * h0 * omg * omg  # added-mass moment of the heave acceleration, per sin(wt)
     free = virtual_mass is not None
     freestream = kin.freestream
     inv_mv = 1.0 / virtual_mass if free else 0.0
@@ -261,18 +268,16 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     def rhs(t, s):
         th, w = s[0], s[1]
         u = s[2 + nb] if free else freestream
-        ydot = vel_amp * cos(omg * t)
-        yddot = acc_amp * sin(omg * t)
-        v = ydot + r * w
+        wt = omg * t
+        v = vel_amp * cos(wt) + r * w
         alpha = -(th + inflow_angle(v, u))
-        cn = slope * sin(alpha) * cos(alpha) if sincos else slope * alpha
-        f_n = half_rho * (u * u + v * v) * area * cn
+        f_n = force * (u * u + v * v) * (sin(alpha) * cos(alpha) if sincos else alpha)
         m_ve = k_inf * th
         out = [w, 0.0]
-        for j, (k, tau) in enumerate(branches, 2):
+        for j, (k, inv_tau) in enumerate(branches, 2):
             m_ve += s[j]
-            out.append(k * w - s[j] / tau)
-        out[1] = (-m_ve + r * f_n - m_a * r * yddot) / j_tot
+            out.append(k * w - s[j] * inv_tau)
+        out[1] = (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j
         if free:
             out.append((thrust(f_n, th, u) - drag(u)) * inv_mv)
         out += (f_n, m_ve)
@@ -281,7 +286,7 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     return rhs
 
 
-def _run(foil, kin, hinge, dt, total_steps, rtol, keep=0, **free):
+def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
     """Plant history from rest with the first `keep` samples dropped: (t, states, rhs there)."""
     if total_steps > MAX_SAMPLES:  # a hinge branch with a tiny tau asks for far too many samples
         raise ParameterDomainError(f"plant run of {total_steps} samples at dt={dt:.3e} s is over {MAX_SAMPLES}")
@@ -289,13 +294,13 @@ def _run(foil, kin, hinge, dt, total_steps, rtol, keep=0, **free):
     t = np.arange(keep, total_steps + 1) * dt
     start = [0.0] if keep else []  # the warm-up is one output interval, with 500 steps per 10 of its samples
     rhs = _equations(foil, kin, hinge, math, **free)
-    hist = _integrate(rhs, dim, np.concatenate((start, t)), rtol, mxstep=max(500, 50 * keep))[len(start) :]
+    hist = _integrate(rhs, dim, np.concatenate((start, t)), rtol, atol, mxstep=max(500, 50 * keep))[len(start) :]
     return t, hist, _equations(foil, kin, hinge, np, **free)(t, list(hist.T))
 
 
-def _integrate(rhs, dim, t, rtol, mxstep=500):
-    """LSODA of the first `dim` rhs entries from rest at t[0] = 0, with atol = rtol / 1000 and at
-    most `mxstep` steps between two entries of t; the (t.size, dim) history at t."""
+def _integrate(rhs, dim, t, rtol, atol, mxstep=500):
+    """LSODA of the first `dim` rhs entries from rest at t[0] = 0, under error weights rtol |y_i| + atol
+    and with at most `mxstep` steps between two entries of t; the (t.size, dim) history at t."""
     from scipy.integrate import ODEintWarning, odeint
 
     reached = [0.0]
@@ -307,7 +312,7 @@ def _integrate(rhs, dim, t, rtol, mxstep=500):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ODEintWarning)  # odeint only warns when a solve fails
         try:
-            hist = odeint(derivs, np.zeros(dim), t, rtol=rtol, atol=1e-3 * rtol, mxstep=mxstep, tfirst=True)
+            hist = odeint(derivs, np.zeros(dim), t, rtol=rtol, atol=atol, mxstep=mxstep, tfirst=True)
             bad = np.flatnonzero(~np.isfinite(hist).all(axis=1))
             if bad.size == 0:
                 return hist
@@ -375,7 +380,7 @@ def simulate_free_swim(
         _check_dt(dt, hinge, kin.heave_freq)
     total = int(math.ceil(duration / dt))
     drag_area = body_drag_coeff * foil.planform_area
-    t, hist, d = _run(foil, kin, hinge, dt, total, RTOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
+    t, hist, d = _run(foil, kin, hinge, dt, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
     u = hist[:, -1]
     accel = d[-3]  # du/dt; f_n and the hinge moment follow it
     thrust_of, drag_of = _forces(foil, np, drag_area)

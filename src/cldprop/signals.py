@@ -118,27 +118,12 @@ def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float
     return n_full, _truncate_to_cycles(len(theta), theta.sample_rate, drive_freq, n_full)
 
 
-def _complex_amplitude(series: TimeSeries, omega: float, m: int) -> tuple[complex, float, float]:
-    """Least-squares fundamental of the first m samples.
-
-    Returns (x_hat, dc, ac_power). The regression basis includes a DC term so
-    sensor bias does not leak into the quadrature components.
-    """
-    t = series.times[:m]
-    x = series.samples[:m]
-    basis = np.column_stack([np.ones_like(t), np.cos(omega * t), np.sin(omega * t)])
-    coeff, *_ = np.linalg.lstsq(basis, x, rcond=None)
-    a, b, c = coeff
-    ac_power = float(np.mean((x - np.mean(x)) ** 2))
-    return complex(b, -c), float(a), ac_power
-
-
 def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> LockinResult:
     """Complex stiffness from paired angle/torque records at a single frequency.
 
-    Both signals are regressed on a DC + fundamental basis over an integer
-    number of whole drive cycles (trailing partial cycle discarded); the
-    stiffness is the ratio of complex torque to angle amplitudes.
+    Both signals are regressed on one DC + fundamental basis (the DC term keeps
+    sensor bias out of the quadrature) over whole drive cycles, the trailing
+    partial cycle discarded; the stiffness is the ratio of complex amplitudes.
     """
     if drive_freq >= theta.sample_rate / 2.0:  # ahead of the cycle count, which a short record also fails
         raise ParameterDomainError(
@@ -146,9 +131,14 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
         )
     _, m = _whole_cycle_window(theta, torque, drive_freq)
 
-    omega = 2.0 * math.pi * drive_freq
-    theta_hat, _, _ = _complex_amplitude(theta, omega, m)
-    torque_hat, _, torque_ac = _complex_amplitude(torque, omega, m)
+    wt = 2.0 * math.pi * drive_freq * theta.times[:m]
+    basis = (np.ones(m), np.cos(wt), np.sin(wt))
+    records = (theta.samples[:m], torque.samples[:m])
+    # Normal equations of the shared basis, from dot products: no m x 3 matrix is formed.
+    gram = [[a @ b for b in basis] for a in basis]
+    coeff = np.linalg.solve(gram, [[a @ x for x in records] for a in basis])
+    theta_hat, torque_hat = (complex(b, -c) for b, c in coeff[1:].T)
+    torque_ac = float(np.var(records[1]))
 
     if abs(theta_hat) < EXCITATION_FLOOR:
         raise DegenerateExcitationError(
@@ -269,13 +259,17 @@ def _whole_cycles(signal: TimeSeries, drive_freq: float) -> np.ndarray:
     if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
     n_full = _whole_cycle_count(signal, drive_freq, minimum=1)
-    spc_exact = signal.sample_rate / drive_freq
+    spc = samples_per_cycle(signal.sample_rate, drive_freq)
+    return signal.samples[: n_full * spc].reshape(n_full, spc)
+
+
+def samples_per_cycle(sample_rate: float, drive_freq: float) -> int:
+    """Samples per drive cycle, which whole-cycle statistics need to be an integer."""
+    spc_exact = sample_rate / drive_freq
     spc = int(round(spc_exact))
     if abs(spc_exact - spc) > 1e-9 * spc_exact:
-        raise ParameterDomainError(
-            f"whole cycles need an integer number of samples per cycle, got {spc_exact}"
-        )
-    return signal.samples[: n_full * spc].reshape(n_full, spc)
+        raise ParameterDomainError(f"whole cycles need an integer number of samples per cycle, got {spc_exact}")
+    return spc
 
 
 def cycle_fold(signal: TimeSeries, drive_freq: float) -> np.ndarray:

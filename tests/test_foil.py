@@ -96,6 +96,19 @@ class TestConstrained:
         with pytest.raises(ConfigError):
             simulate_constrained(_FOIL, kin, _RIGID, 10, 5, dt=6e-3)  # under 100 steps/cycle
 
+    def test_fractional_samples_per_cycle_rejected_before_integrating(self, monkeypatch):
+        # dt = 2.9e-5 s gives 17241.379... samples per 2 Hz cycle; the cycle statistics need whole ones.
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a run whose trace cannot be post-processed")
+
+        monkeypatch.setattr(foil_module, "_integrate", integrate)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
+        match = r"^whole cycles need an integer number of samples per cycle, got 17241\.379"
+        with pytest.raises(ParameterDomainError, match=match):
+            simulate_constrained(_FOIL, kin, _SOFT, 3, 1, dt=2.9e-5)
+        with pytest.raises(ParameterDomainError, match=match):
+            simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, 1.0, dt=2.9e-5)
+
     def test_sample_budget_checked_before_allocating(self):
         # A fitted branch with tau = 1e-9 s asks for 5e9 samples per 2 Hz cycle.
         hinge = PronyFit(k_inf=0.05, branches=((1.0, 1e-9),))
@@ -166,8 +179,8 @@ class TestEquations:
         assert m_ve == 0.0
 
 
-def _rk4(rhs, dim, t, rtol, mxstep=None):
-    """The integrator LSODA replaced: RK4 from rest, one step per finest sample spacing (rtol unused)."""
+def _rk4(rhs, dim, t, rtol, atol, mxstep=None):
+    """The integrator LSODA replaced: RK4 from rest, one step per finest sample spacing (tolerances unused)."""
     dt = t[-1] - t[-2]
     n = int(round(t[-1] / dt))
     hist = np.zeros((n + 1, dim))
@@ -210,8 +223,9 @@ class TestIntegrator:
         lanes = [("baseline", 1.75), ("baseline", 2.0), ("c", 0.5), ("c", 2.0)]
         hinges = {name: fit_design_hinge(config, config.coverage_of(name)) for name in ("baseline", "c")}
 
-        def metrics(rtol):
+        def metrics(rtol, atol):
             monkeypatch.setattr(foil_module, "CYCLE_RTOL", rtol)
+            monkeypatch.setattr(foil_module, "CYCLE_ATOL", atol)
             rows = []
             for name, freq in lanes:
                 kin = next(k for k in config.sweep.kinematics if k.heave_freq == freq)
@@ -224,8 +238,30 @@ class TestIntegrator:
                 )
             return np.array(rows)
 
-        loose, tight = metrics(foil_module.CYCLE_RTOL), metrics(1e-12)
+        loose, tight = metrics(foil_module.CYCLE_RTOL, foil_module.CYCLE_ATOL), metrics(1e-12, 1e-15)
         assert np.all(np.abs(loose - tight) <= 1e-7 * np.abs(tight).max(axis=0))
+
+    def test_solver_work_on_two_sweep_lanes(self, monkeypatch, default_config, design_hinges):
+        # Right-hand-side calls of LSODA on the tau-floor lane and the bare hinge's period-6 lane: more
+        # error-weight or callback work than 1.1x their counts under (3e-9, 3e-9) fails here.
+        calls = []
+        integrate = foil_module._integrate
+
+        def counted(rhs, *args, **kwargs):
+            calls.append(0)
+
+            def counting(t, s):
+                calls[-1] += 1
+                return rhs(t, s)
+
+            return integrate(counting, *args, **kwargs)
+
+        monkeypatch.setattr(foil_module, "_integrate", counted)
+        sweep = default_config.sweep
+        for name, freq in [("c", 0.5), ("baseline", 2.0)]:
+            kin = next(k for k in sweep.kinematics if k.heave_freq == freq)
+            simulate_constrained(default_config.foil, kin, design_hinges[name], sweep.cycles, sweep.warmup_cycles)
+        assert calls[0] <= 1.1 * 4545 and calls[1] <= 1.1 * 8197, calls
 
     @pytest.mark.parametrize(
         "blow_up",
@@ -238,7 +274,7 @@ class TestIntegrator:
             return [blow_up() if t > 0.5 else 1.0, 0.0]
 
         with pytest.raises(IntegrationDivergenceError, match=r"diverged near t=") as info:
-            foil_module._integrate(rhs, 1, np.linspace(0.0, 1.0, 11), foil_module.RTOL)
+            foil_module._integrate(rhs, 1, np.linspace(0.0, 1.0, 11), foil_module.RTOL, foil_module.ATOL)
         assert 0.3 < info.value.time < 2.0
         assert len(recwarn) == 0
 

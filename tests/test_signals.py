@@ -15,9 +15,11 @@ from cldprop.errors import (
     ParameterDomainError,
     SignalMismatchError,
 )
+from cldprop.foil import simulate_constrained
 from cldprop.prony import NEGLIGIBLE_BRANCH_FRACTION, PronyFit, prony_frequency_response
 from cldprop.signals import (
     TimeSeries,
+    _whole_cycle_window,
     cycle_average,
     cycle_fold,
     hysteresis_loop_area,
@@ -130,6 +132,38 @@ class TestLockin:
         theta, torque = _spring_damper_pair(theta_amp=1e-9)
         with pytest.raises(DegenerateExcitationError):
             lockin_extract(theta, torque, _F)
+
+    @pytest.mark.parametrize("record", ["sweep-lane", "bender-2Hz", "bender-99.9Hz", "long-3Hz"])
+    def test_matches_per_signal_least_squares(self, record, default_config, design_hinges):
+        # Reference: each signal regressed on its own [1, cos, sin] matrix by lstsq.
+        plant = ComplexStiffness(_K, _LOSS_ORACLE)
+        noisy = dict(noise_snr_db=20.0, seed=3)
+        if record == "sweep-lane":
+            sweep = default_config.sweep
+            kin = next(k for k in sweep.kinematics if k.heave_freq == 1.0)
+            trace = simulate_constrained(default_config.foil, kin, design_hinges["c"], sweep.cycles, sweep.warmup_cycles)
+            f = trace.drive_freq
+            theta = TimeSeries(trace.sample_rate, trace.pitch, trace.time[0])
+            torque = TimeSeries(trace.sample_rate, trace.hinge_moment, trace.time[0])
+        elif record == "long-3Hz":  # 120,000 samples, as the extract of a 120 s record at 1 kHz
+            f = 3.0
+            theta, torque = synth_bender_pair(plant, f, theta_amp=_AMP, sample_rate=1000.0, n_cycles=360, **noisy)
+            assert len(theta) == 120_000
+        else:
+            f = 2.0 if record == "bender-2Hz" else 99.9
+            theta, torque = synth_bender_pair(plant, f, theta_amp=_AMP, sample_rate=200.0, n_cycles=6, **noisy)
+        _, m = _whole_cycle_window(theta, torque, f)
+        wt = 2.0 * math.pi * f * theta.times[:m]
+        basis = np.column_stack([np.ones(m), np.cos(wt), np.sin(wt)])
+        fits = [np.linalg.lstsq(basis, x.samples[:m], rcond=None)[0] for x in (theta, torque)]
+        theta_hat, torque_hat = (complex(b, -c) for _, b, c in fits)
+        k = torque_hat / theta_hat
+        ac_power = np.mean((torque.samples[:m] - np.mean(torque.samples[:m])) ** 2)
+        coherence = min(1.0, abs(torque_hat) ** 2 / 2.0 / ac_power)
+        got = lockin_extract(theta, torque, f)
+        want = [k.real, k.imag, abs(theta_hat), abs(torque_hat), coherence]
+        got = [got.stiffness.storage, got.stiffness.loss, got.theta_amplitude, got.torque_amplitude, got.coherence]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestFractions:

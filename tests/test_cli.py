@@ -364,6 +364,30 @@ def test_light_commands_load_no_scipy():
     assert proc.stdout.startswith("design,freq_hz")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.cycles=3", "--set", "sweep.warmup_cycles=0"],
+        ["freeswim", "--design", "c", "--set", "freeswim.duration_s=1"],
+    ],
+    ids=["sweep", "freeswim"],
+)
+def test_plant_commands_load_only_the_lsoda_driver(tmp_path, argv):
+    # The plant calls scipy's compiled LSODA driver; scipy.integrate's package import (and with it
+    # scipy.special and scipy.optimize) costs about 0.5 s that these commands never use.
+    code = (
+        "import sys\n"
+        "from cldprop.cli import main\n"
+        f"assert main({argv!r} + ['--output-dir', 'runs']) == 0\n"
+        "loaded = [m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert 'scipy.integrate._odepack' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_surrogate_path_loads_no_scipy():
     # The Prony fit, its closed-form torque and the lock-in are numpy only.
     code = (

@@ -263,6 +263,57 @@ class TestIntegrator:
             simulate_constrained(default_config.foil, kin, design_hinges[name], sweep.cycles, sweep.warmup_cycles)
         assert calls[0] <= 1.1 * 4545 and calls[1] <= 1.1 * 8197, calls
 
+    @pytest.mark.parametrize("regime", ["constrained", "free-swim"])
+    def test_lsoda_matches_public_odeint(self, monkeypatch, default_config, design_hinges, regime):
+        # _integrate calls scipy's compiled LSODA driver without scipy.integrate; the public odeint, under
+        # the same error weights and step cap, must give the same history to the last bit. A scipy that
+        # moves the driver or changes its arguments fails here.
+        from scipy.integrate import _odepack, odeint
+
+        calls = []
+        integrate = foil_module._integrate
+
+        def recorded(rhs, dim, t, rtol, atol, mxstep=500):
+            hist = integrate(rhs, dim, t, rtol, atol, mxstep)
+            calls.append((rhs, dim, t, rtol, atol, mxstep, hist))
+            return hist
+
+        monkeypatch.setattr(foil_module, "_integrate", recorded)
+        if regime == "constrained":
+            kin = next(k for k in default_config.sweep.kinematics if k.heave_freq == 2.0)
+            simulate_constrained(default_config.foil, kin, design_hinges["c"], n_cycles=3, warmup_cycles=1)
+            tolerances = (foil_module.CYCLE_RTOL, foil_module.CYCLE_ATOL)
+        else:
+            free = default_config.freeswim
+            simulate_free_swim(
+                default_config.foil, free.kinematics, design_hinges["c"], free.virtual_mass, free.body_drag_coeff, 1.0
+            )
+            tolerances = (foil_module.RTOL, foil_module.ATOL)
+        [(rhs, dim, t, rtol, atol, mxstep, hist)] = calls
+        assert (rtol, atol) == tolerances
+        want = odeint(
+            lambda time, s: rhs(time, s.tolist())[:dim], np.zeros(dim), t,
+            rtol=rtol, atol=atol, mxstep=mxstep, tfirst=True,
+        )
+        assert np.array_equal(hist, want)
+        assert foil_module._lsoda() is _odepack.odeint
+
+    def test_excess_work_is_divergence(self, recwarn):
+        # Too few steps allowed between two output times: odeint warns, _integrate raises.
+        from scipy.integrate import ODEintWarning, odeint
+
+        def rhs(t, s):
+            return [math.cos(40.0 * t), 0.0]
+
+        t, rtol, atol = np.linspace(0.0, 1.0, 3), foil_module.RTOL, foil_module.ATOL
+        with pytest.warns(ODEintWarning, match="Excess work"):
+            odeint(lambda time, s: rhs(time, s.tolist())[:1], np.zeros(1), t, rtol=rtol, atol=atol, mxstep=2, tfirst=True)
+        recwarn.clear()
+        with pytest.raises(IntegrationDivergenceError, match=r"diverged near t=") as info:
+            foil_module._integrate(rhs, 1, t, rtol, atol, mxstep=2)
+        assert 0.0 < info.value.time < 0.5
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize(
         "blow_up",
         [lambda: math.nan, lambda: math.inf, lambda: math.sin(math.inf)],

@@ -8,10 +8,10 @@ normal force on the rigid tail, plus a flat-plate added-mass reaction.
 The hinge carries a Prony-series stiffness integrated in time alongside
 the pitch state, so frequency-dependent storage and loss emerge naturally.
 LSODA integrates the plant under error control onto a fixed sample grid: scipy's
-compiled driver `scipy.integrate._odepack.odeint`, loaded alone, as the package
-`scipy.integrate` imports 355 scipy modules in 0.4-0.5 s that the plant never
-calls. One right-hand side serves both LSODA (on floats) and the trace
-(on numpy columns of the state history), so the force law is written once.
+compiled driver `scipy.integrate._odepack.odeint`, loaded without the 355 modules
+that `scipy.integrate` imports in 0.4-0.5 s. The right-hand side is one source
+template, compiled once per lane shape and called by LSODA directly; the trace
+runs it on numpy columns of the state history, so the force law is written once.
 
 LSODA weighs state i's error by rtol |y_i| + atol. Constrained lanes use (3e-9,
 3e-9), chosen by a study of the default sweep against (1e-12, 1e-15); per pair, RHS
@@ -35,6 +35,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 
@@ -164,12 +165,8 @@ class FreeSwimTrace:
 
 
 def _steps_per_cycle(hinge: PronyFit, heave_freq: float, minimum: int) -> int:
-    branches = hinge.significant_branches()
-    steps = minimum
-    if branches:
-        tau_min = min(t for _, t in branches)
-        steps = max(steps, int(math.ceil(STEPS_PER_TAU / (heave_freq * tau_min))))
-    return steps
+    taus = [t for _, t in hinge.significant_branches()]
+    return max(minimum, int(math.ceil(STEPS_PER_TAU / (heave_freq * min(taus))))) if taus else minimum
 
 
 def _check_dt(dt: float, hinge: PronyFit, heave_freq: float) -> int:
@@ -209,8 +206,7 @@ def simulate_constrained(
     total = (n_cycles + warmup_cycles) * steps
     t, hist, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * steps)
     pitch, pitch_acc, f_n = hist[:, 0], d[1], d[-2]
-    h0 = kin.heave_amp_pp / 2.0
-    omg = 2.0 * math.pi * kin.heave_freq
+    h0, omg = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq
     heave = h0 * np.sin(omg * t)
     ydot = h0 * omg * np.cos(omg * t)
     yddot = -omg * omg * heave
@@ -245,50 +241,51 @@ def _forces(foil, lib, body_drag_area=0.0):
     return thrust, drag
 
 
+# The plant's right-hand side, written once: `_rhs_code` compiles it per lane shape, `_equations` binds a lane's
+# constants as its globals. Keep each float operation's order: a test holds it bit-equal to a generic loop.
+_RHS = """\
+def rhs(t, s):
+    th, w{states} = s{tolist}
+    wt = omg * t
+    v = vel_amp * cos(wt) + r * w
+    alpha = -(th + atan2(v, u))
+    f_n = force * (u * u + v * v) * {cn}
+    m_ve = k_inf * th{branch_sum}
+    return [w, (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j{rates}{accel}{outputs}]
+"""
+
+
+@lru_cache(maxsize=None)
+def _rhs_code(nb, free, sincos, lsoda):
+    """`_RHS` for nb hinge branches, free swimming or not, the sin-cos stall law or not, LSODA or trace form."""
+    ms = "".join(f", m{j}" for j in range(nb))
+    return compile(_RHS.format(
+        states=ms + (", u" if free else ""), tolist=".tolist()" if lsoda else "", branch_sum=ms.replace(",", " +"),
+        cn="(sin(alpha) * cos(alpha))" if sincos else "alpha", outputs="" if lsoda else ", f_n, m_ve",
+        rates="".join(f", k{j} * w - m{j} * i{j}" for j in range(nb)),
+        accel=", (thrust(f_n, th, u) - drag(u)) * inv_mv" if free else "",
+    ), f"<foil rhs {nb} {free} {sincos} {lsoda}>", "exec")
+
+
 def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
-    """Foil plant right-hand side rhs(t, s) -> [ds/dt..., f_n, m_ve].
-
-    The state is [pitch, pitch_rate, m_1..m_J], plus the speed u when
-    `virtual_mass` is given (free swimming); otherwise u is the freestream.
-    `lib` is `math` for the integrator (s holds floats) or `numpy` for the
-    trace (s holds the state-history columns).
-    """
-    branches = [(k, 1.0 / tau) for k, tau in hinge.significant_branches()]
-    nb = len(branches)
-    k_inf = hinge.k_inf
-    h0 = kin.heave_amp_pp / 2.0
-    omg = 2.0 * math.pi * kin.heave_freq
-    vel_amp = h0 * omg
-    r = foil.pitch_axis_offset
-    force = 0.5 * foil.fluid_density * foil.planform_area * foil.normal_force_slope  # f_n = force (u^2 + v^2) cn
-    sincos = foil.stall_model == "sin-cos"
-    inv_j = 1.0 / (foil.tail_inertia + foil.added_mass * r * r)
-    heave_moment = foil.added_mass * r * h0 * omg * omg  # added-mass moment of the heave acceleration, per sin(wt)
+    """Foil plant right-hand side rhs(t, s) on the state [pitch, pitch_rate, m_1..m_J], plus the speed u when
+    `virtual_mass` is given (free swimming; otherwise u is the freestream). With `lib` = `math`, s is the state
+    array LSODA passes and rhs returns ds/dt; with `numpy`, s holds state-history columns, rhs [ds/dt..., f_n, m_ve]."""
+    branches = hinge.significant_branches()
+    h0, omg, r = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, foil.pitch_axis_offset
     free = virtual_mass is not None
-    freestream = kin.freestream
-    inv_mv = 1.0 / virtual_mass if free else 0.0
     thrust, drag = _forces(foil, lib, body_drag_area)
-    sin, cos, inflow_angle = lib.sin, lib.cos, lib.atan2
-
-    def rhs(t, s):
-        th, w = s[0], s[1]
-        u = s[2 + nb] if free else freestream
-        wt = omg * t
-        v = vel_amp * cos(wt) + r * w
-        alpha = -(th + inflow_angle(v, u))
-        f_n = force * (u * u + v * v) * (sin(alpha) * cos(alpha) if sincos else alpha)
-        m_ve = k_inf * th
-        out = [w, 0.0]
-        for j, (k, inv_tau) in enumerate(branches, 2):
-            m_ve += s[j]
-            out.append(k * w - s[j] * inv_tau)
-        out[1] = (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j
-        if free:
-            out.append((thrust(f_n, th, u) - drag(u)) * inv_mv)
-        out += (f_n, m_ve)
-        return out
-
-    return rhs
+    namespace = dict(
+        sin=lib.sin, cos=lib.cos, atan2=lib.atan2, thrust=thrust, drag=drag, omg=omg, vel_amp=h0 * omg, r=r,
+        k_inf=hinge.k_inf, u=kin.freestream, inv_mv=1.0 / virtual_mass if free else 0.0,  # free swimming: u is a state
+        force=0.5 * foil.fluid_density * foil.planform_area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) cn
+        inv_j=1.0 / (foil.tail_inertia + foil.added_mass * r * r),
+        heave_moment=foil.added_mass * r * h0 * omg * omg,  # added-mass moment of the heave acceleration, per sin(wt)
+        **{f"k{j}": k for j, (k, _) in enumerate(branches)},
+        **{f"i{j}": 1.0 / tau for j, (_, tau) in enumerate(branches)},  # branch j: dm_j/dt = k_j w - m_j / tau_j
+    )
+    exec(_rhs_code(len(branches), free, foil.stall_model == "sin-cos", lib is math), namespace)
+    return namespace["rhs"]
 
 
 def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
@@ -300,7 +297,7 @@ def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
     start = [0.0] if keep else []  # the warm-up is one output interval, with 500 steps per 10 of its samples
     rhs = _equations(foil, kin, hinge, math, **free)
     hist = _integrate(rhs, dim, np.concatenate((start, t)), rtol, atol, mxstep=max(500, 50 * keep))[len(start) :]
-    return t, hist, _equations(foil, kin, hinge, np, **free)(t, list(hist.T))
+    return t, hist, _equations(foil, kin, hinge, np, **free)(t, hist.T)
 
 
 def _lsoda():
@@ -315,26 +312,29 @@ def _lsoda():
 
 
 def _integrate(rhs, dim, t, rtol, atol, mxstep=500):
-    """LSODA of the first `dim` rhs entries from rest at t[0] = 0, under error weights rtol |y_i| + atol
-    and with at most `mxstep` steps between two entries of t; the (t.size, dim) history at t."""
+    """LSODA of rhs(t, s) -> ds/dt from rest at t[0] = 0, under error weights rtol |y_i| + atol and with
+    at most `mxstep` steps between two entries of t; the (t.size, dim) history at t."""
     reached = [0.0]
 
-    def derivs(time, s):
+    def tracked(time, s):
         reached[0] = time
-        return rhs(time, s.tolist())[:dim]
+        return rhs(time, s)
 
-    # The arguments of scipy.integrate.odeint(derivs, y0, t, rtol=, atol=, mxstep=, tfirst=True), in its order;
-    # istate < 0 is the failed solve that odeint reports as ODEintWarning.
-    try:
-        hist, istate = _lsoda()(derivs, np.zeros(dim), t, (), None, 0, -1, -1, 0, rtol, atol, None, 0.0, 0.0, 0.0,
-                                0, mxstep, 0, 12, 5, 1)
-        bad = np.flatnonzero(~np.isfinite(hist).all(axis=1))
-        if istate >= 0 and bad.size == 0:
-            return hist
-        failed = reached[0] if istate < 0 else float(t[bad[0]])  # a failed solve leaves its later rows unwritten
-    except ValueError:  # math.sin of an infinite trial state
-        failed = reached[0]
-    raise IntegrationDivergenceError(f"state diverged near t={failed:.6g} s", time=failed)
+    for f in (rhs, tracked):  # a solve that stops between two rows runs again, noting the time of each call
+        # The arguments of scipy.integrate.odeint(f, y0, t, rtol=, atol=, mxstep=, tfirst=True), in its order;
+        # istate < 0 is the failed solve that odeint reports as ODEintWarning.
+        try:
+            hist, istate = _lsoda()(f, np.zeros(dim), t, (), None, 0, -1, -1, 0, rtol, atol, None, 0.0, 0.0, 0.0,
+                                    0, mxstep, 0, 12, 5, 1)
+        except ValueError:  # math.sin of an infinite trial state
+            continue
+        if istate >= 0:  # a finished solve fails at its first non-finite row
+            bad = np.flatnonzero(~np.isfinite(hist).all(axis=1))
+            if bad.size == 0:
+                return hist
+            reached[0] = float(t[bad[0]])
+            break
+    raise IntegrationDivergenceError(f"state diverged near t={reached[0]:.6g} s", time=reached[0])
 
 
 def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMetrics:

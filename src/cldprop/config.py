@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -176,6 +177,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, str, Callable[[str, str], Any]]]] = {
 }
 
 _DEFAULT_DESIGNS = {"baseline": "0.0", "a": "0.167", "b": "0.333", "c": "0.667"}  # name -> coverage
+_DESIGN_NAME = re.compile(r"[A-Za-z0-9_-]+")  # a table cell and part of a file name
 
 
 @dataclass(frozen=True)
@@ -264,6 +266,8 @@ def _merged_raw(path: str | None, overrides: list[str] | None) -> dict[str, dict
         if key is None:
             if section == "designs":
                 raw["designs"] = {}  # a [designs] section replaces the default set wholesale
+        elif section == "designs" and not _DESIGN_NAME.fullmatch(key):
+            raise ConfigError(f"design name {key!r} in {origin} may hold only letters, digits, '_' and '-'")
         elif section == "designs" or key in raw[section]:
             raw[section][key] = value
         else:

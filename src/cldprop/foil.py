@@ -10,8 +10,8 @@ the pitch state, so frequency-dependent storage and loss emerge naturally.
 LSODA integrates the plant under error control onto a fixed sample grid: scipy's
 compiled driver `scipy.integrate._odepack.odeint`, loaded without the 355 modules
 that `scipy.integrate` imports in 0.4-0.5 s. The right-hand side is one source
-template, compiled once per lane shape and called by LSODA directly; the trace
-runs it on numpy columns of the state history, so the force law is written once.
+template, compiled once per lane shape and called by LSODA directly; run on numpy
+columns of the state history, it returns the trace's values by name: one force law.
 
 LSODA weighs state i's error by rtol |y_i| + atol. Constrained lanes use (3e-9,
 3e-9), chosen by a study of the default sweep against (1e-12, 1e-15); per pair, RHS
@@ -157,11 +157,7 @@ class FreeSwimTrace:
     thrust: np.ndarray
     drag: np.ndarray
     drive_freq: float
-
-    @property
-    def samples_per_cycle(self) -> int:
-        fs = 1.0 / float(self.time[1] - self.time[0])
-        return int(round(fs / self.drive_freq))
+    samples_per_cycle: int
 
 
 def _steps_per_cycle(hinge: PronyFit, heave_freq: float, minimum: int) -> int:
@@ -204,41 +200,23 @@ def simulate_constrained(
     else:
         steps = _check_dt(dt, hinge, kin.heave_freq)
     total = (n_cycles + warmup_cycles) * steps
-    t, hist, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * steps)
-    pitch, pitch_acc, f_n = hist[:, 0], d[1], d[-2]
+    t, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * steps)
     h0, omg = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq
     heave = h0 * np.sin(omg * t)
-    ydot = h0 * omg * np.cos(omg * t)
     yddot = -omg * omg * heave
-    lateral = f_n * np.cos(pitch) - foil.added_mass * (yddot + foil.pitch_axis_offset * pitch_acc)
-    thrust_of, _ = _forces(foil, np)
+    lateral = d["f_n"] * np.cos(d["th"]) - foil.added_mass * (yddot + foil.pitch_axis_offset * d["pitch_acc"])
     return ConstrainedTrace(
         time=t,
         heave=heave,
-        heave_vel=ydot,
-        pitch=pitch,
-        pitch_rate=hist[:, 1],
-        thrust=thrust_of(f_n, pitch, kin.freestream),
+        heave_vel=d["heave_vel"],
+        pitch=d["th"],
+        pitch_rate=d["w"],
+        thrust=d["thrust"],
         lateral=lateral,
-        power=-lateral * ydot,
-        hinge_moment=d[-1],
+        power=-lateral * d["heave_vel"],
+        hinge_moment=d["m_ve"],
         drive_freq=kin.heave_freq,
     )
-
-
-def _forces(foil, lib, body_drag_area=0.0):
-    """Streamwise force laws: thrust(f_n, pitch, u) and body drag(u)."""
-    sin, cos = lib.sin, lib.cos
-    half_rho, area, cd0 = 0.5 * foil.fluid_density, foil.planform_area, foil.profile_drag_coeff
-    body = half_rho * body_drag_area
-
-    def thrust(f_n, th, u):
-        return f_n * sin(th) - half_rho * u * u * area * cd0 * cos(th)
-
-    def drag(u):
-        return body * u * abs(u)
-
-    return thrust, drag
 
 
 # The plant's right-hand side, written once: `_rhs_code` compiles it per lane shape, `_equations` binds a lane's
@@ -247,11 +225,13 @@ _RHS = """\
 def rhs(t, s):
     th, w{states} = s{tolist}
     wt = omg * t
-    v = vel_amp * cos(wt) + r * w
+    heave_vel = vel_amp * cos(wt)
+    v = heave_vel + r * w
     alpha = -(th + atan2(v, u))
     f_n = force * (u * u + v * v) * {cn}
     m_ve = k_inf * th{branch_sum}
-    return [w, (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j{rates}{accel}{outputs}]
+    pitch_acc = (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j{thrust}{accel}
+    return {values}
 """
 
 
@@ -259,26 +239,32 @@ def rhs(t, s):
 def _rhs_code(nb, free, sincos, lsoda):
     """`_RHS` for nb hinge branches, free swimming or not, the sin-cos stall law or not, LSODA or trace form."""
     ms = "".join(f", m{j}" for j in range(nb))
+    states = ms + (", u" if free else "")
+    rates = "".join(f", k{j} * w - m{j} * i{j}" for j in range(nb)) + (", accel" if free else "")
+    named = f"th, w{states}, heave_vel, pitch_acc, f_n, m_ve, thrust" + (", drag, accel" if free else "")
     return compile(_RHS.format(
-        states=ms + (", u" if free else ""), tolist=".tolist()" if lsoda else "", branch_sum=ms.replace(",", " +"),
-        cn="(sin(alpha) * cos(alpha))" if sincos else "alpha", outputs="" if lsoda else ", f_n, m_ve",
-        rates="".join(f", k{j} * w - m{j} * i{j}" for j in range(nb)),
-        accel=", (thrust(f_n, th, u) - drag(u)) * inv_mv" if free else "",
+        states=states, tolist=".tolist()" if lsoda else "", branch_sum=ms.replace(",", " +"),
+        cn="(sin(alpha) * cos(alpha))" if sincos else "alpha",
+        thrust="\n    thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos(th)" if free or not lsoda else "",
+        accel="\n    drag = body * u * abs(u)\n    accel = (thrust - drag) * inv_mv" if free else "",
+        values=f"[w, pitch_acc{rates}]" if lsoda else f"dict({', '.join(f'{n}={n}' for n in named.split(', '))})",
     ), f"<foil rhs {nb} {free} {sincos} {lsoda}>", "exec")
 
 
 def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     """Foil plant right-hand side rhs(t, s) on the state [pitch, pitch_rate, m_1..m_J], plus the speed u when
     `virtual_mass` is given (free swimming; otherwise u is the freestream). With `lib` = `math`, s is the state
-    array LSODA passes and rhs returns ds/dt; with `numpy`, s holds state-history columns, rhs [ds/dt..., f_n, m_ve]."""
+    array LSODA passes and rhs returns ds/dt; with `numpy`, s holds state-history columns, rhs a dict of them and
+    the plant's outputs by name (`_rhs_code`'s `named`)."""
     branches = hinge.significant_branches()
     h0, omg, r = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, foil.pitch_axis_offset
     free = virtual_mass is not None
-    thrust, drag = _forces(foil, lib, body_drag_area)
+    half_rho, area = 0.5 * foil.fluid_density, foil.planform_area
     namespace = dict(
-        sin=lib.sin, cos=lib.cos, atan2=lib.atan2, thrust=thrust, drag=drag, omg=omg, vel_amp=h0 * omg, r=r,
-        k_inf=hinge.k_inf, u=kin.freestream, inv_mv=1.0 / virtual_mass if free else 0.0,  # free swimming: u is a state
-        force=0.5 * foil.fluid_density * foil.planform_area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) cn
+        sin=lib.sin, cos=lib.cos, atan2=lib.atan2, omg=omg, vel_amp=h0 * omg, r=r, k_inf=hinge.k_inf,
+        u=kin.freestream, inv_mv=1.0 / virtual_mass if free else 0.0,  # free swimming: u is a state
+        force=half_rho * area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) cn
+        half_rho=half_rho, area=area, cd0=foil.profile_drag_coeff, body=half_rho * body_drag_area,
         inv_j=1.0 / (foil.tail_inertia + foil.added_mass * r * r),
         heave_moment=foil.added_mass * r * h0 * omg * omg,  # added-mass moment of the heave acceleration, per sin(wt)
         **{f"k{j}": k for j, (k, _) in enumerate(branches)},
@@ -289,7 +275,7 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
 
 
 def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
-    """Plant history from rest with the first `keep` samples dropped: (t, states, rhs there)."""
+    """Plant history from rest with the first `keep` samples dropped: (t, the trace form's named values)."""
     if total_steps > MAX_SAMPLES:  # a hinge branch with a tiny tau asks for far too many samples
         raise ParameterDomainError(f"plant run of {total_steps} samples at dt={dt:.3e} s is over {MAX_SAMPLES}")
     dim = 2 + len(hinge.significant_branches()) + ("virtual_mass" in free)
@@ -297,7 +283,7 @@ def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
     start = [0.0] if keep else []  # the warm-up is one output interval, with 500 steps per 10 of its samples
     rhs = _equations(foil, kin, hinge, math, **free)
     hist = _integrate(rhs, dim, np.concatenate((start, t)), rtol, atol, mxstep=max(500, 50 * keep))[len(start) :]
-    return t, hist, _equations(foil, kin, hinge, np, **free)(t, hist.T)
+    return t, _equations(foil, kin, hinge, np, **free)(t, hist.T)
 
 
 def _lsoda():
@@ -392,13 +378,11 @@ def simulate_free_swim(
     if dt is None:
         dt = 1.0 / (steps * kin.heave_freq)
     else:
-        _check_dt(dt, hinge, kin.heave_freq)
+        steps = _check_dt(dt, hinge, kin.heave_freq)
     total = int(math.ceil(duration / dt))
     drag_area = body_drag_coeff * foil.planform_area
-    t, hist, d = _run(foil, kin, hinge, dt, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
-    u = hist[:, -1]
-    accel = d[-3]  # du/dt; f_n and the hinge moment follow it
-    thrust_of, drag_of = _forces(foil, np, drag_area)
+    t, d = _run(foil, kin, hinge, dt, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
+    u, accel = d["u"], d["accel"]
     return FreeSwimTrace(
         time=t,
         x=np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))]),
@@ -406,9 +390,10 @@ def simulate_free_swim(
         accel=accel,
         accel_cycle_mean=cycle_average(TimeSeries(1.0 / dt, accel), kin.heave_freq),
         u_cycle_mean=cycle_average(TimeSeries(1.0 / dt, u), kin.heave_freq),
-        thrust=thrust_of(d[-2], hist[:, 0], u),
-        drag=drag_of(u),
+        thrust=d["thrust"],
+        drag=d["drag"],
         drive_freq=kin.heave_freq,
+        samples_per_cycle=steps,
     )
 
 

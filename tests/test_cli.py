@@ -186,6 +186,27 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("config error") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("name", ["x,y", "a/b", ""], ids=["comma", "slash", "empty"])
+    def test_bad_design_name_is_config_error(self, tmp_path, capsys, monkeypatch, name):
+        # A design name is a table cell and part of fig_<kind>_<design>.csv: a comma shifts the
+        # swim_metrics.csv row, a slash names a missing directory, an empty name an unnamed figure.
+        def no_run(*args):
+            raise AssertionError("a protocol started on a design name that should not load")
+
+        for runner in ("run_bender_sweep", "run_strouhal_sweep", "run_freeswim_trial"):
+            monkeypatch.setattr(cli, runner, no_run)
+        out, cfg = tmp_path / "runs", tmp_path / "bench.cfg"
+        out.mkdir()
+        cfg.write_text(f"[designs]\n{name} = 0.5\n")
+        rule = "may hold only letters, digits, '_' and '-'\n"
+        want = [f"config error: design name {name!r} in override 'designs.{name}=0.5' {rule}"]
+        # configparser reads no empty key from a file
+        want.append(f"config error: design name {name!r} in {cfg} {rule}" if name else "config error: malformed")
+        for source, start in zip((["--set", f"designs.{name}=0.5"], ["--config", str(cfg)]), want):
+            assert main(["sweep", *source, "--output-dir", str(out), "--quiet"]) == 2
+            assert capsys.readouterr().err.startswith(start)
+        assert os.listdir(out) == []
+
 
 class TestLayup:
     def test_csv_on_stdout(self, capsys):

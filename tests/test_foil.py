@@ -98,7 +98,9 @@ class TestConstrained:
         # with J = I + m_a r^2, F = rho S C_n,alpha / 2, V = h0 w and K_P the Prony response of the hinge's
         # significant branches (the ones the plant integrates). Measured relative errors: 3.1e-7 to 5.4e-6
         # (6 lanes); the tolerance, 1e-5, is about twice the largest. At 1 % of the amplitude they grow to
-        # 1.6e-6 to 5.3e-5.
+        # 1.6e-6 to 5.3e-5. The lateral force f_n cos(theta) - m_a (y'' + r theta''), linearised the same way,
+        # has the phasor L = -F U^2 Theta - F U (V + i w r Theta) - m_a (i h0 w^2 - r w^2 Theta): measured
+        # 7.5e-7 to 3.9e-6 relative, and 2.7e-6 to 7.4e-5 at 1 % of the amplitude.
         foil, sweep, hinge = default_config.foil, default_config.sweep, design_hinges[design]
         kin = KinematicsSpec(freq, 1e-3 * sweep.heave_amp_pp, sweep.freestream)
         trace = simulate_constrained(foil, kin, hinge, n_cycles=10, warmup_cycles=20)
@@ -111,6 +113,20 @@ class TestConstrained:
         lhs = -(foil.tail_inertia + m_a * r * r) * w * w + complex(k_p.storage, k_p.loss) + r * f * u * u
         want = (-r * f * u * h0 * w - 1j * m_a * r * h0 * w * w) / (lhs + 1j * w * r * r * f * u)
         assert abs(complex(a, -b) - want) <= 1e-5 * abs(want)
+        (a, b, _), *_ = np.linalg.lstsq(basis, trace.lateral, rcond=None)
+        lateral = -f * u * u * want - f * u * (h0 * w + 1j * w * r * want) - m_a * (1j * h0 * w * w - r * w * w * want)
+        assert abs(complex(a, -b) - lateral) <= 1e-5 * abs(lateral)
+
+    def test_branchless_hinge_reports_loss_as_roundoff(self, default_config, design_hinges):
+        # The baseline hinge keeps no branch, so its loss is exactly 0; the lock-in of a default lane reports
+        # roundoff of either sign instead (1.0e-16 at most), which the sweep table prints as it is.
+        hinge, sweep = design_hinges["baseline"], default_config.sweep
+        assert hinge.significant_branches() == ()
+        for kin in sweep.kinematics:
+            trace = simulate_constrained(default_config.foil, kin, hinge, sweep.cycles, sweep.warmup_cycles)
+            metrics = propulsion_metrics(trace, kin)
+            assert abs(metrics.effective_stiffness.loss) <= 1e-14 * metrics.effective_stiffness.storage
+            assert abs(metrics.fractions.dissipative) <= 1e-14
 
     def test_dt_stability_guards(self):
         kin = KinematicsSpec(2.0, 0.08, 0.2)
@@ -166,7 +182,7 @@ class TestEquations:
     @pytest.mark.parametrize("virtual_mass", [None, 3.0], ids=["constrained", "free"])
     def test_math_and_numpy_evaluations_agree(self, stall_model, virtual_mass):
         # LSODA evaluates rhs on floats, the trace on state-history columns;
-        # both must give the same derivatives and forces.
+        # both must give the same derivatives.
         foil = replace(_FOIL, stall_model=stall_model)
         kin = KinematicsSpec(2.0, 0.08, 0.2)
         free = {}
@@ -177,12 +193,19 @@ class TestEquations:
         states = rng.uniform(-0.5, 0.5, size=(n, dim))  # u < 0 reaches the u|u| drag sign
         t = rng.uniform(0.0, 2.0, size=n)
         scalar = np.array([_equations(foil, kin, _SOFT, math, **free)(ti, si) for ti, si in zip(t, states)])
-        vector = np.array(_equations(foil, kin, _SOFT, np, **free)(t, states.T)).T
+        named = _equations(foil, kin, _SOFT, np, **free)(t, states.T)
         assert scalar.shape == (n, dim)  # LSODA's ds/dt
-        assert vector.shape == (n, dim + 2)  # ds/dt, f_n, hinge moment
+        states_named = ["th", "w", "m0", "m1"] + ["u"] * bool(free)
+        outputs = ["heave_vel", "pitch_acc", "f_n", "m_ve", "thrust"] + ["drag", "accel"] * bool(free)
+        assert list(named) == states_named + outputs
+        assert all(np.array_equal(named[name], column) for name, column in zip(states_named, states.T))
+        # The trace computes no branch rates; the derivatives it names are pitch rate and acceleration, and du/dt.
+        derivatives = ["w", "pitch_acc"] + ["accel"] * bool(free)
+        vector = np.column_stack([named[name] for name in derivatives])
+        scalar = scalar[:, [0, 1] + [dim - 1] * bool(free)]
         scale = np.max(np.abs(scalar), axis=0)
         assert np.all(scale > 0.0)
-        assert np.all(np.abs(vector[:, :dim] - scalar) <= 1e-12 * scale)
+        assert np.all(np.abs(vector - scalar) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
     def test_normal_force_closed_form(self, stall_model):
@@ -196,13 +219,15 @@ class TestEquations:
         q = 0.5 * foil.fluid_density * (kin.freestream**2 + v**2)
         want = q * foil.planform_area * foil.normal_force_slope * cn
         dim = 2 + len(_SOFT.significant_branches())
-        f_n, m_ve = _equations(foil, kin, _SOFT, np)(0.0, np.zeros(dim))[-2:]
+        named = _equations(foil, kin, _SOFT, np)(0.0, np.zeros(dim))
+        f_n, m_ve = named["f_n"], named["m_ve"]
         assert f_n == pytest.approx(want, rel=1e-12)
         assert m_ve == 0.0
         # LSODA's form returns no forces; at rest its pitch acceleration is r f_n / J alone.
         r, inertia = foil.pitch_axis_offset, foil.tail_inertia + foil.added_mass * foil.pitch_axis_offset**2
         pitch_acc = _equations(foil, kin, _SOFT, math)(0.0, np.zeros(dim))[1]
         assert pitch_acc == pytest.approx(r * want / inertia, rel=1e-12)
+        assert named["pitch_acc"] == pitch_acc
 
     @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
     @pytest.mark.parametrize("virtual_mass", [None, 3.0], ids=["constrained", "free"])
@@ -224,15 +249,16 @@ class TestEquations:
         t = rng.uniform(0.0, 10.0, size=200)
         lsoda, loop = _equations(foil, kin, hinge, math, **free), _loop_equations(foil, kin, hinge, math, **free)
         for ti, si in zip(t, states):
-            assert lsoda(float(ti), si) == loop(float(ti), si.tolist())[:dim]
+            assert lsoda(float(ti), si) == loop(float(ti), si.tolist())[0]
         got = _equations(foil, kin, hinge, np, **free)(t, states.T)
-        want = _loop_equations(foil, kin, hinge, np, **free)(t, list(states.T))
-        assert len(got) == len(want) == dim + 2
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        _, want = _loop_equations(foil, kin, hinge, np, **free)(t, list(states.T))
+        assert list(got) == list(want) and len(want) == dim + 5 + 2 * bool(free)
+        assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
-    """The plant right-hand side as one generic loop over the hinge branches: rhs(t, s) -> [ds/dt..., f_n, m_ve]."""
+    """The plant right-hand side as one generic loop over the hinge branches: rhs(t, s) -> (ds/dt, named values),
+    the named values being the states and the plant's outputs, in the order of foil's trace form."""
     branches = [(k, 1.0 / tau) for k, tau in hinge.significant_branches()]
     nb = len(branches)
     h0 = kin.heave_amp_pp / 2.0
@@ -252,8 +278,10 @@ def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0
     def rhs(t, s):
         th, w = s[0], s[1]
         u = s[2 + nb] if free else kin.freestream
+        named = {"th": th, "w": w, **{f"m{j}": s[2 + j] for j in range(nb)}, **({"u": u} if free else {})}
         wt = omg * t
-        v = vel_amp * cos(wt) + r * w
+        heave_vel = vel_amp * cos(wt)
+        v = heave_vel + r * w
         alpha = -(th + inflow_angle(v, u))
         f_n = force * (u * u + v * v) * (sin(alpha) * cos(alpha) if sincos else alpha)
         m_ve = hinge.k_inf * th
@@ -261,12 +289,14 @@ def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0
         for j, (k, inv_tau) in enumerate(branches, 2):
             m_ve += s[j]
             out.append(k * w - s[j] * inv_tau)
-        out[1] = (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j
+        out[1] = pitch_acc = (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j
+        thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos(th)
+        named.update(heave_vel=heave_vel, pitch_acc=pitch_acc, f_n=f_n, m_ve=m_ve, thrust=thrust)
         if free:
-            thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos(th)
-            out.append((thrust - body * u * abs(u)) * inv_mv)
-        out += (f_n, m_ve)
-        return out
+            drag = body * u * abs(u)
+            out.append((thrust - drag) * inv_mv)
+            named.update(drag=drag, accel=out[-1])
+        return out, named
 
     return rhs
 
@@ -506,6 +536,7 @@ def _trace_from_u(u, fs, f):
         thrust=np.zeros_like(u),
         drag=np.zeros_like(u),
         drive_freq=f,
+        samples_per_cycle=round(fs / f),
     )
 
 

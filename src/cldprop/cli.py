@@ -184,9 +184,7 @@ def _cmd_extract(args) -> int:
     else:
         raise ConfigError("extract needs --combined, or both --theta and --torque")
     if args.freq >= fs / 2.0:
-        raise ConfigError(
-            f"--freq must be below the record's Nyquist limit of {fs / 2.0:g} Hz, got {args.freq:g}"
-        )
+        raise ConfigError(f"--freq must be below the record's Nyquist limit of {fs / 2.0:g} Hz, got {args.freq:g}")
     theta = TimeSeries(fs, th, float(t[0]))
     torque = TimeSeries(fs, tq, float(t[0]))
     result = lockin_extract(theta, torque, args.freq)

@@ -250,7 +250,7 @@ def _merged_raw(path: str | None, overrides: list[str] | None) -> dict[str, dict
             with open(path) as fh:
                 parser.read_file(fh)
         except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {path}: {exc}") from exc
+            raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
         for section in parser.sections():  # key None: the section header, checked even when empty
             entries += [(section, None, None, path), *((section, k, v, path) for k, v in parser.items(section))]
     for item in overrides or []:

@@ -8,8 +8,8 @@ normal force on the rigid tail, plus a flat-plate added-mass reaction.
 The hinge carries a Prony-series stiffness integrated in time alongside
 the pitch state, so frequency-dependent storage and loss emerge naturally.
 LSODA integrates the plant under error control onto a fixed sample grid: scipy's
-compiled driver `scipy.integrate._odepack.odeint`, loaded without the 355 modules
-that `scipy.integrate` imports in 0.4-0.5 s. The right-hand side is one source
+compiled driver `scipy.integrate._odepack.odeint`, loaded without running scipy's
+__init__ (21 modules) or scipy.integrate's (355). The right-hand side is one source
 template, compiled once per lane shape and called by LSODA directly; run on numpy
 columns of the state history, it returns the trace's values by name: one force law.
 
@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -287,11 +287,13 @@ def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
 
 
 def _lsoda():
-    """scipy's compiled LSODA driver, loaded without scipy/integrate/__init__.py and the 355 modules it imports."""
+    """scipy's compiled LSODA driver, loaded without running scipy/__init__.py or scipy/integrate/__init__.py."""
     name = "scipy.integrate._odepack"
     if name not in sys.modules:  # a later `import scipy.integrate` reuses the module registered here
-        import scipy
-        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "integrate")])
+        scipy = find_spec("scipy")  # found, not imported: None if scipy is missing
+        spec = scipy and PathFinder.find_spec(name, [os.path.join(scipy.submodule_search_locations[0], "integrate")])
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
         sys.modules[name] = module = module_from_spec(spec)
         spec.loader.exec_module(module)
     return sys.modules[name].odeint

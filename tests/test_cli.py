@@ -207,6 +207,19 @@ class TestUsage:
             assert capsys.readouterr().err.startswith(start)
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize(
+        "text", ["[designs]\n= 0.5\n", "a = 1\n", "[foil]\n[foil]\n"], ids=["no-key", "no-section", "twice"]
+    )
+    def test_malformed_config_file_is_one_line(self, tmp_path, capsys, text):
+        # configparser's messages span lines; the CLI reports every config error on one line.
+        out, cfg = tmp_path / "runs", tmp_path / "bad.cfg"
+        out.mkdir()
+        cfg.write_text(text)
+        assert main(["freeswim", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed config file {cfg}: ") and len(err.splitlines()) == 1
+        assert os.listdir(out) == []
+
 
 class TestLayup:
     def test_csv_on_stdout(self, capsys):
@@ -371,16 +384,27 @@ def test_traced_benchmark_finds_its_names_and_arguments(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_light_commands_load_no_scipy():
+def _unwanted(label):
+    # Source for the fresh interpreters below: fail on, and name, any scipy or numpy.ma module loaded so far.
+    found = "[m for m in sys.modules if (m + '.').startswith(('scipy.', 'numpy.ma.'))]"
+    return f"assert not {found}, ({label!r}, {found})\n"
+
+
+def test_light_commands_load_no_scipy(tmp_path):
+    theta, torque = _write_oracle_files(tmp_path)
     code = (
         "import sys, cldprop\n"
         "from cldprop.cli import main\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy')], 'import cldprop'\n"
-        "main(['layup', '--quiet'])\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy')], 'cldprop layup --quiet'\n"
+        + _unwanted("import cldprop")
+        + "main(['layup', '--quiet'])\n"
+        + _unwanted("cldprop layup --quiet")
+        + "assert main(['bender', '--quiet', '--output-dir', 'runs']) == 0\n"
+        + _unwanted("cldprop bender")
+        + f"assert main(['extract', '--theta', {theta!r}, '--torque', {torque!r}, '--freq', '3']) == 0\n"
+        + _unwanted("cldprop extract")
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("design,freq_hz")
 
@@ -394,15 +418,16 @@ def test_light_commands_load_no_scipy():
     ids=["sweep", "freeswim"],
 )
 def test_plant_commands_load_only_the_lsoda_driver(tmp_path, argv):
-    # The plant calls scipy's compiled LSODA driver; scipy.integrate's package import (and with it
-    # scipy.special and scipy.optimize) costs about 0.5 s that these commands never use.
+    # The plant calls scipy's compiled LSODA driver and nothing else outside cldprop: not scipy's package
+    # __init__ (21 modules), not scipy.integrate's (355), not numpy.ma (which np.unique imports).
     code = (
         "import sys\n"
+        "import locale  # argparse's gettext imports it on every command\n"
         "from cldprop.cli import main\n"
+        "before = set(sys.modules)\n"
         f"assert main({argv!r} + ['--output-dir', 'runs']) == 0\n"
-        "loaded = [m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
-        "assert 'scipy.integrate._odepack' in sys.modules\n"
+        "added = sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'cldprop')\n"
+        "assert added == ['scipy.integrate._odepack'], added\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
@@ -420,7 +445,7 @@ def test_surrogate_path_loads_no_scipy():
         "fit = fit_design_hinge(cfg, cfg.coverage_of('c'))\n"
         "theta, torque = synth_bender_pair(fit, 3.0, sample_rate=200.0, n_cycles=10)\n"
         "print(lockin_extract(theta.after(5.0 / 3.0), torque.after(5.0 / 3.0), 3.0).stiffness)\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy')], sorted(sys.modules)\n"
+        + _unwanted("surrogate path")
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -1,6 +1,9 @@
 """Passive-hinge foil simulator: limits, conservation, metrics."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -416,6 +419,30 @@ class TestIntegrator:
         want = odeint(rhs, np.zeros(dim), t, rtol=rtol, atol=atol, mxstep=mxstep, tfirst=True)
         assert np.array_equal(hist, want)
         assert foil_module._lsoda() is _odepack.odeint
+
+    def test_driver_loads_before_scipy_integrate(self):
+        # The plant's order, in a fresh interpreter: _lsoda() runs no scipy package __init__, and a later
+        # `import scipy.integrate` builds its public odeint on the driver module already loaded.
+        code = (
+            "import sys\n"
+            "from cldprop import foil\n"
+            "lsoda = foil._lsoda()\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "driver = sys.modules['scipy.integrate._odepack']\n"
+            "from scipy.integrate import odeint\n"
+            "assert sys.modules[odeint.__module__]._odepack is driver and driver.odeint is lsoda\n"
+            "y = odeint(lambda y, t: -y, [1.0], [0.0, 1.0], rtol=1e-10, atol=1e-12)\n"
+            "assert abs(y[-1, 0] - 0.36787944117144233) < 1e-8, y\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(foil_module.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_missing_scipy_is_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.integrate._odepack", raising=False)
+        monkeypatch.setitem(sys.modules, "scipy", None)  # what find_spec reports for a missing package
+        with pytest.raises(ImportError, match="scipy.integrate._odepack"):
+            foil_module._lsoda()
 
     def test_excess_work_is_divergence(self, recwarn):
         # Too few steps allowed between two output times: odeint warns, _integrate raises.

@@ -111,6 +111,21 @@ class TestFit:
         with pytest.raises(ParameterDomainError):
             fit_prony(dup, n_branches=1)
 
+    def test_unsorted_frequencies_distinct_or_not(self):
+        truth = PronyFit(k_inf=1.0, branches=((0.5, 0.01),))
+        shuffled = _sample(truth, [_BAND[i] for i in np.random.default_rng(7).permutation(len(_BAND))])
+        with pytest.raises(ParameterDomainError, match="^sample frequencies must be distinct$"):
+            fit_prony(shuffled[:3] + [shuffled[10]] + shuffled[3:], n_branches=1)
+        fit = fit_prony(shuffled, n_branches=1)
+        for w, k in shuffled:
+            assert abs(prony_frequency_response(fit, w).as_complex - k.as_complex) <= 1e-8 * abs(k.as_complex)
+
+    @pytest.mark.parametrize("bad", [[math.nan], [math.nan, math.nan], [math.inf], [math.inf, math.inf], [-1.0]])
+    def test_frequencies_must_be_finite_and_non_negative(self, bad):
+        samples = _sample(PronyFit(k_inf=1.0, branches=((0.5, 0.01),)), _BAND)
+        with pytest.raises(ParameterDomainError, match="^sample frequencies must be finite and >= 0$"):
+            fit_prony(samples + [(w, samples[0][1]) for w in bad], n_branches=1)
+
 
 _CONFIG = load_config(None, [])
 

@@ -34,8 +34,6 @@ from .foil import (
     swim_metrics,
 )
 from .harness import (
-    ImpedanceTable,
-    SweepTable,
     emit_plot_data,
     fit_design_hinge,
     run_bender_sweep,
@@ -76,7 +74,6 @@ __all__ = [
     "FractionalZenerParams",
     "FreeSwimTrace",
     "ImpedanceFractions",
-    "ImpedanceTable",
     "InsufficientRecordError",
     "IntegrationDivergenceError",
     "KinematicsSpec",
@@ -86,7 +83,6 @@ __all__ = [
     "ProtocolConfig",
     "SandwichLayup",
     "SignalMismatchError",
-    "SweepTable",
     "TimeSeries",
     "UnknownDesignError",
     "cycle_average",

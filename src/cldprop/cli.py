@@ -159,11 +159,10 @@ def _cmd_layup(args) -> int:
 
 def _cmd_bender(args) -> int:
     config = _load(args)
-    table = run_bender_sweep(config)
+    rows = run_bender_sweep(config)
     with _run_dir(config, "bender") as run_dir:
-        write_impedance_table(table, f"{run_dir}/impedance_table.csv")
-        emit_plot_data(table, "impedance", run_dir)
-        emit_plot_data(table, "fractions", run_dir)
+        write_impedance_table(rows, f"{run_dir}/impedance_table.csv")
+        emit_plot_data(rows, run_dir)
     _info(args, f"bender sweep written to {run_dir}")
     return 0
 
@@ -175,12 +174,11 @@ def _cmd_extract(args) -> int:
         t, th, tq = _read_signal_csv(args.combined, 3)
         fs = _sample_rate_of(t, args.combined)
     elif args.theta and args.torque:
-        t1, th = _read_signal_csv(args.theta, 2)
+        t, th = _read_signal_csv(args.theta, 2)
         t2, tq = _read_signal_csv(args.torque, 2)
-        fs = _sample_rate_of(t1, args.theta)
-        if abs(_sample_rate_of(t2, args.torque) - fs) > 1e-9 * fs:
-            raise ConfigError("theta and torque files have different sample rates")
-        t = t1
+        fs = _sample_rate_of(t, args.theta)
+        if t2.size != t.size or np.max(np.abs(t2 - t)) > 1e-6 / fs:
+            raise ConfigError(f"{args.theta} and {args.torque} must hold the same time stamps, row for row")
     else:
         raise ConfigError("extract needs --combined, or both --theta and --torque")
     if args.freq >= fs / 2.0:
@@ -195,19 +193,17 @@ def _cmd_extract(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    table = run_strouhal_sweep(config)
+    rows = run_strouhal_sweep(config)
     with _run_dir(config, "sweep") as run_dir:
-        write_sweep_table(table, f"{run_dir}/sweep_table.csv")
-        emit_plot_data(table, "thrust", run_dir)
-        emit_plot_data(table, "efficiency", run_dir)
-        emit_plot_data(table, "fractions", run_dir)
+        write_sweep_table(rows, f"{run_dir}/sweep_table.csv")
+        emit_plot_data(rows, run_dir)
     _info(args, f"Strouhal sweep written to {run_dir}")
     return 0
 
 
 def _cmd_freeswim(args) -> int:
     config = _load(args)
-    names = args.design or ["baseline", "c"]
+    names = list(dict.fromkeys(args.design or ["baseline", "c"]))
     for name in names:
         config.coverage_of(name)  # an unknown design fails before any trial runs
     trials = [(name, *run_freeswim_trial(config, name)) for name in names]

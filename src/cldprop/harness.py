@@ -59,31 +59,11 @@ class ImpedanceRow:
 
 
 @dataclass(frozen=True)
-class ImpedanceTable:
-    """One row per (design, frequency); data behind the stiffness-vs-frequency figures."""
-
-    rows: tuple[ImpedanceRow, ...]
-
-    def for_design(self, name: str) -> list[ImpedanceRow]:
-        return [r for r in self.rows if r.design == name]
-
-
-@dataclass(frozen=True)
 class SweepRow:
     design: str
     st: float
     freq_hz: float
     metrics: CycleMetrics
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """One row per (design, St); data behind the thrust/efficiency/fraction figures."""
-
-    rows: tuple[SweepRow, ...]
-
-    def for_design(self, name: str) -> list[SweepRow]:
-        return [r for r in self.rows if r.design == name]
 
 
 def _annotate(exc: Exception, design: str, freq: float) -> Exception:
@@ -101,8 +81,8 @@ def fit_design_hinge(config: ProtocolConfig, coverage: float) -> PronyFit:
     return fit_prony(samples, config.sweep.prony_branches)
 
 
-def run_bender_sweep(config: ProtocolConfig) -> ImpedanceTable:
-    """Synthetic bender protocol: lock-in stiffness and loop area per (design, freq).
+def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
+    """Synthetic bender protocol: one row of lock-in stiffness and loop area per (design, freq).
 
     The 0 Hz grid point takes the static path: the stiffness is the direct
     zero-frequency model evaluation (loss identically zero) and the loop
@@ -124,7 +104,6 @@ def run_bender_sweep(config: ProtocolConfig) -> ImpedanceTable:
                 plant = rku_complex_stiffness(layup, omega)
                 storages, losses, areas = [], [], []
                 for rep in range(config.bender.repeats):
-                    seed = config.seed + 100_000 * d_idx + 100 * f_idx + rep
                     theta, torque = synth_bender_pair(
                         plant,
                         freq,
@@ -132,7 +111,7 @@ def run_bender_sweep(config: ProtocolConfig) -> ImpedanceTable:
                         sample_rate=config.bender.sample_rate,
                         n_cycles=config.bender.cycles,
                         noise_snr_db=config.bender.noise_snr_db,
-                        seed=seed,
+                        seed=(config.seed, d_idx, f_idx, rep),  # one stream per record, whatever the grid size
                     )
                     result = lockin_extract(theta, torque, freq)
                     storages.append(result.stiffness.storage)
@@ -146,11 +125,11 @@ def run_bender_sweep(config: ProtocolConfig) -> ImpedanceTable:
                 )
             except CldPropError as exc:
                 raise _annotate(exc, design, freq)
-    return ImpedanceTable(rows=tuple(rows))
+    return tuple(rows)
 
 
-def run_strouhal_sweep(config: ProtocolConfig) -> SweepTable:
-    """Constrained-foil sweep over the kinematic grid for every design."""
+def run_strouhal_sweep(config: ProtocolConfig) -> tuple[SweepRow, ...]:
+    """Constrained-foil sweep: one row per (design, St) over the kinematic grid."""
     rows = []
     for design, coverage in config.designs:
         hinge = fit_design_hinge(config, coverage)
@@ -167,7 +146,7 @@ def run_strouhal_sweep(config: ProtocolConfig) -> SweepTable:
             except CldPropError as exc:
                 raise _annotate(exc, design, kin.heave_freq)
             rows.append(SweepRow(design, strouhal(kin), kin.heave_freq, metrics))
-    return SweepTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 def run_freeswim_trial(config: ProtocolConfig, design_name: str) -> tuple[FreeSwimTrace, dict[str, float]]:
@@ -252,6 +231,21 @@ _SWEEP_COLUMNS = (
     _per_row("f_dissipative", "dissipative", "metrics.fractions.dissipative"),
 )
 
+# row type -> (its table's columns, the x column of its figures, its figures, each
+# as (kind, y columns, title, y-axis label)). Both tables draw the fractions figure.
+_FRACTIONS_FIGURE = ("fractions", ("f_elastic", "f_dissipative"), "Impedance composition", "fraction")
+_FIGURES = {
+    ImpedanceRow: (_IMPEDANCE_COLUMNS, "freq_hz", (
+        ("impedance", ("k_storage", "k_loss"), "Complex stiffness", "stiffness (N*m/rad)"),
+        _FRACTIONS_FIGURE,
+    )),
+    SweepRow: (_SWEEP_COLUMNS, "st", (
+        ("thrust", ("mean_thrust_n",), "Mean thrust", "thrust (N)"),
+        ("efficiency", ("efficiency",), "Propulsive efficiency", "efficiency"),
+        _FRACTIONS_FIGURE,
+    )),
+}
+
 # The one-row lock-in report: a LockinResult's fields with freq_hz, fractions and loop_area_j.
 _EXTRACT_COLUMNS = (
     *_IMPEDANCE_COLUMNS[1:4],
@@ -307,14 +301,14 @@ def _write_csv(out: TextIO, columns: Sequence[_Column], source) -> None:
         out.writelines(",".join(row) + "\n" for row in zip(*chunk))
 
 
-def write_impedance_table(table: ImpedanceTable, path: str) -> None:
+def write_impedance_table(rows: Sequence[ImpedanceRow], path: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        _write_csv(fh, _IMPEDANCE_COLUMNS, table.rows)
+        _write_csv(fh, _IMPEDANCE_COLUMNS, rows)
 
 
-def write_sweep_table(table: SweepTable, path: str) -> None:
+def write_sweep_table(rows: Sequence[SweepRow], path: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        _write_csv(fh, _SWEEP_COLUMNS, table.rows)
+        _write_csv(fh, _SWEEP_COLUMNS, rows)
 
 
 def write_freeswim_trace(trace: FreeSwimTrace, path: str) -> None:
@@ -340,47 +334,32 @@ def write_swim_metrics(trials: Sequence[tuple[str, dict[str, float]]], out: Text
 # ---------------------------------------------------------------------------
 # Plot-data emission
 
-# kind -> (y columns, title, y-axis label)
-_PLOTS = {
-    "impedance": (("k_storage", "k_loss"), "Complex stiffness", "stiffness (N*m/rad)"),
-    "thrust": (("mean_thrust_n",), "Mean thrust", "thrust (N)"),
-    "efficiency": (("efficiency",), "Propulsive efficiency", "efficiency"),
-    "fractions": (("f_elastic", "f_dissipative"), "Impedance composition", "fraction"),
-}
-PLOT_KINDS = tuple(_PLOTS)
 
-# table type -> (its columns, the x column of its plots)
-_PLOT_TABLES = {ImpedanceTable: (_IMPEDANCE_COLUMNS, "freq_hz"), SweepTable: (_SWEEP_COLUMNS, "st")}
+def emit_plot_data(rows: Sequence[ImpedanceRow] | Sequence[SweepRow], out_dir: str) -> list[str]:
+    """Write the plot-ready CSV + SVG pair of each of the table's figures for each design.
 
-
-def emit_plot_data(table, kind: str, out_dir: str) -> list[str]:
-    """Write the plot-ready CSV + SVG pair of one figure kind for each design.
-
-    File names follow `fig_<kind>_<design>.{csv,svg}`. The CSV holds the
-    table's x column and the kind's y columns, cell for cell as in the
-    table; a missing cell stays empty there and plots as 0.
+    File names follow `fig_<kind>_<design>.{csv,svg}`, written kind by kind.
+    The CSV holds the table's x column and the figure's y columns, cell for
+    cell as in the table; a missing cell stays empty there and plots as 0.
     """
-    if kind not in _PLOTS:
-        raise CldPropError(f"unknown plot kind {kind!r}; known: {PLOT_KINDS}")
-    y_headers, title, ylabel = _PLOTS[kind]
-    table_columns, x_header = _PLOT_TABLES.get(type(table), ((), ""))
-    columns = [c for h in (x_header, *y_headers) for c in table_columns if c.header == h]
-    if len(columns) != 1 + len(y_headers):
-        raise CldPropError(f"cannot emit {kind!r} plots from {type(table).__name__}")
-    if not table.rows:
+    if not rows:
         raise CldPropError("cannot emit plots from an empty table")
+    if type(rows[0]) not in _FIGURES:
+        raise CldPropError(f"{type(rows[0]).__name__} rows have no figures")
+    table_columns, x_header, figures = _FIGURES[type(rows[0])]
+    by_header = {c.header: c for c in table_columns}
+    designs = {name: [r for r in rows if r.design == name] for name in dict.fromkeys(r.design for r in rows)}
     written: list[str] = []
-    for name in dict.fromkeys(r.design for r in table.rows):
-        rows = table.for_design(name)
-        base = os.path.join(out_dir, f"fig_{kind}_{name}")
-        with open(base + ".csv", "w", newline="\n") as fh:
-            _write_csv(fh, columns, rows)
-        xs = columns[0].get(rows)
-        series = [(c.label, xs, [0.0 if v is None else v for v in c.get(rows)]) for c in columns[1:]]
-        write_line_chart(
-            base + ".svg", series, title=f"{title}, {name}", xlabel=columns[0].label, ylabel=ylabel
-        )
-        written += [base + ".csv", base + ".svg"]
+    for kind, y_headers, title, ylabel in figures:
+        x, *ys = columns = [by_header[h] for h in (x_header, *y_headers)]
+        for name, design_rows in designs.items():
+            base = os.path.join(out_dir, f"fig_{kind}_{name}")
+            with open(base + ".csv", "w", newline="\n") as fh:
+                _write_csv(fh, columns, design_rows)
+            xs = x.get(design_rows)
+            series = [(c.label, xs, [0.0 if v is None else v for v in c.get(design_rows)]) for c in ys]
+            write_line_chart(base + ".svg", series, title=f"{title}, {name}", xlabel=x.label, ylabel=ylabel)
+            written += [base + ".csv", base + ".svg"]
     return written
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -93,6 +94,8 @@ def _check_pair(theta: TimeSeries, torque: TimeSeries) -> None:
         raise SignalMismatchError(
             f"sample rates differ: {theta.sample_rate} vs {torque.sample_rate}"
         )
+    if theta.start_time != torque.start_time:
+        raise SignalMismatchError(f"start times differ: {theta.start_time} vs {torque.start_time}")
 
 
 def _whole_cycle_count(series: TimeSeries, drive_freq: float, minimum: int) -> int:
@@ -191,7 +194,7 @@ def synth_bender_pair(
     sample_rate: float,
     n_cycles: int,
     noise_snr_db: float | None = None,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> tuple[TimeSeries, TimeSeries]:
     """Synthesize an angle/torque pair for a prescribed sinusoidal bender test.
 
@@ -199,7 +202,8 @@ def synth_bender_pair(
     frequency response (ComplexStiffness) or, for a PronyFit, from the exact
     closed-form response of its branches started from rest at t = 0.
     Optional additive Gaussian noise on the torque at the given SNR relative
-    to the torque fundamental, reproducible from the seed.
+    to the torque fundamental, reproducible from the seed (an int, or a
+    sequence of ints taken whole as the generator's entropy).
     """
     if not theta_amp > 0.0:
         raise ParameterDomainError(f"theta amplitude must be positive, got {theta_amp}")

@@ -96,6 +96,18 @@ class TestExtract:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: --freq must be below the record's Nyquist limit of 100 Hz, got {freq}"]
 
+    @pytest.mark.parametrize("shift, drop", [(0.1, 0), (0.0, 5)], ids=["later-start", "fewer-rows"])
+    def test_torque_on_another_time_base_is_config_error(self, tmp_path, capsys, shift, drop):
+        theta, torque = _write_oracle_files(tmp_path)
+        t, tq = np.loadtxt(torque, delimiter=",", skiprows=1).T.tolist()
+        with open(torque, "w") as fh:
+            fh.write("time_s,value\n")
+            fh.writelines(f"{ti + shift!r},{vi!r}\n" for ti, vi in zip(t[: len(t) - drop], tq))
+        assert main(["extract", "--theta", theta, "--torque", torque, "--freq", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {theta} and {torque} must hold the same time stamps, row for row\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows", ["0.0,0.0,0.0\n", ""], ids=["one-row", "header-only"])
     def test_short_record_is_config_error(self, tmp_path, capsys, rows):
@@ -566,9 +578,40 @@ class TestProtocols:
         assert line.startswith("i/o failure: [Errno 28] No space left on device")
         assert len(calls) == whole + 1 and os.listdir(out) == []
 
+    def test_design_named_twice_runs_once(self, tmp_path, capsys, monkeypatch):
+        real_trial, runs = cli.run_freeswim_trial, []
+
+        def trial(config, name):
+            runs.append(name)
+            return real_trial(config, name)
+
+        monkeypatch.setattr(cli, "run_freeswim_trial", trial)
+        argv = ["freeswim", "--design", "c", "--design", "c", "--set", "freeswim.duration_s=0.5"]
+        assert main(argv + ["--output-dir", str(tmp_path), "--quiet"]) == 0
+        assert runs == ["c"]
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.startswith("design,") and [r.split(",")[0] for r in rows] == ["c"]
+
     def test_bender_run(self, tmp_path, capsys):
         out = str(tmp_path / "runs")
         code = main(["bender", "--output-dir", out, "--set", "bender.freq_grid_hz=0:2:1", "--quiet"])
         assert code == 0
         run_dir = os.path.join(out, os.listdir(out)[0])
         assert "impedance_table.csv" in os.listdir(run_dir)
+
+    @pytest.mark.parametrize(
+        "command, grid, table, kinds",
+        [
+            ("bender", "bender.freq_grid_hz=0:2:1", "impedance_table.csv", ("impedance", "fractions")),
+            ("sweep", "sweep.freq_grid_hz=2", "sweep_table.csv", ("thrust", "efficiency", "fractions")),
+        ],
+    )
+    def test_run_dir_holds_its_table_and_every_figure(self, tmp_path, capsys, command, grid, table, kinds):
+        out = tmp_path / "runs"
+        argv = [command, "--output-dir", str(out), "--set", grid, "--quiet"]
+        if command == "sweep":
+            argv += ["--set", "sweep.cycles=3", "--set", "sweep.warmup_cycles=0"]
+        assert main(argv) == 0
+        (run_dir,) = out.iterdir()
+        figures = {f"fig_{k}_{d}.{ext}" for k in kinds for d in ("baseline", "a", "b", "c") for ext in ("csv", "svg")}
+        assert sorted(os.listdir(run_dir)) == sorted({table, "manifest.json"} | figures)

@@ -16,7 +16,7 @@ from cldprop.config import load_config
 from cldprop.errors import CldPropError, UnknownDesignError
 from cldprop.foil import propulsion_metrics, simulate_constrained
 from cldprop.harness import (
-    SweepTable,
+    SweepRow,
     create_run_dir,
     emit_plot_data,
     fit_design_hinge,
@@ -43,6 +43,10 @@ def small_config():
     )
 
 
+def _of(rows, design):
+    return [r for r in rows if r.design == design]
+
+
 @pytest.fixture(scope="module")
 def bender_table(small_config):
     return run_bender_sweep(small_config)
@@ -56,25 +60,25 @@ def sweep_table(small_config):
 class TestBenderSweep:
     def test_grid_completeness(self, small_config, bender_table):
         n = len(small_config.designs) * len(small_config.bender.freq_grid_hz)
-        assert len(bender_table.rows) == n
-        pairs = {(r.design, r.freq_hz) for r in bender_table.rows}
+        assert len(bender_table) == n
+        pairs = {(r.design, r.freq_hz) for r in bender_table}
         assert len(pairs) == n
 
     def test_zero_coverage_design_is_lossless(self, bender_table):
-        for row in bender_table.for_design("baseline"):
+        for row in _of(bender_table, "baseline"):
             assert abs(row.stiffness.loss) < 1e-12
             assert abs(row.loop_area_j) < 1e-9
 
     def test_noiseless_round_trip_matches_model(self, small_config, bender_table):
         for design, coverage in small_config.designs:
             layup = small_config.layup.with_coverage(coverage)
-            for row in bender_table.for_design(design):
+            for row in _of(bender_table, design):
                 want = rku_complex_stiffness(layup, 2.0 * math.pi * row.freq_hz)
                 assert row.stiffness.storage == pytest.approx(want.storage, rel=1e-4)
                 assert row.stiffness.loss == pytest.approx(want.loss, rel=1e-4, abs=1e-12)
 
     def test_static_point_has_no_loss(self, bender_table):
-        for row in bender_table.rows:
+        for row in bender_table:
             if row.freq_hz == 0.0:
                 assert row.stiffness.loss == 0.0
                 assert row.loop_area_j == 0.0
@@ -82,9 +86,23 @@ class TestBenderSweep:
     def test_full_coverage_loop_area_widens_with_frequency(self):
         config = load_config(overrides=["bender.freq_grid_hz=1:5:1", "designs.full=1.0"])
         table = run_bender_sweep(config)
-        areas = [r.loop_area_j for r in table.for_design("full")]
+        areas = [r.loop_area_j for r in _of(table, "full")]
         assert areas == sorted(areas)
         assert areas[0] < areas[-1]
+
+    def test_every_noisy_record_draws_its_own_stream(self, monkeypatch):
+        # 101 repeats on two grid points: a seed built as base + 100*f_idx + rep would repeat.
+        real_synth, states = harness.synth_bender_pair, []
+
+        def synth(*args, seed, **kwargs):
+            states.append(tuple(np.random.SeedSequence(seed).generate_state(4)))
+            return real_synth(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "synth_bender_pair", synth)
+        config = load_config(overrides=["bender.freq_grid_hz=1,2", "bender.noise_snr_db=20", "bender.repeats=101"])
+        run_bender_sweep(config)
+        n = len(config.designs) * 202
+        assert len(states) == n and len(set(states)) == n
 
     def test_deterministic_with_noise(self):
         config = load_config(
@@ -98,9 +116,9 @@ class TestBenderSweep:
 class TestStrouhalSweep:
     def test_grid_completeness_and_order(self, small_config, sweep_table):
         n = len(small_config.designs) * len(small_config.sweep.freq_grid_hz)
-        assert len(sweep_table.rows) == n
+        assert len(sweep_table) == n
         for design in ("baseline", "a", "b", "c"):
-            sts = [r.st for r in sweep_table.for_design(design)]
+            sts = [r.st for r in _of(sweep_table, design)]
             assert sts == sorted(sts)
 
     def test_single_point_matches_direct_call(self, tmp_path):
@@ -111,12 +129,12 @@ class TestStrouhalSweep:
             overrides=["sweep.freq_grid_hz=2", "sweep.cycles=6", "sweep.warmup_cycles=3"],
         )
         table = run_strouhal_sweep(config)
-        assert len(table.rows) == 1
+        assert len(table) == 1
         hinge = fit_design_hinge(config, 0.667)
         (kin,) = config.sweep.kinematics
         trace = simulate_constrained(config.foil, kin, hinge, n_cycles=6, warmup_cycles=3)
         want = propulsion_metrics(trace, kin)
-        assert table.rows[0].metrics == want
+        assert table[0].metrics == want
 
 
 class TestFreeSwim:
@@ -167,8 +185,8 @@ class TestPersistence:
         write_impedance_table(bender_table, str(path))
         header, rows = _csv_cells(path)
         assert header == "design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative,loop_area_j"
-        assert len(rows) == len(bender_table.rows)
-        for cells, row in zip(rows, bender_table.rows):
+        assert len(rows) == len(bender_table)
+        for cells, row in zip(rows, bender_table):
             k, fr = row.stiffness, row.fractions
             assert cells[0] == row.design
             assert [float(c) for c in cells[1:]] == [
@@ -176,9 +194,9 @@ class TestPersistence:
             ]
 
     def test_sweep_round_trip(self, sweep_table, tmp_path):
-        first = sweep_table.rows[0]
+        first = sweep_table[0]
         missing = replace(first, metrics=replace(first.metrics, efficiency=None))
-        table = SweepTable(rows=(missing,) + sweep_table.rows[1:])
+        table = (missing,) + sweep_table[1:]
         path = tmp_path / "sweep.csv"
         write_sweep_table(table, str(path))
         header, rows = _csv_cells(path)
@@ -186,8 +204,8 @@ class TestPersistence:
             "design,st,freq_hz,mean_thrust_n,mean_input_power_w,efficiency,"
             "k_eff_storage,k_eff_loss,f_elastic,f_dissipative"
         )
-        assert len(rows) == len(table.rows)
-        for cells, row in zip(rows, table.rows):
+        assert len(rows) == len(table)
+        for cells, row in zip(rows, table):
             m, k = row.metrics, row.metrics.effective_stiffness
             assert cells[0] == row.design
             if m.efficiency is None:
@@ -207,9 +225,13 @@ class TestPersistence:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def _figure(written, kind):
+    return [p for p in written if os.path.basename(p).startswith(f"fig_{kind}_")]
+
+
 class TestPlotData:
     def test_impedance_files_and_schema(self, bender_table, tmp_path):
-        written = emit_plot_data(bender_table, "impedance", str(tmp_path))
+        written = _figure(emit_plot_data(bender_table, str(tmp_path)), "impedance")
         csvs = [p for p in written if p.endswith(".csv")]
         assert len(csvs) == 4 and len(written) == 8
         header = open(csvs[0]).readline().strip()
@@ -218,7 +240,7 @@ class TestPlotData:
             assert os.path.exists(p)
 
     def test_fraction_rows_sum_to_one(self, sweep_table, tmp_path):
-        written = emit_plot_data(sweep_table, "fractions", str(tmp_path))
+        written = _figure(emit_plot_data(sweep_table, str(tmp_path)), "fractions")
         for path in (p for p in written if p.endswith(".csv")):
             data = np.genfromtxt(path, delimiter=",", names=True)
             total = np.atleast_1d(data["f_elastic"] + data["f_dissipative"])
@@ -236,17 +258,17 @@ class TestPlotData:
     )
     def test_plot_csv_columns_match_table(self, request, table_name, kind, header, tmp_path):
         table = request.getfixturevalue(table_name)
-        if isinstance(table, SweepTable):
+        if isinstance(table[0], SweepRow):
             # One missing efficiency, which the plot CSV must keep as an empty cell.
-            first = table.rows[0]
+            first = table[0]
             missing = replace(first, metrics=replace(first.metrics, efficiency=None))
-            table = SweepTable(rows=(missing,) + table.rows[1:])
+            table = (missing,) + table[1:]
             write_sweep_table(table, str(tmp_path / "table.csv"))
         else:
             write_impedance_table(table, str(tmp_path / "table.csv"))
         with open(tmp_path / "table.csv", newline="") as fh:
             table_rows = list(csv.DictReader(fh))
-        written = emit_plot_data(table, kind, str(tmp_path))
+        written = _figure(emit_plot_data(table, str(tmp_path)), kind)
         designs = list(dict.fromkeys(r["design"] for r in table_rows))
         assert written == [
             str(tmp_path / f"fig_{kind}_{d}.{ext}") for d in designs for ext in ("csv", "svg")
@@ -267,17 +289,13 @@ class TestPlotData:
             with open(tmp_path / f"fig_efficiency_{designs[0]}.csv") as fh:
                 assert fh.read().splitlines()[1].endswith(",")
 
-    def test_unknown_kind_rejected(self, bender_table, tmp_path):
-        with pytest.raises(CldPropError):
-            emit_plot_data(bender_table, "waterfall", str(tmp_path))
-
     @pytest.mark.parametrize(
-        "table_name, kind",
-        [("bender_table", "thrust"), ("sweep_table", "impedance"), ("bender_table", "trace")],
+        "rows", [(), (SimpleNamespace(design="baseline", st=0.2),)], ids=["empty", "row-type-without-figures"]
     )
-    def test_kind_without_its_columns_rejected(self, request, table_name, kind, tmp_path):
+    def test_table_without_figures_rejected(self, rows, tmp_path):
         with pytest.raises(CldPropError):
-            emit_plot_data(request.getfixturevalue(table_name), kind, str(tmp_path))
+            emit_plot_data(rows, str(tmp_path))
+        assert os.listdir(tmp_path) == []
 
 
 class TestRunDir:

@@ -117,6 +117,11 @@ class TestLockin:
         other_rate = TimeSeries(torque.sample_rate * 2, torque.samples)
         with pytest.raises(SignalMismatchError):
             lockin_extract(theta, other_rate, _F)
+        # Same rate and length, torque starting 0.1 s later: read as one time base, K* would be wrong.
+        late = TimeSeries(torque.sample_rate, torque.samples, 0.1)
+        for measure in (lockin_extract, hysteresis_loop_area):
+            with pytest.raises(SignalMismatchError, match="start times differ"):
+                measure(theta, late, _F)
 
     def test_too_few_cycles_rejected(self):
         theta, torque = _spring_damper_pair(n_cycles=2)

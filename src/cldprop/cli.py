@@ -168,6 +168,8 @@ def _cmd_bender(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.combined and (args.theta or args.torque):
+        raise ConfigError("extract takes --combined, or --theta with --torque, not both")
     if not 0.0 < args.freq < math.inf:
         raise ConfigError(f"--freq must be a finite drive frequency above 0 Hz, got {args.freq:g}")
     if args.combined:

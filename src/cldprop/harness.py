@@ -40,6 +40,7 @@ from .prony import PronyFit, fit_prony
 from .signals import (
     ImpedanceFractions,
     LockinResult,
+    TimeSeries,
     hysteresis_loop_area,
     impedance_fractions,
     lockin_extract,
@@ -86,43 +87,38 @@ def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
 
     The 0 Hz grid point takes the static path: the stiffness is the direct
     zero-frequency model evaluation (loss identically zero) and the loop
-    area is zero, since lock-in at DC is undefined. Noisy runs average the
-    extracted quantities over `repeats` independent seeds.
+    area is zero, since lock-in at DC is undefined. Each other point runs the
+    lock-in and loop area once, on the mean torque of its `repeats` records
+    (one seed each): the angle is noise-free and the same in every record and
+    both results are linear in the torque, so this is the mean of the
+    per-record results up to rounding.
     """
     rows = []
+    bender = config.bender
     for d_idx, (design, coverage) in enumerate(config.designs):
         layup = config.layups[coverage]
-        for f_idx, freq in enumerate(config.bender.freq_grid_hz):
+        for f_idx, freq in enumerate(bender.freq_grid_hz):
             try:
                 if freq == 0.0:
                     k = rku_complex_stiffness(layup, 0.0)
-                    rows.append(
-                        ImpedanceRow(design, freq, k, impedance_fractions(k), 0.0)
-                    )
+                    rows.append(ImpedanceRow(design, freq, k, impedance_fractions(k), 0.0))
                     continue
-                omega = 2.0 * math.pi * freq
-                plant = rku_complex_stiffness(layup, omega)
-                storages, losses, areas = [], [], []
-                for rep in range(config.bender.repeats):
+                plant = rku_complex_stiffness(layup, 2.0 * math.pi * freq)
+                total = None
+                for rep in range(bender.repeats):
                     theta, torque = synth_bender_pair(
-                        plant,
-                        freq,
-                        theta_amp=config.bender.theta_amp,
-                        sample_rate=config.bender.sample_rate,
-                        n_cycles=config.bender.cycles,
-                        noise_snr_db=config.bender.noise_snr_db,
+                        plant, freq, theta_amp=bender.theta_amp, sample_rate=bender.sample_rate, n_cycles=bender.cycles,
+                        noise_snr_db=bender.noise_snr_db,
                         seed=(config.seed, d_idx, f_idx, rep),  # one stream per record, whatever the grid size
                     )
-                    result = lockin_extract(theta, torque, freq)
-                    storages.append(result.stiffness.storage)
-                    losses.append(result.stiffness.loss)
-                    areas.append(hysteresis_loop_area(theta, torque, freq))
-                k = ComplexStiffness(
-                    storage=float(np.mean(storages)), loss=float(np.mean(losses))
-                )
-                rows.append(
-                    ImpedanceRow(design, freq, k, impedance_fractions(k), float(np.mean(areas)))
-                )
+                    if total is None:
+                        total = np.array(torque.samples)  # a writable copy of the first record
+                    else:
+                        total += torque.samples
+                total /= bender.repeats
+                torque = TimeSeries(theta.sample_rate, total)
+                k = lockin_extract(theta, torque, freq).stiffness
+                rows.append(ImpedanceRow(design, freq, k, impedance_fractions(k), hysteresis_loop_area(theta, torque, freq)))
             except CldPropError as exc:
                 raise _annotate(exc, design, freq)
     return tuple(rows)

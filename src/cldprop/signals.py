@@ -221,32 +221,32 @@ def synth_bender_pair(
     omega = 2.0 * math.pi * drive_freq
     n = int(round(n_cycles * sample_rate / drive_freq))
     t = np.arange(n) / sample_rate
-    th = theta_amp * np.sin(omega * t)
+    sin_wt = np.sin(omega * t)
 
     if isinstance(plant, PronyFit):
-        tq = _prony_torque(plant, theta_amp, omega, t)
+        tq = _prony_torque(plant, theta_amp, omega, t, sin_wt)
         fundamental_amp = theta_amp * prony_frequency_response(plant, omega).magnitude
     else:
-        tq = plant.storage * theta_amp * np.sin(omega * t) + plant.loss * theta_amp * np.cos(omega * t)
+        tq = plant.storage * theta_amp * sin_wt + plant.loss * theta_amp * np.cos(omega * t)
         fundamental_amp = theta_amp * plant.magnitude
 
     if noise_snr_db is not None:
         sigma = fundamental_amp / math.sqrt(2.0) * 10.0 ** (-noise_snr_db / 20.0)
         rng = np.random.default_rng(seed)
-        tq = tq + rng.normal(0.0, sigma, size=n)
+        tq += rng.normal(0.0, sigma, size=n)
 
-    return TimeSeries(sample_rate, th), TimeSeries(sample_rate, tq)
+    return TimeSeries(sample_rate, theta_amp * sin_wt), TimeSeries(sample_rate, tq)
 
 
-def _prony_torque(fit: PronyFit, theta_amp: float, omega: float, t: np.ndarray) -> np.ndarray:
+def _prony_torque(fit: PronyFit, theta_amp: float, omega: float, t: np.ndarray, sin_wt: np.ndarray) -> np.ndarray:
     """Exact torque of the Prony branches under a prescribed sinusoidal angle.
 
     Each branch obeys dm_j/dt = k_j * dtheta/dt - m_j/tau_j from rest at
-    t = 0. For theta = theta_amp * sin(wt) its hereditary integral is, with
-    x_j = w * tau_j,
+    t = 0. For theta = theta_amp * sin(wt) (`sin_wt` is sin(wt) at `t`) its
+    hereditary integral is, with x_j = w * tau_j,
     m_j = k_j theta_amp x_j / (1 + x_j^2) * (cos wt + x_j sin wt - e^{-t/tau_j}).
     """
-    cos_wt, sin_wt = np.cos(omega * t), np.sin(omega * t)
+    cos_wt = np.cos(omega * t)
     torque = fit.k_inf * (theta_amp * sin_wt)
     for k, tau in fit.significant_branches():
         x = omega * tau

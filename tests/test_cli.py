@@ -69,6 +69,22 @@ class TestExtract:
         assert main(["extract", "--combined", str(combined), "--freq", "3"]) == 0
         assert "k_storage" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "others",
+        [["--torque", "/nope/tq.csv"], ["--theta", "/nope/th.csv"], ["--theta", "/nope/th.csv", "--torque", "/nope/tq.csv"]],
+        ids=["torque", "theta", "both"],
+    )
+    def test_combined_with_theta_or_torque_is_config_error(self, tmp_path, capsys, others):
+        # Checked before any file is read: the combined record is valid and the other files do not exist.
+        t = np.arange(200) / _FS
+        combined = tmp_path / "combined.csv"
+        np.savetxt(combined, np.column_stack([t, np.sin(t), np.cos(t)]), delimiter=",",
+                   header="time_s,theta_rad,torque_nm", comments="")
+        assert main(["extract", "--combined", str(combined), *others, "--freq", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: extract takes --combined, or --theta with --torque, not both\n"
+
     def test_too_short_record_is_numerical_failure(self, tmp_path, capsys):
         theta, torque = _write_oracle_files(tmp_path, n_cycles=2)
         code = main(["extract", "--theta", theta, "--torque", torque, "--freq", "3"])

@@ -26,6 +26,7 @@ from cldprop.harness import (
     write_impedance_table,
     write_sweep_table,
 )
+from cldprop.signals import hysteresis_loop_area, lockin_extract, synth_bender_pair
 from cldprop.stiffness import rku_complex_stiffness
 
 
@@ -103,6 +104,42 @@ class TestBenderSweep:
         run_bender_sweep(config)
         n = len(config.designs) * 202
         assert len(states) == n and len(set(states)) == n
+
+    @staticmethod
+    def _records(config, d_idx, f_idx):
+        """The grid point's records, synthesized as the sweep seeds them."""
+        bender = config.bender
+        freq = bender.freq_grid_hz[f_idx]
+        plant = rku_complex_stiffness(config.layups[config.designs[d_idx][1]], 2.0 * math.pi * freq)
+        return [
+            synth_bender_pair(
+                plant, freq, theta_amp=bender.theta_amp, sample_rate=bender.sample_rate, n_cycles=bender.cycles,
+                noise_snr_db=bender.noise_snr_db, seed=(config.seed, d_idx, f_idx, rep),
+            )
+            for rep in range(bender.repeats)
+        ]
+
+    def test_noisy_point_is_the_mean_of_its_per_record_results(self):
+        config = load_config(overrides=["bender.freq_grid_hz=2", "bender.noise_snr_db=20", "bender.repeats=3"])
+        rows = run_bender_sweep(config)
+        assert len(rows) == len(config.designs)
+        for d_idx, row in enumerate(rows):
+            records = self._records(config, d_idx, 0)
+            stiffness = [lockin_extract(theta, torque, 2.0).stiffness for theta, torque in records]
+            areas = [hysteresis_loop_area(theta, torque, 2.0) for theta, torque in records]
+            assert row.stiffness.storage == pytest.approx(np.mean([k.storage for k in stiffness]), rel=1e-12, abs=0)
+            assert row.stiffness.loss == pytest.approx(np.mean([k.loss for k in stiffness]), rel=1e-12, abs=0)
+            assert row.loop_area_j == pytest.approx(np.mean(areas), rel=1e-12, abs=0)
+
+    def test_single_repeat_row_is_its_record_lock_in(self):
+        config = load_config(overrides=["bender.freq_grid_hz=1,3", "bender.noise_snr_db=20", "bender.repeats=1"])
+        rows = iter(run_bender_sweep(config))
+        for d_idx in range(len(config.designs)):
+            for f_idx, freq in enumerate(config.bender.freq_grid_hz):
+                [(theta, torque)] = self._records(config, d_idx, f_idx)
+                row = next(rows)
+                assert row.stiffness == lockin_extract(theta, torque, freq).stiffness
+                assert row.loop_area_j == hysteresis_loop_area(theta, torque, freq)
 
     def test_deterministic_with_noise(self):
         config = load_config(

@@ -288,6 +288,18 @@ class TestSynth:
         assert np.array_equal(t1.samples, t2.samples)
         assert not np.array_equal(t1.samples, t3.samples)
 
+    @pytest.mark.parametrize(
+        "plant",
+        [ComplexStiffness(_K, _LOSS_ORACLE), PronyFit(k_inf=0.09, branches=((0.95, 0.003), (0.005, 0.08)))],
+        ids=["complex-stiffness", "prony"],
+    )
+    def test_angle_record_is_the_same_whatever_the_noise(self, plant):
+        # The bender sweep averages the torque of repeated records against one angle record.
+        clean, _ = synth_bender_pair(plant, _F, **_RECORD)
+        for seed in (0, 1, (7, 0, 2, 4)):
+            theta, _ = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=seed)
+            assert np.array_equal(theta.samples, clean.samples)
+
     def test_nyquist_rejected(self):
         with pytest.raises(ParameterDomainError):
             synth_bender_pair(ComplexStiffness(_K, 0.0), 150.0, sample_rate=200.0, n_cycles=10)

@@ -147,7 +147,7 @@ def _sample_rate_of(t: np.ndarray, path: str) -> float:
 def _cmd_layup(args) -> int:
     config = _load(args)
     # layup samples nothing, so its grid is not held to the bender's Nyquist limit.
-    grid = parse_grid(args.freq_grid) if args.freq_grid else config.bender.freq_grid_hz
+    grid = parse_grid(args.freq_grid, "--freq-grid") if args.freq_grid else config.bender.freq_grid_hz
     rows = []
     for design, coverage in config.designs:
         for f in grid:

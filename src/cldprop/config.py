@@ -36,38 +36,39 @@ MAX_GRID_POINTS = 10**5
 MAX_BENDER_SAMPLES = 2 * 10**8
 
 
-def parse_grid(text: str) -> tuple[float, ...]:
+def parse_grid(text: str, name: str = "grid") -> tuple[float, ...]:
     """Parse a frequency grid: `start:stop:step` shorthand or a comma list.
 
     The shorthand includes both endpoints; values are computed as
-    start + k*step so the grid carries no cumulative rounding drift.
+    start + k*step so the grid carries no cumulative rounding drift. Error
+    messages start with `name`, the config key or flag the text came from.
     """
     text = text.strip()
     if not text:
-        raise ConfigError("empty frequency grid")
+        raise ConfigError(f"{name}: empty frequency grid")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"grid shorthand must be start:stop:step, got {text!r}")
+            raise ConfigError(f"{name}: grid shorthand must be start:stop:step, got {text!r}")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
-            raise ConfigError(f"non-numeric grid shorthand {text!r}") from exc
+            raise ConfigError(f"{name}: non-numeric grid shorthand {text!r}") from exc
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
-            raise ConfigError(f"grid shorthand needs finite values, step > 0, stop >= start: {text!r}")
+            raise ConfigError(f"{name}: grid shorthand needs finite values, step > 0, stop >= start: {text!r}")
         steps = (stop - start) / step + 1e-9  # inf for a step far below the span
         if not steps < MAX_GRID_POINTS:
-            raise ConfigError(f"grid shorthand {text!r} expands to over {MAX_GRID_POINTS} points")
+            raise ConfigError(f"{name}: grid shorthand {text!r} expands to over {MAX_GRID_POINTS} points")
         values = tuple(start + k * step for k in range(int(math.floor(steps)) + 1))
     else:
         try:
             values = tuple(float(p) for p in text.split(","))
         except ValueError as exc:
-            raise ConfigError(f"non-numeric grid entry in {text!r}") from exc
+            raise ConfigError(f"{name}: non-numeric grid entry in {text!r}") from exc
     if not all(math.isfinite(v) and v >= 0.0 for v in values):
-        raise ConfigError("grid frequencies must be finite and >= 0")
+        raise ConfigError(f"{name}: grid frequencies must be finite and >= 0")
     if list(values) != sorted(set(values)):
-        raise ConfigError("grid frequencies must be strictly increasing")
+        raise ConfigError(f"{name}: grid frequencies must be strictly increasing")
     return values
 
 
@@ -97,7 +98,7 @@ def _as_int(name: str, text: str) -> int:
 
 
 def _grid(name: str, text: str) -> tuple[float, ...]:
-    return parse_grid(text)
+    return parse_grid(text, name)
 
 
 def _snr(name: str, text: str) -> float | None:

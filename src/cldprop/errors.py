@@ -50,3 +50,5 @@ class ConfigError(CldPropError, ValueError):
 
 class UnknownDesignError(ConfigError, KeyError):
     """A design name was requested that the configuration does not define."""
+
+    __str__ = Exception.__str__  # KeyError's would quote the message

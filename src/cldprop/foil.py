@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationDivergenceError, ParameterDomainError
 from .prony import PronyFit
-from .signals import TimeSeries, cycle_average, impedance_fractions, lockin_extract, samples_per_cycle
+from .signals import TimeSeries, cycle_average, impedance_fractions, lockin_extract
 from .signals import ImpedanceFractions, LockinResult
 from .stiffness import ComplexStiffness
 
@@ -113,10 +113,9 @@ class FoilConfig:
 
 @dataclass(frozen=True)
 class ConstrainedTrace:
-    """Per-sample log of a constrained run (warm-up cycles already removed)."""
+    """Per-sample log of a constrained run (warm-up cycles already removed), `samples_per_cycle` to a heave cycle."""
 
     time: np.ndarray
-    heave: np.ndarray
     heave_vel: np.ndarray
     pitch: np.ndarray
     pitch_rate: np.ndarray
@@ -125,6 +124,7 @@ class ConstrainedTrace:
     power: np.ndarray
     hinge_moment: np.ndarray
     drive_freq: float
+    samples_per_cycle: int
 
     @property
     def sample_rate(self) -> float:
@@ -165,17 +165,21 @@ def _steps_per_cycle(hinge: PronyFit, heave_freq: float, minimum: int) -> int:
     return max(minimum, int(math.ceil(STEPS_PER_TAU / (heave_freq * min(taus))))) if taus else minimum
 
 
-def _check_dt(dt: float, hinge: PronyFit, heave_freq: float) -> int:
-    branches = hinge.significant_branches()
-    if branches:
-        tau_min = min(t for _, t in branches)
-        if dt >= tau_min / STEPS_PER_TAU:
-            raise ConfigError(
-                f"dt={dt:.3e} s violates the sampling bound min(tau)/{STEPS_PER_TAU}={tau_min / STEPS_PER_TAU:.3e} s"
-            )
-    if dt > 1.0 / (100.0 * heave_freq):
-        raise ConfigError(f"dt={dt:.3e} s resolves fewer than 100 samples per heave cycle")
-    return samples_per_cycle(1.0 / dt, heave_freq)  # the cycle statistics need whole cycles of samples
+def _grid(hinge: PronyFit, heave_freq: float, minimum: int, dt: float | None) -> tuple[float, int]:
+    """(dt, samples per heave cycle) of a plant run: the step rule's grid at `minimum` samples per cycle, or a
+    given dt held to the same rule at 100 per cycle and to whole cycles of samples, which the cycle means need."""
+    if dt is None:
+        steps = _steps_per_cycle(hinge, heave_freq, minimum)
+        return 1.0 / (steps * heave_freq), steps
+    if not dt > 0.0:
+        raise ParameterDomainError(f"dt must be positive, got {dt}")
+    spc = 1.0 / dt / heave_freq
+    need = _steps_per_cycle(hinge, heave_freq, 100)
+    if not spc >= need:
+        raise ConfigError(f"dt={dt:.3e} s gives {spc:.6g} samples per heave cycle, under the step rule's {need}")
+    if abs(spc - round(spc)) > 1e-9 * spc:
+        raise ParameterDomainError(f"whole cycles need an integer number of samples per cycle, got {spc}")
+    return dt, round(spc)
 
 
 def simulate_constrained(
@@ -194,20 +198,14 @@ def simulate_constrained(
     """
     if n_cycles < 1 or warmup_cycles < 0:
         raise ParameterDomainError("need n_cycles >= 1 and warmup_cycles >= 0")
-    steps = _steps_per_cycle(hinge, kin.heave_freq, MIN_STEPS_PER_CYCLE)
-    if dt is None:
-        dt = 1.0 / (steps * kin.heave_freq)
-    else:
-        steps = _check_dt(dt, hinge, kin.heave_freq)
-    total = (n_cycles + warmup_cycles) * steps
-    t, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * steps)
+    dt, spc = _grid(hinge, kin.heave_freq, MIN_STEPS_PER_CYCLE, dt)
+    total = (n_cycles + warmup_cycles) * spc
+    t, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * spc)
     h0, omg = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq
-    heave = h0 * np.sin(omg * t)
-    yddot = -omg * omg * heave
+    yddot = -omg * omg * (h0 * np.sin(omg * t))
     lateral = d["f_n"] * np.cos(d["th"]) - foil.added_mass * (yddot + foil.pitch_axis_offset * d["pitch_acc"])
     return ConstrainedTrace(
         time=t,
-        heave=heave,
         heave_vel=d["heave_vel"],
         pitch=d["th"],
         pitch_rate=d["w"],
@@ -216,6 +214,7 @@ def simulate_constrained(
         power=-lateral * d["heave_vel"],
         hinge_moment=d["m_ve"],
         drive_freq=kin.heave_freq,
+        samples_per_cycle=spc,
     )
 
 
@@ -332,12 +331,11 @@ def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMet
     power. The effective stiffness is a lock-in of the hinge-side moment
     against the pitch angle at the drive frequency.
     """
-    fs = trace.sample_rate
-    f = trace.drive_freq
-    thrust_means = cycle_average(TimeSeries(fs, trace.thrust), f)
+    fs, spc = trace.sample_rate, trace.samples_per_cycle
+    thrust_means = cycle_average(trace.thrust, spc)
     if thrust_means.size < 3:
         raise ParameterDomainError("trace must span at least 3 whole cycles")
-    power_means = cycle_average(TimeSeries(fs, np.maximum(trace.power, 0.0)), f)
+    power_means = cycle_average(np.maximum(trace.power, 0.0), spc)
     mean_thrust = float(np.mean(thrust_means))
     mean_power = float(np.mean(power_means))
     if mean_thrust > 0.0 and mean_power > 0.0:
@@ -347,7 +345,7 @@ def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMet
     result: LockinResult = lockin_extract(
         TimeSeries(fs, trace.pitch, trace.time[0]),
         TimeSeries(fs, trace.hinge_moment, trace.time[0]),
-        f,
+        trace.drive_freq,
     )
     return CycleMetrics(
         mean_thrust=mean_thrust,
@@ -376,11 +374,7 @@ def simulate_free_swim(
     """
     if not (virtual_mass > 0.0 and duration > 0.0):
         raise ParameterDomainError("virtual mass and duration must be positive")
-    steps = _steps_per_cycle(hinge, kin.heave_freq, FREESWIM_MIN_STEPS_PER_CYCLE)
-    if dt is None:
-        dt = 1.0 / (steps * kin.heave_freq)
-    else:
-        steps = _check_dt(dt, hinge, kin.heave_freq)
+    dt, spc = _grid(hinge, kin.heave_freq, FREESWIM_MIN_STEPS_PER_CYCLE, dt)
     total = int(math.ceil(duration / dt))
     drag_area = body_drag_coeff * foil.planform_area
     t, d = _run(foil, kin, hinge, dt, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
@@ -390,12 +384,12 @@ def simulate_free_swim(
         x=np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))]),
         u=u,
         accel=accel,
-        accel_cycle_mean=cycle_average(TimeSeries(1.0 / dt, accel), kin.heave_freq),
-        u_cycle_mean=cycle_average(TimeSeries(1.0 / dt, u), kin.heave_freq),
+        accel_cycle_mean=cycle_average(accel, spc),
+        u_cycle_mean=cycle_average(u, spc),
         thrust=d["thrust"],
         drag=d["drag"],
         drive_freq=kin.heave_freq,
-        samples_per_cycle=steps,
+        samples_per_cycle=spc,
     )
 
 

@@ -98,27 +98,16 @@ def _check_pair(theta: TimeSeries, torque: TimeSeries) -> None:
         raise SignalMismatchError(f"start times differ: {theta.start_time} vs {torque.start_time}")
 
 
-def _whole_cycle_count(series: TimeSeries, drive_freq: float, minimum: int) -> int:
-    n_full = int(math.floor(series.span * drive_freq + 1e-9))
-    if n_full < minimum:
-        raise InsufficientRecordError(
-            f"record spans {series.span * drive_freq:.2f} cycles, need at least {minimum}"
-        )
-    return n_full
-
-
-def _truncate_to_cycles(n_samples: int, sample_rate: float, drive_freq: float, n_full: int) -> int:
-    """Number of leading samples lying strictly inside n_full whole cycles."""
-    return min(n_samples, int(math.ceil(n_full * sample_rate / drive_freq - 1e-9)))
-
-
 def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> tuple[int, int]:
     """(n_full, m) of a checked pair: n_full >= 3 whole drive cycles in its first m samples."""
     _check_pair(theta, torque)
     if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
-    n_full = _whole_cycle_count(theta, drive_freq, minimum=3)
-    return n_full, _truncate_to_cycles(len(theta), theta.sample_rate, drive_freq, n_full)
+    cycles = theta.span * drive_freq
+    n_full = int(math.floor(cycles + 1e-9))
+    if n_full < 3:
+        raise InsufficientRecordError(f"record spans {cycles:.2f} cycles, need at least 3")
+    return n_full, min(len(theta), int(math.ceil(n_full * theta.sample_rate / drive_freq - 1e-9)))
 
 
 def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> LockinResult:
@@ -254,38 +243,30 @@ def _prony_torque(fit: PronyFit, theta_amp: float, omega: float, t: np.ndarray, 
     return torque
 
 
-def _whole_cycles(signal: TimeSeries, drive_freq: float) -> np.ndarray:
-    """The record's whole drive cycles as an (n_full, samples per cycle) view.
+def _whole_cycles(samples: np.ndarray, samples_per_cycle: int) -> np.ndarray:
+    """A 1-D record's whole cycles of `samples_per_cycle` samples as an (n_full, samples_per_cycle) view.
 
-    The trailing partial cycle is discarded. Requires an integer number of
-    samples per cycle, so every cycle starts on a sample.
+    The trailing partial cycle is discarded.
     """
-    if not drive_freq > 0.0:
-        raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
-    n_full = _whole_cycle_count(signal, drive_freq, minimum=1)
-    spc = samples_per_cycle(signal.sample_rate, drive_freq)
-    return signal.samples[: n_full * spc].reshape(n_full, spc)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1 or not isinstance(samples_per_cycle, (int, np.integer)) or samples_per_cycle < 1:
+        raise ParameterDomainError(f"need a 1-D record and integer samples per cycle >= 1, got {samples_per_cycle!r}")
+    n_full = samples.size // samples_per_cycle
+    if n_full < 1:
+        raise InsufficientRecordError(f"record spans {samples.size / samples_per_cycle:.2f} cycles, need at least 1")
+    return samples[: n_full * samples_per_cycle].reshape(n_full, samples_per_cycle)
 
 
-def samples_per_cycle(sample_rate: float, drive_freq: float) -> int:
-    """Samples per drive cycle, which whole-cycle statistics need to be an integer."""
-    spc_exact = sample_rate / drive_freq
-    spc = int(round(spc_exact))
-    if abs(spc_exact - spc) > 1e-9 * spc_exact:
-        raise ParameterDomainError(f"whole cycles need an integer number of samples per cycle, got {spc_exact}")
-    return spc
-
-
-def cycle_fold(signal: TimeSeries, drive_freq: float) -> np.ndarray:
-    """Phase-average a record over its whole drive cycles.
+def cycle_fold(samples: np.ndarray, samples_per_cycle: int) -> np.ndarray:
+    """Phase-average a record over its whole cycles of `samples_per_cycle` samples.
 
     Folds every complete cycle onto a common phase grid (one bin per sample
     interval) and returns the per-bin mean, i.e. the mean waveform of one
     cycle.
     """
-    return _whole_cycles(signal, drive_freq).mean(axis=0)
+    return _whole_cycles(samples, samples_per_cycle).mean(axis=0)
 
 
-def cycle_average(signal: TimeSeries, drive_freq: float) -> np.ndarray:
-    """Per-cycle means of a record over its whole drive cycles."""
-    return _whole_cycles(signal, drive_freq).mean(axis=1)
+def cycle_average(samples: np.ndarray, samples_per_cycle: int) -> np.ndarray:
+    """Per-cycle means of a record over its whole cycles of `samples_per_cycle` samples."""
+    return _whole_cycles(samples, samples_per_cycle).mean(axis=1)

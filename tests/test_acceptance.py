@@ -16,13 +16,7 @@ from cldprop.config import load_config
 from cldprop.foil import propulsion_metrics, simulate_constrained, simulate_free_swim, strouhal, swim_metrics
 from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, fit_prony, prony_frequency_response
-from cldprop.signals import (
-    TimeSeries,
-    cycle_fold,
-    hysteresis_loop_area,
-    lockin_extract,
-    synth_bender_pair,
-)
+from cldprop.signals import cycle_fold, hysteresis_loop_area, lockin_extract, synth_bender_pair
 from cldprop.stiffness import ComplexStiffness, rku_complex_stiffness
 
 _DESIGNS = ("baseline", "a", "b", "c")
@@ -222,7 +216,7 @@ def test_criterion_11_thrust_waveform_shape(sweep_results):
 
     def folded(design):
         trace = traces[(design, 2.0)]
-        return cycle_fold(TimeSeries(trace.sample_rate, trace.thrust), trace.drive_freq)
+        return cycle_fold(trace.thrust, trace.samples_per_cycle)
 
     def peaks(x):
         return int(np.sum((x > np.roll(x, 1)) & (x > np.roll(x, -1))))

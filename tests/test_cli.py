@@ -213,6 +213,8 @@ class TestUsage:
         assert os.listdir(out) == []
         err = capsys.readouterr().err
         assert err.startswith("config error") and len(err.splitlines()) == 1
+        if "zz" in argv:  # the message as written, not KeyError's quoted repr of it
+            assert err == "config error: unknown design 'zz'; known: ['baseline', 'a', 'b', 'c']\n"
 
     @pytest.mark.parametrize("name", ["x,y", "a/b", ""], ids=["comma", "slash", "empty"])
     def test_bad_design_name_is_config_error(self, tmp_path, capsys, monkeypatch, name):
@@ -268,6 +270,13 @@ class TestLayup:
         assert main(["bender", "--freq-grid", "0:200:50", "--output-dir", str(out), "--quiet"]) == 2
         assert os.listdir(out) == []
         assert "Nyquist" in capsys.readouterr().err
+
+    def test_bad_grid_names_its_flag(self, tmp_path, capsys):
+        # layup parses --freq-grid itself; bender passes it on as bender.freq_grid_hz.
+        for command, name in (("layup", "--freq-grid"), ("bender", "bender.freq_grid_hz")):
+            assert main([command, "--freq-grid", "2,1", "--output-dir", str(tmp_path), "--quiet"]) == 2
+            assert capsys.readouterr().err == f"config error: {name}: grid frequencies must be strictly increasing\n"
+        assert os.listdir(tmp_path) == []
 
 
     @pytest.mark.parametrize(

@@ -26,8 +26,11 @@ class TestGrid:
         "text", ["", "1:2", "2:1:0.5", "1:2:0", "a:b:c", "1,0.5", "1,1", "nan", "1,inf", "0:inf:1", "nan:2:1"]
     )
     def test_invalid_grids_rejected(self, text):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^grid: "):
             parse_grid(text)
+        for key in ("sweep.freq_grid_hz", "sweep.prony_fit_grid_hz", "bender.freq_grid_hz"):  # named in the message
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+                load_config(overrides=[f"{key}={text}"])
 
 
 class TestDefaults:

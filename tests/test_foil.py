@@ -25,7 +25,7 @@ from cldprop import foil as foil_module
 from cldprop.foil import _equations
 from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, prony_frequency_response
-from cldprop.signals import TimeSeries, cycle_average
+from cldprop.signals import cycle_average
 
 _CONFIG = load_config()
 _FOIL = _CONFIG.foil
@@ -58,9 +58,7 @@ class TestConstrained:
         # The near-rigid hinge has a very fast pitch mode; resolve it.
         trace = simulate_constrained(_FOIL, kin, _RIGID, n_cycles=3, warmup_cycles=1, dt=2e-5)
         assert float(np.max(np.abs(trace.pitch))) < 1e-3
-        mean_thrust = float(
-            np.mean(cycle_average(TimeSeries(trace.sample_rate, trace.thrust), kin.heave_freq))
-        )
+        mean_thrust = float(np.mean(cycle_average(trace.thrust, trace.samples_per_cycle)))
         expected = -0.5 * 1000.0 * 0.2**2 * _FOIL.planform_area * _FOIL.profile_drag_coeff
         assert mean_thrust == pytest.approx(expected, rel=1e-3)
 
@@ -68,9 +66,7 @@ class TestConstrained:
         # St -> 0: heave velocity negligible against U, no net propulsion.
         kin = KinematicsSpec(heave_freq=1.0, heave_amp_pp=0.01, freestream=20.0)
         trace = simulate_constrained(_FOIL, kin, _RIGID, n_cycles=3, warmup_cycles=1, dt=2e-5)
-        mean_thrust = float(
-            np.mean(cycle_average(TimeSeries(trace.sample_rate, trace.thrust), kin.heave_freq))
-        )
+        mean_thrust = float(np.mean(cycle_average(trace.thrust, trace.samples_per_cycle)))
         expected = -0.5 * 1000.0 * 20.0**2 * _FOIL.planform_area * _FOIL.profile_drag_coeff
         assert mean_thrust == pytest.approx(expected, rel=1e-2)
 
@@ -137,6 +133,9 @@ class TestConstrained:
             simulate_constrained(_FOIL, kin, _SOFT, 10, 5, dt=1e-3)  # violates tau_min/10
         with pytest.raises(ConfigError):
             simulate_constrained(_FOIL, kin, _RIGID, 10, 5, dt=6e-3)  # under 100 steps/cycle
+        for dt in (0.0, -1e-5, math.nan):
+            with pytest.raises(ParameterDomainError, match="dt must be positive"):
+                simulate_constrained(_FOIL, kin, _RIGID, 10, 5, dt=dt)
 
     def test_fractional_samples_per_cycle_rejected_before_integrating(self, monkeypatch):
         # dt = 2.9e-5 s gives 17241.379... samples per 2 Hz cycle; the cycle statistics need whole ones.
@@ -150,6 +149,19 @@ class TestConstrained:
             simulate_constrained(_FOIL, kin, _SOFT, 3, 1, dt=2.9e-5)
         with pytest.raises(ParameterDomainError, match=match):
             simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, 1.0, dt=2.9e-5)
+
+    def test_grid_holds_whole_cycles_of_the_step_rule(self, default_config, design_hinges):
+        # The lock-in reads the sample rate off the time column, and the benchmark's step-rule cross-check counts
+        # round(sample_rate / drive_freq) samples per cycle: both must agree with the grid the run chose.
+        sweep = default_config.sweep
+        for hinge in design_hinges.values():
+            for kin in (sweep.kinematics[0], sweep.kinematics[-1]):
+                trace = simulate_constrained(default_config.foil, kin, hinge, sweep.cycles, sweep.warmup_cycles)
+                spc = foil_module._steps_per_cycle(hinge, kin.heave_freq, foil_module.MIN_STEPS_PER_CYCLE)
+                assert trace.samples_per_cycle == round(trace.sample_rate / trace.drive_freq) == spc
+                assert trace.time.size == sweep.cycles * spc + 1
+        trace = simulate_constrained(_FOIL, KinematicsSpec(2.0, 0.08, 0.2), _SOFT, 3, 1, dt=1.0 / 4000.0)
+        assert (trace.samples_per_cycle, trace.time.size) == (2000, 3 * 2000 + 1)
 
     def test_sample_budget_checked_before_allocating(self):
         # A fitted branch with tau = 1e-9 s asks for 5e9 samples per 2 Hz cycle.
@@ -481,7 +493,6 @@ def _synthetic_trace(thrust_value, power_value, n=801, fs=200.0, f=2.0):
     pitch = 0.1 * np.sin(2.0 * math.pi * f * t)
     return ConstrainedTrace(
         time=t,
-        heave=np.zeros(n),
         heave_vel=np.zeros(n),
         pitch=pitch,
         pitch_rate=0.1 * 2.0 * math.pi * f * np.cos(2.0 * math.pi * f * t),
@@ -490,6 +501,7 @@ def _synthetic_trace(thrust_value, power_value, n=801, fs=200.0, f=2.0):
         power=np.full(n, power_value),
         hinge_moment=2.0 * pitch,
         drive_freq=f,
+        samples_per_cycle=round(fs / f),
     )
 
 
@@ -519,6 +531,13 @@ class TestFreeSwim:
         trace = simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, 1.0)
         assert np.all(trace.u == 0.0)
         assert np.all(trace.x == 0.0)
+
+    def test_grid_follows_the_step_rule(self, design_hinges):
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
+        trace = simulate_free_swim(_FOIL, kin, design_hinges["c"], _VIRTUAL_MASS, _BODY_DRAG, 1.0)
+        spc = foil_module._steps_per_cycle(design_hinges["c"], 2.0, foil_module.FREESWIM_MIN_STEPS_PER_CYCLE)
+        assert trace.samples_per_cycle == spc == 6000
+        assert trace.u_cycle_mean.size == trace.accel_cycle_mean.size == trace.time.size // spc == 2
 
     def test_impulse_momentum_balance(self):
         kin = KinematicsSpec(2.0, 0.08, 0.2)
@@ -550,7 +569,7 @@ class TestFreeSwim:
 
 
 def _trace_from_u(u, fs, f):
-    t = np.arange(u.size) / fs
+    t, spc = np.arange(u.size) / fs, round(fs / f)
     accel = np.gradient(u, t)
     x = np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))])
     return FreeSwimTrace(
@@ -558,12 +577,12 @@ def _trace_from_u(u, fs, f):
         x=x,
         u=u,
         accel=accel,
-        accel_cycle_mean=cycle_average(TimeSeries(fs, accel), f),
-        u_cycle_mean=cycle_average(TimeSeries(fs, u), f),
+        accel_cycle_mean=cycle_average(accel, spc),
+        u_cycle_mean=cycle_average(u, spc),
         thrust=np.zeros_like(u),
         drag=np.zeros_like(u),
         drive_freq=f,
-        samples_per_cycle=round(fs / f),
+        samples_per_cycle=spc,
     )
 
 

@@ -317,32 +317,27 @@ class TestSynth:
 
 class TestCycleStats:
     def test_constant_signal(self):
-        ts = TimeSeries(100.0, np.full(500, 2.5))
-        means = cycle_average(ts, 1.0)
+        means = cycle_average(np.full(500, 2.5), 100)
         assert np.allclose(means, 2.5)
         assert means.size == 5
 
     def test_pure_sine_means_vanish(self):
         t = np.arange(1000) / 100.0
-        ts = TimeSeries(100.0, np.sin(2.0 * math.pi * 2.0 * t))
-        assert np.max(np.abs(cycle_average(ts, 2.0))) < 1e-12
+        assert np.max(np.abs(cycle_average(np.sin(2.0 * math.pi * 2.0 * t), 50))) < 1e-12
 
     def test_sine_plus_offset(self):
         t = np.arange(1000) / 100.0
-        ts = TimeSeries(100.0, 0.3 + np.sin(2.0 * math.pi * 2.0 * t))
-        assert np.allclose(cycle_average(ts, 2.0), 0.3, atol=1e-12)
+        assert np.allclose(cycle_average(0.3 + np.sin(2.0 * math.pi * 2.0 * t), 50), 0.3, atol=1e-12)
 
     def test_under_one_cycle_rejected(self):
-        ts = TimeSeries(100.0, np.zeros(50))
         with pytest.raises(InsufficientRecordError):
-            cycle_average(ts, 1.0)
+            cycle_average(np.zeros(50), 100)
 
     def test_fold_matches_direct_indexing(self):
         rng = np.random.default_rng(7)
         spc, ncyc = 40, 6
         x = rng.normal(size=spc * ncyc + 13)  # trailing partial cycle
-        ts = TimeSeries(float(spc), x)  # 1 Hz drive -> spc samples per cycle
-        folded = cycle_fold(ts, 1.0)
+        folded = cycle_fold(x, spc)
         direct = np.stack([x[k * spc : (k + 1) * spc] for k in range(ncyc)]).mean(axis=0)
         assert np.array_equal(folded, direct)
 
@@ -352,12 +347,13 @@ class TestCycleStats:
         for reduce in (lockin_extract, hysteresis_loop_area):
             with pytest.raises(ParameterDomainError):
                 reduce(theta, torque, freq)
-        for reduce in (cycle_fold, cycle_average):
-            with pytest.raises(ParameterDomainError):
-                reduce(torque, freq)
 
     def test_fold_requires_integer_samples_per_cycle(self):
-        ts = TimeSeries(100.0, np.zeros(400))
+        # Whole cycles are taken by index: the count per cycle must be an integer >= 1, and the record 1-D.
+        for spc in (0, -40, 40.0, 2.5, math.nan, None):
+            for reduce in (cycle_fold, cycle_average):
+                with pytest.raises(ParameterDomainError, match="integer samples per cycle >= 1"):
+                    reduce(np.zeros(400), spc)
         for reduce in (cycle_fold, cycle_average):
-            with pytest.raises(ParameterDomainError, match="integer number of samples per cycle"):
-                reduce(ts, 3.0)
+            with pytest.raises(ParameterDomainError, match="1-D record"):
+                reduce(np.zeros((4, 100)), 100)

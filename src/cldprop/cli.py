@@ -123,15 +123,18 @@ def _read_signal_csv(path: str, columns: int) -> tuple[np.ndarray, ...]:
     with open(path) as fh:
         if len(fh.readline().split(",")) != columns:
             raise ConfigError(f"{path}: expected a {columns}-column CSV with a header row")
-        try:
-            with warnings.catch_warnings():
-                # loadtxt only warns on a record without data rows.
-                warnings.simplefilter("error", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        except UserWarning:
-            raise ConfigError(f"{path}: no data rows") from None
+        # Given a path, numpy's C reader takes a file in chunks, where it reads a handle a Python line at a time;
+        # a pipe cannot be opened again, so its rows are read here.
+        source = path if fh.seekable() else fh.readlines()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt only warns on a record without data rows
+            data = np.loadtxt(source, delimiter=",", skiprows=int(source is path), ndmin=2)
+    except ValueError as exc:  # numpy's advice to pass `usecols` names an option extract lacks: drop it
+        reason = "; ".join(part for part in str(exc).split("; ") if "usecols" not in part)
+        raise ConfigError(f"{path}: {reason}") from None
+    except UserWarning:
+        raise ConfigError(f"{path}: no data rows") from None
     if data.shape[1] != columns or not np.all(np.isfinite(data)):
         raise ConfigError(f"{path}: every row must hold {columns} finite numbers")
     return tuple(data.T)

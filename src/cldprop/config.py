@@ -29,10 +29,10 @@ CONFIG_SCHEMA_VERSION = 2
 
 # Most points a `start:stop:step` grid may expand to; the default grids hold 7 to 20.
 MAX_GRID_POINTS = 10**5
-# Most samples a bender run may synthesize over all designs, grid points and
-# repeats: twenty records of the longest length, about 14 s at 0.07 us per
-# sample (a noisy run of 9.4e7 samples in records of up to 10**6, on a 2-core
-# Xeon). The default run synthesizes 46,860 and a noisy run of 5 repeats 234,300.
+# Most record samples a bender run may make over all designs, grid points and
+# repeats (a repeat draws one record of noise): twenty records of the longest
+# length, about 9 s at 0.044 us per sample (a noisy run of 9.4e7 samples in records
+# of up to 10**6, on a 2-core Xeon). The default run makes 46,860; a noisy run of 5 repeats 234,300.
 MAX_BENDER_SAMPLES = 2 * 10**8
 
 

@@ -395,15 +395,13 @@ def simulate_free_swim(
 
 def swim_metrics(trace: FreeSwimTrace) -> dict[str, float]:
     """Trial-level kinematic summary of a free-swim trace."""
-    if trace.time.size == 0:
-        raise ParameterDomainError("empty trace")
+    if trace.u_cycle_mean.size == 0:
+        raise ParameterDomainError("a free-swim trace needs at least one whole cycle")
     # Terminal velocity: u's cycle means, laid on their samples, averaged over the last 20 % of the trace.
     tail = np.repeat(trace.u_cycle_mean, trace.samples_per_cycle)[int(math.floor(0.8 * trace.time.size)) :]
-    if tail.size:
-        terminal = float(np.mean(tail))
-    else:  # the tail lies past the last whole cycle
-        terminal = float(trace.u_cycle_mean[-1]) if trace.u_cycle_mean.size else float(trace.u[-1])
-    peak_accel = float(np.max(trace.accel_cycle_mean)) if trace.accel_cycle_mean.size else 0.0
+    # With no tail, the whole cycles end before the last 20 % of the trace: the last cycle's mean stands in.
+    terminal = float(np.mean(tail)) if tail.size else float(trace.u_cycle_mean[-1])
+    peak_accel = float(np.max(trace.accel_cycle_mean))
     net = float(trace.x[-1] - trace.x[0])
     travel = float(np.trapezoid(np.abs(trace.u), trace.time))
     return {

@@ -45,6 +45,7 @@ from .signals import (
     impedance_fractions,
     lockin_extract,
     synth_bender_pair,
+    torque_noise,
 )
 from .stiffness import ComplexStiffness, rku_complex_stiffness
 from .svgchart import write_line_chart
@@ -88,10 +89,11 @@ def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
     The 0 Hz grid point takes the static path: the stiffness is the direct
     zero-frequency model evaluation (loss identically zero) and the loop
     area is zero, since lock-in at DC is undefined. Each other point runs the
-    lock-in and loop area once, on the mean torque of its `repeats` records
-    (one seed each): the angle is noise-free and the same in every record and
-    both results are linear in the torque, so this is the mean of the
-    per-record results up to rounding.
+    lock-in and loop area once, on the mean torque of its `repeats` records:
+    the clean record synthesized once plus the mean of the records' noise
+    draws (one seed each). The angle is noise-free and the same in every
+    record and both results are linear in the torque, so this is the mean of
+    the per-record results up to rounding.
     """
     rows = []
     bender = config.bender
@@ -104,19 +106,13 @@ def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
                     rows.append(ImpedanceRow(design, freq, k, impedance_fractions(k), 0.0))
                     continue
                 plant = rku_complex_stiffness(layup, 2.0 * math.pi * freq)
-                total = None
-                for rep in range(bender.repeats):
-                    theta, torque = synth_bender_pair(
-                        plant, freq, theta_amp=bender.theta_amp, sample_rate=bender.sample_rate, n_cycles=bender.cycles,
-                        noise_snr_db=bender.noise_snr_db,
-                        seed=(config.seed, d_idx, f_idx, rep),  # one stream per record, whatever the grid size
-                    )
-                    if total is None:
-                        total = np.array(torque.samples)  # a writable copy of the first record
-                    else:
-                        total += torque.samples
-                total /= bender.repeats
-                torque = TimeSeries(theta.sample_rate, total)
+                theta, torque = synth_bender_pair(
+                    plant, freq, theta_amp=bender.theta_amp, sample_rate=bender.sample_rate, n_cycles=bender.cycles
+                )
+                if bender.noise_snr_db is not None:  # one noise stream per record, whatever the grid size
+                    seeds = [(config.seed, d_idx, f_idx, rep) for rep in range(bender.repeats)]
+                    noise = sum(torque_noise(plant, freq, bender.theta_amp, bender.noise_snr_db, len(torque), s) for s in seeds)
+                    torque = TimeSeries(torque.sample_rate, torque.samples + noise / bender.repeats)
                 k = lockin_extract(theta, torque, freq).stiffness
                 rows.append(ImpedanceRow(design, freq, k, impedance_fractions(k), hysteresis_loop_area(theta, torque, freq)))
             except CldPropError as exc:

@@ -190,9 +190,7 @@ def synth_bender_pair(
     The angle is theta_amp * sin(2 pi f t). The torque comes from the plant's
     frequency response (ComplexStiffness) or, for a PronyFit, from the exact
     closed-form response of its branches started from rest at t = 0.
-    Optional additive Gaussian noise on the torque at the given SNR relative
-    to the torque fundamental, reproducible from the seed (an int, or a
-    sequence of ints taken whole as the generator's entropy).
+    Optional additive Gaussian noise on the torque is `torque_noise`'s.
     """
     if not theta_amp > 0.0:
         raise ParameterDomainError(f"theta amplitude must be positive, got {theta_amp}")
@@ -214,17 +212,22 @@ def synth_bender_pair(
 
     if isinstance(plant, PronyFit):
         tq = _prony_torque(plant, theta_amp, omega, t, sin_wt)
-        fundamental_amp = theta_amp * prony_frequency_response(plant, omega).magnitude
     else:
         tq = plant.storage * theta_amp * sin_wt + plant.loss * theta_amp * np.cos(omega * t)
-        fundamental_amp = theta_amp * plant.magnitude
-
     if noise_snr_db is not None:
-        sigma = fundamental_amp / math.sqrt(2.0) * 10.0 ** (-noise_snr_db / 20.0)
-        rng = np.random.default_rng(seed)
-        tq += rng.normal(0.0, sigma, size=n)
-
+        tq += torque_noise(plant, drive_freq, theta_amp, noise_snr_db, n, seed)
     return TimeSeries(sample_rate, theta_amp * sin_wt), TimeSeries(sample_rate, tq)
+
+
+def torque_noise(
+    plant: ComplexStiffness | PronyFit, drive_freq: float, theta_amp: float, snr_db: float, n: int, seed: int | Sequence[int]
+) -> np.ndarray:
+    """n samples of Gaussian bender torque noise, `snr_db` below the torque fundamental theta_amp * |K*(drive_freq)|,
+    reproducible from the seed (an int, or a sequence of ints taken whole as the generator's entropy)."""
+    if isinstance(plant, PronyFit):
+        plant = prony_frequency_response(plant, 2.0 * math.pi * drive_freq)
+    sigma = theta_amp * plant.magnitude / math.sqrt(2.0) * 10.0 ** (-snr_db / 20.0)
+    return np.random.default_rng(seed).normal(0.0, sigma, size=n)
 
 
 def _prony_torque(fit: PronyFit, theta_amp: float, omega: float, t: np.ndarray, sin_wt: np.ndarray) -> np.ndarray:

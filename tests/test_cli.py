@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,69 @@ class TestExtract:
         path.write_text("time_s,theta_rad,torque_nm\n" + "\n".join(rows) + "\n")
         assert main(["extract", "--combined", str(path), "--freq", "3"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @staticmethod
+    def _rewrite(path, newline, last_newline):
+        """Rewrite a record with `newline` line ends, the last row's kept only if `last_newline`."""
+        text = Path(path).read_text().replace("\n", newline)
+        Path(path).write_bytes((text if last_newline else text[: -len(newline)]).encode())
+
+    @pytest.mark.parametrize("newline, last_newline", [("\r\n", True), ("\n", False), ("\r\n", False)],
+                             ids=["crlf", "no-final-newline", "crlf-no-final-newline"])
+    @pytest.mark.parametrize("combined", [True, False], ids=["combined", "theta-torque"])
+    def test_line_ends_do_not_change_the_report(self, tmp_path, capsys, newline, last_newline, combined):
+        theta, torque = _write_oracle_files(tmp_path)
+        if combined:
+            th, tq = (np.loadtxt(name, delimiter=",", skiprows=1) for name in (theta, torque))
+            path = tmp_path / "combined.csv"
+            np.savetxt(path, np.column_stack([th, tq[:, 1]]), delimiter=",", header="time_s,theta_rad,torque_nm", comments="")
+            files, args = [path], ["--combined", str(path)]
+        else:
+            files, args = [theta, torque], ["--theta", theta, "--torque", torque]
+        assert main(["extract", *args, "--freq", "3"]) == 0
+        want = capsys.readouterr().out
+        for name in files:
+            self._rewrite(name, newline, last_newline)
+        assert main(["extract", *args, "--freq", "3"]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_record_from_a_pipe(self, tmp_path, capsys):
+        # As a shell's process substitution passes it: a pipe cannot be opened again past its header.
+        theta, torque = _write_oracle_files(tmp_path)
+        assert main(["extract", "--theta", theta, "--torque", torque, "--freq", "3"]) == 0
+        want = capsys.readouterr().out
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "w") as fh:
+                fh.write(Path(theta).read_text())  # a few kB: the pipe holds it all
+            assert main(["extract", "--theta", f"/dev/fd/{read_end}", "--torque", torque, "--freq", "3"]) == 0
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("combined", [True, False], ids=["combined", "theta-torque"])
+    def test_header_only_record_has_no_data_rows(self, tmp_path, capsys, combined):
+        if combined:
+            path = tmp_path / "rec.csv"
+            path.write_text("time_s,theta_rad,torque_nm\n")
+            args = ["--combined", str(path)]
+        else:
+            path, other = tmp_path / "theta.csv", tmp_path / "torque.csv"
+            path.write_text("time_s,value\n")
+            other.write_text("time_s,value\n0.0,0.0\n0.005,0.0\n")
+            args = ["--theta", str(path), "--torque", str(other)]
+        assert main(["extract", *args, "--freq", "3"]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: no data rows\n"
+
+    def test_ragged_row_names_the_file_without_usecols_advice(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("time_s,theta_rad,torque_nm\n0.0,0.0,0.0\n0.005,0.1\n0.01,0.2,0.3\n")
+        assert main(["extract", "--combined", str(path), "--freq", "3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+        assert "usecols" not in err[0]  # numpy's advice names an option cldprop lacks
 
 
 class TestUsage:

@@ -596,6 +596,19 @@ class TestSwimMetrics:
         assert metrics["total_travel"] == pytest.approx(v0 * dur, rel=1e-9)
         assert metrics["peak_accel"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_trace_without_a_whole_cycle_is_rejected(self):
+        trace = _trace_from_u(np.full(201, 0.25), 400.0, 2.0)
+        empty = replace(trace, accel_cycle_mean=np.empty(0), u_cycle_mean=np.empty(0))
+        with pytest.raises(ParameterDomainError, match="whole cycle"):
+            swim_metrics(empty)
+
+    def test_cycles_ending_before_the_tail_give_the_last_cycle_mean(self):
+        # 2.5 cycles: the two whole cycles end at 80 % of the trace, so no cycle mean lies in its last 20 %.
+        fs, f = 400.0, 2.0
+        u = np.concatenate([np.full(200, 0.1), np.full(200, 0.3), np.full(100, 0.9)])
+        metrics = swim_metrics(_trace_from_u(u, fs, f))
+        assert metrics["terminal_velocity"] == pytest.approx(0.3, rel=1e-12)
+
     def test_oscillating_speed_travel(self):
         # u = v0*sin(2 pi f t) over whole cycles: zero net displacement but
         # total travel (2/pi)*v0*T.

@@ -3,6 +3,7 @@ persistence and plot-data emission."""
 
 import csv
 import datetime
+import inspect
 import math
 import os
 from dataclasses import replace
@@ -93,17 +94,31 @@ class TestBenderSweep:
 
     def test_every_noisy_record_draws_its_own_stream(self, monkeypatch):
         # 101 repeats on two grid points: a seed built as base + 100*f_idx + rep would repeat.
-        real_synth, states = harness.synth_bender_pair, []
+        real_noise, states = harness.torque_noise, []
 
-        def synth(*args, seed, **kwargs):
+        def noise(*args, **kwargs):
+            seed = inspect.signature(real_noise).bind(*args, **kwargs).arguments["seed"]
             states.append(tuple(np.random.SeedSequence(seed).generate_state(4)))
-            return real_synth(*args, seed=seed, **kwargs)
+            return real_noise(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "synth_bender_pair", synth)
+        monkeypatch.setattr(harness, "torque_noise", noise)
         config = load_config(overrides=["bender.freq_grid_hz=1,2", "bender.noise_snr_db=20", "bender.repeats=101"])
         run_bender_sweep(config)
         n = len(config.designs) * 202
         assert len(states) == n and len(set(states)) == n
+
+    @pytest.mark.parametrize("repeats", [1, 4])
+    def test_clean_record_is_synthesized_once_per_grid_point(self, monkeypatch, repeats):
+        real_synth, calls = harness.synth_bender_pair, []
+
+        def synth(*args, **kwargs):
+            calls.append(args[1])
+            return real_synth(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "synth_bender_pair", synth)
+        config = load_config(overrides=["bender.freq_grid_hz=0:3:1", "bender.noise_snr_db=20", f"bender.repeats={repeats}"])
+        run_bender_sweep(config)
+        assert calls == [1.0, 2.0, 3.0] * len(config.designs)
 
     @staticmethod
     def _records(config, d_idx, f_idx):

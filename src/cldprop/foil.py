@@ -10,8 +10,10 @@ the pitch state, so frequency-dependent storage and loss emerge naturally.
 LSODA integrates the plant under error control onto a fixed sample grid: scipy's
 compiled driver `scipy.integrate._odepack.odeint`, loaded without running scipy's
 __init__ (21 modules) or scipy.integrate's (355). The right-hand side is one source
-template, compiled once per lane shape and called by LSODA directly; run on numpy
-columns of the state history, it returns the trace's values by name: one force law.
+template, compiled once per lane shape and called by LSODA directly, writing ds/dt
+into one array per lane that the next call overwrites (LSODA copies it on return);
+run on numpy columns of the state history, it returns the trace's values by name: one
+force law.
 
 LSODA weighs state i's error by rtol |y_i| + atol. Constrained lanes use (3e-9,
 3e-9), chosen by a study of the default sweep against (1e-12, 1e-15); per pair, RHS
@@ -202,8 +204,17 @@ def simulate_constrained(
     total = (n_cycles + warmup_cycles) * spc
     t, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * spc)
     h0, omg = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq
-    yddot = -omg * omg * (h0 * np.sin(omg * t))
-    lateral = d["f_n"] * np.cos(d["th"]) - foil.added_mass * (yddot + foil.pitch_axis_offset * d["pitch_acc"])
+    # lateral = f_n cos(th) - m_a (y'' + r pitch_acc) with y'' = -omg^2 h0 sin(wt), and power = -lateral heave_vel:
+    # the float operations of these expressions in their order, done in place on named values the trace drops.
+    added = d["sin_wt"]
+    added *= h0
+    added *= -omg * omg  # y''
+    added += np.multiply(foil.pitch_axis_offset, d["pitch_acc"], out=d["pitch_acc"])
+    added *= foil.added_mass
+    lateral = np.multiply(d["f_n"], d["cos_th"], out=d["f_n"])
+    lateral -= added
+    power = np.negative(lateral, out=added)
+    power *= d["heave_vel"]
     return ConstrainedTrace(
         time=t,
         heave_vel=d["heave_vel"],
@@ -211,7 +222,7 @@ def simulate_constrained(
         pitch_rate=d["w"],
         thrust=d["thrust"],
         lateral=lateral,
-        power=-lateral * d["heave_vel"],
+        power=power,
         hinge_moment=d["m_ve"],
         drive_freq=kin.heave_freq,
         samples_per_cycle=spc,
@@ -225,12 +236,12 @@ def rhs(t, s):
     th, w{states} = s{tolist}
     wt = omg * t
     heave_vel = vel_amp * cos(wt)
+    sin_wt = sin(wt)
     v = heave_vel + r * w
     alpha = -(th + atan2(v, u))
-    f_n = force * (u * u + v * v) * {cn}
+    f_n = force * (u * u + v * v) * {cn}{drop}
     m_ve = k_inf * th{branch_sum}
-    pitch_acc = (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j{thrust}{accel}
-    return {values}
+    pitch_acc = (r * f_n - m_ve + heave_moment * sin_wt) * inv_j{thrust}{accel}{values}
 """
 
 
@@ -239,27 +250,32 @@ def _rhs_code(nb, free, sincos, lsoda):
     """`_RHS` for nb hinge branches, free swimming or not, the sin-cos stall law or not, LSODA or trace form."""
     ms = "".join(f", m{j}" for j in range(nb))
     states = ms + (", u" if free else "")
-    rates = "".join(f", k{j} * w - m{j} * i{j}" for j in range(nb)) + (", accel" if free else "")
-    named = f"th, w{states}, heave_vel, pitch_acc, f_n, m_ve, thrust" + (", drag, accel" if free else "")
+    rates = ["w", "pitch_acc"] + [f"k{j} * w - m{j} * i{j}" for j in range(nb)] + ["accel"] * free
+    named = f"th, w{states}, heave_vel, sin_wt, pitch_acc, f_n, m_ve, cos_th, thrust{', drag, accel' * free}"
+    values = "".join(f"\n    out[{i}] = {rate}" for i, rate in enumerate(rates)) + "\n    return out"
     return compile(_RHS.format(
         states=states, tolist=".tolist()" if lsoda else "", branch_sum=ms.replace(",", " +"),
         cn="(sin(alpha) * cos(alpha))" if sincos else "alpha",
-        thrust="\n    thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos(th)" if free or not lsoda else "",
+        drop="" if lsoda else "\n    del wt, v, alpha  # columns no output needs, freed before the next ones",
+        thrust="\n    cos_th = cos(th)\n    thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos_th"
+        if free or not lsoda else "",
         accel="\n    drag = body * u * abs(u)\n    accel = (thrust - drag) * inv_mv" if free else "",
-        values=f"[w, pitch_acc{rates}]" if lsoda else f"dict({', '.join(f'{n}={n}' for n in named.split(', '))})",
+        values=values if lsoda else f"\n    return dict({', '.join(f'{n}={n}' for n in named.split(', '))})",
     ), f"<foil rhs {nb} {free} {sincos} {lsoda}>", "exec")
 
 
 def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     """Foil plant right-hand side rhs(t, s) on the state [pitch, pitch_rate, m_1..m_J], plus the speed u when
     `virtual_mass` is given (free swimming; otherwise u is the freestream). With `lib` = `math`, s is the state
-    array LSODA passes and rhs returns ds/dt; with `numpy`, s holds state-history columns, rhs a dict of them and
-    the plant's outputs by name (`_rhs_code`'s `named`)."""
+    array LSODA passes and rhs returns ds/dt in one array of its own, which the next call overwrites (LSODA
+    copies it on return); with `numpy`, s holds state-history columns, rhs a dict of them and the plant's outputs
+    by name (`_rhs_code`'s `named`)."""
     branches = hinge.significant_branches()
     h0, omg, r = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, foil.pitch_axis_offset
     free = virtual_mass is not None
     half_rho, area = 0.5 * foil.fluid_density, foil.planform_area
     namespace = dict(
+        out=np.empty(2 + len(branches) + free),  # the LSODA form's ds/dt
         sin=lib.sin, cos=lib.cos, atan2=lib.atan2, omg=omg, vel_amp=h0 * omg, r=r, k_inf=hinge.k_inf,
         u=kin.freestream, inv_mv=1.0 / virtual_mass if free else 0.0,  # free swimming: u is a state
         force=half_rho * area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) cn
@@ -378,7 +394,8 @@ def simulate_free_swim(
     total = int(math.ceil(duration / dt))
     drag_area = body_drag_coeff * foil.planform_area
     t, d = _run(foil, kin, hinge, dt, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
-    u, accel = d["u"], d["accel"]
+    u, accel, thrust, drag = d["u"], d["accel"], d["thrust"], d["drag"]
+    del d  # the plant's other named values, freed before the position and the cycle means are built
     return FreeSwimTrace(
         time=t,
         x=np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))]),
@@ -386,8 +403,8 @@ def simulate_free_swim(
         accel=accel,
         accel_cycle_mean=cycle_average(accel, spc),
         u_cycle_mean=cycle_average(u, spc),
-        thrust=d["thrust"],
-        drag=d["drag"],
+        thrust=thrust,
+        drag=drag,
         drive_freq=kin.heave_freq,
         samples_per_cycle=spc,
     )

@@ -100,6 +100,11 @@ class TestConstrained:
         # 1.6e-6 to 5.3e-5. The lateral force f_n cos(theta) - m_a (y'' + r theta''), linearised the same way,
         # has the phasor L = -F U^2 Theta - F U (V + i w r Theta) - m_a (i h0 w^2 - r w^2 Theta): measured
         # 7.5e-7 to 3.9e-6 relative, and 2.7e-6 to 7.4e-5 at 1 % of the amplitude.
+        # To O(h0^2), with sin(theta) ~ theta and cos(theta) ~ 1 - theta^2 / 2, the whole-cycle mean thrust is
+        # T + D0 = Re(F_n conj(Theta)) / 2 + D0 |Theta|^2 / 4, where F_n = -F U^2 Theta - F U (V + i w r Theta) is
+        # the normal force's phasor and D0 = rho U^2 S C_d0 / 2 the profile drag; the signed mean power is
+        # P = Re(-L conj(V)) / 2. Measured: thrust 1.2e-6 to 7.2e-6 relative, power 6.5e-7 to 3.3e-6 (1.5e-5 and
+        # 7e-6 allowed); at 1 % of the amplitude 6.9e-7 to 1.6e-4 and 7.3e-7 to 1.1e-4.
         foil, sweep, hinge = default_config.foil, default_config.sweep, design_hinges[design]
         kin = KinematicsSpec(freq, 1e-3 * sweep.heave_amp_pp, sweep.freestream)
         trace = simulate_constrained(foil, kin, hinge, n_cycles=10, warmup_cycles=20)
@@ -113,8 +118,44 @@ class TestConstrained:
         want = (-r * f * u * h0 * w - 1j * m_a * r * h0 * w * w) / (lhs + 1j * w * r * r * f * u)
         assert abs(complex(a, -b) - want) <= 1e-5 * abs(want)
         (a, b, _), *_ = np.linalg.lstsq(basis, trace.lateral, rcond=None)
-        lateral = -f * u * u * want - f * u * (h0 * w + 1j * w * r * want) - m_a * (1j * h0 * w * w - r * w * w * want)
+        f_n = -f * u * u * want - f * u * (h0 * w + 1j * w * r * want)
+        lateral = f_n - m_a * (1j * h0 * w * w - r * w * w * want)
         assert abs(complex(a, -b) - lateral) <= 1e-5 * abs(lateral)
+        d0 = 0.5 * foil.fluid_density * u * u * foil.planform_area * foil.profile_drag_coeff
+        thrust = float(np.mean(cycle_average(trace.thrust, trace.samples_per_cycle))) + d0
+        mean_thrust = 0.5 * (f_n * want.conjugate()).real + d0 * abs(want) ** 2 / 4.0
+        assert abs(thrust - mean_thrust) <= 1.5e-5 * abs(mean_thrust)
+        power = float(np.mean(cycle_average(trace.power, trace.samples_per_cycle)))
+        mean_power = 0.5 * (-lateral * h0 * w).real  # V = h0 w is real
+        assert abs(power - mean_power) <= 7e-6 * abs(mean_power)
+
+    def test_lateral_force_and_power_are_the_plain_expressions_bit_for_bit(
+        self, monkeypatch, default_config, design_hinges
+    ):
+        # simulate_constrained builds y'', the lateral force and the power in place on the plant's named values,
+        # reusing its sin(wt) and cos(theta); the bits must be those of the plain expressions on the same values.
+        named = []
+        run = foil_module._run
+
+        def recorded(*args, **kwargs):
+            t, d = run(*args, **kwargs)
+            named.append({name: value.copy() for name, value in d.items()})
+            return t, d
+
+        monkeypatch.setattr(foil_module, "_run", recorded)
+        foil, sweep = default_config.foil, default_config.sweep
+        kin = next(k for k in sweep.kinematics if k.heave_freq == 2.0)
+        trace = simulate_constrained(foil, kin, design_hinges["c"], sweep.cycles, sweep.warmup_cycles)
+        [d] = named
+        h0, omg, t = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, trace.time
+        assert np.array_equal(d["sin_wt"], np.sin(omg * t)) and np.array_equal(d["cos_th"], np.cos(d["th"]))
+        yddot = -omg * omg * (h0 * np.sin(omg * t))
+        lateral = d["f_n"] * np.cos(d["th"]) - foil.added_mass * (yddot + foil.pitch_axis_offset * d["pitch_acc"])
+        assert np.array_equal(trace.lateral, lateral)
+        assert np.array_equal(trace.power, -lateral * d["heave_vel"])
+        columns = [("th", trace.pitch), ("w", trace.pitch_rate), ("heave_vel", trace.heave_vel),
+                   ("thrust", trace.thrust), ("m_ve", trace.hinge_moment)]
+        assert all(np.array_equal(column, d[name]) for name, column in columns)  # the trace's own are kept
 
     def test_branchless_hinge_reports_loss_as_roundoff(self, default_config, design_hinges):
         # The baseline hinge keeps no branch, so its loss is exactly 0; the lock-in of a default lane reports
@@ -211,7 +252,8 @@ class TestEquations:
         named = _equations(foil, kin, _SOFT, np, **free)(t, states.T)
         assert scalar.shape == (n, dim)  # LSODA's ds/dt
         states_named = ["th", "w", "m0", "m1"] + ["u"] * bool(free)
-        outputs = ["heave_vel", "pitch_acc", "f_n", "m_ve", "thrust"] + ["drag", "accel"] * bool(free)
+        outputs = ["heave_vel", "sin_wt", "pitch_acc", "f_n", "m_ve", "cos_th", "thrust"]
+        outputs += ["drag", "accel"] * bool(free)
         assert list(named) == states_named + outputs
         assert all(np.array_equal(named[name], column) for name, column in zip(states_named, states.T))
         # The trace computes no branch rates; the derivatives it names are pitch rate and acceleration, and du/dt.
@@ -244,6 +286,25 @@ class TestEquations:
         assert pitch_acc == pytest.approx(r * want / inertia, rel=1e-12)
         assert named["pitch_acc"] == pitch_acc
 
+    def test_each_lane_owns_one_buffer_that_no_history_aliases(self):
+        # LSODA's form writes ds/dt into one array per lane and returns it, so the next call overwrites it;
+        # odepack copies it on return. Two lanes never share it, and a history from _integrate never aliases it.
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
+        dim = 2 + len(_SOFT.significant_branches())
+        lane, other = _equations(_FOIL, kin, _SOFT, math), _equations(_FOIL, kin, _SOFT, math)
+        state = np.full(dim, 0.1)
+        first = lane(0.0, state)
+        before = first.copy()
+        assert lane(0.3, state) is first and not np.array_equal(first, before)
+        assert not np.shares_memory(first, other(0.0, state))
+        t = np.linspace(0.0, 1.0, 101)
+        rtol, atol = foil_module.CYCLE_RTOL, foil_module.CYCLE_ATOL
+        hist = foil_module._integrate(lane, dim, t, rtol, atol)
+        kept = hist.copy()
+        assert not np.shares_memory(hist, lane(0.7, state)) and np.array_equal(hist, kept)
+        # The same solve on a fresh list per call: the buffer changes no bit of the history.
+        assert np.array_equal(hist, foil_module._integrate(lambda ti, s: lane(ti, s).tolist(), dim, t, rtol, atol))
+
     @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
     @pytest.mark.parametrize("virtual_mass", [None, 3.0], ids=["constrained", "free"])
     @pytest.mark.parametrize("nb", [0, 1, 2, 5])
@@ -264,10 +325,10 @@ class TestEquations:
         t = rng.uniform(0.0, 10.0, size=200)
         lsoda, loop = _equations(foil, kin, hinge, math, **free), _loop_equations(foil, kin, hinge, math, **free)
         for ti, si in zip(t, states):
-            assert lsoda(float(ti), si) == loop(float(ti), si.tolist())[0]
+            assert lsoda(float(ti), si).tolist() == loop(float(ti), si.tolist())[0]
         got = _equations(foil, kin, hinge, np, **free)(t, states.T)
         _, want = _loop_equations(foil, kin, hinge, np, **free)(t, list(states.T))
-        assert list(got) == list(want) and len(want) == dim + 5 + 2 * bool(free)
+        assert list(got) == list(want) and len(want) == dim + 7 + 2 * bool(free)
         assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
@@ -304,9 +365,12 @@ def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0
         for j, (k, inv_tau) in enumerate(branches, 2):
             m_ve += s[j]
             out.append(k * w - s[j] * inv_tau)
-        out[1] = pitch_acc = (r * f_n - m_ve + heave_moment * sin(wt)) * inv_j
-        thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos(th)
-        named.update(heave_vel=heave_vel, pitch_acc=pitch_acc, f_n=f_n, m_ve=m_ve, thrust=thrust)
+        sin_wt, cos_th = sin(wt), cos(th)
+        out[1] = pitch_acc = (r * f_n - m_ve + heave_moment * sin_wt) * inv_j
+        thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos_th
+        named.update(
+            heave_vel=heave_vel, sin_wt=sin_wt, pitch_acc=pitch_acc, f_n=f_n, m_ve=m_ve, cos_th=cos_th, thrust=thrust
+        )
         if free:
             drag = body * u * abs(u)
             out.append((thrust - drag) * inv_mv)
@@ -317,17 +381,18 @@ def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0
 
 
 def _rk4(rhs, dim, t, rtol, atol, mxstep=None):
-    """The integrator LSODA replaced: RK4 from rest, one step per finest sample spacing (tolerances unused)."""
+    """The integrator LSODA replaced: RK4 from rest, one step per finest sample spacing (tolerances unused).
+    rhs overwrites its result on the next call, so each stage keeps a copy."""
     dt = t[-1] - t[-2]
     n = int(round(t[-1] / dt))
     hist = np.zeros((n + 1, dim))
     s = [0.0] * dim
     for i in range(n):
         ti = i * dt
-        k1 = rhs(ti, np.array(s))
-        k2 = rhs(ti + dt / 2.0, np.array([s[q] + dt / 2.0 * k1[q] for q in range(dim)]))
-        k3 = rhs(ti + dt / 2.0, np.array([s[q] + dt / 2.0 * k2[q] for q in range(dim)]))
-        k4 = rhs(ti + dt, np.array([s[q] + dt * k3[q] for q in range(dim)]))
+        k1 = rhs(ti, np.array(s)).tolist()
+        k2 = rhs(ti + dt / 2.0, np.array([s[q] + dt / 2.0 * k1[q] for q in range(dim)])).tolist()
+        k3 = rhs(ti + dt / 2.0, np.array([s[q] + dt / 2.0 * k2[q] for q in range(dim)])).tolist()
+        k4 = rhs(ti + dt, np.array([s[q] + dt * k3[q] for q in range(dim)])).tolist()
         s = [s[q] + dt / 6.0 * (k1[q] + 2.0 * k2[q] + 2.0 * k3[q] + k4[q]) for q in range(dim)]
         hist[i + 1] = s
     return hist[np.rint(t / dt).astype(int)]

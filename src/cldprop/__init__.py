@@ -42,13 +42,11 @@ from .harness import (
 )
 from .prony import PronyFit, fit_prony, prony_frequency_response
 from .signals import (
-    ImpedanceFractions,
     LockinResult,
     TimeSeries,
     cycle_average,
     cycle_fold,
     hysteresis_loop_area,
-    impedance_fractions,
     lockin_extract,
     synth_bender_pair,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "FoilConfig",
     "FractionalZenerParams",
     "FreeSwimTrace",
-    "ImpedanceFractions",
     "InsufficientRecordError",
     "IntegrationDivergenceError",
     "KinematicsSpec",
@@ -91,7 +88,6 @@ __all__ = [
     "fit_design_hinge",
     "fit_prony",
     "hysteresis_loop_area",
-    "impedance_fractions",
     "load_config",
     "lockin_extract",
     "parse_grid",

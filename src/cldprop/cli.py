@@ -34,7 +34,7 @@ from .harness import (
     write_sweep_table,
     write_swim_metrics,
 )
-from .signals import TimeSeries, hysteresis_loop_area, impedance_fractions, lockin_extract
+from .signals import TimeSeries, hysteresis_loop_area, lockin_extract
 from .stiffness import rku_complex_stiffness
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,7 +155,7 @@ def _cmd_layup(args) -> int:
     for design, coverage in config.designs:
         for f in grid:
             k = rku_complex_stiffness(config.layups[coverage], 2.0 * math.pi * f)
-            rows.append(ImpedanceRow(design, f, k, impedance_fractions(k), None))
+            rows.append(ImpedanceRow(design, f, k, None))
     write_layup_table(rows, sys.stdout)  # after the last K*, so a K* failure part-way leaves stdout empty
     return 0
 

@@ -45,8 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationDivergenceError, ParameterDomainError
 from .prony import PronyFit
-from .signals import TimeSeries, cycle_average, impedance_fractions, lockin_extract
-from .signals import ImpedanceFractions, LockinResult
+from .signals import LockinResult, TimeSeries, cycle_average, lockin_extract
 from .stiffness import ComplexStiffness
 
 # Sample grid: at least this many samples per heave cycle, and at least this
@@ -139,7 +138,6 @@ class CycleMetrics:
     mean_input_power: float
     efficiency: float | None
     effective_stiffness: ComplexStiffness
-    fractions: ImpedanceFractions
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,6 @@ class FreeSwimTrace:
     u_cycle_mean: np.ndarray
     thrust: np.ndarray
     drag: np.ndarray
-    drive_freq: float
     samples_per_cycle: int
 
 
@@ -368,7 +365,6 @@ def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMet
         mean_input_power=mean_power,
         efficiency=efficiency,
         effective_stiffness=result.stiffness,
-        fractions=impedance_fractions(result.stiffness),
     )
 
 
@@ -405,7 +401,6 @@ def simulate_free_swim(
         u_cycle_mean=cycle_average(u, spc),
         thrust=thrust,
         drag=drag,
-        drive_freq=kin.heave_freq,
         samples_per_cycle=spc,
     )
 

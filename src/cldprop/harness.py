@@ -38,11 +38,9 @@ from .foil import (
 )
 from .prony import PronyFit, fit_prony
 from .signals import (
-    ImpedanceFractions,
     LockinResult,
     TimeSeries,
     hysteresis_loop_area,
-    impedance_fractions,
     lockin_extract,
     synth_bender_pair,
     torque_noise,
@@ -56,7 +54,6 @@ class ImpedanceRow:
     design: str
     freq_hz: float
     stiffness: ComplexStiffness
-    fractions: ImpedanceFractions
     loop_area_j: float | None  # None in the model table of `cldprop layup`, which measures no loop
 
 
@@ -103,7 +100,7 @@ def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
             try:
                 if freq == 0.0:
                     k = rku_complex_stiffness(layup, 0.0)
-                    rows.append(ImpedanceRow(design, freq, k, impedance_fractions(k), 0.0))
+                    rows.append(ImpedanceRow(design, freq, k, 0.0))
                     continue
                 plant = rku_complex_stiffness(layup, 2.0 * math.pi * freq)
                 theta, torque = synth_bender_pair(
@@ -114,7 +111,7 @@ def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
                     noise = sum(torque_noise(plant, freq, bender.theta_amp, bender.noise_snr_db, len(torque), s) for s in seeds)
                     torque = TimeSeries(torque.sample_rate, torque.samples + noise / bender.repeats)
                 k = lockin_extract(theta, torque, freq).stiffness
-                rows.append(ImpedanceRow(design, freq, k, impedance_fractions(k), hysteresis_loop_area(theta, torque, freq)))
+                rows.append(ImpedanceRow(design, freq, k, hysteresis_loop_area(theta, torque, freq)))
             except CldPropError as exc:
                 raise _annotate(exc, design, freq)
     return tuple(rows)
@@ -205,8 +202,8 @@ _IMPEDANCE_COLUMNS = (
     _per_row("freq_hz", "frequency (Hz)", "freq_hz"),
     _per_row("k_storage", "K' (N*m/rad)", "stiffness.storage"),
     _per_row("k_loss", "K'' (N*m/rad)", "stiffness.loss"),
-    _per_row("f_elastic", "elastic", "fractions.elastic"),
-    _per_row("f_dissipative", "dissipative", "fractions.dissipative"),
+    _per_row("f_elastic", "elastic", "stiffness.elastic_fraction"),
+    _per_row("f_dissipative", "dissipative", "stiffness.dissipative_fraction"),
     _per_row("loop_area_j", "loop area (J)", "loop_area_j"),
 )
 
@@ -219,8 +216,8 @@ _SWEEP_COLUMNS = (
     _per_row("efficiency", "efficiency", "metrics.efficiency", _optional_floats),
     _per_row("k_eff_storage", "K'_eff (N*m/rad)", "metrics.effective_stiffness.storage"),
     _per_row("k_eff_loss", "K''_eff (N*m/rad)", "metrics.effective_stiffness.loss"),
-    _per_row("f_elastic", "elastic", "metrics.fractions.elastic"),
-    _per_row("f_dissipative", "dissipative", "metrics.fractions.dissipative"),
+    _per_row("f_elastic", "elastic", "metrics.effective_stiffness.elastic_fraction"),
+    _per_row("f_dissipative", "dissipative", "metrics.effective_stiffness.dissipative_fraction"),
 )
 
 # row type -> (its table's columns, the x column of its figures, its figures, each
@@ -238,10 +235,10 @@ _FIGURES = {
     )),
 }
 
-# The one-row lock-in report: a LockinResult's fields with freq_hz, fractions and loop_area_j.
+# The one-row lock-in report: a LockinResult's fields, its stiffness's phase lag and fractions, freq_hz and loop_area_j.
 _EXTRACT_COLUMNS = (
     *_IMPEDANCE_COLUMNS[1:4],
-    _per_row("phase_lag_rad", "phase lag (rad)", "phase_lag"),
+    _per_row("phase_lag_rad", "phase lag (rad)", "stiffness.phase_lag"),
     *_IMPEDANCE_COLUMNS[4:6],
     _per_row("coherence", "coherence", "coherence"),
     _IMPEDANCE_COLUMNS[6],
@@ -313,8 +310,7 @@ def write_layup_table(rows: Sequence[ImpedanceRow], out: TextIO) -> None:
 
 
 def write_extract_report(freq_hz: float, lockin: LockinResult, loop_area_j: float, out: TextIO) -> None:
-    fractions = impedance_fractions(lockin.stiffness)
-    row = SimpleNamespace(**vars(lockin), freq_hz=freq_hz, fractions=fractions, loop_area_j=loop_area_j)
+    row = SimpleNamespace(**vars(lockin), freq_hz=freq_hz, loop_area_j=loop_area_j)
     _write_csv(out, _EXTRACT_COLUMNS, [row])
 
 

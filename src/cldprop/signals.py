@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DegenerateExcitationError,
-    DegenerateImpedanceError,
     InsufficientRecordError,
     ParameterDomainError,
     SignalMismatchError,
@@ -75,16 +74,7 @@ class LockinResult:
     stiffness: ComplexStiffness
     theta_amplitude: float
     torque_amplitude: float
-    phase_lag: float
     coherence: float
-
-
-@dataclass(frozen=True)
-class ImpedanceFractions:
-    """Elastic/dissipative split of an impedance; the two always sum to 1."""
-
-    elastic: float
-    dissipative: float
 
 
 def _check_pair(theta: TimeSeries, torque: TimeSeries) -> None:
@@ -144,17 +134,8 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
         stiffness=stiffness,
         theta_amplitude=abs(theta_hat),
         torque_amplitude=abs(torque_hat),
-        phase_lag=math.atan2(k.imag, k.real),
         coherence=coherence,
     )
-
-
-def impedance_fractions(k: ComplexStiffness) -> ImpedanceFractions:
-    """Split an impedance into elastic and dissipative fractions (sum to 1)."""
-    total = k.storage + k.loss
-    if total == 0.0:
-        raise DegenerateImpedanceError("storage + loss is zero; fractions undefined")
-    return ImpedanceFractions(elastic=k.storage / total, dissipative=k.loss / total)
 
 
 def hysteresis_loop_area(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> float:

@@ -19,9 +19,10 @@ high-frequency plateau g_high with a single relaxation scale.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 
-from .errors import CldPropError, ParameterDomainError
+from .errors import CldPropError, DegenerateImpedanceError, ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,9 @@ class SandwichLayup:
 
 @dataclass(frozen=True)
 class ComplexStiffness:
-    """Storage/loss pair of the lumped root bending stiffness, N*m/rad."""
+    """Storage/loss pair of the lumped root bending stiffness, N*m/rad, with its impedance composition:
+    elastic and dissipative fractions (storage and loss over storage + loss) and phase lag atan2(loss, storage).
+    """
 
     storage: float
     loss: float
@@ -94,6 +97,24 @@ class ComplexStiffness:
     @property
     def magnitude(self) -> float:
         return abs(self.as_complex)
+
+    @property
+    def phase_lag(self) -> float:
+        return math.atan2(self.loss, self.storage)
+
+    @property
+    def elastic_fraction(self) -> float:
+        return self.storage / self._total
+
+    @property
+    def dissipative_fraction(self) -> float:
+        return self.loss / self._total
+
+    @property
+    def _total(self) -> float:
+        if (total := self.storage + self.loss) == 0.0:
+            raise DegenerateImpedanceError("storage + loss is zero; fractions undefined")
+        return total
 
 
 def zener_shear_modulus(params: FractionalZenerParams, omega: float) -> complex:

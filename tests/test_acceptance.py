@@ -201,11 +201,12 @@ def test_criterion_09_coverage_monotonicity(sweep_results):
 def test_criterion_10_impedance_migration(sweep_results):
     _, metrics, _ = sweep_results
     c_shift = (
-        metrics[("c", 2.0)].fractions.dissipative - metrics[("c", 0.5)].fractions.dissipative
+        metrics[("c", 2.0)].effective_stiffness.dissipative_fraction
+        - metrics[("c", 0.5)].effective_stiffness.dissipative_fraction
     )
     b_shift = abs(
-        metrics[("baseline", 2.0)].fractions.dissipative
-        - metrics[("baseline", 0.5)].fractions.dissipative
+        metrics[("baseline", 2.0)].effective_stiffness.dissipative_fraction
+        - metrics[("baseline", 0.5)].effective_stiffness.dissipative_fraction
     )
     ok = c_shift >= 0.15 and b_shift < 0.05
     _report(10, ok, f"design c dissipative shift {c_shift:.3f} (>= 0.15), baseline {b_shift:.3f} (< 0.05)")

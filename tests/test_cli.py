@@ -22,7 +22,7 @@ from cldprop.cli import main
 from cldprop.config import load_config, parse_grid
 from cldprop.errors import IntegrationDivergenceError
 from cldprop.harness import run_freeswim_trial
-from cldprop.signals import TimeSeries, hysteresis_loop_area, impedance_fractions, lockin_extract
+from cldprop.signals import TimeSeries, hysteresis_loop_area, lockin_extract
 from cldprop.stiffness import rku_complex_stiffness
 
 _K, _C, _F, _FS = 2.0, 0.05, 3.0, 200.0
@@ -85,6 +85,17 @@ class TestExtract:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "config error: extract takes --combined, or --theta with --torque, not both\n"
+
+    def test_zero_torque_is_numerical_failure_with_empty_stdout(self, tmp_path, capsys):
+        # K* = 0 has no fractions: the report fails as it gathers its columns, before it prints a byte.
+        t = np.arange(200) / _FS
+        combined = tmp_path / "combined.csv"
+        np.savetxt(combined, np.column_stack([t, np.sin(2.0 * math.pi * _F * t), np.zeros_like(t)]), delimiter=",",
+                   header="time_s,theta_rad,torque_nm", comments="")
+        assert main(["extract", "--combined", str(combined), "--freq", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: storage + loss is zero; fractions undefined\n"
 
     def test_too_short_record_is_numerical_failure(self, tmp_path, capsys):
         theta, torque = _write_oracle_files(tmp_path, n_cycles=2)
@@ -429,8 +440,7 @@ def test_stdout_cells_are_the_library_values(tmp_path, capsys):
     for design, coverage in config.designs:
         for f in parse_grid("0:2:0.3"):
             k = rku_complex_stiffness(config.layups[coverage], 2.0 * math.pi * f)
-            fr = impedance_fractions(k)
-            want.append([design, f, k.storage, k.loss, fr.elastic, fr.dissipative])
+            want.append([design, f, k.storage, k.loss, k.elastic_fraction, k.dissipative_fraction])
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert [[r[0], *map(float, r[1:])] for r in rows] == want
 
@@ -441,9 +451,9 @@ def test_stdout_cells_are_the_library_values(tmp_path, capsys):
     tq = np.loadtxt(torque, delimiter=",", skiprows=1, usecols=1)
     pair = TimeSeries(1.0 / float(np.diff(t)[0]), th, float(t[0])), TimeSeries(1.0 / float(np.diff(t)[0]), tq, float(t[0]))
     lockin, area = lockin_extract(*pair, 3.0), hysteresis_loop_area(*pair, 3.0)
-    k, fr = lockin.stiffness, impedance_fractions(lockin.stiffness)
+    k = lockin.stiffness
     assert [float(c) for c in row] == [
-        3.0, k.storage, k.loss, lockin.phase_lag, fr.elastic, fr.dissipative, lockin.coherence, area
+        3.0, k.storage, k.loss, k.phase_lag, k.elastic_fraction, k.dissipative_fraction, lockin.coherence, area
     ]
 
     out = tmp_path / "runs"

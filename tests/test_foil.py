@@ -166,7 +166,7 @@ class TestConstrained:
             trace = simulate_constrained(default_config.foil, kin, hinge, sweep.cycles, sweep.warmup_cycles)
             metrics = propulsion_metrics(trace, kin)
             assert abs(metrics.effective_stiffness.loss) <= 1e-14 * metrics.effective_stiffness.storage
-            assert abs(metrics.fractions.dissipative) <= 1e-14
+            assert abs(metrics.effective_stiffness.dissipative_fraction) <= 1e-14
 
     def test_dt_stability_guards(self):
         kin = KinematicsSpec(2.0, 0.08, 0.2)
@@ -646,7 +646,6 @@ def _trace_from_u(u, fs, f):
         u_cycle_mean=cycle_average(u, spc),
         thrust=np.zeros_like(u),
         drag=np.zeros_like(u),
-        drive_freq=f,
         samples_per_cycle=spc,
     )
 

@@ -7,6 +7,7 @@ import inspect
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,10 +240,10 @@ class TestPersistence:
         assert header == "design,freq_hz,k_storage,k_loss,f_elastic,f_dissipative,loop_area_j"
         assert len(rows) == len(bender_table)
         for cells, row in zip(rows, bender_table):
-            k, fr = row.stiffness, row.fractions
+            k = row.stiffness
             assert cells[0] == row.design
             assert [float(c) for c in cells[1:]] == [
-                row.freq_hz, k.storage, k.loss, fr.elastic, fr.dissipative, row.loop_area_j
+                row.freq_hz, k.storage, k.loss, k.elastic_fraction, k.dissipative_fraction, row.loop_area_j
             ]
 
     def test_sweep_round_trip(self, sweep_table, tmp_path):
@@ -266,7 +267,7 @@ class TestPersistence:
                 assert float(cells[5]) == m.efficiency
             assert [float(c) for c in cells[1:5] + cells[6:]] == [
                 row.st, row.freq_hz, m.mean_thrust, m.mean_input_power,
-                k.storage, k.loss, m.fractions.elastic, m.fractions.dissipative,
+                k.storage, k.loss, k.elastic_fraction, k.dissipative_fraction,
             ]
 
     def test_byte_identical_between_runs(self, small_config, bender_table, tmp_path):
@@ -274,7 +275,7 @@ class TestPersistence:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_impedance_table(bender_table, p1)
         write_impedance_table(other, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def _figure(written, kind):
@@ -286,7 +287,7 @@ class TestPlotData:
         written = _figure(emit_plot_data(bender_table, str(tmp_path)), "impedance")
         csvs = [p for p in written if p.endswith(".csv")]
         assert len(csvs) == 4 and len(written) == 8
-        header = open(csvs[0]).readline().strip()
+        header = Path(csvs[0]).read_text().splitlines()[0]
         assert header == "freq_hz,k_storage,k_loss"
         for p in written:
             assert os.path.exists(p)
@@ -355,7 +356,7 @@ class TestRunDir:
         config = load_config(overrides=[f"output.directory={tmp_path}"])
         run_dir = create_run_dir(config, "bender")
         assert os.path.isdir(run_dir)
-        manifest = open(os.path.join(run_dir, "manifest.json")).read()
+        manifest = Path(run_dir, "manifest.json").read_text()
         assert "toolkit_version" in manifest and "resolved_config" in manifest
 
     def test_failed_manifest_write_leaves_no_run_dir(self, tmp_path, monkeypatch):

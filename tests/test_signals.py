@@ -23,7 +23,6 @@ from cldprop.signals import (
     cycle_average,
     cycle_fold,
     hysteresis_loop_area,
-    impedance_fractions,
     lockin_extract,
     synth_bender_pair,
 )
@@ -76,13 +75,13 @@ class TestLockin:
     def test_pure_spring_phase_zero(self):
         theta, torque = synth_bender_pair(ComplexStiffness(_K, 0.0), _F, theta_amp=_AMP, **_RECORD)
         result = lockin_extract(theta, torque, _F)
-        assert result.phase_lag == pytest.approx(0.0, abs=1e-9)
+        assert result.stiffness.phase_lag == pytest.approx(0.0, abs=1e-9)
         assert result.coherence == pytest.approx(1.0, rel=1e-6)
 
     def test_pure_damper_phase_quarter_turn(self):
         theta, torque = synth_bender_pair(ComplexStiffness(0.0, _LOSS_ORACLE), _F, theta_amp=_AMP, **_RECORD)
         result = lockin_extract(theta, torque, _F)
-        assert result.phase_lag == pytest.approx(math.pi / 2.0, abs=1e-6)
+        assert result.stiffness.phase_lag == pytest.approx(math.pi / 2.0, abs=1e-6)
 
     def test_amplitude_invariance(self):
         r1 = lockin_extract(*_spring_damper_pair(theta_amp=_AMP), _F)
@@ -172,25 +171,28 @@ class TestLockin:
 
 
 class TestFractions:
+    # The elastic/dissipative split of a lock-in stiffness, as the impedance tables print it.
     def test_pure_elastic(self):
-        fr = impedance_fractions(ComplexStiffness(5.0, 0.0))
-        assert (fr.elastic, fr.dissipative) == (1.0, 0.0)
+        k = ComplexStiffness(5.0, 0.0)
+        assert (k.elastic_fraction, k.dissipative_fraction) == (1.0, 0.0)
 
     def test_symmetric(self):
-        fr = impedance_fractions(ComplexStiffness(0.3, 0.3))
-        assert fr.elastic == pytest.approx(0.5)
-        assert fr.dissipative == pytest.approx(0.5)
+        k = ComplexStiffness(0.3, 0.3)
+        assert k.elastic_fraction == pytest.approx(0.5)
+        assert k.dissipative_fraction == pytest.approx(0.5)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateImpedanceError):
-            impedance_fractions(ComplexStiffness(0.0, 0.0))
+        k = ComplexStiffness(0.0, 0.0)
+        for fraction in ("elastic_fraction", "dissipative_fraction"):
+            with pytest.raises(DegenerateImpedanceError, match="storage \\+ loss is zero; fractions undefined"):
+                getattr(k, fraction)
 
     @settings(max_examples=50, deadline=None)
     @given(storage=st.floats(1e-6, 1e6), loss=st.floats(0.0, 1e6))
     def test_fractions_sum_to_one(self, storage, loss):
-        fr = impedance_fractions(ComplexStiffness(storage, loss))
-        assert fr.elastic + fr.dissipative == pytest.approx(1.0, abs=1e-15)
-        assert 0.0 <= fr.elastic <= 1.0
+        k = ComplexStiffness(storage, loss)
+        assert k.elastic_fraction + k.dissipative_fraction == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 <= k.elastic_fraction <= 1.0
 
 
 class TestHysteresis:

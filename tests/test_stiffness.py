@@ -164,3 +164,9 @@ class TestComplexStiffness:
         k = ComplexStiffness(storage=3.0, loss=4.0)
         assert k.as_complex == complex(3.0, 4.0)
         assert k.magnitude == pytest.approx(5.0)
+
+    @pytest.mark.parametrize(
+        "storage, loss, lag", [(2.0, 0.0, 0.0), (1.0, 1.0, math.pi / 4.0), (0.0, 1.5, math.pi / 2.0), (-1.0, 1.0, 0.75 * math.pi)]
+    )
+    def test_phase_lag_is_the_loss_angle(self, storage, loss, lag):
+        assert ComplexStiffness(storage, loss).phase_lag == pytest.approx(lag, abs=1e-15)

@@ -308,8 +308,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     }
 
     bender = BenderProtocol(**vals["bender"])
-    if bender.theta_amp <= 0.0 or bender.cycles < 3 or bender.repeats < 1:
-        raise ConfigError("bender.theta_amp_deg must be positive, bender.cycles >= 3 and bender.repeats >= 1")
+    if not 0.0 < bender.theta_amp <= math.pi or bender.cycles < 3 or bender.repeats < 1:
+        raise ConfigError("bender.theta_amp_deg must be in (0, 180], bender.cycles >= 3 and bender.repeats >= 1")
     if bender.sample_rate <= 2.0 * max(bender.freq_grid_hz):
         raise ConfigError("bender.sample_rate_hz must exceed twice the top of bender.freq_grid_hz (Nyquist)")
     # A bender record is bounded as a plant run: one float array of MAX_SAMPLES is

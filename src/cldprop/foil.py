@@ -142,25 +142,19 @@ class CycleMetrics:
 
 @dataclass(frozen=True)
 class FreeSwimTrace:
-    """Carriage kinematics of a virtual-mass trial.
-
-    `accel_cycle_mean` and `u_cycle_mean` hold one mean per whole heave cycle
-    of `samples_per_cycle` samples, counted from the trace's start.
-    """
+    """Carriage kinematics of a virtual-mass trial, `samples_per_cycle` to a heave cycle from the trace's start."""
 
     time: np.ndarray
     x: np.ndarray
     u: np.ndarray
     accel: np.ndarray
-    accel_cycle_mean: np.ndarray
-    u_cycle_mean: np.ndarray
     thrust: np.ndarray
     drag: np.ndarray
     samples_per_cycle: int
 
 
 def _steps_per_cycle(hinge: PronyFit, heave_freq: float, minimum: int) -> int:
-    taus = [t for _, t in hinge.significant_branches()]
+    taus = [t for _, t in hinge.branches]
     return max(minimum, int(math.ceil(STEPS_PER_TAU / (heave_freq * min(taus))))) if taus else minimum
 
 
@@ -267,7 +261,7 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     array LSODA passes and rhs returns ds/dt in one array of its own, which the next call overwrites (LSODA
     copies it on return); with `numpy`, s holds state-history columns, rhs a dict of them and the plant's outputs
     by name (`_rhs_code`'s `named`)."""
-    branches = hinge.significant_branches()
+    branches = hinge.branches
     h0, omg, r = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, foil.pitch_axis_offset
     free = virtual_mass is not None
     half_rho, area = 0.5 * foil.fluid_density, foil.planform_area
@@ -290,7 +284,7 @@ def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
     """Plant history from rest with the first `keep` samples dropped: (t, the trace form's named values)."""
     if total_steps > MAX_SAMPLES:  # a hinge branch with a tiny tau asks for far too many samples
         raise ParameterDomainError(f"plant run of {total_steps} samples at dt={dt:.3e} s is over {MAX_SAMPLES}")
-    dim = 2 + len(hinge.significant_branches()) + ("virtual_mass" in free)
+    dim = 2 + len(hinge.branches) + ("virtual_mass" in free)
     t = np.arange(keep, total_steps + 1) * dt
     start = [0.0] if keep else []  # the warm-up is one output interval, with 500 steps per 10 of its samples
     rhs = _equations(foil, kin, hinge, math, **free)
@@ -391,14 +385,12 @@ def simulate_free_swim(
     drag_area = body_drag_coeff * foil.planform_area
     t, d = _run(foil, kin, hinge, dt, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
     u, accel, thrust, drag = d["u"], d["accel"], d["thrust"], d["drag"]
-    del d  # the plant's other named values, freed before the position and the cycle means are built
+    del d  # the plant's other named values, freed before the position is built
     return FreeSwimTrace(
         time=t,
         x=np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))]),
         u=u,
         accel=accel,
-        accel_cycle_mean=cycle_average(accel, spc),
-        u_cycle_mean=cycle_average(u, spc),
         thrust=thrust,
         drag=drag,
         samples_per_cycle=spc,
@@ -407,13 +399,12 @@ def simulate_free_swim(
 
 def swim_metrics(trace: FreeSwimTrace) -> dict[str, float]:
     """Trial-level kinematic summary of a free-swim trace."""
-    if trace.u_cycle_mean.size == 0:
-        raise ParameterDomainError("a free-swim trace needs at least one whole cycle")
+    u_means = cycle_average(trace.u, trace.samples_per_cycle)  # raises on a trace with no whole cycle
     # Terminal velocity: u's cycle means, laid on their samples, averaged over the last 20 % of the trace.
-    tail = np.repeat(trace.u_cycle_mean, trace.samples_per_cycle)[int(math.floor(0.8 * trace.time.size)) :]
+    tail = np.repeat(u_means, trace.samples_per_cycle)[int(math.floor(0.8 * trace.time.size)) :]
     # With no tail, the whole cycles end before the last 20 % of the trace: the last cycle's mean stands in.
-    terminal = float(np.mean(tail)) if tail.size else float(trace.u_cycle_mean[-1])
-    peak_accel = float(np.max(trace.accel_cycle_mean))
+    terminal = float(np.mean(tail)) if tail.size else float(u_means[-1])
+    peak_accel = float(np.max(cycle_average(trace.accel, trace.samples_per_cycle)))
     net = float(trace.x[-1] - trace.x[0])
     travel = float(np.trapezoid(np.abs(trace.u), trace.time))
     return {

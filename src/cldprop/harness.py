@@ -40,6 +40,7 @@ from .prony import PronyFit, fit_prony
 from .signals import (
     LockinResult,
     TimeSeries,
+    cycle_average,
     hysteresis_loop_area,
     lockin_extract,
     synth_bender_pair,
@@ -255,16 +256,16 @@ _SWIM_METRICS_COLUMNS = (
 
 
 def _cycle_mean_cells(attr: str) -> Callable[[FreeSwimTrace], list[str]]:
-    """Getter of a trace's cycle-mean column as preformatted cells.
+    """Getter of the cycle means of a trace's column as preformatted cells.
 
     Each per-cycle mean is formatted once and repeated over its cycle's
     samples; rows past the last whole cycle read "nan".
     """
-    means = attrgetter(attr)
+    samples = attrgetter(attr)
 
     def get(trace: FreeSwimTrace) -> list[str]:
         spc = trace.samples_per_cycle
-        cells = [text for text in map(repr, means(trace).tolist()) for _ in range(spc)]
+        cells = [text for text in map(repr, cycle_average(samples(trace), spc).tolist()) for _ in range(spc)]
         return cells + ["nan"] * (trace.time.size - len(cells))
 
     return get
@@ -276,8 +277,8 @@ _FREESWIM_TRACE_COLUMNS = (
     _Column("x_m", "position (m)", attrgetter("x")),
     _Column("u_mps", "velocity (m/s)", attrgetter("u")),
     _Column("a_mps2", "acceleration (m/s^2)", attrgetter("accel")),
-    _Column("a_cycavg_mps2", "cycle-mean a (m/s^2)", _cycle_mean_cells("accel_cycle_mean"), list),
-    _Column("u_cycavg_mps", "cycle-mean u (m/s)", _cycle_mean_cells("u_cycle_mean"), list),
+    _Column("a_cycavg_mps2", "cycle-mean a (m/s^2)", _cycle_mean_cells("accel"), list),
+    _Column("u_cycavg_mps", "cycle-mean u (m/s)", _cycle_mean_cells("u"), list),
 )
 
 

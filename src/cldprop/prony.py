@@ -22,8 +22,8 @@ import numpy as np
 from .errors import FitConvergenceError, ParameterDomainError
 from .stiffness import ComplexStiffness
 
-# Branches with k_j below this fraction of the total stiffness carry no
-# meaningful relaxation and are ignored for stability bookkeeping.
+# Branches with k_j at or below this fraction of the total stiffness carry no
+# meaningful relaxation: a PronyFit drops them when it is built.
 NEGLIGIBLE_BRANCH_FRACTION = 1e-9
 N_STARTS, MAX_ITER = 8, 200  # fit budget: log-spaced starting taus; residual evaluations per start
 XTOL, GTOL = 1e-10, 1e-12  # Levenberg-Marquardt stopping tests on log tau
@@ -31,7 +31,7 @@ XTOL, GTOL = 1e-10, 1e-12  # Levenberg-Marquardt stopping tests on log tau
 
 @dataclass(frozen=True)
 class PronyFit:
-    """Equilibrium stiffness plus relaxation branches (k_j, tau_j), tau ascending."""
+    """Equilibrium stiffness plus relaxation branches (k_j, tau_j), tau ascending, the negligible ones dropped."""
 
     k_inf: float
     branches: tuple[tuple[float, float], ...]
@@ -47,11 +47,8 @@ class PronyFit:
             taus.append(tau_j)
         if taus != sorted(taus):
             raise ParameterDomainError("branches must be sorted by ascending tau")
-
-    def significant_branches(self) -> tuple[tuple[float, float], ...]:
-        """Branches whose stiffness actually matters for dynamics."""
-        scale = self.k_inf + sum(k for k, _ in self.branches)
-        return tuple((k, t) for k, t in self.branches if k > NEGLIGIBLE_BRANCH_FRACTION * scale)
+        floor = NEGLIGIBLE_BRANCH_FRACTION * (self.k_inf + sum(k for k, _ in self.branches))
+        object.__setattr__(self, "branches", tuple((k, t) for k, t in self.branches if k > floor))
 
 
 def prony_frequency_response(fit: PronyFit, omega: float) -> ComplexStiffness:
@@ -97,6 +94,9 @@ def least_squares(fun, x0: np.ndarray, lower: float, upper: float, max_nfev: int
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero step is rejected anyway
             gain = (ss - ss_t) / np.sum(step * (diag * step - grad), axis=1)
         x[i[better]], r[i[better]], jac[i[better]] = trial[better], r_t[better], jac_t[better]
+        # Held to [-1, 1], the cube cannot overflow: a gain over about 0.94 gives the floor 1/3 anyway,
+        # and the huge negative gains seen are those of rejected trials, whose factor is not used.
+        gain = np.clip(gain, -1.0, 1.0)
         lam[i] *= np.where(better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), nu[i])
         nu[i] = np.where(better, 2.0, 2.0 * nu[i])
         small = np.linalg.norm(step, axis=1) <= XTOL * (XTOL + np.linalg.norm(x[i], axis=1))
@@ -114,7 +114,7 @@ def fit_prony(
     projection (Golub & Pereyra 1973; Kaufman 1975): for given tau_j the stiffnesses solve a
     linear least-squares problem, so Levenberg-Marquardt iterates on log tau_j alone, from a
     deterministic multi-start schedule. Nonnegativity is applied once, after convergence:
-    negative or negligible branches are dropped (k_j = 0) and the linear problem solved again.
+    negative or negligible branches are dropped and the linear problem solved again.
     Raises FitConvergenceError if no start gives a finite fit or the best one has k_inf <= 0.
     """
     if n_branches < 1:
@@ -145,7 +145,8 @@ def fit_prony(
         # Columns dK/dk_inf = 1, dK/dk_j = s/(1+s), d(dK/dk_j)/dlog(tau_j) = s/(1+s)^2 with s = i w tau_j,
         # relative to |K*|, real rows over imaginary rows: (..., 2M, 1 + 2J).
         s = 1j * omegas[:, None] * np.exp(log_taus)[..., None, :]
-        cols = np.concatenate([np.ones_like(s[..., :1]), s / (1.0 + s), s / (1.0 + s) ** 2], axis=-1)
+        with np.errstate(over="ignore"):  # (1 + s)^2 overflows only for |s| > 1e154, where s/(1+s)^2 is 0 anyway
+            cols = np.concatenate([np.ones_like(s[..., :1]), s / (1.0 + s), s / (1.0 + s) ** 2], axis=-1)
         cols = cols / scale[:, None]
         return np.concatenate([cols.real, cols.imag], axis=-2)
 

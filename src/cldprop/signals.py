@@ -120,7 +120,13 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
     gram = [[a @ b for b in basis] for a in basis]
     coeff = np.linalg.solve(gram, [[a @ x for x in records] for a in basis])
     theta_hat, torque_hat = (complex(b, -c) for b, c in coeff[1:].T)
-    torque_ac = float(np.var(records[1]))
+    # Torque powers in a power-of-two unit near its peak: exact scaling, so nothing overflows and no bit moves.
+    # The variance takes np.var's steps on one array of its own.
+    unit = math.ldexp(1.0, math.frexp(max(records[1].max(), -records[1].min()))[1])
+    deviation = records[1] / unit
+    deviation -= deviation.mean()
+    deviation *= deviation
+    torque_ac = float(deviation.sum() / m)
 
     if abs(theta_hat) < EXCITATION_FLOOR:
         raise DegenerateExcitationError(
@@ -128,7 +134,7 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
         )
     k = torque_hat / theta_hat
     stiffness = ComplexStiffness(storage=k.real, loss=k.imag)
-    fundamental_power = abs(torque_hat) ** 2 / 2.0
+    fundamental_power = abs(torque_hat / unit) ** 2 / 2.0
     coherence = min(1.0, fundamental_power / torque_ac) if torque_ac > 0.0 else 0.0
     return LockinResult(
         stiffness=stiffness,
@@ -152,7 +158,10 @@ def hysteresis_loop_area(theta: TimeSeries, torque: TimeSeries, drive_freq: floa
     # in steady state and avoids boundary-interpolation slop.
     th = np.append(theta.samples[:m], theta.samples[0])
     tq = np.append(torque.samples[:m], torque.samples[0])
-    area = float(np.sum(0.5 * (tq[1:] + tq[:-1]) * np.diff(th)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite area is reported below
+        area = float(np.sum(0.5 * (tq[1:] + tq[:-1]) * np.diff(th)))
+    if not math.isfinite(area):
+        raise ParameterDomainError("the torque-angle loop area of these records overflows a float")
     return area / n_full
 
 
@@ -221,7 +230,7 @@ def _prony_torque(fit: PronyFit, theta_amp: float, omega: float, t: np.ndarray, 
     """
     cos_wt = np.cos(omega * t)
     torque = fit.k_inf * (theta_amp * sin_wt)
-    for k, tau in fit.significant_branches():
+    for k, tau in fit.branches:
         x = omega * tau
         torque += k * theta_amp * x / (1.0 + x * x) * (cos_wt + x * sin_wt - np.exp(-t / tau))
     return torque

@@ -17,9 +17,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/5 decade step."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick positions covering [lo, hi], lo < hi, at a 1/2/5 decade step."""
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -27,12 +25,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        ticks.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
-    return ticks
+    # Tick k is first + k * step: a running sum stalls where step is below the spacing of floats near lo.
+    ticks = (first + k * step for k in range(target + 2))
+    return [0.0 if abs(t) < 1e-12 * step else t for t in ticks if t <= hi + 1e-12 * step]
+
+
+def _padded(lo: float, hi: float) -> tuple[float, float]:
+    """An axis range; a zero span is widened by 0.5 or a tenth of its magnitude on each side, whichever is more."""
+    half = max(0.5, 0.1 * abs(lo)) if hi == lo else 0.0
+    return lo - half, hi + half
 
 
 def _fmt(v: float) -> str:
@@ -51,12 +52,8 @@ def write_line_chart(
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ValueError("cannot chart empty series")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _padded(min(xs_all), max(xs_all))
+    y_lo, y_hi = _padded(min(ys_all), max(ys_all))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

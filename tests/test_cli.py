@@ -432,6 +432,44 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
                 _assert_finite_table(fh.read(), optional=("efficiency",))
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["extract", "--combined", "RECORD", "--freq", "3"], 0),  # |T_hat|^2 and np.var of the torque overflowed
+        (["extract", "--combined", "HUGE_ANGLE_RECORD", "--freq", "3"], 3),  # its loop area is about 1e320
+        (["bender", "--set", "bender.theta_amp_deg=1e200"], 2),  # past about 1e158 deg the loop area is inf
+        (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.freestream_mps=1e-300"], 0),  # one St, 1.6e299
+        (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.prony_fit_grid_hz=1e-300,1,2,3,4"], 0),
+    ],
+    ids=[
+        "huge-torque-record",
+        "huge-angle-and-torque-record",
+        "huge-bender-amplitude",
+        "one-huge-strouhal-number",
+        "prony-fit-down-to-1e-300-hz",
+    ],
+)
+def test_extreme_value_gives_a_finite_table_or_one_line(tmp_path, argv, want):
+    # Each ended in a traceback or an overflow warning (an error under this suite's warning filter).
+    t = np.arange(int(round(10 * _FS / _F))) / _FS
+    for name, amp in (("RECORD", 0.157), ("HUGE_ANGLE_RECORD", 1e160)):  # a 200 Hz record of a 1e160 N*m torque
+        record = np.column_stack([t, amp * np.sin(2.0 * math.pi * _F * t), 1e160 * np.sin(2.0 * math.pi * _F * t + 0.3)])
+        np.savetxt(tmp_path / f"{name}.csv", record, delimiter=",", header="time_s,theta_rad,torque_nm", comments="")
+    argv = [str(tmp_path / f"{a}.csv") if a.endswith("RECORD") else a for a in argv]
+    out = tmp_path / "runs"
+    out.mkdir()
+    code, stdout, err = _cli_run(argv + ["--quiet", "--output-dir", str(out)])
+    assert code == want
+    if code:
+        assert len(err.splitlines()) == 1 and os.listdir(out) == [] and stdout == ""
+    elif argv[0] == "extract":
+        _assert_finite_table(stdout)
+        assert stdout.splitlines()[1].split(",")[6] == "1.0"  # coherence
+    else:
+        (run,) = os.listdir(out)
+        _assert_finite_table((out / run / "sweep_table.csv").read_text(), optional=("efficiency",))
+
+
 def test_stdout_cells_are_the_library_values(tmp_path, capsys):
     # float() of each cell that layup, extract and freeswim print gives back the value exactly.
     config = load_config()

@@ -160,6 +160,8 @@ class TestFileAndOverrides:
             "sweep.prony_branches=0",
             "sweep.prony_branches=10",  # 20 fit grid points hold at most 9 branches
             "bender.theta_amp_deg=0",
+            "bender.theta_amp_deg=180.5",  # over half a turn
+            "bender.theta_amp_deg=1e200",  # the loop area would be inf
             "output.seed=-5000000",  # numpy's generators take no negative seed
             f"bender.cycles={10**30}",  # a record of 4e32 samples
             "bender.cycles=25001",  # 25,001 cycles of 400 samples at 0.5 Hz: over 1e7
@@ -178,6 +180,9 @@ class TestFileAndOverrides:
     def test_rejected_at_load(self, item):
         with pytest.raises(ConfigError):
             load_config(overrides=[item])
+
+    def test_bender_amplitude_of_half_a_turn_loads(self):
+        assert load_config(overrides=["bender.theta_amp_deg=180"]).bender.theta_amp == math.pi
 
     @pytest.mark.parametrize(
         "item",

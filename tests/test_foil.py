@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cldprop.config import load_config
-from cldprop.errors import ConfigError, IntegrationDivergenceError, ParameterDomainError
+from cldprop.errors import ConfigError, InsufficientRecordError, IntegrationDivergenceError, ParameterDomainError
 from cldprop.foil import (
     ConstrainedTrace,
     FreeSwimTrace,
@@ -95,7 +95,7 @@ class TestConstrained:
         # alpha ~ -(theta + v/U) and cn ~ alpha, the steady pitch phasor Theta (theta = Re Theta e^{iwt}) obeys
         #   Theta [-J w^2 + K_P(w) + r F U^2 + i w r^2 F U] = -r F U V - i m_a r h0 w^2,
         # with J = I + m_a r^2, F = rho S C_n,alpha / 2, V = h0 w and K_P the Prony response of the hinge's
-        # significant branches (the ones the plant integrates). Measured relative errors: 3.1e-7 to 5.4e-6
+        # branches (the ones the plant integrates). Measured relative errors: 3.1e-7 to 5.4e-6
         # (6 lanes); the tolerance, 1e-5, is about twice the largest. At 1 % of the amplitude they grow to
         # 1.6e-6 to 5.3e-5. The lateral force f_n cos(theta) - m_a (y'' + r theta''), linearised the same way,
         # has the phasor L = -F U^2 Theta - F U (V + i w r Theta) - m_a (i h0 w^2 - r w^2 Theta): measured
@@ -113,7 +113,7 @@ class TestConstrained:
         (a, b, _), *_ = np.linalg.lstsq(basis, trace.pitch, rcond=None)
         h0, u = kin.heave_amp_pp / 2.0, kin.freestream
         f = 0.5 * foil.fluid_density * foil.planform_area * foil.normal_force_slope
-        k_p = prony_frequency_response(PronyFit(hinge.k_inf, hinge.significant_branches()), w)
+        k_p = prony_frequency_response(hinge, w)
         lhs = -(foil.tail_inertia + m_a * r * r) * w * w + complex(k_p.storage, k_p.loss) + r * f * u * u
         want = (-r * f * u * h0 * w - 1j * m_a * r * h0 * w * w) / (lhs + 1j * w * r * r * f * u)
         assert abs(complex(a, -b) - want) <= 1e-5 * abs(want)
@@ -161,7 +161,7 @@ class TestConstrained:
         # The baseline hinge keeps no branch, so its loss is exactly 0; the lock-in of a default lane reports
         # roundoff of either sign instead (1.0e-16 at most), which the sweep table prints as it is.
         hinge, sweep = design_hinges["baseline"], default_config.sweep
-        assert hinge.significant_branches() == ()
+        assert hinge.branches == ()
         for kin in sweep.kinematics:
             trace = simulate_constrained(default_config.foil, kin, hinge, sweep.cycles, sweep.warmup_cycles)
             metrics = propulsion_metrics(trace, kin)
@@ -245,7 +245,7 @@ class TestEquations:
         if virtual_mass is not None:
             free = {"virtual_mass": virtual_mass, "body_drag_area": _BODY_DRAG * foil.planform_area}
         rng = np.random.default_rng(7)
-        n, dim = 6, 2 + len(_SOFT.significant_branches()) + bool(free)
+        n, dim = 6, 2 + len(_SOFT.branches) + bool(free)
         states = rng.uniform(-0.5, 0.5, size=(n, dim))  # u < 0 reaches the u|u| drag sign
         t = rng.uniform(0.0, 2.0, size=n)
         scalar = np.array([_equations(foil, kin, _SOFT, math, **free)(ti, si) for ti, si in zip(t, states)])
@@ -275,7 +275,7 @@ class TestEquations:
         cn = math.sin(alpha) * math.cos(alpha) if stall_model == "sin-cos" else alpha
         q = 0.5 * foil.fluid_density * (kin.freestream**2 + v**2)
         want = q * foil.planform_area * foil.normal_force_slope * cn
-        dim = 2 + len(_SOFT.significant_branches())
+        dim = 2 + len(_SOFT.branches)
         named = _equations(foil, kin, _SOFT, np)(0.0, np.zeros(dim))
         f_n, m_ve = named["f_n"], named["m_ve"]
         assert f_n == pytest.approx(want, rel=1e-12)
@@ -290,7 +290,7 @@ class TestEquations:
         # LSODA's form writes ds/dt into one array per lane and returns it, so the next call overwrites it;
         # odepack copies it on return. Two lanes never share it, and a history from _integrate never aliases it.
         kin = KinematicsSpec(2.0, 0.08, 0.2)
-        dim = 2 + len(_SOFT.significant_branches())
+        dim = 2 + len(_SOFT.branches)
         lane, other = _equations(_FOIL, kin, _SOFT, math), _equations(_FOIL, kin, _SOFT, math)
         state = np.full(dim, 0.1)
         first = lane(0.0, state)
@@ -314,7 +314,7 @@ class TestEquations:
         rng = np.random.default_rng(nb)
         taus = np.sort(rng.uniform(1e-3, 0.1, nb))
         hinge = PronyFit(k_inf=0.09, branches=tuple(zip(rng.uniform(0.05, 1.0, nb), taus)))
-        assert len(hinge.significant_branches()) == nb
+        assert len(hinge.branches) == nb
         foil = replace(_FOIL, stall_model=stall_model)
         kin = KinematicsSpec(1.25, 0.08, 0.2)
         free = {}
@@ -335,7 +335,7 @@ class TestEquations:
 def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     """The plant right-hand side as one generic loop over the hinge branches: rhs(t, s) -> (ds/dt, named values),
     the named values being the states and the plant's outputs, in the order of foil's trace form."""
-    branches = [(k, 1.0 / tau) for k, tau in hinge.significant_branches()]
+    branches = [(k, 1.0 / tau) for k, tau in hinge.branches]
     nb = len(branches)
     h0 = kin.heave_amp_pp / 2.0
     omg = 2.0 * math.pi * kin.heave_freq
@@ -402,7 +402,7 @@ class TestIntegrator:
     def test_metrics_match_rk4_reference(self, monkeypatch):
         # Same sample grid, same post-processing: only the integrator differs.
         kin = KinematicsSpec(2.0, 0.08, 0.2)
-        assert len(_SOFT.significant_branches()) == 2
+        assert len(_SOFT.branches) == 2
         lsoda = propulsion_metrics(simulate_constrained(_FOIL, kin, _SOFT, n_cycles=4, warmup_cycles=2), kin)
         monkeypatch.setattr(foil_module, "_integrate", _rk4)
         rk4 = propulsion_metrics(simulate_constrained(_FOIL, kin, _SOFT, n_cycles=4, warmup_cycles=2), kin)
@@ -602,7 +602,7 @@ class TestFreeSwim:
         trace = simulate_free_swim(_FOIL, kin, design_hinges["c"], _VIRTUAL_MASS, _BODY_DRAG, 1.0)
         spc = foil_module._steps_per_cycle(design_hinges["c"], 2.0, foil_module.FREESWIM_MIN_STEPS_PER_CYCLE)
         assert trace.samples_per_cycle == spc == 6000
-        assert trace.u_cycle_mean.size == trace.accel_cycle_mean.size == trace.time.size // spc == 2
+        assert cycle_average(trace.u, spc).size == cycle_average(trace.accel, spc).size == trace.time.size // spc == 2
 
     def test_impulse_momentum_balance(self):
         kin = KinematicsSpec(2.0, 0.08, 0.2)
@@ -642,8 +642,6 @@ def _trace_from_u(u, fs, f):
         x=x,
         u=u,
         accel=accel,
-        accel_cycle_mean=cycle_average(accel, spc),
-        u_cycle_mean=cycle_average(u, spc),
         thrust=np.zeros_like(u),
         drag=np.zeros_like(u),
         samples_per_cycle=spc,
@@ -661,10 +659,9 @@ class TestSwimMetrics:
         assert metrics["peak_accel"] == pytest.approx(0.0, abs=1e-9)
 
     def test_trace_without_a_whole_cycle_is_rejected(self):
-        trace = _trace_from_u(np.full(201, 0.25), 400.0, 2.0)
-        empty = replace(trace, accel_cycle_mean=np.empty(0), u_cycle_mean=np.empty(0))
-        with pytest.raises(ParameterDomainError, match="whole cycle"):
-            swim_metrics(empty)
+        trace = _trace_from_u(np.full(199, 0.25), 400.0, 2.0)
+        with pytest.raises(InsufficientRecordError, match="need at least 1"):
+            swim_metrics(trace)
 
     def test_cycles_ending_before_the_tail_give_the_last_cycle_mean(self):
         # 2.5 cycles: the two whole cycles end at 80 % of the trace, so no cycle mean lies in its last 20 %.

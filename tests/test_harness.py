@@ -28,7 +28,7 @@ from cldprop.harness import (
     write_impedance_table,
     write_sweep_table,
 )
-from cldprop.signals import hysteresis_loop_area, lockin_extract, synth_bender_pair
+from cldprop.signals import cycle_average, hysteresis_loop_area, lockin_extract, synth_bender_pair
 from cldprop.stiffness import rku_complex_stiffness
 
 
@@ -216,7 +216,7 @@ class TestFreeSwim:
                 column[k * spc : (k + 1) * spc] = mean
             return column
 
-        a_cycavg, u_cycavg = expanded(trace.accel_cycle_mean), expanded(trace.u_cycle_mean)
+        a_cycavg, u_cycavg = expanded(cycle_average(trace.accel, spc)), expanded(cycle_average(trace.u, spc))
         assert np.isnan(a_cycavg).sum() == np.isnan(u_cycavg).sum() == nan_rows
         path = tmp_path / "trace.csv"
         harness.write_freeswim_trace(trace, str(path))

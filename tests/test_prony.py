@@ -57,9 +57,10 @@ class TestResponse:
             with pytest.raises(ParameterDomainError):
                 prony_frequency_response(PronyFit(k_inf=1.0, branches=()), omega)
 
-    def test_significant_branches_filters_negligible(self):
-        fit = PronyFit(k_inf=1.0, branches=((1e-15, 0.01), (0.5, 0.3)))
-        assert fit.significant_branches() == ((0.5, 0.3),)
+    def test_negligible_branch_is_dropped_when_built(self):
+        fit = PronyFit(k_inf=1.0, branches=((1e-15, 0.01), (0.5, 0.3), (0.0, 0.4), (1e-3, 0.5)))
+        assert fit.branches == ((0.5, 0.3), (1e-3, 0.5))
+        assert PronyFit(fit.k_inf, fit.branches) == fit
 
 
 class TestFit:
@@ -79,7 +80,7 @@ class TestFit:
         for samples in ([(w, ComplexStiffness(0.028, 0.0)) for w in _BAND], _design_samples("baseline")):
             fit = fit_prony(samples, n_branches=2)
             assert fit.k_inf == pytest.approx(samples[0][1].storage, rel=1e-15)
-            assert [k for k, _ in fit.branches] == [0.0, 0.0]
+            assert fit.branches == ()
 
     def test_default_layup_band_rms_under_half_percent(self, default_config):
         layup = default_config.layup
@@ -199,8 +200,8 @@ class TestVariableProjection:
         samples = _design_samples(name)
         got, ref = fit_prony(samples, 2), _trf_reference(samples, 2)
         assert got.k_inf == pytest.approx(ref.k_inf, rel=1e-6)
-        assert len(got.significant_branches()) == len(ref.significant_branches())
-        for branch, want in zip(got.significant_branches(), ref.significant_branches()):
+        assert len(got.branches) == len(ref.branches)
+        for branch, want in zip(got.branches, ref.branches):
             assert branch == pytest.approx(want, rel=1e-6)
         assert got.fit_residual <= ref.fit_residual * (1.0 + 1e-9) + 1e-15
 

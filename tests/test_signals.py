@@ -89,6 +89,18 @@ class TestLockin:
         assert r3.stiffness.storage == pytest.approx(r1.stiffness.storage, rel=1e-9)
         assert r3.stiffness.loss == pytest.approx(r1.stiffness.loss, rel=1e-9)
 
+    @pytest.mark.parametrize("power", [530, -530], ids=["1e159", "1e-160"])
+    def test_torque_scaled_by_a_power_of_two_scales_the_result_exactly(self, power):
+        # |T_hat|^2 and the torque variance overflow past 1e154 and underflow under 1e-154; in a
+        # power-of-two unit near the torque's peak they do neither, and no bit of the result moves.
+        theta, torque = _spring_damper_pair()
+        base = lockin_extract(theta, torque, _F)
+        got = lockin_extract(theta, TimeSeries(torque.sample_rate, torque.samples * 2.0**power), _F)
+        assert got.stiffness.storage == base.stiffness.storage * 2.0**power
+        assert got.stiffness.loss == base.stiffness.loss * 2.0**power
+        assert got.torque_amplitude == base.torque_amplitude * 2.0**power
+        assert got.coherence == base.coherence
+
     def test_dc_offset_tolerated(self):
         theta, torque = _spring_damper_pair()
         biased = TimeSeries(torque.sample_rate, torque.samples + 0.7, torque.start_time)

@@ -73,16 +73,16 @@ def parse_grid(text: str, name: str = "grid") -> tuple[float, ...]:
 
 
 def _si(scale: float) -> Callable[[str, str], float]:
-    """Parser of a finite number in a key's unit, returned times `scale` (to SI)."""
+    """Parser of a number in a key's unit, returned times `scale` (to SI), which must be finite."""
 
     def parse(name: str, text: str) -> float:
         try:
-            value = float(text)
+            value = float(text) * scale
         except ValueError as exc:
             raise ConfigError(f"{name}: expected a number, got {text!r}") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"{name}: expected a finite number, got {text!r}")
-        return value * scale
+        if not math.isfinite(value):  # checked after scaling: 1e300 GPa is inf Pa
+            raise ConfigError(f"{name}: expected a finite number in SI units, got {text!r}")
+        return value
 
     return parse
 

@@ -187,6 +187,24 @@ class TestFileAndOverrides:
     @pytest.mark.parametrize(
         "item",
         [
+            "layup.face_modulus_gpa=1e300",  # 1e309 Pa
+            "layup.base_modulus_gpa=1e300",
+            "layup.base_modulus_gpa=1e308",
+            "layup.core_g_high_mpa=1e303",
+            "layup.core_g_low_kpa=1e306",
+        ],
+    )
+    def test_value_past_the_float_range_in_si_units_rejected_at_load(self, item):
+        # Finite as written, inf once scaled to SI: rejected at load, naming the key, before K*(omega) or a
+        # domain check sees the inf.
+        key, text = item.split("=")
+        with pytest.raises(ConfigError) as info:
+            load_config(overrides=[item])
+        assert str(info.value) == f"{key}: expected a finite number in SI units, got {text!r}"
+
+    @pytest.mark.parametrize(
+        "item",
+        [
             "foil.stall_model=xx",
             "foil.tail_chord_m=-1",
             "layup.length_mm=0",

@@ -204,26 +204,76 @@ class TestFreeSwim:
         "duration, nan_rows", [(1.3, 3602), (1.0, 1), (0.5, 1)], ids=["nan-tail", "whole-cycles", "one-cycle"]
     )
     def test_trace_is_each_sample_written_as_float(self, tmp_path, duration, nan_rows):
-        # The cycle-mean columns are formatted once per cycle; the text must be that of
-        # each cycle's mean laid on its samples, NaN past the last whole cycle, written as a float.
+        # The time column's cells are cached per grid and the cycle-mean columns formatted once
+        # per cycle; the text must be that of each cycle's mean laid on its samples, NaN past the
+        # last whole cycle, and every sample written as a float.
         config = load_config(overrides=[f"freeswim.duration_s={duration}"])
         trace, _ = run_freeswim_trial(config, "baseline")
-        spc = trace.samples_per_cycle
-
-        def expanded(means):
-            column = np.full_like(trace.time, np.nan)
-            for k, mean in enumerate(means):
-                column[k * spc : (k + 1) * spc] = mean
-            return column
-
-        a_cycavg, u_cycavg = expanded(cycle_average(trace.accel, spc)), expanded(cycle_average(trace.u, spc))
-        assert np.isnan(a_cycavg).sum() == np.isnan(u_cycavg).sum() == nan_rows
+        want, nans = _trace_text(trace)
+        assert nans == nan_rows
         path = tmp_path / "trace.csv"
         harness.write_freeswim_trace(trace, str(path))
-        rows = zip(trace.time, trace.x, trace.u, trace.accel, a_cycavg, u_cycavg)
-        want = "time_s,x_m,u_mps,a_mps2,a_cycavg_mps2,u_cycavg_mps\n"
-        want += "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
         assert path.read_bytes() == want.encode()
+
+    def test_cached_time_cells_serve_only_their_own_grid(self, tmp_path, default_config):
+        # Both default trials share one time grid, formatted once; a trace on another grid, of another
+        # length or of the same length, gets its own cells.
+        short = load_config(overrides=["freeswim.duration_s=1.3"])
+        baseline, _ = run_freeswim_trial(default_config, "baseline")
+        traces = [
+            baseline,
+            run_freeswim_trial(default_config, "c")[0],
+            run_freeswim_trial(short, "baseline")[0],
+            replace(baseline, time=baseline.time + 0.5),
+        ]
+        assert np.array_equal(traces[0].time, traces[1].time)
+        harness._grid_cells.cache_clear()
+        for k, trace in enumerate(traces):
+            path = tmp_path / f"trace_{k}.csv"
+            harness.write_freeswim_trace(trace, str(path))
+            assert path.read_bytes() == _trace_text(trace)[0].encode(), k
+        info = harness._grid_cells.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
+    def test_trace_is_written_one_chunk_per_write(self, small_config):
+        # One write for the header and one per chunk of at most _CHUNK_ROWS rows, the last one
+        # partial: neither a write per row nor the whole trace formatted at once.
+        trace, _ = run_freeswim_trial(small_config, "baseline")
+        rows = trace.time.size
+        assert rows > harness._CHUNK_ROWS and rows % harness._CHUNK_ROWS
+
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        out = Recorder()
+        harness._write_csv(out, harness._FREESWIM_TRACE_COLUMNS, trace)
+        header, *chunks = out.writes
+        assert header == "time_s,x_m,u_mps,a_mps2,a_cycavg_mps2,u_cycavg_mps\n"
+        assert len(chunks) == math.ceil(rows / harness._CHUNK_ROWS)
+        assert all(0 < chunk.count("\n") <= harness._CHUNK_ROWS for chunk in chunks)
+        assert "".join(out.writes) == _trace_text(trace)[0]
+
+
+def _trace_text(trace) -> tuple[str, int]:
+    """The trace file's text built row by row with repr, and the count of its NaN cycle-mean rows."""
+    spc = trace.samples_per_cycle
+
+    def expanded(means):
+        column = np.full_like(trace.time, np.nan)
+        for k, mean in enumerate(means):
+            column[k * spc : (k + 1) * spc] = mean
+        return column
+
+    a_cycavg, u_cycavg = expanded(cycle_average(trace.accel, spc)), expanded(cycle_average(trace.u, spc))
+    assert np.isnan(a_cycavg).sum() == np.isnan(u_cycavg).sum()
+    rows = zip(trace.time, trace.x, trace.u, trace.accel, a_cycavg, u_cycavg)
+    text = "time_s,x_m,u_mps,a_mps2,a_cycavg_mps2,u_cycavg_mps\n"
+    text += "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    return text, int(np.isnan(a_cycavg).sum())
 
 
 def _csv_cells(path) -> tuple[str, list[list[str]]]:

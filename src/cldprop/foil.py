@@ -12,8 +12,8 @@ compiled driver `scipy.integrate._odepack.odeint`, loaded without running scipy'
 __init__ (21 modules) or scipy.integrate's (355). The right-hand side is one source
 template, compiled once per lane shape and called by LSODA directly, writing ds/dt
 into one array per lane that the next call overwrites (LSODA copies it on return);
-run on numpy columns of the state history, it returns the trace's values by name: one
-force law.
+run on the state columns, copied out of the history, it returns every value a trace holds
+by name: one force law.
 
 LSODA weighs state i's error by rtol |y_i| + atol. Constrained lanes use (3e-9,
 3e-9), chosen by a study of the default sweep against (1e-12, 1e-15); per pair, RHS
@@ -101,6 +101,12 @@ class FoilConfig:
                 raise ParameterDomainError(f"{name} must be positive")
         if self.stall_model not in ("none", "sin-cos"):
             raise ParameterDomainError(f"unknown stall model {self.stall_model!r}")
+        try:  # the plant's divisor; finite only with a finite added mass, whose chord squared may overflow
+            inertia = self.tail_inertia + self.added_mass * self.pitch_axis_offset * self.pitch_axis_offset
+        except OverflowError:
+            inertia = math.inf
+        if not 0.0 < inertia < math.inf:
+            raise ParameterDomainError(f"pitch inertia {inertia:g} kg m^2 (tail + added mass) must be finite and > 0")
 
     @property
     def planform_area(self) -> float:
@@ -194,30 +200,9 @@ def simulate_constrained(
     dt, spc = _grid(hinge, kin.heave_freq, MIN_STEPS_PER_CYCLE, dt)
     total = (n_cycles + warmup_cycles) * spc
     t, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * spc)
-    h0, omg = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq
-    # lateral = f_n cos(th) - m_a (y'' + r pitch_acc) with y'' = -omg^2 h0 sin(wt), and power = -lateral heave_vel:
-    # the float operations of these expressions in their order, done in place on named values the trace drops.
-    added = d["sin_wt"]
-    added *= h0
-    added *= -omg * omg  # y''
-    added += np.multiply(foil.pitch_axis_offset, d["pitch_acc"], out=d["pitch_acc"])
-    added *= foil.added_mass
-    lateral = np.multiply(d["f_n"], d["cos_th"], out=d["f_n"])
-    lateral -= added
-    power = np.negative(lateral, out=added)
-    power *= d["heave_vel"]
-    return ConstrainedTrace(
-        time=t,
-        heave_vel=d["heave_vel"],
-        pitch=d["th"],
-        pitch_rate=d["w"],
-        thrust=d["thrust"],
-        lateral=lateral,
-        power=power,
-        hinge_moment=d["m_ve"],
-        drive_freq=kin.heave_freq,
-        samples_per_cycle=spc,
-    )
+    return ConstrainedTrace(  # the trace form's values, named
+        time=t, heave_vel=d["heave_vel"], pitch=d["th"], pitch_rate=d["w"], thrust=d["thrust"], lateral=d["lateral"],
+        power=d["power"], hinge_moment=d["m_ve"], drive_freq=kin.heave_freq, samples_per_cycle=spc)
 
 
 # The plant's right-hand side, written once: `_rhs_code` compiles it per lane shape, `_equations` binds a lane's
@@ -232,7 +217,7 @@ def rhs(t, s):
     alpha = -(th + atan2(v, u))
     f_n = force * (u * u + v * v) * {cn}{drop}
     m_ve = k_inf * th{branch_sum}
-    pitch_acc = (r * f_n - m_ve + heave_moment * sin_wt) * inv_j{thrust}{accel}{values}
+    pitch_acc = (r * f_n - m_ve + heave_moment * sin_wt) * inv_j{thrust}{last}{values}
 """
 
 
@@ -242,7 +227,7 @@ def _rhs_code(nb, free, sincos, lsoda):
     ms = "".join(f", m{j}" for j in range(nb))
     states = ms + (", u" if free else "")
     rates = ["w", "pitch_acc"] + [f"k{j} * w - m{j} * i{j}" for j in range(nb)] + ["accel"] * free
-    named = f"th, w{states}, heave_vel, sin_wt, pitch_acc, f_n, m_ve, cos_th, thrust{', drag, accel' * free}"
+    named = f"th, w{states}, heave_vel, pitch_acc, f_n, m_ve, thrust, {'drag, accel' if free else 'lateral, power'}"
     values = "".join(f"\n    out[{i}] = {rate}" for i, rate in enumerate(rates)) + "\n    return out"
     return compile(_RHS.format(
         states=states, tolist=".tolist()" if lsoda else "", branch_sum=ms.replace(",", " +"),
@@ -250,7 +235,10 @@ def _rhs_code(nb, free, sincos, lsoda):
         drop="" if lsoda else "\n    del wt, v, alpha  # columns no output needs, freed before the next ones",
         thrust="\n    cos_th = cos(th)\n    thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos_th"
         if free or not lsoda else "",
-        accel="\n    drag = body * u * abs(u)\n    accel = (thrust - drag) * inv_mv" if free else "",
+        # Body drag and du/dt, or the lateral force f_n cos(th) - m_a (y'' + r pitch_acc) and the input power.
+        last="\n    drag = body * u * abs(u)\n    accel = (thrust - drag) * inv_mv" if free else "" if lsoda else
+        "\n    lateral = f_n * cos_th - m_a * (h0 * sin_wt * neg_omg2 + r * pitch_acc)"
+        "\n    power = -lateral * heave_vel",
         values=values if lsoda else f"\n    return dict({', '.join(f'{n}={n}' for n in named.split(', '))})",
     ), f"<foil rhs {nb} {free} {sincos} {lsoda}>", "exec")
 
@@ -259,20 +247,21 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     """Foil plant right-hand side rhs(t, s) on the state [pitch, pitch_rate, m_1..m_J], plus the speed u when
     `virtual_mass` is given (free swimming; otherwise u is the freestream). With `lib` = `math`, s is the state
     array LSODA passes and rhs returns ds/dt in one array of its own, which the next call overwrites (LSODA
-    copies it on return); with `numpy`, s holds state-history columns, rhs a dict of them and the plant's outputs
-    by name (`_rhs_code`'s `named`)."""
+    copies it on return); with `numpy`, s holds the state columns, rhs a dict of them and the plant's outputs by
+    name (`_rhs_code`'s `named`)."""
     branches = hinge.branches
     h0, omg, r = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, foil.pitch_axis_offset
     free = virtual_mass is not None
-    half_rho, area = 0.5 * foil.fluid_density, foil.planform_area
+    half_rho, area, m_a = 0.5 * foil.fluid_density, foil.planform_area, foil.added_mass
     namespace = dict(
         out=np.empty(2 + len(branches) + free),  # the LSODA form's ds/dt
         sin=lib.sin, cos=lib.cos, atan2=lib.atan2, omg=omg, vel_amp=h0 * omg, r=r, k_inf=hinge.k_inf,
+        h0=h0, neg_omg2=-omg * omg, m_a=m_a,
         u=kin.freestream, inv_mv=1.0 / virtual_mass if free else 0.0,  # free swimming: u is a state
         force=half_rho * area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) cn
         half_rho=half_rho, area=area, cd0=foil.profile_drag_coeff, body=half_rho * body_drag_area,
-        inv_j=1.0 / (foil.tail_inertia + foil.added_mass * r * r),
-        heave_moment=foil.added_mass * r * h0 * omg * omg,  # added-mass moment of the heave acceleration, per sin(wt)
+        inv_j=1.0 / (foil.tail_inertia + m_a * r * r),
+        heave_moment=m_a * r * h0 * omg * omg,  # added-mass moment of the heave acceleration, per sin(wt)
         **{f"k{j}": k for j, (k, _) in enumerate(branches)},
         **{f"i{j}": 1.0 / tau for j, (_, tau) in enumerate(branches)},  # branch j: dm_j/dt = k_j w - m_j / tau_j
     )
@@ -289,7 +278,9 @@ def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
     start = [0.0] if keep else []  # the warm-up is one output interval, with 500 steps per 10 of its samples
     rhs = _equations(foil, kin, hinge, math, **free)
     hist = _integrate(rhs, dim, np.concatenate((start, t)), rtol, atol, mxstep=max(500, 50 * keep))[len(start) :]
-    return t, _equations(foil, kin, hinge, np, **free)(t, hist.T)
+    columns = [c.copy() for c in hist.T]  # columns of their own: no trace keeps the history alive
+    del hist  # freed before the trace form allocates its outputs
+    return t, _equations(foil, kin, hinge, np, **free)(t, columns)
 
 
 def _lsoda():
@@ -339,12 +330,14 @@ def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMet
     against the pitch angle at the drive frequency.
     """
     fs, spc = trace.sample_rate, trace.samples_per_cycle
-    thrust_means = cycle_average(trace.thrust, spc)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is reported below
+        thrust_means = cycle_average(trace.thrust, spc)
+        power_means = cycle_average(np.maximum(trace.power, 0.0), spc)
+        mean_thrust, mean_power = float(np.mean(thrust_means)), float(np.mean(power_means))
     if thrust_means.size < 3:
         raise ParameterDomainError("trace must span at least 3 whole cycles")
-    power_means = cycle_average(np.maximum(trace.power, 0.0), spc)
-    mean_thrust = float(np.mean(thrust_means))
-    mean_power = float(np.mean(power_means))
+    if not (math.isfinite(mean_thrust) and math.isfinite(mean_power)):
+        raise ParameterDomainError(f"mean thrust {mean_thrust:g} N or mean input power {mean_power:g} W is not finite")
     if mean_thrust > 0.0 and mean_power > 0.0:
         efficiency = mean_thrust * kin.freestream / mean_power
     else:

@@ -216,7 +216,12 @@ def torque_noise(
     reproducible from the seed (an int, or a sequence of ints taken whole as the generator's entropy)."""
     if isinstance(plant, PronyFit):
         plant = prony_frequency_response(plant, 2.0 * math.pi * drive_freq)
-    sigma = theta_amp * plant.magnitude / math.sqrt(2.0) * 10.0 ** (-snr_db / 20.0)
+    try:
+        sigma = theta_amp * plant.magnitude / math.sqrt(2.0) * 10.0 ** (-snr_db / 20.0)
+    except OverflowError:  # 10^(-snr_db/20) is past the largest float
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ParameterDomainError(f"torque noise {snr_db:g} dB below the fundamental has no finite float scale")
     return np.random.default_rng(seed).normal(0.0, sigma, size=n)
 
 

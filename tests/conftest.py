@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from cldprop.config import load_config
 from cldprop.harness import fit_design_hinge
+
+# The override fuzz tests draw fixed examples, except under this profile (see test_config.FIXED_DRAWS).
+settings.register_profile("random-draws", derandomize=False)
 
 
 @pytest.fixture(scope="session")

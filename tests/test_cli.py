@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_config import _KEYS, _VALUES
+from test_config import _KEYS, _VALUES, FIXED_DRAWS
 
 import cldprop
 from cldprop import cli, harness
@@ -382,7 +382,7 @@ def _assert_finite_table(text: str, optional: tuple[str, ...] = ()) -> None:
             assert (cell == "" and name in optional) or math.isfinite(float(cell)), (name, cell)
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(derandomize=FIXED_DRAWS, max_examples=500, deadline=None)
 @given(key=st.sampled_from(_KEYS), value=_VALUES)
 def test_layup_override_prints_finite_table_or_fails_in_one_line(key, value):
     code, out, err = _cli_run(["layup", "--quiet", "--set", f"{key}={value}"])
@@ -393,11 +393,12 @@ def test_layup_override_prints_finite_table_or_fails_in_one_line(key, value):
         _assert_finite_table(out)
 
 
-# load_config bounds bender and sweep work, but the bounds admit about a minute
-# of it, so the fuzz caps each protocol's grid, cycles and repeats and draws none
-# of those keys. Nor does it draw the bender sample rate (a record may reach 1e7
-# samples) or, for the sweep, a key that changes a Prony fit (layup, designs,
-# sweep.prony_*): the tau floor lets a fit ask for up to 1e7 samples per lane.
+# load_config bounds bender, sweep and free-swim work, but the bounds admit about a
+# minute of it, so the fuzz caps each protocol's grid, cycles, repeats or trial
+# length and draws none of those keys. Nor does it draw the bender sample rate (a
+# record may reach 1e7 samples) or, for the sweep and free swimming, the heave
+# frequency or a key that changes a Prony fit (layup, designs, sweep.prony_*): the
+# tau floor lets a fit ask for up to 1e7 samples per lane.
 _PROTOCOL_FUZZ = {
     "bender": (
         ["bender.freq_grid_hz=1,2", "bender.cycles=3", "bender.repeats=1"],
@@ -409,11 +410,16 @@ _PROTOCOL_FUZZ = {
         ("sweep.freq_grid_hz", "sweep.cycles", "sweep.warmup_cycles", "sweep.prony_", "layup.", "designs."),
         "sweep_table.csv",
     ),
+    "freeswim": (
+        ["freeswim.duration_s=1"],
+        ("freeswim.duration_s", "freeswim.heave_freq_hz", "layup.", "designs.", "sweep.prony_"),
+        "swim_metrics.csv",
+    ),
 }
 
 
 @pytest.mark.parametrize("command", list(_PROTOCOL_FUZZ))
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=FIXED_DRAWS, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, data):
     caps, undrawn, table = _PROTOCOL_FUZZ[command]
@@ -442,6 +448,11 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         (["bender", "--set", "bender.theta_amp_deg=1e200"], 2),  # past about 1e158 deg the loop area is inf
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.freestream_mps=1e-300"], 0),  # one St, 1.6e299
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.prony_fit_grid_hz=1e-300,1,2,3,4"], 0),
+        (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "foil.profile_drag_coeff=1e308"], 3),  # cycle sums inf
+        (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "foil.profile_drag_coeff=-1e308"], 3),
+        (["sweep", "--set", "foil.tail_chord_m=1e308"], 2),  # the added mass overflowed
+        (["freeswim", "--set", "foil.added_mass_coeff=-0.09628560269158037"], 2),  # a pitch inertia of 0
+        (["bender", "--set", "bender.noise_snr_db=-626516"], 2),  # the noise gain overflowed
     ],
     ids=[
         "huge-torque-record",
@@ -449,6 +460,11 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         "huge-bender-amplitude",
         "one-huge-strouhal-number",
         "prony-fit-down-to-1e-300-hz",
+        "huge-profile-drag",
+        "huge-negative-profile-drag",
+        "huge-tail-chord",
+        "zero-pitch-inertia",
+        "noise-gain-past-the-float-range",
     ],
 )
 def test_extreme_value_gives_a_finite_table_or_one_line(tmp_path, argv, want):

@@ -162,8 +162,8 @@ class TestConstrained:
     def test_lateral_force_and_power_are_the_plain_expressions_bit_for_bit(
         self, monkeypatch, default_config, design_hinges
     ):
-        # simulate_constrained builds y'', the lateral force and the power in place on the plant's named values,
-        # reusing its sin(wt) and cos(theta); the bits must be those of the plain expressions on the same values.
+        # The trace form writes the lateral force and the power from its own sin(wt) and cos(theta); the bits
+        # must be those of the plain expressions on the same values.
         named = []
         run = foil_module._run
 
@@ -178,13 +178,13 @@ class TestConstrained:
         trace = simulate_constrained(foil, kin, design_hinges["c"], sweep.cycles, sweep.warmup_cycles)
         [d] = named
         h0, omg, t = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, trace.time
-        assert np.array_equal(d["sin_wt"], np.sin(omg * t)) and np.array_equal(d["cos_th"], np.cos(d["th"]))
         yddot = -omg * omg * (h0 * np.sin(omg * t))
         lateral = d["f_n"] * np.cos(d["th"]) - foil.added_mass * (yddot + foil.pitch_axis_offset * d["pitch_acc"])
         assert np.array_equal(trace.lateral, lateral)
         assert np.array_equal(trace.power, -lateral * d["heave_vel"])
         columns = [("th", trace.pitch), ("w", trace.pitch_rate), ("heave_vel", trace.heave_vel),
-                   ("thrust", trace.thrust), ("m_ve", trace.hinge_moment)]
+                   ("thrust", trace.thrust), ("lateral", trace.lateral), ("power", trace.power),
+                   ("m_ve", trace.hinge_moment)]
         assert all(np.array_equal(column, d[name]) for name, column in columns)  # the trace's own are kept
 
     def test_branchless_hinge_reports_loss_as_roundoff(self, default_config, design_hinges):
@@ -262,6 +262,43 @@ class TestConstrained:
         with pytest.raises(ParameterDomainError, match=f"^{name} must be positive"):
             replace(_FOIL, **{name: value})
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"tail_chord": 1e308},  # (chord / 2)^2 raised OverflowError from added_mass
+            {"fluid_density": 1e308, "tail_chord": 1e154},  # an added mass of inf
+            {"added_mass_coeff": -0.09628560269158037},  # an inertia of exactly 0: ZeroDivisionError in the plant
+            {"added_mass_coeff": -1.0},
+            {"tail_inertia": 1.7e308, "added_mass_coeff": 1e304, "pitch_axis_offset": 100.0},  # finite terms, inf sum
+        ],
+    )
+    def test_added_mass_and_pitch_inertia_checked_at_build(self, changes):
+        with pytest.raises(ParameterDomainError, match=r"^pitch inertia .* must be finite and > 0$"):
+            replace(_FOIL, **changes)
+
+    @pytest.mark.parametrize("free", [False, True], ids=["constrained", "free"])
+    def test_trace_columns_own_their_samples(self, monkeypatch, free):
+        # No trace column is a view of the LSODA history, which would keep the hinge-branch states alive with
+        # the trace and make numpy read a column through a stride; nor do two columns share memory.
+        histories = []
+        integrate = foil_module._integrate
+
+        def recorded(*args, **kwargs):
+            histories.append(integrate(*args, **kwargs))
+            return histories[-1]
+
+        monkeypatch.setattr(foil_module, "_integrate", recorded)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
+        if free:
+            trace = simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, duration=1.0)
+        else:
+            trace = simulate_constrained(_FOIL, kin, _SOFT, n_cycles=3, warmup_cycles=1)
+        columns = [value for value in vars(trace).values() if isinstance(value, np.ndarray)]
+        [hist] = histories
+        assert len(columns) == (6 if free else 8)
+        assert all(c.flags.owndata and not np.shares_memory(c, hist) for c in columns)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(columns) for b in columns[i + 1 :])
+
 
 class TestEquations:
     @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
@@ -282,8 +319,8 @@ class TestEquations:
         named = _equations(foil, kin, _SOFT, np, **free)(t, states.T)
         assert scalar.shape == (n, dim)  # LSODA's ds/dt
         states_named = ["th", "w", "m0", "m1"] + ["u"] * bool(free)
-        outputs = ["heave_vel", "sin_wt", "pitch_acc", "f_n", "m_ve", "cos_th", "thrust"]
-        outputs += ["drag", "accel"] * bool(free)
+        outputs = ["heave_vel", "pitch_acc", "f_n", "m_ve", "thrust"]
+        outputs += ["drag", "accel"] if free else ["lateral", "power"]
         assert list(named) == states_named + outputs
         assert all(np.array_equal(named[name], column) for name, column in zip(states_named, states.T))
         # The trace computes no branch rates; the derivatives it names are pitch rate and acceleration, and du/dt.
@@ -358,7 +395,7 @@ class TestEquations:
             assert lsoda(float(ti), si).tolist() == loop(float(ti), si.tolist())[0]
         got = _equations(foil, kin, hinge, np, **free)(t, states.T)
         _, want = _loop_equations(foil, kin, hinge, np, **free)(t, list(states.T))
-        assert list(got) == list(want) and len(want) == dim + 7 + 2 * bool(free)
+        assert list(got) == list(want) and len(want) == dim + 7
         assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
@@ -398,13 +435,14 @@ def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0
         sin_wt, cos_th = sin(wt), cos(th)
         out[1] = pitch_acc = (r * f_n - m_ve + heave_moment * sin_wt) * inv_j
         thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos_th
-        named.update(
-            heave_vel=heave_vel, sin_wt=sin_wt, pitch_acc=pitch_acc, f_n=f_n, m_ve=m_ve, cos_th=cos_th, thrust=thrust
-        )
+        named.update(heave_vel=heave_vel, pitch_acc=pitch_acc, f_n=f_n, m_ve=m_ve, thrust=thrust)
         if free:
             drag = body * u * abs(u)
             out.append((thrust - drag) * inv_mv)
             named.update(drag=drag, accel=out[-1])
+        else:  # y'' = -omg^2 h0 sin(wt), taken as h0 sin(wt) times -omg^2
+            lateral = f_n * cos_th - foil.added_mass * (h0 * sin_wt * (-omg * omg) + r * pitch_acc)
+            named.update(lateral=lateral, power=-lateral * heave_vel)
         return out, named
 
     return rhs
@@ -618,6 +656,12 @@ class TestPropulsionMetrics:
         metrics = propulsion_metrics(_synthetic_trace(0.5, -1.0), kin)
         assert metrics.mean_input_power == 0.0
         assert metrics.efficiency is None
+
+    @pytest.mark.parametrize("thrust, power", [(1e308, 1.0), (-1e308, 1.0), (0.5, 1e308)])
+    def test_overflowing_cycle_means_rejected(self, thrust, power):
+        # Cycle sums past the largest float: one error, and no numpy warning (an error under this suite's filter).
+        with pytest.raises(ParameterDomainError, match="is not finite$"):
+            propulsion_metrics(_synthetic_trace(thrust, power), KinematicsSpec(2.0, 0.08, 0.2))
 
 
 class TestFreeSwim:

@@ -303,6 +303,14 @@ class TestSynth:
         assert not np.array_equal(t1.samples, t3.samples)
 
     @pytest.mark.parametrize(
+        "snr_db, k", [(-626516.0, _K), (-6160.0, 1e10)], ids=["gain-overflows", "scale-overflows"]
+    )
+    def test_noise_without_a_float_scale_rejected(self, snr_db, k):
+        # 10^(-snr/20) overflowed as an OverflowError; a finite gain times a stiff plant's torque is inf.
+        with pytest.raises(ParameterDomainError, match="no finite float scale"):
+            synth_bender_pair(ComplexStiffness(k, _LOSS_ORACLE), _F, **_RECORD, noise_snr_db=snr_db, seed=1)
+
+    @pytest.mark.parametrize(
         "plant",
         [ComplexStiffness(_K, _LOSS_ORACLE), PronyFit(k_inf=0.09, branches=((0.95, 0.003), (0.005, 0.08)))],
         ids=["complex-stiffness", "prony"],

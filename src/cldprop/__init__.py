@@ -4,7 +4,7 @@ Models the complex bending stiffness of a damped sandwich plate, fits a
 causal Prony surrogate, extracts stiffness from torque-angle records by
 lock-in regression, simulates a heave-driven foil with the passive hinge
 (constrained and free-swimming), and scripts the bench protocols end to
-end with CSV/SVG artifact output.
+end, writing CSV tables and SVG figures.
 """
 
 from ._version import __version__

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import ConfigError, ParameterDomainError, UnknownDesignError
-from .foil import FREESWIM_MIN_STEPS_PER_CYCLE, MAX_SAMPLES, MIN_STEPS_PER_CYCLE, FoilConfig, KinematicsSpec
-from .signals import DEFAULT_THETA_AMP
+from .foil import FREESWIM_MIN_STEPS_PER_CYCLE, MAX_SAMPLES, MIN_STEPS_PER_CYCLE, FoilConfig, KinematicsSpec, strouhal
+from .signals import DEFAULT_THETA_AMP, record_length
 from .stiffness import FractionalZenerParams, SandwichLayup
 
 CONFIG_SCHEMA_VERSION = 2
@@ -204,6 +204,8 @@ class SweepProtocol:
 
     def __post_init__(self):
         kin = tuple(KinematicsSpec(f, self.heave_amp_pp, self.freestream) for f in self.freq_grid_hz)
+        if not all(math.isfinite(strouhal(k)) for k in kin):  # each row's St, the x of its figures
+            raise ParameterDomainError(f"Strouhal number f * {self.heave_amp_pp:g} m / {self.freestream:g} m/s overflows at a grid f")
         object.__setattr__(self, "kinematics", kin)
 
 
@@ -319,8 +321,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     lowest = min((f for f in bender.freq_grid_hz if f > 0.0), default=None)  # its record is the longest
     if lowest is not None and bender.cycles > MAX_SAMPLES * lowest / bender.sample_rate:
         raise ConfigError(f"bender record of cycles * sample_rate_hz / {lowest:g} Hz is over {MAX_SAMPLES} samples")
-    # Record lengths as synth_bender_pair rounds them; the 0 Hz point synthesizes nothing.
-    record_samples = sum(round(bender.cycles * bender.sample_rate / f) for f in bender.freq_grid_hz if f > 0.0)
+    # Record lengths as synth_bender_pair takes them; the 0 Hz point synthesizes nothing.
+    record_samples = sum(record_length(bender.cycles, bender.sample_rate, f) for f in bender.freq_grid_hz if f > 0.0)
     if bender.repeats * len(designs) * record_samples > MAX_BENDER_SAMPLES:
         raise ConfigError(
             f"bender run of repeats * designs * {record_samples} record samples is over {MAX_BENDER_SAMPLES}"

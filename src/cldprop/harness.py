@@ -3,10 +3,10 @@
 Three campaigns: a bender sweep characterizing each design's complex
 stiffness over a frequency grid, a Strouhal sweep of the constrained foil
 across designs, and free-swim trials against a virtual mass. Each run
-persists tidy CSV tables, per-figure plot data (CSV plus a self-contained
-SVG), and a manifest with the fully resolved configuration, into a
-timestamped directory. Given identical configs the table and plot CSVs
-are byte-identical between runs.
+persists tidy CSV tables, a self-contained SVG chart per figure and
+design, and a manifest with the fully resolved configuration, into a
+timestamped directory. Given identical configs the tables and charts are
+byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _optional_floats(values: Sequence) -> list[str]:
 
 @dataclass(frozen=True)
 class _Column:
-    """One CSV column: header, plot-axis label, getter and cell formatter.
+    """One CSV column: header, getter and cell formatter.
 
     `get` maps the table's source (its rows, or a whole trace) to the
     column's values. `cell` formats a run of them: `_floats`,
@@ -190,50 +190,49 @@ class _Column:
     """
 
     header: str
-    label: str
     get: Callable[[Any], Sequence]
     cell: Callable[[Sequence], list[str]] = _floats
 
 
-def _per_row(header: str, label: str, attr: str, cell: Callable[[Sequence], list[str]] = _floats) -> _Column:
+def _per_row(header: str, attr: str, cell: Callable[[Sequence], list[str]] = _floats) -> _Column:
     value = attrgetter(attr)
-    return _Column(header, label, lambda rows: [value(r) for r in rows], cell)
+    return _Column(header, lambda rows: [value(r) for r in rows], cell)
 
 
 _IMPEDANCE_COLUMNS = (
-    _per_row("design", "design", "design", list),
-    _per_row("freq_hz", "frequency (Hz)", "freq_hz"),
-    _per_row("k_storage", "K' (N*m/rad)", "stiffness.storage"),
-    _per_row("k_loss", "K'' (N*m/rad)", "stiffness.loss"),
-    _per_row("f_elastic", "elastic", "stiffness.elastic_fraction"),
-    _per_row("f_dissipative", "dissipative", "stiffness.dissipative_fraction"),
-    _per_row("loop_area_j", "loop area (J)", "loop_area_j"),
+    _per_row("design", "design", list),
+    _per_row("freq_hz", "freq_hz"),
+    _per_row("k_storage", "stiffness.storage"),
+    _per_row("k_loss", "stiffness.loss"),
+    _per_row("f_elastic", "stiffness.elastic_fraction"),
+    _per_row("f_dissipative", "stiffness.dissipative_fraction"),
+    _per_row("loop_area_j", "loop_area_j"),
 )
 
 _SWEEP_COLUMNS = (
-    _per_row("design", "design", "design", list),
-    _per_row("st", "Strouhal number", "st"),
-    _per_row("freq_hz", "frequency (Hz)", "freq_hz"),
-    _per_row("mean_thrust_n", "mean thrust (N)", "metrics.mean_thrust"),
-    _per_row("mean_input_power_w", "mean input power (W)", "metrics.mean_input_power"),
-    _per_row("efficiency", "efficiency", "metrics.efficiency", _optional_floats),
-    _per_row("k_eff_storage", "K'_eff (N*m/rad)", "metrics.effective_stiffness.storage"),
-    _per_row("k_eff_loss", "K''_eff (N*m/rad)", "metrics.effective_stiffness.loss"),
-    _per_row("f_elastic", "elastic", "metrics.effective_stiffness.elastic_fraction"),
-    _per_row("f_dissipative", "dissipative", "metrics.effective_stiffness.dissipative_fraction"),
+    _per_row("design", "design", list),
+    _per_row("st", "st"),
+    _per_row("freq_hz", "freq_hz"),
+    _per_row("mean_thrust_n", "metrics.mean_thrust"),
+    _per_row("mean_input_power_w", "metrics.mean_input_power"),
+    _per_row("efficiency", "metrics.efficiency", _optional_floats),
+    _per_row("k_eff_storage", "metrics.effective_stiffness.storage"),
+    _per_row("k_eff_loss", "metrics.effective_stiffness.loss"),
+    _per_row("f_elastic", "metrics.effective_stiffness.elastic_fraction"),
+    _per_row("f_dissipative", "metrics.effective_stiffness.dissipative_fraction"),
 )
 
-# row type -> (its table's columns, the x column of its figures, its figures, each
-# as (kind, y columns, title, y-axis label)). Both tables draw the fractions figure.
-_FRACTIONS_FIGURE = ("fractions", ("f_elastic", "f_dissipative"), "Impedance composition", "fraction")
+# row type -> (its table's columns, its x column's (header, axis label), its figures, each as
+# (kind, title, y-axis label, (y column header, legend label) pairs)). Both tables draw the fractions figure.
+_FRACTIONS_FIGURE = ("fractions", "Impedance composition", "fraction", (("f_elastic", "elastic"), ("f_dissipative", "dissipative")))
 _FIGURES = {
-    ImpedanceRow: (_IMPEDANCE_COLUMNS, "freq_hz", (
-        ("impedance", ("k_storage", "k_loss"), "Complex stiffness", "stiffness (N*m/rad)"),
+    ImpedanceRow: (_IMPEDANCE_COLUMNS, ("freq_hz", "frequency (Hz)"), (
+        ("impedance", "Complex stiffness", "stiffness (N*m/rad)", (("k_storage", "K' (N*m/rad)"), ("k_loss", "K'' (N*m/rad)"))),
         _FRACTIONS_FIGURE,
     )),
-    SweepRow: (_SWEEP_COLUMNS, "st", (
-        ("thrust", ("mean_thrust_n",), "Mean thrust", "thrust (N)"),
-        ("efficiency", ("efficiency",), "Propulsive efficiency", "efficiency"),
+    SweepRow: (_SWEEP_COLUMNS, ("st", "Strouhal number"), (
+        ("thrust", "Mean thrust", "thrust (N)", (("mean_thrust_n", "mean thrust (N)"),)),
+        ("efficiency", "Propulsive efficiency", "efficiency", (("efficiency", "efficiency"),)),
         _FRACTIONS_FIGURE,
     )),
 }
@@ -241,19 +240,19 @@ _FIGURES = {
 # The one-row lock-in report: a LockinResult's fields, its stiffness's phase lag and fractions, freq_hz and loop_area_j.
 _EXTRACT_COLUMNS = (
     *_IMPEDANCE_COLUMNS[1:4],
-    _per_row("phase_lag_rad", "phase lag (rad)", "stiffness.phase_lag"),
+    _per_row("phase_lag_rad", "stiffness.phase_lag"),
     *_IMPEDANCE_COLUMNS[4:6],
-    _per_row("coherence", "coherence", "coherence"),
+    _per_row("coherence", "coherence"),
     _IMPEDANCE_COLUMNS[6],
 )
 
 # One row per free-swim trial: its design and its swim_metrics.
 _SWIM_METRICS_COLUMNS = (
-    _per_row("design", "design", "design", list),
-    _per_row("peak_accel_mps2", "peak acceleration (m/s^2)", "peak_accel"),
-    _per_row("terminal_velocity_mps", "terminal velocity (m/s)", "terminal_velocity"),
-    _per_row("net_displacement_m", "net displacement (m)", "net_displacement"),
-    _per_row("total_travel_m", "total travel (m)", "total_travel"),
+    _per_row("design", "design", list),
+    _per_row("peak_accel_mps2", "peak_accel"),
+    _per_row("terminal_velocity_mps", "terminal_velocity"),
+    _per_row("net_displacement_m", "net_displacement"),
+    _per_row("total_travel_m", "total_travel"),
 )
 
 
@@ -281,12 +280,12 @@ def _grid_cells(grid: bytes) -> tuple[str, ...]:
 
 # Trace getters return whole columns, so a long trace costs no call per cell.
 _FREESWIM_TRACE_COLUMNS = (
-    _Column("time_s", "time (s)", lambda trace: _grid_cells(np.asarray(trace.time, dtype=float).tobytes()), list),
-    _Column("x_m", "position (m)", attrgetter("x")),
-    _Column("u_mps", "velocity (m/s)", attrgetter("u")),
-    _Column("a_mps2", "acceleration (m/s^2)", attrgetter("accel")),
-    _Column("a_cycavg_mps2", "cycle-mean a (m/s^2)", _cycle_mean_cells("accel"), list),
-    _Column("u_cycavg_mps", "cycle-mean u (m/s)", _cycle_mean_cells("u"), list),
+    _Column("time_s", lambda trace: _grid_cells(np.asarray(trace.time, dtype=float).tobytes()), list),
+    _Column("x_m", attrgetter("x")),
+    _Column("u_mps", attrgetter("u")),
+    _Column("a_mps2", attrgetter("accel")),
+    _Column("a_cycavg_mps2", _cycle_mean_cells("accel"), list),
+    _Column("u_cycavg_mps", _cycle_mean_cells("u"), list),
 )
 
 
@@ -329,35 +328,27 @@ def write_swim_metrics(trials: Sequence[tuple[str, dict[str, float]]], out: Text
 
 
 # ---------------------------------------------------------------------------
-# Plot-data emission
+# Figures: SVG charts drawn from the table columns
 
 
-def emit_plot_data(rows: Sequence[ImpedanceRow] | Sequence[SweepRow], out_dir: str) -> list[str]:
-    """Write the plot-ready CSV + SVG pair of each of the table's figures for each design.
+def emit_plot_data(rows: Sequence[ImpedanceRow] | Sequence[SweepRow], out_dir: str) -> None:
+    """Write the SVG chart of each of the table's figures for each design, as `fig_<kind>_<design>.svg`, kind by kind.
 
-    File names follow `fig_<kind>_<design>.{csv,svg}`, written kind by kind.
-    The CSV holds the table's x column and the figure's y columns, cell for
-    cell as in the table; a missing cell stays empty there and plots as 0.
+    The charts draw the values the table's own column getters give; a missing value is drawn as 0.
     """
     if not rows:
         raise CldPropError("cannot emit plots from an empty table")
     if type(rows[0]) not in _FIGURES:
         raise CldPropError(f"{type(rows[0]).__name__} rows have no figures")
-    table_columns, x_header, figures = _FIGURES[type(rows[0])]
-    by_header = {c.header: c for c in table_columns}
+    table_columns, (x_header, xlabel), figures = _FIGURES[type(rows[0])]
+    get = {c.header: c.get for c in table_columns}
     designs = {name: [r for r in rows if r.design == name] for name in dict.fromkeys(r.design for r in rows)}
-    written: list[str] = []
-    for kind, y_headers, title, ylabel in figures:
-        x, *ys = columns = [by_header[h] for h in (x_header, *y_headers)]
+    for kind, title, ylabel, ys in figures:
         for name, design_rows in designs.items():
-            base = os.path.join(out_dir, f"fig_{kind}_{name}")
-            with open(base + ".csv", "w", newline="\n") as fh:
-                _write_csv(fh, columns, design_rows)
-            xs = x.get(design_rows)
-            series = [(c.label, xs, [0.0 if v is None else v for v in c.get(design_rows)]) for c in ys]
-            write_line_chart(base + ".svg", series, title=f"{title}, {name}", xlabel=x.label, ylabel=ylabel)
-            written += [base + ".csv", base + ".svg"]
-    return written
+            xs = get[x_header](design_rows)
+            series = [(label, xs, [0.0 if v is None else v for v in get[y](design_rows)]) for y, label in ys]
+            path = os.path.join(out_dir, f"fig_{kind}_{name}.svg")
+            write_line_chart(path, series, title=f"{title}, {name}", xlabel=xlabel, ylabel=ylabel)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float
     cycles = theta.span * drive_freq
     n_full = int(math.floor(cycles + 1e-9))
     if n_full < 3:
-        raise InsufficientRecordError(f"record spans {cycles:.2f} cycles, need at least 3")
+        raise InsufficientRecordError(f"record spans {cycles:.12g} cycles, need at least 3")
     return n_full, min(len(theta), int(math.ceil(n_full * theta.sample_rate / drive_freq - 1e-9)))
 
 
@@ -165,6 +165,13 @@ def hysteresis_loop_area(theta: TimeSeries, torque: TimeSeries, drive_freq: floa
     return area / n_full
 
 
+def record_length(n_cycles: int, sample_rate: float, drive_freq: float) -> int:
+    """Samples in a record of at least `n_cycles` drive cycles: n_cycles * sample_rate / drive_freq rounded up,
+    where a count above a whole number by at most 1e-12 of itself, the float product's rounding error, is that number."""
+    samples = n_cycles * sample_rate / drive_freq
+    return math.ceil(samples - 1e-12 * samples)
+
+
 def synth_bender_pair(
     plant: ComplexStiffness | PronyFit,
     drive_freq: float,
@@ -196,7 +203,7 @@ def synth_bender_pair(
         raise ParameterDomainError("need at least one cycle")
 
     omega = 2.0 * math.pi * drive_freq
-    n = int(round(n_cycles * sample_rate / drive_freq))
+    n = record_length(n_cycles, sample_rate, drive_freq)
     t = np.arange(n) / sample_rate
     sin_wt = np.sin(omega * t)
 

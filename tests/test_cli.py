@@ -5,6 +5,7 @@ import errno
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -295,7 +296,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("name", ["x,y", "a/b", ""], ids=["comma", "slash", "empty"])
     def test_bad_design_name_is_config_error(self, tmp_path, capsys, monkeypatch, name):
-        # A design name is a table cell and part of fig_<kind>_<design>.csv: a comma shifts the
+        # A design name is a table cell and part of fig_<kind>_<design>.svg: a comma shifts the
         # swim_metrics.csv row, a slash names a missing directory, an empty name an unnamed figure.
         def no_run(*args):
             raise AssertionError("a protocol started on a design name that should not load")
@@ -453,6 +454,10 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         (["sweep", "--set", "foil.tail_chord_m=1e308"], 2),  # the added mass overflowed
         (["freeswim", "--set", "foil.added_mass_coeff=-0.09628560269158037"], 2),  # a pitch inertia of 0
         (["bender", "--set", "bender.noise_snr_db=-626516"], 2),  # the noise gain overflowed
+        (["bender", "--set", "bender.freq_grid_hz=99.9", "--set", "bender.cycles=3"], 0),  # 6 samples: 2.997 cycles
+        (["sweep", "--set", "sweep.freq_grid_hz=1", "--set", "sweep.freestream_mps=4.7e-310"], 0),  # St 1.7e308
+        (["sweep", "--set", "sweep.freq_grid_hz=1", "--set", "sweep.freestream_mps=4.4e-310"], 2),  # St inf
+        (["sweep", "--set", "sweep.freq_grid_hz=1", "--set", "sweep.freestream_mps=5e-324"], 2),
     ],
     ids=[
         "huge-torque-record",
@@ -465,6 +470,10 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         "huge-tail-chord",
         "zero-pitch-inertia",
         "noise-gain-past-the-float-range",
+        "record-of-its-cycles-near-nyquist",
+        "strouhal-number-near-the-float-range",
+        "strouhal-number-past-the-float-range",
+        "strouhal-number-of-the-least-freestream",
     ],
 )
 def test_extreme_value_gives_a_finite_table_or_one_line(tmp_path, argv, want):
@@ -485,7 +494,9 @@ def test_extreme_value_gives_a_finite_table_or_one_line(tmp_path, argv, want):
         assert stdout.splitlines()[1].split(",")[6] == "1.0"  # coherence
     else:
         (run,) = os.listdir(out)
-        _assert_finite_table((out / run / "sweep_table.csv").read_text(), optional=("efficiency",))
+        table = {"bender": "impedance_table.csv", "sweep": "sweep_table.csv"}[argv[0]]
+        _assert_finite_table((out / run / table).read_text(), optional=("efficiency",))
+        assert not any(re.search(r"\b(inf|nan)\b", p.read_text()) for p in (out / run).glob("*.svg"))
 
 
 def test_stdout_cells_are_the_library_values(tmp_path, capsys):
@@ -768,5 +779,5 @@ class TestProtocols:
             argv += ["--set", "sweep.cycles=3", "--set", "sweep.warmup_cycles=0"]
         assert main(argv) == 0
         (run_dir,) = out.iterdir()
-        figures = {f"fig_{k}_{d}.{ext}" for k in kinds for d in ("baseline", "a", "b", "c") for ext in ("csv", "svg")}
+        figures = {f"fig_{k}_{d}.svg" for k in kinds for d in ("baseline", "a", "b", "c")}
         assert sorted(os.listdir(run_dir)) == sorted({table, "manifest.json"} | figures)

@@ -172,7 +172,8 @@ class TestFileAndOverrides:
             "output.seed=-5000000",  # numpy's generators take no negative seed
             f"bender.cycles={10**30}",  # a record of 4e32 samples
             "bender.cycles=25001",  # 25,001 cycles of 400 samples at 0.5 Hz: over 1e7
-            "bender.repeats=4269",  # 4,269 runs of 46,860 samples: over 2e8
+            "bender.repeats=4269",  # 4,269 runs of 46,872 samples: over 2e8
+            "bender.repeats=4267",  # 200,002,824 samples
             f"bender.repeats={10**30}",
             "bender.freq_grid_hz=0:1e308:1e-308",  # a shorthand of over 1e5 points
             "sweep.cycles=100000",  # a lane of 1e8 samples
@@ -222,6 +223,8 @@ class TestFileAndOverrides:
             "layup.core_g_low_kpa=5000",  # above core_g_high_mpa
             "designs.c=1.5",
             "sweep.freq_grid_hz=0,1",
+            "sweep.freestream_mps=5e-324",  # St = f * A / U is inf
+            "sweep.heave_amp_pp_m=1e308",
             "freeswim.heave_freq_hz=0",
         ],
     )
@@ -239,7 +242,7 @@ class TestFileAndOverrides:
         config = load_config(overrides=["sweep.heave_amp_pp_m=0", "sweep.prony_branches=9"])
         assert (config.sweep.heave_amp_pp, config.sweep.prony_branches) == (0.0, 9)
         assert load_config(overrides=["bender.cycles=25000"]).bender.cycles == 25000  # 1e7 samples at 0.5 Hz
-        assert load_config(overrides=["bender.repeats=4268"]).bender.repeats == 4268  # 199,998,480 samples
+        assert load_config(overrides=["bender.repeats=4266"]).bender.repeats == 4266  # 199,955,952 samples
         assert len(load_config(overrides=["bender.freq_grid_hz=0:99999:1", "bender.sample_rate_hz=2e5"])
                    .bender.freq_grid_hz) == 10**5
         assert load_config(overrides=["sweep.cycles=352"]).sweep.cycles == 352  # 28 lanes: 9,996,000 samples

@@ -1,11 +1,11 @@
 """Protocol runners: bender and Strouhal sweeps, free-swim trials,
 persistence and plot-data emission."""
 
-import csv
 import datetime
 import inspect
 import math
 import os
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -328,69 +328,48 @@ class TestPersistence:
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
-def _figure(written, kind):
-    return [p for p in written if os.path.basename(p).startswith(f"fig_{kind}_")]
+def _polylines(path) -> list[list[tuple[float, float]]]:
+    """The points of each <polyline> of an SVG chart."""
+    lines = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}polyline")
+    return [[tuple(map(float, point.split(","))) for point in line.get("points").split()] for line in lines]
 
 
 class TestPlotData:
     def test_impedance_files_and_schema(self, bender_table, tmp_path):
-        written = _figure(emit_plot_data(bender_table, str(tmp_path)), "impedance")
-        csvs = [p for p in written if p.endswith(".csv")]
-        assert len(csvs) == 4 and len(written) == 8
-        header = Path(csvs[0]).read_text().splitlines()[0]
-        assert header == "freq_hz,k_storage,k_loss"
-        for p in written:
-            assert os.path.exists(p)
+        assert emit_plot_data(bender_table, str(tmp_path)) is None
+        designs = ("baseline", "a", "b", "c")
+        assert sorted(os.listdir(tmp_path)) == sorted(f"fig_{k}_{d}.svg" for k in ("impedance", "fractions") for d in designs)
 
-    def test_fraction_rows_sum_to_one(self, sweep_table, tmp_path):
-        written = _figure(emit_plot_data(sweep_table, str(tmp_path)), "fractions")
-        for path in (p for p in written if p.endswith(".csv")):
-            data = np.genfromtxt(path, delimiter=",", names=True)
-            total = np.atleast_1d(data["f_elastic"] + data["f_dissipative"])
-            assert np.allclose(total, 1.0, atol=1e-12)
+    def test_fraction_rows_sum_to_one(self, bender_table, sweep_table):
+        # The values the fractions figures draw.
+        stiffnesses = [r.stiffness for r in bender_table] + [r.metrics.effective_stiffness for r in sweep_table]
+        for k in stiffnesses:
+            assert k.elastic_fraction + k.dissipative_fraction == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "table_name, kind, header",
+        "table_name, kind, n_lines",
         [
-            ("bender_table", "impedance", "freq_hz,k_storage,k_loss"),
-            ("bender_table", "fractions", "freq_hz,f_elastic,f_dissipative"),
-            ("sweep_table", "thrust", "st,mean_thrust_n"),
-            ("sweep_table", "efficiency", "st,efficiency"),
-            ("sweep_table", "fractions", "st,f_elastic,f_dissipative"),
+            ("bender_table", "impedance", 2),
+            ("bender_table", "fractions", 2),
+            ("sweep_table", "thrust", 1),
+            ("sweep_table", "efficiency", 1),
+            ("sweep_table", "fractions", 2),
         ],
     )
-    def test_plot_csv_columns_match_table(self, request, table_name, kind, header, tmp_path):
+    def test_svg_polylines_match_table(self, request, table_name, kind, n_lines, tmp_path):
         table = request.getfixturevalue(table_name)
         if isinstance(table[0], SweepRow):
-            # One missing efficiency, which the plot CSV must keep as an empty cell.
+            # One missing efficiency, which the efficiency chart draws as 0.
             first = table[0]
-            missing = replace(first, metrics=replace(first.metrics, efficiency=None))
-            table = (missing,) + table[1:]
-            write_sweep_table(table, str(tmp_path / "table.csv"))
-        else:
-            write_impedance_table(table, str(tmp_path / "table.csv"))
-        with open(tmp_path / "table.csv", newline="") as fh:
-            table_rows = list(csv.DictReader(fh))
-        written = _figure(emit_plot_data(table, str(tmp_path)), kind)
-        designs = list(dict.fromkeys(r["design"] for r in table_rows))
-        assert written == [
-            str(tmp_path / f"fig_{kind}_{d}.{ext}") for d in designs for ext in ("csv", "svg")
-        ]
-
-        def cell(text):
-            return None if text == "" else float(text)
-
-        for design in designs:
-            with open(tmp_path / f"fig_{kind}_{design}.csv", newline="") as fh:
-                reader = csv.DictReader(fh)
-                plot_rows = list(reader)
-            assert ",".join(reader.fieldnames) == header
-            want = [r for r in table_rows if r["design"] == design]
-            for column in reader.fieldnames:
-                assert [cell(r[column]) for r in plot_rows] == [cell(r[column]) for r in want]
-        if kind == "efficiency":
-            with open(tmp_path / f"fig_efficiency_{designs[0]}.csv") as fh:
-                assert fh.read().splitlines()[1].endswith(",")
+            table = (replace(first, metrics=replace(first.metrics, efficiency=None)),) + table[1:]
+        emit_plot_data(table, str(tmp_path))
+        for design in dict.fromkeys(r.design for r in table):
+            lines = _polylines(tmp_path / f"fig_{kind}_{design}.svg")
+            assert len(lines) == n_lines
+            for points in lines:
+                # The grid of each table rises row by row, and so do the points.
+                assert len(points) == len(_of(table, design))
+                assert [x for x, _ in points] == sorted({x for x, _ in points})
 
     @pytest.mark.parametrize(
         "rows", [(), (SimpleNamespace(design="baseline", st=0.2),)], ids=["empty", "row-type-without-figures"]

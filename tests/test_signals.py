@@ -24,6 +24,7 @@ from cldprop.signals import (
     cycle_fold,
     hysteresis_loop_area,
     lockin_extract,
+    record_length,
     synth_bender_pair,
 )
 from cldprop.stiffness import ComplexStiffness
@@ -138,6 +139,10 @@ class TestLockin:
         theta, torque = _spring_damper_pair(n_cycles=2)
         with pytest.raises(InsufficientRecordError):
             lockin_extract(theta, torque, _F)
+        # 6 samples at 200 Hz are 2.997 cycles of 99.9 Hz: the message does not round them up to 3.
+        short = TimeSeries(200.0, np.sin(2.0 * math.pi * 99.9 * np.arange(6) / 200.0))
+        with pytest.raises(InsufficientRecordError, match=r"record spans 2\.997 cycles"):
+            lockin_extract(short, short, 99.9)
 
     def test_nyquist_rejected(self):
         theta, torque = _spring_damper_pair()
@@ -325,6 +330,25 @@ class TestSynth:
     def test_nyquist_rejected(self):
         with pytest.raises(ParameterDomainError):
             synth_bender_pair(ComplexStiffness(_K, 0.0), 150.0, sample_rate=200.0, n_cycles=10)
+
+    @pytest.mark.parametrize(
+        "fs, freq, n_cycles, n",
+        [
+            (200.0, 99.9, 3, 7),  # 6 samples, rounded to nearest, were 2.997 cycles
+            (200.0, 1.5, 10, 1334),  # and 1333 were 9.9975
+            (200.0, 3.5, 10, 572),
+            (200.0, 4.5, 10, 445),
+            (200.0, 3.0, 10, 667),
+            (200.0, 2.0, 10, 1000),  # whole counts gain no sample
+            (200.0, 0.5, 10, 4000),
+            (1000.0, 2.5, 10, 4000),
+            (44100.0, 18.9, 3, 7000),  # 3 * 44100 / 18.9 is 7000.000000000001 as floats
+        ],
+    )
+    def test_record_spans_at_least_its_cycles(self, fs, freq, n_cycles, n):
+        theta, torque = synth_bender_pair(ComplexStiffness(_K, 0.0), freq, sample_rate=fs, n_cycles=n_cycles)
+        assert len(theta) == len(torque) == record_length(n_cycles, fs, freq) == n
+        assert n * freq / fs >= n_cycles > (n - 1) * freq / fs
 
     @pytest.mark.parametrize("freq, amp", [(0.0, _AMP), (math.nan, _AMP), (_F, 0.0), (_F, math.nan)])
     def test_non_positive_drive_rejected(self, freq, amp):

@@ -1,9 +1,11 @@
 """Command-line entry point: layup, bender, extract, sweep, freeswim.
 
 All subcommands share `--config`, repeatable `--set section.key=value`
-overrides, `--output-dir` and `--quiet`. With `--quiet`, stdout carries
-only CSV data; all diagnostics go to stderr. Exit codes: 0 success,
-2 configuration/usage error, 3 numerical failure, 4 I/O failure.
+overrides, `--output-dir` and `--quiet`; `main` loads and checks the config
+before any command runs, `extract`'s too. `--freq-grid` is layup's model
+grid. With `--quiet`, stdout carries only CSV data; all diagnostics go to
+stderr. Exit codes: 0 success, 2 configuration/usage error, 3 numerical
+failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bender", help="run the synthetic bender sweep protocol")
     common(p)
-    p.add_argument("--freq-grid", default=None, help="grid as start:stop:step or comma list")
 
     p = sub.add_parser("extract", help="lock-in extraction from recorded CSV signals")
     common(p)
@@ -95,12 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ProtocolConfig:
-    overrides = list(args.overrides)
-    if args.command == "bender" and args.freq_grid:
-        overrides.append(f"bender.freq_grid_hz={args.freq_grid}")
-    if args.output_dir:
-        overrides.append(f"output.directory={args.output_dir}")
-    return load_config(args.config, overrides)
+    output = [f"output.directory={args.output_dir}"] if args.output_dir else []
+    return load_config(args.config, [*args.overrides, *output])
 
 
 def _info(args, message: str) -> None:
@@ -147,8 +144,7 @@ def _sample_rate_of(t: np.ndarray, path: str) -> float:
     return 1.0 / float(dt[0])
 
 
-def _cmd_layup(args) -> int:
-    config = _load(args)
+def _cmd_layup(args, config: ProtocolConfig) -> int:
     # layup samples nothing, so its grid is not held to the bender's Nyquist limit.
     grid = parse_grid(args.freq_grid, "--freq-grid") if args.freq_grid else config.bender.freq_grid_hz
     rows = []
@@ -160,17 +156,22 @@ def _cmd_layup(args) -> int:
     return 0
 
 
-def _cmd_bender(args) -> int:
-    config = _load(args)
-    rows = run_bender_sweep(config)
-    with _run_dir(config, "bender") as run_dir:
-        write_impedance_table(rows, f"{run_dir}/impedance_table.csv")
+def _cmd_table(args, config: ProtocolConfig) -> int:
+    """bender or sweep: run the protocol, then write its table and figures into a new run directory."""
+    # Built per call, so that the names are looked up when the command runs, as rebound by a tracer or a test.
+    run, write, table, title = {
+        "bender": (run_bender_sweep, write_impedance_table, "impedance_table.csv", "bender sweep"),
+        "sweep": (run_strouhal_sweep, write_sweep_table, "sweep_table.csv", "Strouhal sweep"),
+    }[args.command]
+    rows = run(config)
+    with _run_dir(config, args.command) as run_dir:
+        write(rows, f"{run_dir}/{table}")
         emit_plot_data(rows, run_dir)
-    _info(args, f"bender sweep written to {run_dir}")
+    _info(args, f"{title} written to {run_dir}")
     return 0
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args, _config: ProtocolConfig) -> int:
     if args.combined and (args.theta or args.torque):
         raise ConfigError("extract takes --combined, or --theta with --torque, not both")
     if not 0.0 < args.freq < math.inf:
@@ -196,18 +197,7 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load(args)
-    rows = run_strouhal_sweep(config)
-    with _run_dir(config, "sweep") as run_dir:
-        write_sweep_table(rows, f"{run_dir}/sweep_table.csv")
-        emit_plot_data(rows, run_dir)
-    _info(args, f"Strouhal sweep written to {run_dir}")
-    return 0
-
-
-def _cmd_freeswim(args) -> int:
-    config = _load(args)
+def _cmd_freeswim(args, config: ProtocolConfig) -> int:
     names = list(dict.fromkeys(args.design or ["baseline", "c"]))
     for name in names:
         config.coverage_of(name)  # an unknown design fails before any trial runs
@@ -225,9 +215,9 @@ def _cmd_freeswim(args) -> int:
 
 _COMMANDS = {
     "layup": _cmd_layup,
-    "bender": _cmd_bender,
+    "bender": _cmd_table,
     "extract": _cmd_extract,
-    "sweep": _cmd_sweep,
+    "sweep": _cmd_table,
     "freeswim": _cmd_freeswim,
 }
 
@@ -240,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version.
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load(args))
     except ConfigError as exc:
         kind, code, error = "config error", 2, exc
     except CldPropError as exc:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import ConfigError, ParameterDomainError, UnknownDesignError
-from .foil import FREESWIM_MIN_STEPS_PER_CYCLE, MAX_SAMPLES, MIN_STEPS_PER_CYCLE, FoilConfig, KinematicsSpec, strouhal
-from .signals import DEFAULT_THETA_AMP, record_length
+from .foil import FREESWIM_MIN_STEPS_PER_CYCLE, MIN_STEPS_PER_CYCLE, FoilConfig, KinematicsSpec, strouhal
+from .signals import DEFAULT_THETA_AMP, MAX_SAMPLES, record_length
 from .stiffness import FractionalZenerParams, SandwichLayup
 
 CONFIG_SCHEMA_VERSION = 2
@@ -316,13 +316,11 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError("bender.noise_snr_db must be above -6165 dB, below which its gain 10^(-SNR/20) overflows")
     if bender.sample_rate <= 2.0 * max(bender.freq_grid_hz):
         raise ConfigError("bender.sample_rate_hz must exceed twice the top of bender.freq_grid_hz (Nyquist)")
-    # A bender record is bounded as a plant run: one float array of MAX_SAMPLES is
-    # about 80 MB, and the default record holds 4,000 samples.
-    lowest = min((f for f in bender.freq_grid_hz if f > 0.0), default=None)  # its record is the longest
-    if lowest is not None and bender.cycles > MAX_SAMPLES * lowest / bender.sample_rate:
-        raise ConfigError(f"bender record of cycles * sample_rate_hz / {lowest:g} Hz is over {MAX_SAMPLES} samples")
-    # Record lengths as synth_bender_pair takes them; the 0 Hz point synthesizes nothing.
-    record_samples = sum(record_length(bender.cycles, bender.sample_rate, f) for f in bender.freq_grid_hz if f > 0.0)
+    # Record lengths as synth_bender_pair takes them; the 0 Hz point synthesizes nothing. record_length refuses
+    # a record over MAX_SAMPLES, as in synth_bender_pair, and _built reports that as a [bender] config error.
+    record_samples = _built(
+        "bender", sum, (record_length(bender.cycles, bender.sample_rate, f) for f in bender.freq_grid_hz if f > 0.0)
+    )
     if bender.repeats * len(designs) * record_samples > MAX_BENDER_SAMPLES:
         raise ConfigError(
             f"bender run of repeats * designs * {record_samples} record samples is over {MAX_BENDER_SAMPLES}"

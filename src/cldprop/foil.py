@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationDivergenceError, ParameterDomainError
 from .prony import PronyFit
-from .signals import LockinResult, TimeSeries, cycle_average, lockin_extract
+from .signals import MAX_SAMPLES, LockinResult, TimeSeries, cycle_average, lockin_extract
 from .stiffness import ComplexStiffness
 
 # Sample grid: at least this many samples per heave cycle, and at least this
@@ -57,8 +57,6 @@ STEPS_PER_TAU = 10
 FREESWIM_MIN_STEPS_PER_CYCLE = 6000
 RTOL, ATOL = 1e-10, 1e-13  # LSODA tolerances of free swimming
 CYCLE_RTOL = CYCLE_ATOL = 3e-9  # and of constrained lanes
-# Longest plant run, in output samples, as for a bender record; the default lanes hold about 45,000.
-MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)

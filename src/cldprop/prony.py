@@ -114,7 +114,7 @@ def fit_prony(
     projection (Golub & Pereyra 1973; Kaufman 1975): for given tau_j the stiffnesses solve a
     linear least-squares problem, so Levenberg-Marquardt iterates on log tau_j alone, from a
     deterministic multi-start schedule. Nonnegativity is applied once, after convergence:
-    negative or negligible branches are dropped and the linear problem solved again.
+    negative or negligible branches (by PronyFit's rule) are dropped and the linear problem solved again.
     Raises FitConvergenceError if no start gives a finite fit or the best one has k_inf <= 0.
     """
     if n_branches < 1:
@@ -136,7 +136,6 @@ def fit_prony(
         raise ParameterDomainError("need at least one positive sample frequency")
     tau_lo = 0.1 / w_pos.max()
     tau_hi = 10.0 / w_pos.min()
-    k_scale = float(np.abs(targets).max())
 
     b = np.concatenate([(targets / scale).real, (targets / scale).imag])
     lower, upper = np.log(tau_lo) - 10.0, np.log(tau_hi) + 10.0
@@ -179,7 +178,8 @@ def fit_prony(
         while True:
             c = np.zeros(1 + n_branches)
             c[keep] = np.linalg.lstsq(a[:, keep], b, rcond=None)[0]
-            drop = keep[1:] & ~(c[1:] > NEGLIGIBLE_BRANCH_FRACTION * k_scale)
+            # PronyFit's rule on the current coefficients, so that it drops no branch of the fit returned.
+            drop = keep[1:] & ~(c[1:] > NEGLIGIBLE_BRANCH_FRACTION * max(float(c.sum()), 0.0))
             if not drop.any():
                 break
             keep[1:] &= ~drop

@@ -29,6 +29,10 @@ DEFAULT_THETA_AMP = math.radians(9.0)
 # Angle amplitudes below this are treated as no excitation at all.
 EXCITATION_FLOOR = 1e-6
 
+# Longest bender record or plant run, in samples: one float array of it is about 80 MB.
+# The default bender record holds 4,000 samples and a default sweep lane about 45,000.
+MAX_SAMPLES = 10_000_000
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -41,6 +45,8 @@ class TimeSeries:
     def __post_init__(self):
         if not 0.0 < self.sample_rate < math.inf:
             raise ParameterDomainError(f"sample rate must be positive and finite, got {self.sample_rate}")
+        if not math.isfinite(self.start_time):
+            raise ParameterDomainError(f"start time must be finite, got {self.start_time}")
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr)):
             raise ParameterDomainError("a time series needs at least 2 samples, all finite")
@@ -167,9 +173,16 @@ def hysteresis_loop_area(theta: TimeSeries, torque: TimeSeries, drive_freq: floa
 
 def record_length(n_cycles: int, sample_rate: float, drive_freq: float) -> int:
     """Samples in a record of at least `n_cycles` drive cycles: n_cycles * sample_rate / drive_freq rounded up,
-    where a count above a whole number by at most 1e-12 of itself, the float product's rounding error, is that number."""
-    samples = n_cycles * sample_rate / drive_freq
-    return math.ceil(samples - 1e-12 * samples)
+    where a count above a whole number by at most 1e-12 of itself, the float product's rounding error, is that number.
+    A record of more than MAX_SAMPLES samples, a count past the float range included, is a ParameterDomainError."""
+    try:
+        samples = n_cycles * sample_rate / drive_freq
+    except OverflowError:  # a cycle count past the float range
+        samples = math.inf
+    n = math.ceil(samples - 1e-12 * samples) if samples < math.inf else math.inf
+    if n > MAX_SAMPLES:
+        raise ParameterDomainError(f"record of {n:.10g} samples at {drive_freq:g} Hz is over {MAX_SAMPLES}")
+    return n
 
 
 def synth_bender_pair(
@@ -203,7 +216,7 @@ def synth_bender_pair(
         raise ParameterDomainError("need at least one cycle")
 
     omega = 2.0 * math.pi * drive_freq
-    n = record_length(n_cycles, sample_rate, drive_freq)
+    n = record_length(n_cycles, sample_rate, drive_freq)  # refuses an over-long record before it is allocated
     t = np.arange(n) / sample_rate
     sin_wt = np.sin(omega * t)
 

@@ -77,7 +77,7 @@ class TestExtract:
         ids=["torque", "theta", "both"],
     )
     def test_combined_with_theta_or_torque_is_config_error(self, tmp_path, capsys, others):
-        # Checked before any file is read: the combined record is valid and the other files do not exist.
+        # Checked before any record is read: the combined record is valid and the other files do not exist.
         t = np.arange(200) / _FS
         combined = tmp_path / "combined.csv"
         np.savetxt(combined, np.column_stack([t, np.sin(t), np.cos(t)]), delimiter=",",
@@ -112,7 +112,7 @@ class TestExtract:
 
     @pytest.mark.parametrize("freq", ["nan", "-3", "0", "inf"])
     def test_bad_drive_frequency_is_config_error(self, capsys, freq):
-        # Checked before any file is read: the signal files do not exist.
+        # Checked before any record is read: the signal files do not exist.
         assert main(["extract", "--combined", "/nope/rec.csv", "--freq", freq]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: --freq")
@@ -236,6 +236,23 @@ class TestUsage:
     def test_bad_override_exits_2(self, capsys):
         assert main(["layup", "--set", "nope.key=1"]) == 2
 
+    @pytest.mark.parametrize("command", ["layup", "bender", "extract", "sweep", "freeswim"])
+    def test_every_command_checks_its_config(self, tmp_path, capsys, command):
+        # main loads the config before any command runs: extract, which reads no value from it, checks it too.
+        out = tmp_path / "runs"
+        argv = [command, "--output-dir", str(out), "--quiet"]
+        if command == "extract":
+            theta, torque = _write_oracle_files(tmp_path)
+            argv += ["--theta", theta, "--torque", torque, "--freq", "3"]
+        for bad, code, kind in (
+            (["--set", "nope.key=1"], 2, "config error"),
+            (["--config", str(tmp_path / "missing.ini")], 4, "i/o failure"),
+        ):
+            assert main(argv + bad) == code
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and err.startswith(f"{kind}: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -251,7 +268,7 @@ class TestUsage:
             ["bender", "--set", "output.seed=-5000000", "--set", "bender.noise_snr_db=20"],
             ["bender", "--set", "bender.freq_grid_hz=1", "--set", "bender.sample_rate_hz=1e300"],
             ["bender", "--set", f"bender.repeats={10**30}"],
-            ["bender", "--freq-grid", "0:1e308:1e-308"],
+            ["bender", "--set", "bender.freq_grid_hz=0:1e308:1e-308"],
             ["sweep", "--set", "sweep.cycles=100000"],
             ["sweep", "--set", "sweep.freq_grid_hz=1:100000:1"],
             ["freeswim", "--set", "freeswim.duration_s=0.3"],
@@ -345,15 +362,22 @@ class TestLayup:
         assert len(lines) == 1 + 4 * 5
         out = tmp_path / "runs"
         out.mkdir()
-        assert main(["bender", "--freq-grid", "0:200:50", "--output-dir", str(out), "--quiet"]) == 2
+        assert main(["bender", "--set", "bender.freq_grid_hz=0:200:50", "--output-dir", str(out), "--quiet"]) == 2
         assert os.listdir(out) == []
         assert "Nyquist" in capsys.readouterr().err
 
     def test_bad_grid_names_its_flag(self, tmp_path, capsys):
-        # layup parses --freq-grid itself; bender passes it on as bender.freq_grid_hz.
-        for command, name in (("layup", "--freq-grid"), ("bender", "bender.freq_grid_hz")):
-            assert main([command, "--freq-grid", "2,1", "--output-dir", str(tmp_path), "--quiet"]) == 2
+        # layup parses --freq-grid itself; the bender's grid is the config key bender.freq_grid_hz.
+        for grid, name in ((["layup", "--freq-grid", "2,1"], "--freq-grid"),
+                           (["bender", "--set", "bender.freq_grid_hz=2,1"], "bender.freq_grid_hz")):
+            assert main([*grid, "--output-dir", str(tmp_path), "--quiet"]) == 2
             assert capsys.readouterr().err == f"config error: {name}: grid frequencies must be strictly increasing\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_freq_grid_is_layup_alone(self, tmp_path, capsys):
+        # The bender's grid is set as bender.freq_grid_hz; a second spelling of it is a usage error.
+        assert main(["bender", "--freq-grid", "1,2", "--output-dir", str(tmp_path), "--quiet"]) == 2
+        assert "unrecognized arguments: --freq-grid 1,2" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
 
@@ -548,7 +572,12 @@ def test_traced_benchmark_finds_its_names_and_arguments(tmp_path):
         "runs = ['--output-dir', 'runs', '--quiet']\n"
         "assert cli.main(['layup', '--quiet']) == 0\n"
         "lane = ['--set', 'sweep.freq_grid_hz=2', '--set', 'sweep.cycles=3', '--set', 'sweep.warmup_cycles=0']\n"
-        "assert cli.main(['sweep', *runs, *lane]) == 0\n"
+        # Each table command records its own spans: freeswim's writes alone would make harness.write_bytes non-zero.
+        "table_spans = {'config.load', 'harness.protocol', 'harness.write', 'harness.plot', 'harness.rundir'}\n"
+        "for argv in (['bender', *runs, '--set', 'bender.freq_grid_hz=2'], ['sweep', *runs, *lane]):\n"
+        "    start = len(rec.spans)\n"
+        "    assert cli.main(argv) == 0\n"
+        "    assert table_spans <= {s[0] for s in rec.spans[start:]}, (argv, rec.spans[start:])\n"
         "assert cli.main(['freeswim', *runs, '--design', 'c', '--set', 'freeswim.duration_s=1']) == 0\n"
         "sims = [s[4] for s in rec.spans if s[0] == 'foil.sim']\n"
         "assert sims and all('rule_steps' in counts for counts in sims), sims\n"

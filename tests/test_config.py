@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cldprop.config import load_config, parse_grid
 from cldprop.errors import ConfigError, ParameterDomainError, UnknownDesignError
 from cldprop.foil import FoilConfig, KinematicsSpec, simulate_constrained, simulate_free_swim
-from cldprop.signals import DEFAULT_THETA_AMP, synth_bender_pair
+from cldprop.signals import DEFAULT_THETA_AMP, record_length, synth_bender_pair
 
 
 class TestGrid:
@@ -171,6 +171,7 @@ class TestFileAndOverrides:
             "bender.theta_amp_deg=1e200",  # the loop area would be inf
             "output.seed=-5000000",  # numpy's generators take no negative seed
             f"bender.cycles={10**30}",  # a record of 4e32 samples
+            f"bender.cycles={10**400}",  # a cycle count past the float range
             "bender.cycles=25001",  # 25,001 cycles of 400 samples at 0.5 Hz: over 1e7
             "bender.repeats=4269",  # 4,269 runs of 46,872 samples: over 2e8
             "bender.repeats=4267",  # 200,002,824 samples
@@ -188,6 +189,14 @@ class TestFileAndOverrides:
     def test_rejected_at_load(self, item):
         with pytest.raises(ConfigError):
             load_config(overrides=[item])
+
+    def test_bender_record_bound_is_the_library_bound(self):
+        # load_config refuses the record synth_bender_pair would refuse, with its message.
+        with pytest.raises(ParameterDomainError) as library:
+            record_length(25_001, 200.0, 0.5)
+        with pytest.raises(ConfigError) as config:
+            load_config(overrides=["bender.cycles=25001"])
+        assert str(config.value) == f"[bender] {library.value}"
 
     def test_bender_amplitude_of_half_a_turn_loads(self):
         assert load_config(overrides=["bender.theta_amp_deg=180"]).bender.theta_amp == math.pi

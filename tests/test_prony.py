@@ -64,6 +64,18 @@ class TestResponse:
 
 
 class TestFit:
+    def test_residual_is_that_of_the_branches_returned(self):
+        # A 3e-9 branch is above 1e-9 of the largest |K*| sampled (about 1) but not of k_inf + sum k_j (6):
+        # the fit drops it as PronyFit would, before the residual is taken.
+        omegas = np.geomspace(0.1, 10.0, 12)
+        s = 1j * omegas[:, None] * np.array([1e-4, 1.0])
+        targets = 1.0 + (np.array([5.0, 3e-9]) * s / (1.0 + s)).sum(axis=1)
+        samples = [(w, ComplexStiffness(k.real, k.imag)) for w, k in zip(omegas, targets)]
+        fit = fit_prony(samples, n_branches=2)
+        errors = [(prony_frequency_response(fit, w).as_complex - k) / abs(k) for w, k in zip(omegas, targets)]
+        own = math.sqrt(np.mean(np.square([[e.real, e.imag] for e in errors])))
+        assert fit.fit_residual == pytest.approx(own, rel=1e-6)
+
     def test_round_trip_self_generated(self):
         # Criterion: a fit to data generated by a Prony model of the same
         # order recovers the response to 1e-8 relative.

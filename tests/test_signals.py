@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cldprop import foil
 from cldprop.errors import (
     DegenerateExcitationError,
     DegenerateImpedanceError,
@@ -18,6 +19,7 @@ from cldprop.errors import (
 from cldprop.foil import simulate_constrained
 from cldprop.prony import NEGLIGIBLE_BRANCH_FRACTION, PronyFit, prony_frequency_response
 from cldprop.signals import (
+    MAX_SAMPLES,
     TimeSeries,
     _whole_cycle_window,
     cycle_average,
@@ -64,6 +66,12 @@ class TestTimeSeries:
             TimeSeries(100.0, [0.0, bad, 1.0])
         with pytest.raises(ParameterDomainError):
             TimeSeries(bad, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time_rejected(self, bad):
+        # A nan start never equals its pair's, and an inf one gives nan times: neither is a record's start.
+        with pytest.raises(ParameterDomainError, match="^start time must be finite"):
+            TimeSeries(100.0, [0.0, 1.0], bad)
 
 
 class TestLockin:
@@ -129,11 +137,14 @@ class TestLockin:
         other_rate = TimeSeries(torque.sample_rate * 2, torque.samples)
         with pytest.raises(SignalMismatchError):
             lockin_extract(theta, other_rate, _F)
-        # Same rate and length, torque starting 0.1 s later: read as one time base, K* would be wrong.
+        # Same rate and length, the torque starting 0.1 s later or the angle one sample interval later:
+        # read as one time base, K* would be wrong.
         late = TimeSeries(torque.sample_rate, torque.samples, 0.1)
+        late_theta = TimeSeries(theta.sample_rate, theta.samples, 1.0 / _FS)
         for measure in (lockin_extract, hysteresis_loop_area):
-            with pytest.raises(SignalMismatchError, match="start times differ"):
-                measure(theta, late, _F)
+            for pair in ((theta, late), (late_theta, torque)):
+                with pytest.raises(SignalMismatchError, match="^start times differ: "):
+                    measure(*pair, _F)
 
     def test_too_few_cycles_rejected(self):
         theta, torque = _spring_damper_pair(n_cycles=2)
@@ -349,6 +360,19 @@ class TestSynth:
         theta, torque = synth_bender_pair(ComplexStiffness(_K, 0.0), freq, sample_rate=fs, n_cycles=n_cycles)
         assert len(theta) == len(torque) == record_length(n_cycles, fs, freq) == n
         assert n * freq / fs >= n_cycles > (n - 1) * freq / fs
+
+    @pytest.mark.parametrize("freq", [1e-300, 1e-3], ids=["past-the-float-range", "3e13-samples"])
+    def test_record_over_the_sample_bound_rejected_before_it_is_made(self, freq):
+        with pytest.raises(ParameterDomainError, match=f"is over {MAX_SAMPLES}$"):
+            synth_bender_pair(ComplexStiffness(1.0, 0.0), freq, sample_rate=1e10, n_cycles=3)
+
+    def test_record_bound(self):
+        # One bound for bender records and plant runs, held by record_length at the rounded-up count.
+        assert foil.MAX_SAMPLES is MAX_SAMPLES == 10**7
+        assert record_length(25_000, 200.0, 0.5) == MAX_SAMPLES
+        for n_cycles in (25_001, 10**400):  # the second is past the float range
+            with pytest.raises(ParameterDomainError, match=f"is over {MAX_SAMPLES}$"):
+                record_length(n_cycles, 200.0, 0.5)
 
     @pytest.mark.parametrize("freq, amp", [(0.0, _AMP), (math.nan, _AMP), (_F, 0.0), (_F, math.nan)])
     def test_non_positive_drive_rejected(self, freq, amp):

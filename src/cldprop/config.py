@@ -332,9 +332,9 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     if sweep.cycles < 3 or sweep.warmup_cycles < 0:
         raise ConfigError("sweep.cycles must be >= 3 (whole cycles averaged) and sweep.warmup_cycles >= 0")
     # Plant samples over all lanes at MIN_STEPS_PER_CYCLE are bounded as one plant run,
-    # which bounds each lane too: 666 lanes of the default length, about 16-19 s of sweep.
-    # In-process with LSODA on a 2-core Xeon, the default 28 lanes take 0.78 s and 100
-    # (sweep.freq_grid_hz=0.5:2:0.0625) 2.37 s; the step rule's tau floor raises the
+    # which bounds each lane too: 666 lanes of the default length, about 8-9 s of sweep.
+    # In-process with LSODA on a 2-core VM (min of 5), the default 28 lanes take 0.38 s and
+    # 100 (sweep.freq_grid_hz=0.5:2:0.0625) 1.13 s; the step rule's tau floor raises the
     # default lanes from 420,000 samples at this minimum grid to 1,217,280.
     lanes = len(designs) * len(sweep.freq_grid_hz)
     if lanes * (sweep.cycles + sweep.warmup_cycles) * MIN_STEPS_PER_CYCLE > MAX_SAMPLES:

@@ -11,19 +11,19 @@ LSODA integrates the plant under error control onto a fixed sample grid: scipy's
 compiled driver `scipy.integrate._odepack.odeint`, loaded without running scipy's
 __init__ (21 modules) or scipy.integrate's (355). The right-hand side is one source
 template, compiled once per lane shape and called by LSODA directly, writing ds/dt
-into one array per lane that the next call overwrites (LSODA copies it on return);
-run on the state columns, copied out of the history, it returns every value a trace holds
-by name: one force law.
+through a memoryview into one array per lane that the next call overwrites (LSODA copies
+it on return); run on the state columns and one heave cycle's cos and sin repeated, it
+returns every value a trace holds by name: one force law.
 
 LSODA weighs state i's error by rtol |y_i| + atol. Constrained lanes use (3e-9,
 3e-9), chosen by a study of the default sweep against (1e-12, 1e-15); per pair, RHS
 calls and largest deviation of thrust, power, K'/K''_eff, fractions over column peak:
 
-    (3e-9, 3e-12) 250,926 1.2e-8     (3e-9, 3e-10) 220,100 2.0e-8
-    (3e-9, 3e-9)  182,804 2.1e-8     (1e-9, 1e-9)  209,853 7.7e-9
+    (3e-9, 3e-12) 248,380 3.4e-8     (3e-9, 3e-10) 219,483 9.6e-9
+    (3e-9, 3e-9)  183,221 2.5e-8     (1e-9, 1e-9)  210,387 1.4e-8
 
 Free swimming keeps (1e-10, 1e-13): its transient from rest amplifies solver
-error, and (1e-10, 1e-10) moves the baseline trace 1.5e-7 of a column peak.
+error, and (1e-10, 1e-10) moves the baseline trace 1.4e-7 of a column peak.
 
 Sign conventions: pitch is positive when the tail tip moves toward positive
 heave; thrust is positive in the propulsion direction. The hydrodynamic
@@ -197,7 +197,7 @@ def simulate_constrained(
         raise ParameterDomainError("need n_cycles >= 1 and warmup_cycles >= 0")
     dt, spc = _grid(hinge, kin.heave_freq, MIN_STEPS_PER_CYCLE, dt)
     total = (n_cycles + warmup_cycles) * spc
-    t, d = _run(foil, kin, hinge, dt, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * spc)
+    t, d = _run(foil, kin, hinge, dt, spc, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * spc)
     return ConstrainedTrace(  # the trace form's values, named
         time=t, heave_vel=d["heave_vel"], pitch=d["th"], pitch_rate=d["w"], thrust=d["thrust"], lateral=d["lateral"],
         power=d["power"], hinge_moment=d["m_ve"], drive_freq=kin.heave_freq, samples_per_cycle=spc)
@@ -208,12 +208,10 @@ def simulate_constrained(
 _RHS = """\
 def rhs(t, s):
     th, w{states} = s{tolist}
-    wt = omg * t
-    heave_vel = vel_amp * cos(wt)
-    sin_wt = sin(wt)
-    v = heave_vel + r * w
-    alpha = -(th + atan2(v, u))
-    f_n = force * (u * u + v * v) * {cn}{drop}
+    cos_wt, sin_wt = {phase}
+    heave_vel = vel_amp * cos_wt{drop[cos_wt]}
+    v = heave_vel + r * w{sin_cos_th}
+    f_n = {f_n}{drop[v]}
     m_ve = k_inf * th{branch_sum}
     pitch_acc = (r * f_n - m_ve + heave_moment * sin_wt) * inv_j{thrust}{last}{values}
 """
@@ -226,12 +224,16 @@ def _rhs_code(nb, free, sincos, lsoda):
     states = ms + (", u" if free else "")
     rates = ["w", "pitch_acc"] + [f"k{j} * w - m{j} * i{j}" for j in range(nb)] + ["accel"] * free
     named = f"th, w{states}, heave_vel, pitch_acc, f_n, m_ve, thrust, {'drag, accel' if free else 'lateral, power'}"
-    values = "".join(f"\n    out[{i}] = {rate}" for i, rate in enumerate(rates)) + "\n    return out"
+    values = "".join(f"\n    ds[{i}] = {rate}" for i, rate in enumerate(rates)) + "\n    return out"
+    drop = {n: "" if lsoda else f"\n    del {n}" for n in ("cos_wt", "v", "sin_th")}  # trace columns past last use
     return compile(_RHS.format(
-        states=states, tolist=".tolist()" if lsoda else "", branch_sum=ms.replace(",", " +"),
-        cn="(sin(alpha) * cos(alpha))" if sincos else "alpha",
-        drop="" if lsoda else "\n    del wt, v, alpha  # columns no output needs, freed before the next ones",
-        thrust="\n    cos_th = cos(th)\n    thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos_th"
+        states=states, tolist=".tolist()" if lsoda else "", branch_sum=ms.replace(",", " +"), drop=drop,
+        phase="cos(wt := omg * t), sin(wt)" if lsoda else "t",
+        sin_cos_th="\n    sin_th, cos_th = sin(th), cos(th)" if sincos or free or not lsoda else "",
+        # sin-cos: force (u^2 + v^2) sin(alpha) cos(alpha) as -force times the chordwise and chord-normal inflow
+        f_n="-force * (u * cos_th - v * sin_th) * (u * sin_th + v * cos_th)" if sincos else
+        "force * (u * u + v * v) * -(th + atan2(v, u))",
+        thrust="\n    thrust = f_n * sin_th - half_rho * u * u * area * cd0 * cos_th" + drop["sin_th"]
         if free or not lsoda else "",
         # Body drag and du/dt, or the lateral force f_n cos(th) - m_a (y'' + r pitch_acc) and the input power.
         last="\n    drag = body * u * abs(u)\n    accel = (thrust - drag) * inv_mv" if free else "" if lsoda else
@@ -244,19 +246,19 @@ def _rhs_code(nb, free, sincos, lsoda):
 def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     """Foil plant right-hand side rhs(t, s) on the state [pitch, pitch_rate, m_1..m_J], plus the speed u when
     `virtual_mass` is given (free swimming; otherwise u is the freestream). With `lib` = `math`, s is the state
-    array LSODA passes and rhs returns ds/dt in one array of its own, which the next call overwrites (LSODA
-    copies it on return); with `numpy`, s holds the state columns, rhs a dict of them and the plant's outputs by
-    name (`_rhs_code`'s `named`)."""
+    array LSODA passes and rhs returns ds/dt in one array of its own, written through a memoryview and overwritten
+    by the next call (LSODA copies it on return); with `numpy`, t is the samples' (cos wt, sin wt), s the state
+    columns, and rhs returns a dict of them and the plant's outputs by name (`_rhs_code`'s `named`)."""
     branches = hinge.branches
     h0, omg, r = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, foil.pitch_axis_offset
     free = virtual_mass is not None
     half_rho, area, m_a = 0.5 * foil.fluid_density, foil.planform_area, foil.added_mass
     namespace = dict(
-        out=np.empty(2 + len(branches) + free),  # the LSODA form's ds/dt
+        out=(out := np.empty(2 + len(branches) + free)), ds=memoryview(out),  # LSODA's ds/dt, and a cheaper writer
         sin=lib.sin, cos=lib.cos, atan2=lib.atan2, omg=omg, vel_amp=h0 * omg, r=r, k_inf=hinge.k_inf,
         h0=h0, neg_omg2=-omg * omg, m_a=m_a,
         u=kin.freestream, inv_mv=1.0 / virtual_mass if free else 0.0,  # free swimming: u is a state
-        force=half_rho * area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) cn
+        force=half_rho * area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) cn(alpha)
         half_rho=half_rho, area=area, cd0=foil.profile_drag_coeff, body=half_rho * body_drag_area,
         inv_j=1.0 / (foil.tail_inertia + m_a * r * r),
         heave_moment=m_a * r * h0 * omg * omg,  # added-mass moment of the heave acceleration, per sin(wt)
@@ -267,7 +269,7 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     return namespace["rhs"]
 
 
-def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
+def _run(foil, kin, hinge, dt, spc, total_steps, rtol, atol, keep=0, **free):
     """Plant history from rest with the first `keep` samples dropped: (t, the trace form's named values)."""
     if total_steps > MAX_SAMPLES:  # a hinge branch with a tiny tau asks for far too many samples
         raise ParameterDomainError(f"plant run of {total_steps} samples at dt={dt:.3e} s is over {MAX_SAMPLES}")
@@ -278,7 +280,10 @@ def _run(foil, kin, hinge, dt, total_steps, rtol, atol, keep=0, **free):
     hist = _integrate(rhs, dim, np.concatenate((start, t)), rtol, atol, mxstep=max(500, 50 * keep))[len(start) :]
     columns = [c.copy() for c in hist.T]  # columns of their own: no trace keeps the history alive
     del hist  # freed before the trace form allocates its outputs
-    return t, _equations(foil, kin, hinge, np, **free)(t, columns)
+    cycle = (f(2.0 * math.pi / spc * np.arange(spc)) for f in (np.cos, np.sin))  # the grid repeats one cycle's phase
+    # Laid end to end by generators: the trace form holds each column's only reference and frees it after its use.
+    phase = (np.concatenate((c,) * (t.size // spc) + (c[: t.size % spc],)) for c in cycle)
+    return t, _equations(foil, kin, hinge, np, **free)(phase, columns)
 
 
 def _lsoda():
@@ -374,7 +379,7 @@ def simulate_free_swim(
     dt, spc = _grid(hinge, kin.heave_freq, FREESWIM_MIN_STEPS_PER_CYCLE, dt)
     total = int(math.ceil(duration / dt))
     drag_area = body_drag_coeff * foil.planform_area
-    t, d = _run(foil, kin, hinge, dt, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
+    t, d = _run(foil, kin, hinge, dt, spc, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
     u, accel, thrust, drag = d["u"], d["accel"], d["thrust"], d["drag"]
     del d  # the plant's other named values, freed before the position is built
     return FreeSwimTrace(

@@ -95,10 +95,13 @@ def _check_pair(theta: TimeSeries, torque: TimeSeries) -> None:
 
 
 def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> tuple[int, int]:
-    """(n_full, m) of a checked pair: n_full >= 3 whole drive cycles in its first m samples."""
+    """(n_full, m) of a checked pair and a drive frequency below its Nyquist limit: n_full >= 3 whole drive cycles
+    in its first m samples."""
     _check_pair(theta, torque)
     if not drive_freq > 0.0:
         raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
+    if drive_freq >= theta.sample_rate / 2.0:  # ahead of the cycle count, which a short record also fails
+        raise ParameterDomainError(f"drive frequency {drive_freq} Hz violates Nyquist for fs={theta.sample_rate} Hz")
     cycles = theta.span * drive_freq
     n_full = int(math.floor(cycles + 1e-9))
     if n_full < 3:
@@ -113,10 +116,6 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
     sensor bias out of the quadrature) over whole drive cycles, the trailing
     partial cycle discarded; the stiffness is the ratio of complex amplitudes.
     """
-    if drive_freq >= theta.sample_rate / 2.0:  # ahead of the cycle count, which a short record also fails
-        raise ParameterDomainError(
-            f"drive frequency {drive_freq} Hz violates Nyquist for fs={theta.sample_rate} Hz"
-        )
     _, m = _whole_cycle_window(theta, torque, drive_freq)
 
     wt = 2.0 * math.pi * drive_freq * theta.times[:m]

@@ -70,6 +70,28 @@ def _linear_response(foil, kin, hinge) -> SimpleNamespace:
     return SimpleNamespace(pitch=pitch, lateral=lateral, d0=d0, thrust_d0=thrust_d0, power=power)
 
 
+def _recorded_trace_forms(monkeypatch) -> list:
+    """Record each trace form the plant runs: ((cos wt, sin wt) it is given, copies of the values it names)."""
+    runs = []
+    equations = foil_module._equations
+
+    def recorded(foil, kin, hinge, lib, **free):
+        rhs = equations(foil, kin, hinge, lib, **free)
+        if lib is math:  # LSODA's form
+            return rhs
+
+        def trace_form(phase, s):
+            phase = tuple(phase)
+            named = rhs(phase, s)
+            runs.append((phase, {name: value.copy() for name, value in named.items()}))
+            return named
+
+        return trace_form
+
+    monkeypatch.setattr(foil_module, "_equations", recorded)
+    return runs
+
+
 class TestConstrained:
     def test_rigid_limit_matches_flat_plate_drag(self):
         # With a near-rigid hinge the tail never tilts, so the mean thrust is
@@ -162,23 +184,15 @@ class TestConstrained:
     def test_lateral_force_and_power_are_the_plain_expressions_bit_for_bit(
         self, monkeypatch, default_config, design_hinges
     ):
-        # The trace form writes the lateral force and the power from its own sin(wt) and cos(theta); the bits
-        # must be those of the plain expressions on the same values.
-        named = []
-        run = foil_module._run
-
-        def recorded(*args, **kwargs):
-            t, d = run(*args, **kwargs)
-            named.append({name: value.copy() for name, value in d.items()})
-            return t, d
-
-        monkeypatch.setattr(foil_module, "_run", recorded)
+        # The trace form writes the lateral force and the power from the sin(wt) it is given and its own
+        # cos(theta); the bits must be those of the plain expressions on the same values.
+        runs = _recorded_trace_forms(monkeypatch)
         foil, sweep = default_config.foil, default_config.sweep
         kin = next(k for k in sweep.kinematics if k.heave_freq == 2.0)
         trace = simulate_constrained(foil, kin, design_hinges["c"], sweep.cycles, sweep.warmup_cycles)
-        [d] = named
-        h0, omg, t = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq, trace.time
-        yddot = -omg * omg * (h0 * np.sin(omg * t))
+        [((_, sin_wt), d)] = runs
+        h0, omg = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq
+        yddot = -omg * omg * (h0 * sin_wt)
         lateral = d["f_n"] * np.cos(d["th"]) - foil.added_mass * (yddot + foil.pitch_axis_offset * d["pitch_acc"])
         assert np.array_equal(trace.lateral, lateral)
         assert np.array_equal(trace.power, -lateral * d["heave_vel"])
@@ -186,6 +200,25 @@ class TestConstrained:
                    ("thrust", trace.thrust), ("lateral", trace.lateral), ("power", trace.power),
                    ("m_ve", trace.hinge_moment)]
         assert all(np.array_equal(column, d[name]) for name, column in columns)  # the trace's own are kept
+
+    def test_heave_phase_is_one_cycle_laid_end_to_end(self, monkeypatch, default_config, design_hinges):
+        # Each plant grid starts on a cycle boundary and holds whole samples to a cycle, so the trace form is
+        # given one cycle's cos(wt) and sin(wt), repeated; they must be those of the trace's own times. Lanes:
+        # the sweep's longest (design c at 0.5 Hz, 15 cycles) and a free swim of 2.5 cycles, not whole ones.
+        runs = _recorded_trace_forms(monkeypatch)
+        foil, sweep, free = default_config.foil, default_config.sweep, default_config.freeswim
+        hinge = design_hinges["c"]
+        kin = next(k for k in sweep.kinematics if k.heave_freq == 0.5)
+        lane = simulate_constrained(foil, kin, hinge, sweep.cycles, sweep.warmup_cycles)
+        swim_freq = free.kinematics.heave_freq
+        swim = simulate_free_swim(
+            foil, free.kinematics, hinge, free.virtual_mass, free.body_drag_coeff, duration=2.5 / swim_freq
+        )
+        assert len(runs) == 2 and swim.time.size % swim.samples_per_cycle != 0  # a part cycle at the end
+        for ((cos_wt, sin_wt), _), (f, trace) in zip(runs, ((kin.heave_freq, lane), (swim_freq, swim))):
+            wt = 2.0 * math.pi * f * trace.time
+            assert np.max(np.abs(cos_wt - np.cos(wt))) <= 1e-13 and np.max(np.abs(sin_wt - np.sin(wt))) <= 1e-13
+            assert cos_wt.flags.owndata and sin_wt.flags.owndata  # no base larger than the trace
 
     def test_branchless_hinge_reports_loss_as_roundoff(self, default_config, design_hinges):
         # The baseline hinge keeps no branch, so its loss is exactly 0; the lock-in of a default lane reports
@@ -316,7 +349,8 @@ class TestEquations:
         states = rng.uniform(-0.5, 0.5, size=(n, dim))  # u < 0 reaches the u|u| drag sign
         t = rng.uniform(0.0, 2.0, size=n)
         scalar = np.array([_equations(foil, kin, _SOFT, math, **free)(ti, si) for ti, si in zip(t, states)])
-        named = _equations(foil, kin, _SOFT, np, **free)(t, states.T)
+        wt = 2.0 * math.pi * kin.heave_freq * t
+        named = _equations(foil, kin, _SOFT, np, **free)((np.cos(wt), np.sin(wt)), states.T)
         assert scalar.shape == (n, dim)  # LSODA's ds/dt
         states_named = ["th", "w", "m0", "m1"] + ["u"] * bool(free)
         outputs = ["heave_vel", "pitch_acc", "f_n", "m_ve", "thrust"]
@@ -343,7 +377,7 @@ class TestEquations:
         q = 0.5 * foil.fluid_density * (kin.freestream**2 + v**2)
         want = q * foil.planform_area * foil.normal_force_slope * cn
         dim = 2 + len(_SOFT.branches)
-        named = _equations(foil, kin, _SOFT, np)(0.0, np.zeros(dim))
+        named = _equations(foil, kin, _SOFT, np)((1.0, 0.0), np.zeros(dim))  # cos(wt) and sin(wt) at t = 0
         f_n, m_ve = named["f_n"], named["m_ve"]
         assert f_n == pytest.approx(want, rel=1e-12)
         assert m_ve == 0.0
@@ -352,6 +386,32 @@ class TestEquations:
         pitch_acc = _equations(foil, kin, _SOFT, math)(0.0, np.zeros(dim))[1]
         assert pitch_acc == pytest.approx(r * want / inertia, rel=1e-12)
         assert named["pitch_acc"] == pitch_acc
+
+    def test_chord_frame_normal_force_is_the_sin_cos_law(self):
+        # The sin-cos law written in the chord frame, -F (u cos th - v sin th)(u sin th + v cos th), is
+        # F (u^2 + v^2) sin(alpha) cos(alpha) with alpha = -(th + atan2(v, u)) in every quadrant of the inflow:
+        # random free-swim states (u < 0 included), and zero inflow, where both are 0.
+        foil = replace(_FOIL, stall_model="sin-cos")
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
+        free = {"virtual_mass": _VIRTUAL_MASS, "body_drag_area": _BODY_DRAG * foil.planform_area}
+        rng = np.random.default_rng(11)
+        n = 400
+        states = rng.uniform(-2.0, 2.0, size=(2 + len(_SOFT.branches) + 1, n))
+        wt = rng.uniform(0.0, 2.0 * math.pi, n)
+        cos_wt, sin_wt = np.cos(wt), np.sin(wt)
+        states[:, 0], cos_wt[0], sin_wt[0] = 0.3, 0.0, 1.0  # zero inflow: u = 0 and v = heave rate + r w = 0
+        states[1:, 0] = 0.0
+        named = _equations(foil, kin, _SOFT, np, **free)((cos_wt, sin_wt), states)
+        th, u = states[0], states[-1]
+        assert np.any(u < 0.0) and np.any(u > 0.0)
+        v = named["heave_vel"] + foil.pitch_axis_offset * states[1]
+        alpha = -(th + np.arctan2(v, u))
+        force = 0.5 * foil.fluid_density * foil.planform_area * foil.normal_force_slope
+        want = force * (u * u + v * v) * np.sin(alpha) * np.cos(alpha)
+        assert named["f_n"][0] == 0.0 == want[0]
+        assert np.all(np.abs(named["f_n"] - want) <= 1e-12 * np.max(np.abs(want)))
+        for lib in (math, np):  # no angle is computed in either form
+            assert "atan2" not in _equations(foil, kin, _SOFT, lib, **free).__code__.co_names
 
     def test_each_lane_owns_one_buffer_that_no_history_aliases(self):
         # LSODA's form writes ds/dt into one array per lane and returns it, so the next call overwrites it;
@@ -393,15 +453,18 @@ class TestEquations:
         lsoda, loop = _equations(foil, kin, hinge, math, **free), _loop_equations(foil, kin, hinge, math, **free)
         for ti, si in zip(t, states):
             assert lsoda(float(ti), si).tolist() == loop(float(ti), si.tolist())[0]
-        got = _equations(foil, kin, hinge, np, **free)(t, states.T)
-        _, want = _loop_equations(foil, kin, hinge, np, **free)(t, list(states.T))
+        wt = 2.0 * math.pi * kin.heave_freq * t
+        phase = (np.cos(wt), np.sin(wt))
+        got = _equations(foil, kin, hinge, np, **free)(phase, states.T)
+        _, want = _loop_equations(foil, kin, hinge, np, **free)(phase, list(states.T))
         assert list(got) == list(want) and len(want) == dim + 7
         assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     """The plant right-hand side as one generic loop over the hinge branches: rhs(t, s) -> (ds/dt, named values),
-    the named values being the states and the plant's outputs, in the order of foil's trace form."""
+    the named values being the states and the plant's outputs, in the order of foil's trace form. With `lib` =
+    `numpy`, t is the pair (cos wt, sin wt) of the samples, as in the trace form."""
     branches = [(k, 1.0 / tau) for k, tau in hinge.branches]
     nb = len(branches)
     h0 = kin.heave_amp_pp / 2.0
@@ -422,19 +485,22 @@ def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0
         th, w = s[0], s[1]
         u = s[2 + nb] if free else kin.freestream
         named = {"th": th, "w": w, **{f"m{j}": s[2 + j] for j in range(nb)}, **({"u": u} if free else {})}
-        wt = omg * t
-        heave_vel = vel_amp * cos(wt)
+        cos_wt, sin_wt = (cos(omg * t), sin(omg * t)) if lib is math else t
+        heave_vel = vel_amp * cos_wt
         v = heave_vel + r * w
-        alpha = -(th + inflow_angle(v, u))
-        f_n = force * (u * u + v * v) * (sin(alpha) * cos(alpha) if sincos else alpha)
+        sin_th, cos_th = sin(th), cos(th)
+        if sincos:  # force (u^2 + v^2) sin(alpha) cos(alpha), the inflow taken in the chord frame
+            f_n = -force * (u * cos_th - v * sin_th) * (u * sin_th + v * cos_th)
+        else:
+            alpha = -(th + inflow_angle(v, u))
+            f_n = force * (u * u + v * v) * alpha
         m_ve = hinge.k_inf * th
         out = [w, 0.0]
         for j, (k, inv_tau) in enumerate(branches, 2):
             m_ve += s[j]
             out.append(k * w - s[j] * inv_tau)
-        sin_wt, cos_th = sin(wt), cos(th)
         out[1] = pitch_acc = (r * f_n - m_ve + heave_moment * sin_wt) * inv_j
-        thrust = f_n * sin(th) - half_rho * u * u * area * cd0 * cos_th
+        thrust = f_n * sin_th - half_rho * u * u * area * cd0 * cos_th
         named.update(heave_vel=heave_vel, pitch_acc=pitch_acc, f_n=f_n, m_ve=m_ve, thrust=thrust)
         if free:
             drag = body * u * abs(u)
@@ -513,7 +579,8 @@ class TestIntegrator:
 
     def test_solver_work_on_two_sweep_lanes(self, monkeypatch, default_config, design_hinges):
         # Right-hand-side calls of LSODA on the tau-floor lane and the bare hinge's period-6 lane: more
-        # error-weight or callback work than 1.1x their counts under (3e-9, 3e-9) fails here.
+        # error-weight or callback work than 1.1x their counts under (3e-9, 3e-9) fails here. The counts are the
+        # chord-frame kernel's, 4546 and 8161 (4545 and 8197 with the angle-of-attack form).
         calls = []
         integrate = foil_module._integrate
 
@@ -531,7 +598,7 @@ class TestIntegrator:
         for name, freq in [("c", 0.5), ("baseline", 2.0)]:
             kin = next(k for k in sweep.kinematics if k.heave_freq == freq)
             simulate_constrained(default_config.foil, kin, design_hinges[name], sweep.cycles, sweep.warmup_cycles)
-        assert calls[0] <= 1.1 * 4545 and calls[1] <= 1.1 * 8197, calls
+        assert calls[0] <= 1.1 * 4546 and calls[1] <= 1.1 * 8161, calls
 
     @pytest.mark.parametrize("regime", ["constrained", "free-swim"])
     def test_lsoda_matches_public_odeint(self, monkeypatch, default_config, design_hinges, regime):

@@ -160,6 +160,17 @@ class TestLockin:
         with pytest.raises(ParameterDomainError):
             lockin_extract(theta, torque, 120.0)
 
+    @pytest.mark.parametrize("measure", [lockin_extract, hysteresis_loop_area])
+    @pytest.mark.parametrize("freq, n", [(6.0, 40), (5.0, 40), (6.0, 4)])
+    def test_drive_at_or_above_nyquist_rejected_by_both_measures(self, measure, freq, n):
+        # A 10 Hz pair driven at 6 Hz, or exactly at Nyquist, has no cycles to measure: the loop area of the
+        # 40-sample pair at 6 Hz read 0.065 while the lock-in refused it. 4 samples, under 3 cycles, read as Nyquist.
+        rng = np.random.default_rng(5)
+        theta, torque = (TimeSeries(10.0, rng.normal(size=n)) for _ in range(2))
+        match = rf"^drive frequency {freq} Hz violates Nyquist for fs=10\.0 Hz$"
+        with pytest.raises(ParameterDomainError, match=match):
+            measure(theta, torque, freq)
+
     def test_degenerate_excitation_rejected(self):
         theta, torque = _spring_damper_pair(theta_amp=1e-9)
         with pytest.raises(DegenerateExcitationError):

@@ -16,6 +16,7 @@ import math
 import shutil
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -50,48 +51,46 @@ def _build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"cldprop {__version__} (config schema v{CONFIG_SCHEMA_VERSION})",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="protocol config file (INI)")
+    common.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="SECTION.KEY=VALUE",
+        help="override a config value (repeatable)",
+    )
+    common.add_argument("--output-dir", default=None, help="override output.directory")
+    common.add_argument("--quiet", action="store_true", help="stdout carries only CSV data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="protocol config file (INI)")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="SECTION.KEY=VALUE",
-            help="override a config value (repeatable)",
-        )
-        p.add_argument("--output-dir", default=None, help="override output.directory")
-        p.add_argument(
-            "--quiet", action="store_true", help="stdout carries only CSV data"
-        )
-
-    p = sub.add_parser("layup", help="print the model impedance table for all designs")
-    common(p)
+    p = sub.add_parser("layup", parents=[common], help="print the model impedance table for all designs")
     p.add_argument("--freq-grid", default=None, help="grid as start:stop:step or comma list")
+    p.set_defaults(run=_cmd_layup)
 
-    p = sub.add_parser("bender", help="run the synthetic bender sweep protocol")
-    common(p)
+    # Bound on every call of main, so that a protocol or writer rebound in this module by a tracer or a test is used.
+    p = sub.add_parser("bender", parents=[common], help="run the synthetic bender sweep protocol")
+    p.set_defaults(run=partial(_cmd_table, run_bender_sweep, write_impedance_table, "impedance_table.csv", "bender sweep"))
 
-    p = sub.add_parser("extract", help="lock-in extraction from recorded CSV signals")
-    common(p)
+    p = sub.add_parser("extract", parents=[common], help="lock-in extraction from recorded CSV signals")
     p.add_argument("--theta", help="two-column CSV time_s,value with the angle signal")
     p.add_argument("--torque", help="two-column CSV time_s,value with the torque signal")
     p.add_argument("--combined", help="three-column CSV time_s,theta_rad,torque_nm")
     p.add_argument("--freq", type=float, required=True, help="drive frequency, Hz")
+    p.set_defaults(run=_cmd_extract)
 
-    p = sub.add_parser("sweep", help="run the constrained Strouhal sweep protocol")
-    common(p)
+    p = sub.add_parser("sweep", parents=[common], help="run the constrained Strouhal sweep protocol")
+    p.set_defaults(run=partial(_cmd_table, run_strouhal_sweep, write_sweep_table, "sweep_table.csv", "Strouhal sweep"))
 
-    p = sub.add_parser("freeswim", help="run free-swim virtual-mass trials")
-    common(p)
+    p = sub.add_parser("freeswim", parents=[common], help="run free-swim virtual-mass trials")
     p.add_argument(
         "--design",
         action="append",
         default=None,
         help="design name to run (repeatable; default: baseline and c)",
     )
+    p.set_defaults(run=_cmd_freeswim)
     return parser
 
 
@@ -156,13 +155,8 @@ def _cmd_layup(args, config: ProtocolConfig) -> int:
     return 0
 
 
-def _cmd_table(args, config: ProtocolConfig) -> int:
+def _cmd_table(run, write, table: str, title: str, args, config: ProtocolConfig) -> int:
     """bender or sweep: run the protocol, then write its table and figures into a new run directory."""
-    # Built per call, so that the names are looked up when the command runs, as rebound by a tracer or a test.
-    run, write, table, title = {
-        "bender": (run_bender_sweep, write_impedance_table, "impedance_table.csv", "bender sweep"),
-        "sweep": (run_strouhal_sweep, write_sweep_table, "sweep_table.csv", "Strouhal sweep"),
-    }[args.command]
     rows = run(config)
     with _run_dir(config, args.command) as run_dir:
         write(rows, f"{run_dir}/{table}")
@@ -213,15 +207,6 @@ def _cmd_freeswim(args, config: ProtocolConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "layup": _cmd_layup,
-    "bender": _cmd_table,
-    "extract": _cmd_extract,
-    "sweep": _cmd_table,
-    "freeswim": _cmd_freeswim,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -230,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version.
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, _load(args))
+        return args.run(args, _load(args))
     except ConfigError as exc:
         kind, code, error = "config error", 2, exc
     except CldPropError as exc:

@@ -43,7 +43,7 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationDivergenceError, ParameterDomainError
+from .errors import IntegrationDivergenceError, ParameterDomainError
 from .prony import PronyFit
 from .signals import MAX_SAMPLES, LockinResult, TimeSeries, cycle_average, lockin_extract
 from .stiffness import ComplexStiffness
@@ -173,7 +173,7 @@ def _grid(hinge: PronyFit, heave_freq: float, minimum: int, dt: float | None) ->
     spc = 1.0 / dt / heave_freq
     need = _steps_per_cycle(hinge, heave_freq, 100)
     if not spc >= need:
-        raise ConfigError(f"dt={dt:.3e} s gives {spc:.6g} samples per heave cycle, under the step rule's {need}")
+        raise ParameterDomainError(f"dt={dt:.3e} s gives {spc:.6g} samples per heave cycle, under the step rule's {need}")
     if abs(spc - round(spc)) > 1e-9 * spc:
         raise ParameterDomainError(f"whole cycles need an integer number of samples per cycle, got {spc}")
     return dt, round(spc)

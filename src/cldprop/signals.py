@@ -83,25 +83,26 @@ class LockinResult:
     coherence: float
 
 
-def _check_pair(theta: TimeSeries, torque: TimeSeries) -> None:
-    if len(theta) != len(torque):
-        raise SignalMismatchError(f"signal lengths differ: {len(theta)} vs {len(torque)}")
-    if theta.sample_rate != torque.sample_rate:
-        raise SignalMismatchError(
-            f"sample rates differ: {theta.sample_rate} vs {torque.sample_rate}"
-        )
-    if theta.start_time != torque.start_time:
-        raise SignalMismatchError(f"start times differ: {theta.start_time} vs {torque.start_time}")
+def _check_drive(drive_freq: float, sample_rate: float) -> None:
+    """A drive frequency above 0 and below the Nyquist limit of a positive, finite sample rate."""
+    if not drive_freq > 0.0:
+        raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
+    if not 0.0 < sample_rate < math.inf:
+        raise ParameterDomainError(f"sample rate must be positive and finite, got {sample_rate}")
+    if drive_freq >= sample_rate / 2.0:
+        raise ParameterDomainError(f"drive frequency {drive_freq} Hz violates Nyquist for fs={sample_rate} Hz")
 
 
 def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> tuple[int, int]:
-    """(n_full, m) of a checked pair and a drive frequency below its Nyquist limit: n_full >= 3 whole drive cycles
-    in its first m samples."""
-    _check_pair(theta, torque)
-    if not drive_freq > 0.0:
-        raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
-    if drive_freq >= theta.sample_rate / 2.0:  # ahead of the cycle count, which a short record also fails
-        raise ParameterDomainError(f"drive frequency {drive_freq} Hz violates Nyquist for fs={theta.sample_rate} Hz")
+    """(n_full, m) of a pair of equal length, sample rate and start time and a drive frequency below its Nyquist
+    limit: n_full >= 3 whole drive cycles in its first m samples."""
+    if len(theta) != len(torque):
+        raise SignalMismatchError(f"signal lengths differ: {len(theta)} vs {len(torque)}")
+    if theta.sample_rate != torque.sample_rate:
+        raise SignalMismatchError(f"sample rates differ: {theta.sample_rate} vs {torque.sample_rate}")
+    if theta.start_time != torque.start_time:
+        raise SignalMismatchError(f"start times differ: {theta.start_time} vs {torque.start_time}")
+    _check_drive(drive_freq, theta.sample_rate)  # ahead of the cycle count, which a short record also fails
     cycles = theta.span * drive_freq
     n_full = int(math.floor(cycles + 1e-9))
     if n_full < 3:
@@ -203,14 +204,7 @@ def synth_bender_pair(
     """
     if not theta_amp > 0.0:
         raise ParameterDomainError(f"theta amplitude must be positive, got {theta_amp}")
-    if not drive_freq > 0.0:
-        raise ParameterDomainError(f"drive frequency must be positive, got {drive_freq}")
-    if not 0.0 < sample_rate < math.inf:
-        raise ParameterDomainError(f"sample rate must be positive and finite, got {sample_rate}")
-    if drive_freq >= sample_rate / 2.0:
-        raise ParameterDomainError(
-            f"drive frequency {drive_freq} Hz violates Nyquist for fs={sample_rate} Hz"
-        )
+    _check_drive(drive_freq, sample_rate)
     if n_cycles < 1:
         raise ParameterDomainError("need at least one cycle")
 

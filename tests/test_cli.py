@@ -233,6 +233,28 @@ class TestUsage:
         assert main(["--version"]) == 0
         assert "cldprop" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, own",
+        [
+            (None, ["--version"]),
+            ("layup", ["--freq-grid"]),
+            ("bender", []),
+            ("extract", ["--theta", "--torque", "--combined", "--freq"]),
+            ("sweep", []),
+            ("freeswim", ["--design"]),
+        ],
+    )
+    def test_help_lists_every_flag(self, capsys, command, own):
+        # Content, not layout: argparse wraps and titles its help differently across Python versions.
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        out = capsys.readouterr().out
+        common = ["--config", "--set", "--output-dir", "--quiet"] if command else []
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *common, *own}, out
+        if command:
+            assert "--set SECTION.KEY=VALUE" in out
+        else:
+            assert all(name in out for name in ("layup", "bender", "extract", "sweep", "freeswim")), out
+
     def test_bad_override_exits_2(self, capsys):
         assert main(["layup", "--set", "nope.key=1"]) == 2
 

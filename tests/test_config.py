@@ -4,11 +4,13 @@ import dataclasses
 import inspect
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cldprop
 from cldprop.config import load_config, parse_grid
 from cldprop.errors import ConfigError, ParameterDomainError, UnknownDesignError
 from cldprop.foil import FoilConfig, KinematicsSpec, simulate_constrained, simulate_free_swim
@@ -281,3 +283,16 @@ def test_single_override_loads_or_is_config_error(key, value):
         load_config(overrides=[f"{key}={value}"])
     except ConfigError:
         pass
+
+
+def test_config_error_is_constructed_only_by_config_and_cli():
+    # A ConfigError names a config key or a command-line input and exits 2; library code refuses a value out of
+    # its domain with ParameterDomainError, which load_config reports as the key that set it.
+    package = Path(cldprop.__file__).parent
+    made = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"(?<!class )\b(ConfigError|UnknownDesignError)\(", line)
+    ]
+    assert {where.split(":")[0] for where in made} == {"config.py", "cli.py"}, made

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cldprop.config import load_config
-from cldprop.errors import ConfigError, InsufficientRecordError, IntegrationDivergenceError, ParameterDomainError
+from cldprop.errors import InsufficientRecordError, IntegrationDivergenceError, ParameterDomainError
 from cldprop.foil import (
     ConstrainedTrace,
     FreeSwimTrace,
@@ -233,9 +233,9 @@ class TestConstrained:
 
     def test_dt_stability_guards(self):
         kin = KinematicsSpec(2.0, 0.08, 0.2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterDomainError, match="under the step rule's"):
             simulate_constrained(_FOIL, kin, _SOFT, 10, 5, dt=1e-3)  # violates tau_min/10
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterDomainError, match="under the step rule's"):
             simulate_constrained(_FOIL, kin, _RIGID, 10, 5, dt=6e-3)  # under 100 steps/cycle
         for dt in (0.0, -1e-5, math.nan):
             with pytest.raises(ParameterDomainError, match="dt must be positive"):

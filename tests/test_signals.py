@@ -2,6 +2,7 @@
 cycle statistics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,14 +161,30 @@ class TestLockin:
         with pytest.raises(ParameterDomainError):
             lockin_extract(theta, torque, 120.0)
 
-    @pytest.mark.parametrize("measure", [lockin_extract, hysteresis_loop_area])
-    @pytest.mark.parametrize("freq, n", [(6.0, 40), (5.0, 40), (6.0, 4)])
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lockin_extract,
+            hysteresis_loop_area,
+            pytest.param(
+                lambda theta, _, freq: synth_bender_pair(
+                    ComplexStiffness(_K, 0.0), freq, sample_rate=theta.sample_rate, n_cycles=3
+                ),
+                id="synth_bender_pair",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("freq, n", [(6.0, 40), (5.0, 40), (6.0, 4), (0.0, 4), (-1.0, 40), (math.nan, 40)])
     def test_drive_at_or_above_nyquist_rejected_by_both_measures(self, measure, freq, n):
         # A 10 Hz pair driven at 6 Hz, or exactly at Nyquist, has no cycles to measure: the loop area of the
         # 40-sample pair at 6 Hz read 0.065 while the lock-in refused it. 4 samples, under 3 cycles, read as Nyquist.
+        # Synthesis at the pair's rate holds a drive to the same rule with the same messages.
         rng = np.random.default_rng(5)
         theta, torque = (TimeSeries(10.0, rng.normal(size=n)) for _ in range(2))
-        match = rf"^drive frequency {freq} Hz violates Nyquist for fs=10\.0 Hz$"
+        if freq > 0.0:
+            match = rf"^drive frequency {freq} Hz violates Nyquist for fs=10\.0 Hz$"
+        else:
+            match = rf"^drive frequency must be positive, got {re.escape(str(freq))}$"
         with pytest.raises(ParameterDomainError, match=match):
             measure(theta, torque, freq)
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import IntegrationDivergenceError, ParameterDomainError
 from .prony import PronyFit
-from .signals import MAX_SAMPLES, LockinResult, TimeSeries, cycle_average, lockin_extract
+from .signals import MAX_SAMPLES, cycle_average, folded_lockin, lockin_extract  # perfbench/spans.py wraps lockin_extract
 from .stiffness import ComplexStiffness
 
 # Sample grid: at least this many samples per heave cycle, and at least this
@@ -345,16 +345,11 @@ def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMet
         efficiency = mean_thrust * kin.freestream / mean_power
     else:
         efficiency = None
-    result: LockinResult = lockin_extract(
-        TimeSeries(fs, trace.pitch, trace.time[0]),
-        TimeSeries(fs, trace.hinge_moment, trace.time[0]),
-        trace.drive_freq,
-    )
     return CycleMetrics(
         mean_thrust=mean_thrust,
         mean_input_power=mean_power,
         efficiency=efficiency,
-        effective_stiffness=result.stiffness,
+        effective_stiffness=folded_lockin(trace.pitch, trace.hinge_moment, spc, fs, trace.drive_freq, trace.time[0]),
     )
 
 

@@ -37,7 +37,7 @@ from .foil import (
     strouhal,
     swim_metrics,
 )
-from .prony import PronyFit, fit_prony
+from .prony import PronyFit, fit_prony, fit_prony_batch  # perfbench/spans.py wraps the fit_prony bound here
 from .signals import (
     LockinResult,
     TimeSeries,
@@ -72,14 +72,19 @@ def _annotate(exc: Exception, design: str, freq: float) -> Exception:
     return exc
 
 
+def _fit_samples(config: ProtocolConfig, coverage: float) -> list[tuple[float, ComplexStiffness]]:
+    omegas = [2.0 * math.pi * f for f in config.sweep.prony_fit_grid_hz]
+    return [(w, rku_complex_stiffness(config.layups[coverage], w)) for w in omegas]
+
+
 def fit_design_hinge(config: ProtocolConfig, coverage: float) -> PronyFit:
     """Prony surrogate, over the fit grid, of the root stiffness of the design with this coverage."""
-    layup = config.layups[coverage]
-    samples = [
-        (2.0 * math.pi * f, rku_complex_stiffness(layup, 2.0 * math.pi * f))
-        for f in config.sweep.prony_fit_grid_hz
-    ]
-    return fit_prony(samples, config.sweep.prony_branches)
+    return fit_prony(_fit_samples(config, coverage), config.sweep.prony_branches)
+
+
+def fit_design_hinges(config: ProtocolConfig) -> tuple[PronyFit, ...]:
+    """`fit_design_hinge` of every design, in `config.designs` order, from one batched fit."""
+    return fit_prony_batch([_fit_samples(config, c) for _, c in config.designs], config.sweep.prony_branches)
 
 
 def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
@@ -122,8 +127,7 @@ def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
 def run_strouhal_sweep(config: ProtocolConfig) -> tuple[SweepRow, ...]:
     """Constrained-foil sweep: one row per (design, St) over the kinematic grid."""
     rows = []
-    for design, coverage in config.designs:
-        hinge = fit_design_hinge(config, coverage)
+    for (design, _), hinge in zip(config.designs, fit_design_hinges(config)):
         for kin in config.sweep.kinematics:
             try:
                 trace = simulate_constrained(

@@ -65,10 +65,10 @@ def prony_frequency_response(fit: PronyFit, omega: float) -> ComplexStiffness:
 def least_squares(fun, x0: np.ndarray, lower: float, upper: float, max_nfev: int) -> SimpleNamespace:
     """Levenberg-Marquardt on a stack of starts x0 (S, n), all advanced in one batched iteration.
 
-    `fun` maps a stack (s, n) to residuals (s, m), relative errors of order one at worst, and
-    their Jacobians (s, m, n). Trials are clipped into [lower, upper] and kept only if they
-    lower the sum of squares; the damping follows Nielsen's gain-ratio rule. A start stops when
-    every |J_k . r| < GTOL |J_k| sqrt(m), when its step is below XTOL relative to x, or after
+    `fun(x, rows)` maps the starts at stack rows `rows` (all if omitted) to residuals (s, m), relative errors of order
+    one at worst, and their Jacobians (s, m, n), each row from its own start alone. Trials are clipped into
+    [lower, upper] and kept only if they lower the sum of squares; the damping follows Nielsen's gain-ratio rule. A
+    start stops when every |J_k . r| < GTOL |J_k| sqrt(m), when its step is below XTOL relative to x, or after
     max_nfev evaluations. Returns .x, .fun (a row per start) and .nfev, summed over starts.
     """
     x = np.array(x0, dtype=float)
@@ -77,58 +77,66 @@ def least_squares(fun, x0: np.ndarray, lower: float, upper: float, max_nfev: int
     weight = np.zeros_like(x)  # damping weights: the largest diag(J^T J) seen so far (More 1978)
     n_eval = np.ones(len(x), dtype=int)
     live = np.isfinite(r).all(axis=1)
-    while live.any():
-        i = np.flatnonzero(live)
-        jt = np.swapaxes(jac[i], 1, 2)
-        grad, jtj = (jt @ r[i][..., None])[..., 0], jt @ jac[i]
-        flat = np.abs(grad) <= GTOL * np.sqrt(r.shape[1]) * np.linalg.norm(jac[i], axis=1)
-        weight[i] = np.maximum(weight[i], np.diagonal(jtj, axis1=1, axis2=2))
-        diag = lam[i, None] * weight[i] + 1e-300  # positive, so the damped system is never singular
-        step = np.linalg.solve(jtj + diag[..., None] * np.eye(x.shape[1]), -grad[..., None])[..., 0]
-        trial = np.clip(x[i] + step, lower, upper)
-        step = trial - x[i]
-        r_t, jac_t = fun(trial)
-        n_eval[i] += 1
-        ss, ss_t = np.sum(r[i] ** 2, axis=1), np.sum(r_t**2, axis=1)
-        better = ss_t < ss
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero step is rejected anyway
+    eye = np.eye(x.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero step's gain is 0/0, and it is rejected anyway
+        while live.any():
+            i = np.flatnonzero(live)
+            jt = jac[i].transpose(0, 2, 1)
+            grad, jtj = (jt @ r[i][..., None])[..., 0], jt @ jac[i]
+            flat = np.abs(grad) <= GTOL * np.sqrt(r.shape[1]) * np.sqrt(np.add.reduce(jac[i] * jac[i], axis=1))
+            weight[i] = np.maximum(weight[i], np.diagonal(jtj, axis1=1, axis2=2))
+            diag = lam[i, None] * weight[i] + 1e-300  # positive, so the damped system is never singular
+            step = np.linalg.solve(jtj + diag[..., None] * eye, -grad[..., None])[..., 0]
+            trial = np.minimum(np.maximum(x[i] + step, lower), upper)
+            step = trial - x[i]
+            r_t, jac_t = fun(trial, i)
+            n_eval[i] += 1
+            ss, ss_t = np.sum(r[i] ** 2, axis=1), np.sum(r_t**2, axis=1)
+            better = ss_t < ss
             gain = (ss - ss_t) / np.sum(step * (diag * step - grad), axis=1)
-        x[i[better]], r[i[better]], jac[i[better]] = trial[better], r_t[better], jac_t[better]
-        # Held to [-1, 1], the cube cannot overflow: a gain over about 0.94 gives the floor 1/3 anyway,
-        # and the huge negative gains seen are those of rejected trials, whose factor is not used.
-        gain = np.clip(gain, -1.0, 1.0)
-        lam[i] *= np.where(better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), nu[i])
-        nu[i] = np.where(better, 2.0, 2.0 * nu[i])
-        small = np.linalg.norm(step, axis=1) <= XTOL * (XTOL + np.linalg.norm(x[i], axis=1))
-        live[i] = ~(flat.all(axis=1) | small | (n_eval[i] >= max_nfev))
+            x[i[better]], r[i[better]], jac[i[better]] = trial[better], r_t[better], jac_t[better]
+            # Held to [-1, 1], the cube cannot overflow: a gain over about 0.94 gives the floor 1/3 anyway,
+            # and the huge negative gains seen are those of rejected trials, whose factor is not used.
+            gain = np.minimum(np.maximum(gain, -1.0), 1.0)
+            lam[i] *= np.where(better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), nu[i])
+            nu[i] = np.where(better, 2.0, 2.0 * nu[i])
+            size, scale = (np.sqrt(np.add.reduce(v * v, axis=1)) for v in (step, x[i]))
+            live[i] = ~(flat.all(axis=1) | (size <= XTOL * (XTOL + scale)) | (n_eval[i] >= max_nfev))
     return SimpleNamespace(x=x, fun=r, nfev=int(n_eval.sum()))
 
 
-def fit_prony(
-    samples: Sequence[tuple[float, ComplexStiffness]],
-    n_branches: int,
-) -> PronyFit:
-    """Fit a Prony series to sampled complex stiffness data.
+def fit_prony(samples: Sequence[tuple[float, ComplexStiffness]], n_branches: int) -> PronyFit:
+    """Fit a Prony series to sampled complex stiffness data: `fit_prony_batch` of one sample set."""
+    return fit_prony_batch([samples], n_branches)[0]
+
+
+def fit_prony_batch(
+    sample_sets: Sequence[Sequence[tuple[float, ComplexStiffness]]], n_branches: int
+) -> tuple[PronyFit, ...]:
+    """Fit a Prony series to each set of sampled complex stiffness data, all sets on one frequency grid.
 
     Minimizes the relative error of the frequency response against the samples by variable
     projection (Golub & Pereyra 1973; Kaufman 1975): for given tau_j the stiffnesses solve a
     linear least-squares problem, so Levenberg-Marquardt iterates on log tau_j alone, from a
-    deterministic multi-start schedule. Nonnegativity is applied once, after convergence:
-    negative or negligible branches (by PronyFit's rule) are dropped and the linear problem solved again.
-    Raises FitConvergenceError if no start gives a finite fit or the best one has k_inf <= 0.
+    deterministic multi-start schedule, every set's starts in one stack, each as in its set's fit alone.
+    Nonnegativity is applied once, after convergence: negative or negligible branches (by PronyFit's rule) are
+    dropped and the linear problem solved again. Raises FitConvergenceError, for the first such set, if no start
+    gives a finite fit or the best one has k_inf <= 0.
     """
     if n_branches < 1:
         raise ParameterDomainError(f"n_branches must be >= 1, got {n_branches}")
-    if len(samples) < 2 * n_branches + 1:
+    omegas = np.array([float(w) for w, _ in sample_sets[0]])
+    if omegas.size < 2 * n_branches + 1:
         raise ParameterDomainError(
-            f"need at least {2 * n_branches + 1} samples for {n_branches} branches, got {len(samples)}"
+            f"need at least {2 * n_branches + 1} samples for {n_branches} branches, got {omegas.size}"
         )
-    omegas = np.array([float(w) for w, _ in samples])
     if not (np.isfinite(omegas) & (omegas >= 0.0)).all():
         raise ParameterDomainError("sample frequencies must be finite and >= 0")
     if not np.diff(np.sort(omegas)).all():  # np.unique would import numpy.ma
         raise ParameterDomainError("sample frequencies must be distinct")
-    targets = np.array([k.as_complex for _, k in samples])
+    if any([float(w) for w, _ in other] != omegas.tolist() for other in sample_sets[1:]):
+        raise ParameterDomainError("sample sets must share one frequency grid")
+    targets = np.array([[k.as_complex for _, k in s] for s in sample_sets])
     scale = np.maximum(np.abs(targets), 1e-300)
 
     w_pos = omegas[omegas > 0.0]
@@ -137,63 +145,65 @@ def fit_prony(
     tau_lo = 0.1 / w_pos.max()
     tau_hi = 10.0 / w_pos.min()
 
-    b = np.concatenate([(targets / scale).real, (targets / scale).imag])
+    b = np.concatenate([(targets / scale).real, (targets / scale).imag], axis=1)
     lower, upper = np.log(tau_lo) - 10.0, np.log(tau_hi) + 10.0
+    owner = np.repeat(np.arange(len(sample_sets)), N_STARTS)  # the sample set of each start in the stack
 
-    def design(log_taus: np.ndarray) -> np.ndarray:
+    def design(log_taus: np.ndarray, rows) -> np.ndarray:
         # Columns dK/dk_inf = 1, dK/dk_j = s/(1+s), d(dK/dk_j)/dlog(tau_j) = s/(1+s)^2 with s = i w tau_j,
-        # relative to |K*|, real rows over imaginary rows: (..., 2M, 1 + 2J).
+        # relative to |K*| of the starts' own sets, real rows over imaginary rows: (..., 2M, 1 + 2J).
         s = 1j * omegas[:, None] * np.exp(log_taus)[..., None, :]
         with np.errstate(over="ignore"):  # (1 + s)^2 overflows only for |s| > 1e154, where s/(1+s)^2 is 0 anyway
             cols = np.concatenate([np.ones_like(s[..., :1]), s / (1.0 + s), s / (1.0 + s) ** 2], axis=-1)
-        cols = cols / scale[:, None]
+        cols = cols / scale[owner[rows], :, None]
         return np.concatenate([cols.real, cols.imag], axis=-2)
 
-    def projected(log_taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def projected(log_taus: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         # Residual at the least-squares stiffnesses, and its Golub-Pereyra Jacobian
         # dr/dlog(tau_j) = P_perp dA_j c - (A^+)^T dA_j^T r, from A = U S V^T; singular
         # values at rounding level (coincident or vanishing branches) are left out, as in lstsq.
-        full = design(log_taus)
+        full, rhs = design(log_taus, rows), b[owner[rows]]
         a, da = full[..., : 1 + n_branches], full[..., 1 + n_branches :]
         u, sv, vt = np.linalg.svd(a, full_matrices=False)
         kept = sv > np.finfo(float).eps * a.shape[1] * sv[:, :1]
         inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
         u = u * kept[:, None, :]
-        ub = np.swapaxes(u, 1, 2) @ b
+        ub = (np.swapaxes(u, 1, 2) @ rhs[..., None])[..., 0]
         c = (np.swapaxes(vt, 1, 2) @ (inv * ub)[..., None])[..., 0]
-        r = (u @ ub[..., None])[..., 0] - b
+        r = (u @ ub[..., None])[..., 0] - rhs
         kaufman = da * c[:, None, 1:]
         kaufman -= u @ (np.swapaxes(u, 1, 2) @ kaufman)
         pinv_t = (u * inv[:, None, :]) @ vt[..., 1:]
         return r, kaufman - pinv_t * (np.swapaxes(da, 1, 2) @ r[..., None])[..., 0][:, None, :]
 
-    # Branch time constants a decade apart from each start, slid down into the bounds.
+    # Branch time constants a decade apart from each start, slid down into the bounds; the same starts for every set.
     x0 = np.log(np.geomspace(tau_lo, tau_hi, N_STARTS))[:, None] + np.log(10.0) * np.arange(n_branches)
     x0 = np.clip(x0 - np.maximum(x0[:, -1:] - upper, 0.0), lower, upper)
-    result = least_squares(projected, x0, lower, upper, MAX_ITER)
+    result = least_squares(projected, np.tile(x0, (len(sample_sets), 1)), lower, upper, MAX_ITER)
 
-    best, finite = None, np.isfinite(result.fun).all(axis=1)
-    for log_taus, a in zip(result.x[finite], design(result.x[finite])[..., : 1 + n_branches]):
-        keep = np.ones(1 + n_branches, dtype=bool)
-        while True:
-            c = np.zeros(1 + n_branches)
-            c[keep] = np.linalg.lstsq(a[:, keep], b, rcond=None)[0]
-            # PronyFit's rule on the current coefficients, so that it drops no branch of the fit returned.
-            drop = keep[1:] & ~(c[1:] > NEGLIGIBLE_BRANCH_FRACTION * max(float(c.sum()), 0.0))
-            if not drop.any():
-                break
-            keep[1:] &= ~drop
-        rms = float(np.sqrt(np.mean((a @ c - b) ** 2)))
-        key = (not c[0] > 0.0, round(rms, 12), int(keep[1:].sum()))  # a collapsed k_inf only as a last resort
-        if best is None or key < best[0]:
-            best = (key, c, np.exp(log_taus), rms)
-
-    if best is None:
-        raise FitConvergenceError("no Prony fit start converged within budget")
-    _, c, taus, rms = best
-    k_inf = float(c[0])
-    order = np.argsort(taus)
-    branches = tuple((float(c[1 + i]), float(taus[i])) for i in order)
-    if k_inf <= 0.0:
-        raise FitConvergenceError("fit collapsed to non-positive equilibrium stiffness")
-    return PronyFit(k_inf=k_inf, branches=branches, fit_residual=rms)
+    fits = []
+    for first in range(0, owner.size, N_STARTS):
+        rows = first + np.flatnonzero(np.isfinite(result.fun[first : first + N_STARTS]).all(axis=1))
+        best, b_set = None, b[owner[first]]
+        for log_taus, a in zip(result.x[rows], design(result.x[rows], rows)[..., : 1 + n_branches]):
+            keep = np.ones(1 + n_branches, dtype=bool)
+            while True:
+                c = np.zeros(1 + n_branches)
+                c[keep] = np.linalg.lstsq(a[:, keep], b_set, rcond=None)[0]
+                # PronyFit's rule on the current coefficients, so that it drops no branch of the fit returned.
+                drop = keep[1:] & ~(c[1:] > NEGLIGIBLE_BRANCH_FRACTION * max(float(c.sum()), 0.0))
+                if not drop.any():
+                    break
+                keep[1:] &= ~drop
+            rms = float(np.sqrt(np.mean((a @ c - b_set) ** 2)))
+            key = (not c[0] > 0.0, round(rms, 12), int(keep[1:].sum()))  # a collapsed k_inf only as a last resort
+            if best is None or key < best[0]:
+                best = (key, c, np.exp(log_taus), rms)
+        if best is None:
+            raise FitConvergenceError("no Prony fit start converged within budget")
+        _, c, taus, rms = best
+        if c[0] <= 0.0:
+            raise FitConvergenceError("fit collapsed to non-positive equilibrium stiffness")
+        branches = tuple((float(c[1 + i]), float(taus[i])) for i in np.argsort(taus))
+        fits.append(PronyFit(k_inf=float(c[0]), branches=branches, fit_residual=rms))
+    return tuple(fits)

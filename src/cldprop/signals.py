@@ -61,11 +61,6 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return self.start_time + np.arange(self.samples.size) / self.sample_rate
 
-    @property
-    def span(self) -> float:
-        """Record span in seconds, counting one sample interval per sample."""
-        return self.samples.size / self.sample_rate
-
     def after(self, time: float) -> "TimeSeries":
         """Sub-series of samples at or after an absolute time (warm-up trimming)."""
         keep = self.times >= time - 1e-12
@@ -102,12 +97,17 @@ def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float
         raise SignalMismatchError(f"sample rates differ: {theta.sample_rate} vs {torque.sample_rate}")
     if theta.start_time != torque.start_time:
         raise SignalMismatchError(f"start times differ: {theta.start_time} vs {torque.start_time}")
-    _check_drive(drive_freq, theta.sample_rate)  # ahead of the cycle count, which a short record also fails
-    cycles = theta.span * drive_freq
+    return _cycle_window(len(theta), theta.sample_rate, drive_freq)
+
+
+def _cycle_window(n_samples: int, sample_rate: float, drive_freq: float) -> tuple[int, int]:
+    """(n_full, m) of a record of `n_samples`, a drive below its Nyquist limit: n_full >= 3 drive cycles in m samples."""
+    _check_drive(drive_freq, sample_rate)  # ahead of the cycle count, which a short record also fails
+    cycles = n_samples / sample_rate * drive_freq  # the record's span in seconds, one interval per sample, times f
     n_full = int(math.floor(cycles + 1e-9))
     if n_full < 3:
         raise InsufficientRecordError(f"record spans {cycles:.12g} cycles, need at least 3")
-    return n_full, min(len(theta), int(math.ceil(n_full * theta.sample_rate / drive_freq - 1e-9)))
+    return n_full, min(n_samples, int(math.ceil(n_full * sample_rate / drive_freq - 1e-9)))
 
 
 def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> LockinResult:
@@ -119,13 +119,8 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
     """
     _, m = _whole_cycle_window(theta, torque, drive_freq)
 
-    wt = 2.0 * math.pi * drive_freq * theta.times[:m]
-    basis = (np.ones(m), np.cos(wt), np.sin(wt))
     records = (theta.samples[:m], torque.samples[:m])
-    # Normal equations of the shared basis, from dot products: no m x 3 matrix is formed.
-    gram = [[a @ b for b in basis] for a in basis]
-    coeff = np.linalg.solve(gram, [[a @ x for x in records] for a in basis])
-    theta_hat, torque_hat = (complex(b, -c) for b, c in coeff[1:].T)
+    theta_hat, torque_hat, stiffness = _fundamentals(2.0 * math.pi * drive_freq * theta.times[:m], records)
     # Torque powers in a power-of-two unit near its peak: exact scaling, so nothing overflows and no bit moves.
     # The variance takes np.var's steps on one array of its own.
     unit = math.ldexp(1.0, math.frexp(max(records[1].max(), -records[1].min()))[1])
@@ -134,12 +129,6 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
     deviation *= deviation
     torque_ac = float(deviation.sum() / m)
 
-    if abs(theta_hat) < EXCITATION_FLOOR:
-        raise DegenerateExcitationError(
-            f"angle amplitude {abs(theta_hat):.2e} rad is below the excitation floor"
-        )
-    k = torque_hat / theta_hat
-    stiffness = ComplexStiffness(storage=k.real, loss=k.imag)
     fundamental_power = abs(torque_hat / unit) ** 2 / 2.0
     coherence = min(1.0, fundamental_power / torque_ac) if torque_ac > 0.0 else 0.0
     return LockinResult(
@@ -148,6 +137,38 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
         torque_amplitude=abs(torque_hat),
         coherence=coherence,
     )
+
+
+def folded_lockin(
+    theta: np.ndarray, torque: np.ndarray, samples_per_cycle: int, sample_rate: float, drive_freq: float, start_time: float
+) -> ComplexStiffness:
+    """`lockin_extract`'s stiffness, checks and errors for records of `sample_rate` from `start_time` whose drive cycle
+    is `samples_per_cycle` samples: its window summed onto one cycle's bins, so cos and sin are taken of one cycle."""
+    if not (np.isfinite(theta).all() and np.isfinite(torque).all()):
+        raise ParameterDomainError("a time series needs at least 2 samples, all finite")
+    whole, extra = divmod(_cycle_window(theta.size, sample_rate, drive_freq)[1], samples_per_cycle)
+    weight = whole + (np.arange(samples_per_cycle) < extra)  # the window's samples in each bin
+    folds = [_whole_cycles(x, samples_per_cycle)[:whole].sum(axis=0) for x in (theta, torque)]
+    for fold, x in zip(folds, (theta, torque)):
+        fold[:extra] += x[whole * samples_per_cycle :][:extra]
+    wt = 2.0 * math.pi * drive_freq * (start_time + np.arange(samples_per_cycle) / sample_rate)
+    return _fundamentals(wt, folds, weight)[2]
+
+
+def _fundamentals(wt: np.ndarray, records, weight=1.0) -> tuple[complex, complex, ComplexStiffness]:
+    """Complex amplitudes of an angle and a torque record regressed on one DC + fundamental basis at the phases wt,
+    phase j standing for weight[j] samples, by normal equations from dot products (no m x 3 matrix is formed), and
+    their ratio, the stiffness, refused below the excitation floor."""
+    basis = (np.ones(wt.size), np.cos(wt), np.sin(wt))
+    gram = [[wa @ b for b in basis] for wa in (weight * a for a in basis)]
+    coeff = np.linalg.solve(gram, [[a @ x for x in records] for a in basis])
+    theta_hat, torque_hat = (complex(b, -c) for b, c in coeff[1:].T)
+    if abs(theta_hat) < EXCITATION_FLOOR:
+        raise DegenerateExcitationError(
+            f"angle amplitude {abs(theta_hat):.2e} rad is below the excitation floor"
+        )
+    k = torque_hat / theta_hat
+    return theta_hat, torque_hat, ComplexStiffness(storage=k.real, loss=k.imag)
 
 
 def hysteresis_loop_area(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cldprop.config import load_config
-from cldprop.foil import propulsion_metrics, simulate_constrained, simulate_free_swim, strouhal, swim_metrics
+from cldprop.foil import simulate_free_swim, strouhal, swim_metrics
 from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, fit_prony, prony_frequency_response
 from cldprop.signals import cycle_fold, hysteresis_loop_area, lockin_extract, synth_bender_pair
@@ -26,28 +26,6 @@ _BAND = [0.25 * k for k in range(1, 21)]  # 0.25 .. 5.0 Hz
 def _report(n: int, ok: bool, detail: str) -> None:
     print(f"criterion {n:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {n} failed: {detail}"
-
-
-@pytest.fixture(scope="session")
-def sweep_results(default_config, design_hinges):
-    """Full constrained sweep: traces and metrics per (design, grid freq)."""
-    t0 = time.perf_counter()
-    traces, metrics = {}, {}
-    for design in _DESIGNS:
-        hinge = design_hinges[design]
-        for kin in default_config.sweep.kinematics:
-            freq = kin.heave_freq
-            trace = simulate_constrained(
-                default_config.foil,
-                kin,
-                hinge,
-                n_cycles=default_config.sweep.cycles,
-                warmup_cycles=default_config.sweep.warmup_cycles,
-            )
-            traces[(design, freq)] = trace
-            metrics[(design, freq)] = propulsion_metrics(trace, kin)
-    elapsed = time.perf_counter() - t0
-    return traces, metrics, elapsed
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from cldprop.config import load_config
-from cldprop.errors import InsufficientRecordError, IntegrationDivergenceError, ParameterDomainError
+from cldprop.errors import (
+    DegenerateExcitationError,
+    InsufficientRecordError,
+    IntegrationDivergenceError,
+    ParameterDomainError,
+)
 from cldprop.foil import (
     ConstrainedTrace,
     FreeSwimTrace,
@@ -26,7 +31,7 @@ from cldprop import foil as foil_module
 from cldprop.foil import _equations
 from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, prony_frequency_response
-from cldprop.signals import cycle_average
+from cldprop.signals import TimeSeries, cycle_average, lockin_extract
 
 _CONFIG = load_config()
 _FOIL = _CONFIG.foil
@@ -723,6 +728,40 @@ class TestPropulsionMetrics:
         metrics = propulsion_metrics(_synthetic_trace(0.5, -1.0), kin)
         assert metrics.mean_input_power == 0.0
         assert metrics.efficiency is None
+
+    def test_folded_stiffness_is_the_lockin_of_every_sweep_lane(self, sweep_results, design_hinges):
+        # The effective stiffness folds the lock-in's window onto one cycle: on the 28 default lanes it is
+        # lockin_extract's to 1e-11 of the column peak, and the hinge's frequency response to 3e-6, the O(dt)
+        # bias of a window that may hold one sample past its whole cycles (2.4e-6 measured).
+        traces, metrics, _ = sweep_results
+        got, lockin, closed = [], [], []
+        for (design, freq), trace in traces.items():
+            pair = (TimeSeries(trace.sample_rate, x, trace.time[0]) for x in (trace.pitch, trace.hinge_moment))
+            for column, k in zip((got, lockin, closed), (
+                metrics[(design, freq)].effective_stiffness,
+                lockin_extract(*pair, trace.drive_freq).stiffness,
+                prony_frequency_response(design_hinges[design], 2.0 * math.pi * freq),
+            )):
+                column.append((k.storage, k.loss))
+        got, lockin, closed = map(np.array, (got, lockin, closed))
+        assert got.shape == (28, 2)
+        assert np.all(np.abs(got - lockin) <= 1e-11 * np.abs(lockin).max(axis=0))
+        assert np.all(np.abs(got - closed) <= 3e-6 * np.abs(closed).max(axis=0))
+
+    def test_zero_heave_is_degenerate_excitation(self):
+        kin = KinematicsSpec(2.0, 0.0, 0.2)
+        trace = simulate_constrained(_FOIL, kin, _SOFT, n_cycles=3, warmup_cycles=1)
+        with pytest.raises(DegenerateExcitationError, match=r"^angle amplitude 0\.00e\+00 rad is below the excitation floor$"):
+            propulsion_metrics(trace, kin)
+
+    @pytest.mark.parametrize("column", ["pitch", "hinge_moment"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lockin_record_rejected(self, column, bad):
+        trace = _synthetic_trace(0.5, 1.0)
+        values = getattr(trace, column).copy()
+        values[-1] = bad  # the closing sample, past the window's whole cycles
+        with pytest.raises(ParameterDomainError, match="^a time series needs at least 2 samples, all finite$"):
+            propulsion_metrics(replace(trace, **{column: values}), KinematicsSpec(2.0, 0.08, 0.2))
 
     @pytest.mark.parametrize("thrust, power", [(1e308, 1.0), (-1e308, 1.0), (0.5, 1e308)])
     def test_overflowing_cycle_means_rejected(self, thrust, power):

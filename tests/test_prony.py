@@ -8,8 +8,8 @@ import pytest
 from cldprop import prony
 from cldprop.config import load_config
 from cldprop.errors import FitConvergenceError, ParameterDomainError
-from cldprop.harness import fit_design_hinge
-from cldprop.prony import PronyFit, fit_prony, prony_frequency_response
+from cldprop.harness import fit_design_hinge, fit_design_hinges
+from cldprop.prony import PronyFit, fit_prony, fit_prony_batch, prony_frequency_response
 from cldprop.stiffness import ComplexStiffness, rku_complex_stiffness
 
 _BAND = [2.0 * math.pi * f for f in np.arange(0.25, 5.01, 0.25)]
@@ -236,3 +236,42 @@ class TestVariableProjection:
             assert np.isfinite(result.fun).all()
             assert len(fit.branches) == n_branches
             assert fit.fit_residual < (1e-2 if n_branches == 1 else 5e-3)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n_branches", [1, 2, 3, 4])
+    def test_batch_is_field_identical_to_one_design_fits(self, n_branches):
+        config = load_config(None, [f"sweep.prony_branches={n_branches}"])
+        singles = tuple(fit_design_hinge(config, coverage) for _, coverage in config.designs)
+        assert fit_design_hinges(config) == singles
+        assert singles[0].branches == ()  # the baseline is a spring
+
+    def test_sample_sets_must_share_one_grid(self):
+        samples = _design_samples("a")
+        for other in (samples[1:], samples[::-1], [(w * (1.0 + 1e-15), k) for w, k in samples]):
+            with pytest.raises(ParameterDomainError, match="^sample sets must share one frequency grid$"):
+                fit_prony_batch([samples, other], 2)
+
+    def test_each_start_is_independent_of_the_stack(self, monkeypatch):
+        # Each start's final point, residuals and evaluation count are those of its design's fit on its own,
+        # whichever designs share the stack and in whatever order.
+        results, real = [], prony.least_squares
+
+        def spy(fun, x0, lower, upper, max_nfev):
+            results.append(real(fun, x0, lower, upper, max_nfev))
+            return results[-1]
+
+        monkeypatch.setattr(prony, "least_squares", spy)
+        names = ("baseline", "a", "b", "c")
+        alone = {}
+        for name in names:
+            fit_prony(_design_samples(name), 2)
+            alone[name] = results[-1]
+        for stack in (names, ("c", "a"), ("b", "b", "baseline")):
+            fit_prony_batch([_design_samples(name) for name in stack], 2)
+            got = results[-1]
+            assert got.nfev == sum(alone[name].nfev for name in stack)
+            for i, name in enumerate(stack):
+                rows = slice(i * prony.N_STARTS, (i + 1) * prony.N_STARTS)
+                assert np.array_equal(got.x[rows], alone[name].x)
+                assert np.array_equal(got.fun[rows], alone[name].fun)

@@ -25,6 +25,7 @@ from cldprop.signals import (
     _whole_cycle_window,
     cycle_average,
     cycle_fold,
+    folded_lockin,
     hysteresis_loop_area,
     lockin_extract,
     record_length,
@@ -224,6 +225,45 @@ class TestLockin:
         want = [k.real, k.imag, abs(theta_hat), abs(torque_hat), coherence]
         got = [got.stiffness.storage, got.stiffness.loss, got.theta_amplitude, got.torque_amplitude, got.coherence]
         assert got == pytest.approx(want, rel=1e-12)
+
+
+    @pytest.mark.parametrize("case", ["noisy", "late-start", "partial-cycle", "short", "nyquist", "flat", "nan"])
+    def test_folded_lockin_is_lockin_extract(self, case):
+        # The fold of a record whose drive cycle is a whole number of samples: lockin_extract's stiffness up to
+        # rounding, and its errors with their messages.
+        theta, torque = synth_bender_pair(
+            ComplexStiffness(_K, _LOSS_ORACLE), 2.0, theta_amp=_AMP, sample_rate=200.0, n_cycles=6, noise_snr_db=20.0
+        )
+        theta, torque, start, f, fs = theta.samples, torque.samples, 0.0, 2.0, 200.0
+        if case == "late-start":
+            start = 0.37
+        elif case == "partial-cycle":
+            theta, torque = theta[:-37], torque[:-37]
+        elif case == "short":
+            theta, torque = theta[:250], torque[:250]
+        elif case == "nyquist":
+            f = 100.0
+        elif case == "flat":
+            theta = 1e-9 * theta
+        elif case == "nan":
+            torque = np.append(torque, math.nan)
+            theta = np.append(theta, 0.0)
+
+        def outcome(measure):
+            try:
+                k = measure()
+            except Exception as exc:
+                return type(exc), str(exc)
+            return k.storage, k.loss
+
+        want = outcome(lambda: lockin_extract(TimeSeries(fs, theta, start), TimeSeries(fs, torque, start), f).stiffness)
+        got = outcome(lambda: folded_lockin(theta, torque, round(fs / f), fs, f, start))
+        errors = {"short": InsufficientRecordError, "nyquist": ParameterDomainError,
+                  "flat": DegenerateExcitationError, "nan": ParameterDomainError}
+        if case in errors:
+            assert got == want and got[0] is errors[case]
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestFractions:

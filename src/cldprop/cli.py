@@ -140,7 +140,9 @@ def _sample_rate_of(t: np.ndarray, path: str) -> float:
     dt = np.diff(t)
     if dt.size == 0 or np.any(dt <= 0) or np.ptp(dt) > 1e-6 * dt[0]:
         raise ConfigError(f"{path}: time column must be uniformly increasing")
-    return 1.0 / float(dt[0])
+    if (fs := 1.0 / float(dt[0])) == math.inf:
+        raise ConfigError(f"{path}: time step {dt[0]:g} s gives a sample rate past the float range")
+    return fs
 
 
 def _cmd_layup(args, config: ProtocolConfig) -> int:

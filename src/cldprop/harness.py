@@ -115,7 +115,7 @@ def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
                 )
                 if bender.noise_snr_db is not None:  # one noise stream per record, whatever the grid size
                     seeds = [(config.seed, d_idx, f_idx, rep) for rep in range(bender.repeats)]
-                    noise = sum(torque_noise(plant, freq, bender.theta_amp, bender.noise_snr_db, len(torque), s) for s in seeds)
+                    noise = sum(torque_noise(plant, bender.theta_amp, bender.noise_snr_db, len(torque), s) for s in seeds)
                     torque = TimeSeries(torque.sample_rate, torque.samples + noise / bender.repeats)
                 k = lockin_extract(theta, torque, freq).stiffness
                 rows.append(ImpedanceRow(design, freq, k, hysteresis_loop_area(theta, torque, freq)))

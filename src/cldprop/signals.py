@@ -218,10 +218,11 @@ def synth_bender_pair(
 ) -> tuple[TimeSeries, TimeSeries]:
     """Synthesize an angle/torque pair for a prescribed sinusoidal bender test.
 
-    The angle is theta_amp * sin(2 pi f t). The torque comes from the plant's
-    frequency response (ComplexStiffness) or, for a PronyFit, from the exact
-    closed-form response of its branches started from rest at t = 0.
-    Optional additive Gaussian noise on the torque is `torque_noise`'s.
+    The angle is theta = theta_amp * sin(wt) and the torque K' * theta + K'' * theta_amp * cos(wt), K* the plant
+    itself or a PronyFit's `prony_frequency_response` at w. A Prony hinge starts from rest at t = 0: each branch
+    obeys dm_j/dt = k_j * dtheta/dt - m_j/tau_j, whose hereditary integral under this angle is, with x_j = w * tau_j,
+    m_j = k_j theta_amp x_j / (1 + x_j^2) * (cos wt + x_j sin wt - e^{-t/tau_j}), so each branch's exact start-up
+    transient is taken off the steady torque. Optional additive Gaussian noise on the torque is `torque_noise`'s.
     """
     if not theta_amp > 0.0:
         raise ParameterDomainError(f"theta amplitude must be positive, got {theta_amp}")
@@ -232,24 +233,22 @@ def synth_bender_pair(
     omega = 2.0 * math.pi * drive_freq
     n = record_length(n_cycles, sample_rate, drive_freq)  # refuses an over-long record before it is allocated
     t = np.arange(n) / sample_rate
-    sin_wt = np.sin(omega * t)
-
-    if isinstance(plant, PronyFit):
-        tq = _prony_torque(plant, theta_amp, omega, t, sin_wt)
-    else:
-        tq = plant.storage * theta_amp * sin_wt + plant.loss * theta_amp * np.cos(omega * t)
+    theta = theta_amp * np.sin(omega * t)
+    k = prony_frequency_response(plant, omega) if isinstance(plant, PronyFit) else plant
+    tq = k.storage * theta + k.loss * theta_amp * np.cos(omega * t)
+    for k_j, tau in plant.branches if isinstance(plant, PronyFit) else ():
+        x = omega * tau
+        tq -= k_j * theta_amp * x / (1.0 + x * x) * np.exp(-t / tau)
     if noise_snr_db is not None:
-        tq += torque_noise(plant, drive_freq, theta_amp, noise_snr_db, n, seed)
-    return TimeSeries(sample_rate, theta_amp * sin_wt), TimeSeries(sample_rate, tq)
+        tq += torque_noise(k, theta_amp, noise_snr_db, n, seed)
+    return TimeSeries(sample_rate, theta), TimeSeries(sample_rate, tq)
 
 
 def torque_noise(
-    plant: ComplexStiffness | PronyFit, drive_freq: float, theta_amp: float, snr_db: float, n: int, seed: int | Sequence[int]
+    plant: ComplexStiffness, theta_amp: float, snr_db: float, n: int, seed: int | Sequence[int]
 ) -> np.ndarray:
-    """n samples of Gaussian bender torque noise, `snr_db` below the torque fundamental theta_amp * |K*(drive_freq)|,
-    reproducible from the seed (an int, or a sequence of ints taken whole as the generator's entropy)."""
-    if isinstance(plant, PronyFit):
-        plant = prony_frequency_response(plant, 2.0 * math.pi * drive_freq)
+    """n samples of Gaussian bender torque noise, `snr_db` below the torque fundamental theta_amp * |K*| of a plant
+    K*, reproducible from the seed (an int, or a sequence of ints taken whole as the generator's entropy)."""
     try:
         sigma = theta_amp * plant.magnitude / math.sqrt(2.0) * 10.0 ** (-snr_db / 20.0)
     except OverflowError:  # 10^(-snr_db/20) is past the largest float
@@ -257,22 +256,6 @@ def torque_noise(
     if not math.isfinite(sigma):
         raise ParameterDomainError(f"torque noise {snr_db:g} dB below the fundamental has no finite float scale")
     return np.random.default_rng(seed).normal(0.0, sigma, size=n)
-
-
-def _prony_torque(fit: PronyFit, theta_amp: float, omega: float, t: np.ndarray, sin_wt: np.ndarray) -> np.ndarray:
-    """Exact torque of the Prony branches under a prescribed sinusoidal angle.
-
-    Each branch obeys dm_j/dt = k_j * dtheta/dt - m_j/tau_j from rest at
-    t = 0. For theta = theta_amp * sin(wt) (`sin_wt` is sin(wt) at `t`) its
-    hereditary integral is, with x_j = w * tau_j,
-    m_j = k_j theta_amp x_j / (1 + x_j^2) * (cos wt + x_j sin wt - e^{-t/tau_j}).
-    """
-    cos_wt = np.cos(omega * t)
-    torque = fit.k_inf * (theta_amp * sin_wt)
-    for k, tau in fit.branches:
-        x = omega * tau
-        torque += k * theta_amp * x / (1.0 + x * x) * (cos_wt + x * sin_wt - np.exp(-t / tau))
-    return torque
 
 
 def _whole_cycles(samples: np.ndarray, samples_per_cycle: int) -> np.ndarray:

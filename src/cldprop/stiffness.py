@@ -39,12 +39,12 @@ class FractionalZenerParams:
     alpha: float
 
     def __post_init__(self):
-        if not (self.g_high > self.g_low > 0.0):
+        if not (math.inf > self.g_high > self.g_low > 0.0):
             raise ParameterDomainError(
-                f"require g_high > g_low > 0, got g_low={self.g_low}, g_high={self.g_high}"
+                f"require finite g_high > g_low > 0, got g_low={self.g_low}, g_high={self.g_high}"
             )
-        if not self.tau > 0.0:
-            raise ParameterDomainError(f"relaxation time must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ParameterDomainError(f"relaxation time must be positive and finite, got {self.tau}")
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterDomainError(f"fractional order must be in (0, 1], got {self.alpha}")
 
@@ -120,13 +120,11 @@ class ComplexStiffness:
 def zener_shear_modulus(params: FractionalZenerParams, omega: float) -> complex:
     """Complex shear modulus G*(omega) of the fractional Zener core, Pa.
 
-    G*(0) = g_low exactly; G* -> g_high as omega -> inf; Im{G*} >= 0 for all
+    G*(0) = g_low + 0j exactly, as (0j)**alpha is 0j; G* -> g_high as omega -> inf; Im{G*} >= 0 for all
     omega >= 0.
     """
     if omega < 0.0:
         raise ParameterDomainError(f"omega must be >= 0, got {omega}")
-    if omega == 0.0:
-        return complex(params.g_low, 0.0)
     s = (1j * omega * params.tau) ** params.alpha
     return complex((params.g_low + params.g_high * s) / (1.0 + s))
 

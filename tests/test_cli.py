@@ -492,6 +492,7 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
     [
         (["extract", "--combined", "RECORD", "--freq", "3"], 0),  # |T_hat|^2 and np.var of the torque overflowed
         (["extract", "--combined", "HUGE_ANGLE_RECORD", "--freq", "3"], 3),  # its loop area is about 1e320
+        (["extract", "--combined", "TINY_STEP_RECORD", "--freq", "3"], 2),
         (["bender", "--set", "bender.theta_amp_deg=1e200"], 2),  # past about 1e158 deg the loop area is inf
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.freestream_mps=1e-300"], 0),  # one St, 1.6e299
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.prony_fit_grid_hz=1e-300,1,2,3,4"], 0),
@@ -508,6 +509,7 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
     ids=[
         "huge-torque-record",
         "huge-angle-and-torque-record",
+        "sample-rate-past-the-float-range",
         "huge-bender-amplitude",
         "one-huge-strouhal-number",
         "prony-fit-down-to-1e-300-hz",
@@ -528,6 +530,9 @@ def test_extreme_value_gives_a_finite_table_or_one_line(tmp_path, argv, want):
     for name, amp in (("RECORD", 0.157), ("HUGE_ANGLE_RECORD", 1e160)):  # a 200 Hz record of a 1e160 N*m torque
         record = np.column_stack([t, amp * np.sin(2.0 * math.pi * _F * t), 1e160 * np.sin(2.0 * math.pi * _F * t + 0.3)])
         np.savetxt(tmp_path / f"{name}.csv", record, delimiter=",", header="time_s,theta_rad,torque_nm", comments="")
+    # Uniform steps of 1e-310 s: the sample rate 1/dt overflows to inf.
+    record = np.column_stack([np.arange(400) * 1e-310, np.full(400, 0.1), np.full(400, 0.2)])
+    np.savetxt(tmp_path / "TINY_STEP_RECORD.csv", record, "%.17g", ",", header="time_s,theta_rad,torque_nm", comments="")
     argv = [str(tmp_path / f"{a}.csv") if a.endswith("RECORD") else a for a in argv]
     out = tmp_path / "runs"
     out.mkdir()

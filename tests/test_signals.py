@@ -20,6 +20,7 @@ from cldprop.errors import (
 from cldprop.foil import simulate_constrained
 from cldprop.prony import NEGLIGIBLE_BRANCH_FRACTION, PronyFit, prony_frequency_response
 from cldprop.signals import (
+    DEFAULT_THETA_AMP,
     MAX_SAMPLES,
     TimeSeries,
     _whole_cycle_window,
@@ -30,6 +31,7 @@ from cldprop.signals import (
     lockin_extract,
     record_length,
     synth_bender_pair,
+    torque_noise,
 )
 from cldprop.stiffness import ComplexStiffness
 
@@ -379,12 +381,17 @@ class TestSynth:
         assert np.array_equal(torque.samples, fit.k_inf * theta.samples)
 
     def test_noise_reproducible_from_seed(self):
-        plant = ComplexStiffness(_K, _LOSS_ORACLE)
-        _, t1 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=42)
-        _, t2 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=42)
-        _, t3 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=43)
-        assert np.array_equal(t1.samples, t2.samples)
-        assert not np.array_equal(t1.samples, t3.samples)
+        fit = PronyFit(k_inf=0.09, branches=((0.95, 0.003), (0.005, 0.08)))
+        # The noise is scaled by |K*| at the drive frequency, a Prony hinge's from its frequency response.
+        plants = [(ComplexStiffness(_K, _LOSS_ORACLE),) * 2, (fit, prony_frequency_response(fit, 2.0 * math.pi * _F))]
+        for plant, k in plants:
+            _, t1 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=42)
+            _, t2 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=42)
+            _, t3 = synth_bender_pair(plant, _F, **_RECORD, noise_snr_db=20.0, seed=43)
+            assert np.array_equal(t1.samples, t2.samples)
+            assert not np.array_equal(t1.samples, t3.samples)
+            _, clean = synth_bender_pair(plant, _F, **_RECORD)
+            assert np.array_equal(t1.samples, clean.samples + torque_noise(k, DEFAULT_THETA_AMP, 20.0, len(clean), 42))
 
     @pytest.mark.parametrize(
         "snr_db, k", [(-626516.0, _K), (-6160.0, 1e10)], ids=["gain-overflows", "scale-overflows"]

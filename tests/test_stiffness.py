@@ -39,6 +39,7 @@ class TestZener:
     def test_zero_frequency_is_low_modulus(self):
         g = zener_shear_modulus(_ZENER_GOLDEN_PARAMS, 0.0)
         assert g == complex(_ZENER_GOLDEN_PARAMS.g_low, 0.0)
+        assert math.copysign(1.0, g.imag) == 1.0  # +0.0: a -0.0 would print in the 0 Hz rows
 
     def test_high_frequency_plateau(self):
         g = zener_shear_modulus(_ZENER_GOLDEN_PARAMS, 1e9)
@@ -64,6 +65,8 @@ class TestZener:
             dict(g_low=1e5, g_high=1e6, tau=0.05, alpha=math.nan),
             dict(g_low=1e5, g_high=1e6, tau=0.05, alpha=0.0),
             dict(g_low=1e5, g_high=1e6, tau=0.05, alpha=1.5),
+            dict(g_low=1e5, g_high=math.inf, tau=0.05, alpha=0.6),  # G* is NaN at every omega > 0
+            dict(g_low=1e5, g_high=1e6, tau=math.inf, alpha=0.6),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -115,7 +118,7 @@ class TestRku:
 
     def test_zero_frequency_is_real(self):
         k = rku_complex_stiffness(_LAYUP, 0.0)
-        assert k.loss == 0.0
+        assert k.loss == 0.0 and math.copysign(1.0, k.loss) == 1.0
         assert k.storage > _BARE_PLATE_K
 
     def test_storage_and_loss_grow_with_coverage(self):

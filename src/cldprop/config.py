@@ -25,7 +25,7 @@ from .foil import FREESWIM_MIN_STEPS_PER_CYCLE, MIN_STEPS_PER_CYCLE, FoilConfig,
 from .signals import DEFAULT_THETA_AMP, MAX_SAMPLES, record_length
 from .stiffness import FractionalZenerParams, SandwichLayup
 
-CONFIG_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 3
 
 # Most points a `start:stop:step` grid may expand to; the default grids hold 7 to 20.
 MAX_GRID_POINTS = 10**5
@@ -62,7 +62,7 @@ def parse_grid(text: str, name: str = "grid") -> tuple[float, ...]:
         values = tuple(start + k * step for k in range(int(math.floor(steps)) + 1))
     else:
         try:
-            values = tuple(float(p) for p in text.split(","))
+            values = tuple(float(p) + 0.0 for p in text.split(","))  # + 0.0: a "-0" entry is +0.0
         except ValueError as exc:
             raise ConfigError(f"{name}: non-numeric grid entry in {text!r}") from exc
     if not all(math.isfinite(v) and v >= 0.0 for v in values):
@@ -161,7 +161,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, str, Callable[[str, str], Any]]]] = {
         "pitch_axis_offset_m": ("0.03", "pitch_axis_offset", _num),
         "fluid_density_kgpm3": ("1000.0", "fluid_density", _num),
         "normal_force_slope": (repr(2.0 * math.pi), "normal_force_slope", _num),
-        "stall_model": ("sin-cos", "stall_model", _text),
         "profile_drag_coeff": ("0.05", "profile_drag_coeff", _num),
         "added_mass_coeff": ("0.5", "added_mass_coeff", _num),
     },

@@ -3,8 +3,8 @@
 Two regimes: constrained (fixed freestream, foil held at station) and
 free-swimming (the streamwise speed is a state driven by thrust against a
 virtual mass plus body drag). Hydrodynamics are quasi-steady: an effective
-angle of attack built from pitch, heave rate and forward speed sets a
-normal force on the rigid tail, plus a flat-plate added-mass reaction.
+angle of attack alpha from pitch, heave rate and forward speed sets a normal
+force ~ sin(alpha) cos(alpha) on the rigid tail, plus a flat-plate added-mass reaction.
 The hinge carries a Prony-series stiffness integrated in time alongside
 the pitch state, so frequency-dependent storage and loss emerge naturally.
 LSODA integrates the plant under error control onto a fixed sample grid: scipy's
@@ -81,7 +81,7 @@ def strouhal(kin: KinematicsSpec) -> float:
 
 @dataclass(frozen=True)
 class FoilConfig:
-    """Rigid-tail geometry and quasi-steady hydrodynamic coefficients; `stall_model` is "none" or "sin-cos"."""
+    """Rigid-tail geometry and quasi-steady hydrodynamic coefficients."""
 
     tail_chord: float
     tail_span: float
@@ -89,7 +89,6 @@ class FoilConfig:
     pitch_axis_offset: float
     fluid_density: float
     normal_force_slope: float
-    stall_model: str
     profile_drag_coeff: float
     added_mass_coeff: float
 
@@ -97,8 +96,6 @@ class FoilConfig:
         for name in ("tail_chord", "tail_span", "tail_inertia", "pitch_axis_offset", "fluid_density"):
             if not getattr(self, name) > 0.0:
                 raise ParameterDomainError(f"{name} must be positive")
-        if self.stall_model not in ("none", "sin-cos"):
-            raise ParameterDomainError(f"unknown stall model {self.stall_model!r}")
         try:  # the plant's divisor; finite only with a finite added mass, whose chord squared may overflow
             inertia = self.tail_inertia + self.added_mass * self.pitch_axis_offset * self.pitch_axis_offset
         except OverflowError:
@@ -167,7 +164,9 @@ def _grid(hinge: PronyFit, heave_freq: float, minimum: int, dt: float | None) ->
     given dt held to the same rule at 100 per cycle and to whole cycles of samples, which the cycle means need."""
     if dt is None:
         steps = _steps_per_cycle(hinge, heave_freq, minimum)
-        return 1.0 / (steps * heave_freq), steps
+        if not (dt := 1.0 / (steps * heave_freq)) > 0.0:  # 0 once steps * f overflows
+            raise ParameterDomainError(f"heave frequency {heave_freq:g} Hz gives a sample step of 0 s")
+        return dt, steps
     if not dt > 0.0:
         raise ParameterDomainError(f"dt must be positive, got {dt}")
     spc = 1.0 / dt / heave_freq
@@ -210,16 +209,17 @@ def rhs(t, s):
     th, w{states} = s{tolist}
     cos_wt, sin_wt = {phase}
     heave_vel = vel_amp * cos_wt{drop[cos_wt]}
-    v = heave_vel + r * w{sin_cos_th}
-    f_n = {f_n}{drop[v]}
+    v = heave_vel + r * w
+    sin_th, cos_th = sin(th), cos(th)
+    f_n = -force * (u * cos_th - v * sin_th) * (u * sin_th + v * cos_th){drop[v]}
     m_ve = k_inf * th{branch_sum}
     pitch_acc = (r * f_n - m_ve + heave_moment * sin_wt) * inv_j{thrust}{last}{values}
 """
 
 
 @lru_cache(maxsize=None)
-def _rhs_code(nb, free, sincos, lsoda):
-    """`_RHS` for nb hinge branches, free swimming or not, the sin-cos stall law or not, LSODA or trace form."""
+def _rhs_code(nb, free, lsoda):
+    """`_RHS` for nb hinge branches, free swimming or not, LSODA or trace form."""
     ms = "".join(f", m{j}" for j in range(nb))
     states = ms + (", u" if free else "")
     rates = ["w", "pitch_acc"] + [f"k{j} * w - m{j} * i{j}" for j in range(nb)] + ["accel"] * free
@@ -229,10 +229,6 @@ def _rhs_code(nb, free, sincos, lsoda):
     return compile(_RHS.format(
         states=states, tolist=".tolist()" if lsoda else "", branch_sum=ms.replace(",", " +"), drop=drop,
         phase="cos(wt := omg * t), sin(wt)" if lsoda else "t",
-        sin_cos_th="\n    sin_th, cos_th = sin(th), cos(th)" if sincos or free or not lsoda else "",
-        # sin-cos: force (u^2 + v^2) sin(alpha) cos(alpha) as -force times the chordwise and chord-normal inflow
-        f_n="-force * (u * cos_th - v * sin_th) * (u * sin_th + v * cos_th)" if sincos else
-        "force * (u * u + v * v) * -(th + atan2(v, u))",
         thrust="\n    thrust = f_n * sin_th - half_rho * u * u * area * cd0 * cos_th" + drop["sin_th"]
         if free or not lsoda else "",
         # Body drag and du/dt, or the lateral force f_n cos(th) - m_a (y'' + r pitch_acc) and the input power.
@@ -240,7 +236,7 @@ def _rhs_code(nb, free, sincos, lsoda):
         "\n    lateral = f_n * cos_th - m_a * (h0 * sin_wt * neg_omg2 + r * pitch_acc)"
         "\n    power = -lateral * heave_vel",
         values=values if lsoda else f"\n    return dict({', '.join(f'{n}={n}' for n in named.split(', '))})",
-    ), f"<foil rhs {nb} {free} {sincos} {lsoda}>", "exec")
+    ), f"<foil rhs {nb} {free} {lsoda}>", "exec")
 
 
 def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
@@ -255,17 +251,17 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     half_rho, area, m_a = 0.5 * foil.fluid_density, foil.planform_area, foil.added_mass
     namespace = dict(
         out=(out := np.empty(2 + len(branches) + free)), ds=memoryview(out),  # LSODA's ds/dt, and a cheaper writer
-        sin=lib.sin, cos=lib.cos, atan2=lib.atan2, omg=omg, vel_amp=h0 * omg, r=r, k_inf=hinge.k_inf,
+        sin=lib.sin, cos=lib.cos, omg=omg, vel_amp=h0 * omg, r=r, k_inf=hinge.k_inf,
         h0=h0, neg_omg2=-omg * omg, m_a=m_a,
         u=kin.freestream, inv_mv=1.0 / virtual_mass if free else 0.0,  # free swimming: u is a state
-        force=half_rho * area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) cn(alpha)
+        force=half_rho * area * foil.normal_force_slope,  # f_n = force (u^2 + v^2) sin(alpha) cos(alpha)
         half_rho=half_rho, area=area, cd0=foil.profile_drag_coeff, body=half_rho * body_drag_area,
         inv_j=1.0 / (foil.tail_inertia + m_a * r * r),
         heave_moment=m_a * r * h0 * omg * omg,  # added-mass moment of the heave acceleration, per sin(wt)
         **{f"k{j}": k for j, (k, _) in enumerate(branches)},
         **{f"i{j}": 1.0 / tau for j, (_, tau) in enumerate(branches)},  # branch j: dm_j/dt = k_j w - m_j / tau_j
     )
-    exec(_rhs_code(len(branches), free, foil.stall_model == "sin-cos", lib is math), namespace)
+    exec(_rhs_code(len(branches), free, lib is math), namespace)
     return namespace["rhs"]
 
 
@@ -369,8 +365,8 @@ def simulate_free_swim(
     tail planform area as S_body. Position is the cumulative trapezoid of
     u, so the position/velocity consistency holds by construction.
     """
-    if not (virtual_mass > 0.0 and duration > 0.0):
-        raise ParameterDomainError("virtual mass and duration must be positive")
+    if not (virtual_mass > 0.0 and 0.0 < duration < math.inf):
+        raise ParameterDomainError("virtual mass must be positive, and duration positive and finite")
     dt, spc = _grid(hinge, kin.heave_freq, FREESWIM_MIN_STEPS_PER_CYCLE, dt)
     total = int(math.ceil(duration / dt))
     drag_area = body_drag_coeff * foil.planform_area

@@ -53,8 +53,8 @@ class PronyFit:
 
 def prony_frequency_response(fit: PronyFit, omega: float) -> ComplexStiffness:
     """Evaluate the Prony frequency response at a single angular frequency."""
-    if not omega >= 0.0:
-        raise ParameterDomainError(f"omega must be >= 0, got {omega}")
+    if not 0.0 <= omega < np.inf:
+        raise ParameterDomainError(f"omega must be finite and >= 0, got {omega}")
     k = complex(fit.k_inf, 0.0)
     for k_j, tau_j in fit.branches:
         s = 1j * omega * tau_j
@@ -125,6 +125,8 @@ def fit_prony_batch(
     """
     if n_branches < 1:
         raise ParameterDomainError(f"n_branches must be >= 1, got {n_branches}")
+    if not sample_sets:
+        return ()
     omegas = np.array([float(w) for w, _ in sample_sets[0]])
     if omegas.size < 2 * n_branches + 1:
         raise ParameterDomainError(

@@ -505,6 +505,7 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         (["sweep", "--set", "sweep.freq_grid_hz=1", "--set", "sweep.freestream_mps=4.7e-310"], 0),  # St 1.7e308
         (["sweep", "--set", "sweep.freq_grid_hz=1", "--set", "sweep.freestream_mps=4.4e-310"], 2),  # St inf
         (["sweep", "--set", "sweep.freq_grid_hz=1", "--set", "sweep.freestream_mps=5e-324"], 2),
+        (["sweep", "--set", "sweep.freq_grid_hz=1e306"], 3),  # 1000 samples per cycle: a step of 0 s
     ],
     ids=[
         "huge-torque-record",
@@ -522,6 +523,7 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         "strouhal-number-near-the-float-range",
         "strouhal-number-past-the-float-range",
         "strouhal-number-of-the-least-freestream",
+        "heave-frequency-past-the-grid-range",
     ],
 )
 def test_extreme_value_gives_a_finite_table_or_one_line(tmp_path, argv, want):
@@ -724,7 +726,7 @@ class TestProtocols:
         # An anti-restoring normal-force law blows up the pitch state in simulate_constrained.
         out = tmp_path / "runs"
         argv = ["sweep", "--output-dir", str(out), "--quiet", "--set", "sweep.freq_grid_hz=1"]
-        argv += ["--set", "foil.normal_force_slope=-5000", "--set", "foil.stall_model=none"]
+        argv += ["--set", "foil.normal_force_slope=-1e50"]
         assert main(argv) == 3
         captured = capfd.readouterr()  # file-descriptor level: LSODA itself must print nothing
         assert captured.out == ""
@@ -734,7 +736,7 @@ class TestProtocols:
 
     def test_failure_line_names_design_and_frequency(self, tmp_path, capsys):
         argv = ["sweep", "--output-dir", str(tmp_path / "runs"), "--quiet", "--set", "sweep.freq_grid_hz=1"]
-        argv += ["--set", "foil.normal_force_slope=-5000", "--set", "foil.stall_model=none"]
+        argv += ["--set", "foil.normal_force_slope=-1e50"]
         assert main(argv) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("numerical failure: ") and "design='baseline', freq=1 Hz" in line

@@ -23,6 +23,7 @@ class TestGrid:
 
     def test_comma_list(self):
         assert parse_grid("0.5,1,2") == (0.5, 1.0, 2.0)
+        assert math.copysign(1.0, parse_grid("-0,1")[0]) == 1.0  # a "-0" entry wrote -0.0 table cells
 
     @pytest.mark.parametrize(
         "text", ["", "1:2", "2:1:0.5", "1:2:0", "a:b:c", "1,0.5", "1,1", "nan", "1,inf", "0:inf:1", "nan:2:1"]
@@ -224,7 +225,6 @@ class TestFileAndOverrides:
     @pytest.mark.parametrize(
         "item",
         [
-            "foil.stall_model=xx",
             "foil.tail_chord_m=-1",
             "foil.tail_chord_m=1e308",  # (chord / 2)^2 of the added mass overflows a float
             "foil.added_mass_coeff=-0.09628560269158037",  # a pitch inertia of exactly 0

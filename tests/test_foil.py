@@ -246,6 +246,23 @@ class TestConstrained:
             with pytest.raises(ParameterDomainError, match="dt must be positive"):
                 simulate_constrained(_FOIL, kin, _RIGID, 10, 5, dt=dt)
 
+    @pytest.mark.parametrize("freq", [1e306, math.inf])
+    def test_heave_frequency_past_the_float_range_of_the_grid_rejected(self, freq):
+        # 1000 or 6000 samples per cycle times f overflows, so the step rule's dt is 0: each simulator refuses
+        # the grid, where it returned NaN columns or raised ZeroDivisionError.
+        kin = KinematicsSpec(freq, 0.08, 0.2)
+        match = r"^heave frequency .* Hz gives a sample step of 0 s$"
+        with pytest.raises(ParameterDomainError, match=match):
+            simulate_constrained(_FOIL, kin, _SOFT, 3, 1)
+        with pytest.raises(ParameterDomainError, match=match):
+            simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, 1.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_free_swim_duration_must_be_positive_and_finite(self, duration):
+        # An infinite duration raised OverflowError from its step count.
+        with pytest.raises(ParameterDomainError, match="duration positive and finite$"):
+            simulate_free_swim(_FOIL, KinematicsSpec(2.0, 0.08, 0.2), _SOFT, _VIRTUAL_MASS, _BODY_DRAG, duration)
+
     def test_fractional_samples_per_cycle_rejected_before_integrating(self, monkeypatch):
         # dt = 2.9e-5 s gives 17241.379... samples per 2 Hz cycle; the cycle statistics need whole ones.
         def integrate(*args, **kwargs):
@@ -281,16 +298,12 @@ class TestConstrained:
     def test_divergence_reported(self):
         # An anti-restoring hydrodynamic law blows the pitch state up; the
         # integrator must fail loudly, not return garbage.
-        foil = replace(_FOIL, normal_force_slope=-5000.0, stall_model="none")
+        foil = replace(_FOIL, normal_force_slope=-1e50)
         kin = KinematicsSpec(1.0, 0.08, 0.2)
         with pytest.raises(IntegrationDivergenceError, match=r"diverged near t=") as info:
             simulate_constrained(foil, kin, _SOFT, n_cycles=10, warmup_cycles=0)
         assert 0.0 < info.value.time < 10.0
         assert "full_output" not in str(info.value)  # odeint's advice names options cldprop lacks
-
-    def test_unknown_stall_model_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            replace(_FOIL, stall_model="flat")
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize(
@@ -339,23 +352,21 @@ class TestConstrained:
 
 
 class TestEquations:
-    @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
     @pytest.mark.parametrize("virtual_mass", [None, 3.0], ids=["constrained", "free"])
-    def test_math_and_numpy_evaluations_agree(self, stall_model, virtual_mass):
+    def test_math_and_numpy_evaluations_agree(self, virtual_mass):
         # LSODA evaluates rhs on floats, the trace on state-history columns;
         # both must give the same derivatives.
-        foil = replace(_FOIL, stall_model=stall_model)
         kin = KinematicsSpec(2.0, 0.08, 0.2)
         free = {}
         if virtual_mass is not None:
-            free = {"virtual_mass": virtual_mass, "body_drag_area": _BODY_DRAG * foil.planform_area}
+            free = {"virtual_mass": virtual_mass, "body_drag_area": _BODY_DRAG * _FOIL.planform_area}
         rng = np.random.default_rng(7)
         n, dim = 6, 2 + len(_SOFT.branches) + bool(free)
         states = rng.uniform(-0.5, 0.5, size=(n, dim))  # u < 0 reaches the u|u| drag sign
         t = rng.uniform(0.0, 2.0, size=n)
-        scalar = np.array([_equations(foil, kin, _SOFT, math, **free)(ti, si) for ti, si in zip(t, states)])
+        scalar = np.array([_equations(_FOIL, kin, _SOFT, math, **free)(ti, si) for ti, si in zip(t, states)])
         wt = 2.0 * math.pi * kin.heave_freq * t
-        named = _equations(foil, kin, _SOFT, np, **free)((np.cos(wt), np.sin(wt)), states.T)
+        named = _equations(_FOIL, kin, _SOFT, np, **free)((np.cos(wt), np.sin(wt)), states.T)
         assert scalar.shape == (n, dim)  # LSODA's ds/dt
         states_named = ["th", "w", "m0", "m1"] + ["u"] * bool(free)
         outputs = ["heave_vel", "pitch_acc", "f_n", "m_ve", "thrust"]
@@ -370,25 +381,23 @@ class TestEquations:
         assert np.all(scale > 0.0)
         assert np.all(np.abs(vector - scalar) <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
-    def test_normal_force_closed_form(self, stall_model):
+    def test_normal_force_closed_form(self):
         # Level tail at rest at t = 0: the inflow is the peak heave rate
         # against the freestream, so alpha = -atan(v/U).
-        foil = replace(_FOIL, stall_model=stall_model)
         kin = KinematicsSpec(2.0, 0.08, 0.2)
         v = kin.heave_amp_pp / 2.0 * 2.0 * math.pi * kin.heave_freq
         alpha = -math.atan(v / kin.freestream)
-        cn = math.sin(alpha) * math.cos(alpha) if stall_model == "sin-cos" else alpha
-        q = 0.5 * foil.fluid_density * (kin.freestream**2 + v**2)
-        want = q * foil.planform_area * foil.normal_force_slope * cn
+        cn = math.sin(alpha) * math.cos(alpha)
+        q = 0.5 * _FOIL.fluid_density * (kin.freestream**2 + v**2)
+        want = q * _FOIL.planform_area * _FOIL.normal_force_slope * cn
         dim = 2 + len(_SOFT.branches)
-        named = _equations(foil, kin, _SOFT, np)((1.0, 0.0), np.zeros(dim))  # cos(wt) and sin(wt) at t = 0
+        named = _equations(_FOIL, kin, _SOFT, np)((1.0, 0.0), np.zeros(dim))  # cos(wt) and sin(wt) at t = 0
         f_n, m_ve = named["f_n"], named["m_ve"]
         assert f_n == pytest.approx(want, rel=1e-12)
         assert m_ve == 0.0
         # LSODA's form returns no forces; at rest its pitch acceleration is r f_n / J alone.
-        r, inertia = foil.pitch_axis_offset, foil.tail_inertia + foil.added_mass * foil.pitch_axis_offset**2
-        pitch_acc = _equations(foil, kin, _SOFT, math)(0.0, np.zeros(dim))[1]
+        r, inertia = _FOIL.pitch_axis_offset, _FOIL.tail_inertia + _FOIL.added_mass * _FOIL.pitch_axis_offset**2
+        pitch_acc = _equations(_FOIL, kin, _SOFT, math)(0.0, np.zeros(dim))[1]
         assert pitch_acc == pytest.approx(r * want / inertia, rel=1e-12)
         assert named["pitch_acc"] == pitch_acc
 
@@ -396,9 +405,8 @@ class TestEquations:
         # The sin-cos law written in the chord frame, -F (u cos th - v sin th)(u sin th + v cos th), is
         # F (u^2 + v^2) sin(alpha) cos(alpha) with alpha = -(th + atan2(v, u)) in every quadrant of the inflow:
         # random free-swim states (u < 0 included), and zero inflow, where both are 0.
-        foil = replace(_FOIL, stall_model="sin-cos")
         kin = KinematicsSpec(2.0, 0.08, 0.2)
-        free = {"virtual_mass": _VIRTUAL_MASS, "body_drag_area": _BODY_DRAG * foil.planform_area}
+        free = {"virtual_mass": _VIRTUAL_MASS, "body_drag_area": _BODY_DRAG * _FOIL.planform_area}
         rng = np.random.default_rng(11)
         n = 400
         states = rng.uniform(-2.0, 2.0, size=(2 + len(_SOFT.branches) + 1, n))
@@ -406,17 +414,17 @@ class TestEquations:
         cos_wt, sin_wt = np.cos(wt), np.sin(wt)
         states[:, 0], cos_wt[0], sin_wt[0] = 0.3, 0.0, 1.0  # zero inflow: u = 0 and v = heave rate + r w = 0
         states[1:, 0] = 0.0
-        named = _equations(foil, kin, _SOFT, np, **free)((cos_wt, sin_wt), states)
+        named = _equations(_FOIL, kin, _SOFT, np, **free)((cos_wt, sin_wt), states)
         th, u = states[0], states[-1]
         assert np.any(u < 0.0) and np.any(u > 0.0)
-        v = named["heave_vel"] + foil.pitch_axis_offset * states[1]
+        v = named["heave_vel"] + _FOIL.pitch_axis_offset * states[1]
         alpha = -(th + np.arctan2(v, u))
-        force = 0.5 * foil.fluid_density * foil.planform_area * foil.normal_force_slope
+        force = 0.5 * _FOIL.fluid_density * _FOIL.planform_area * _FOIL.normal_force_slope
         want = force * (u * u + v * v) * np.sin(alpha) * np.cos(alpha)
         assert named["f_n"][0] == 0.0 == want[0]
         assert np.all(np.abs(named["f_n"] - want) <= 1e-12 * np.max(np.abs(want)))
         for lib in (math, np):  # no angle is computed in either form
-            assert "atan2" not in _equations(foil, kin, _SOFT, lib, **free).__code__.co_names
+            assert "atan2" not in _equations(_FOIL, kin, _SOFT, lib, **free).__code__.co_names
 
     def test_each_lane_owns_one_buffer_that_no_history_aliases(self):
         # LSODA's form writes ds/dt into one array per lane and returns it, so the next call overwrites it;
@@ -437,31 +445,29 @@ class TestEquations:
         # The same solve on a fresh list per call: the buffer changes no bit of the history.
         assert np.array_equal(hist, foil_module._integrate(lambda ti, s: lane(ti, s).tolist(), dim, t, rtol, atol))
 
-    @pytest.mark.parametrize("stall_model", ["sin-cos", "none"])
     @pytest.mark.parametrize("virtual_mass", [None, 3.0], ids=["constrained", "free"])
     @pytest.mark.parametrize("nb", [0, 1, 2, 5])
-    def test_generated_rhs_is_the_loop_bit_for_bit(self, nb, virtual_mass, stall_model):
+    def test_generated_rhs_is_the_loop_bit_for_bit(self, nb, virtual_mass):
         # The plant's right-hand side is generated per lane shape; LSODA takes the same steps, and the
         # tables stay byte-identical, only while it matches the generic loop below to the last bit.
         rng = np.random.default_rng(nb)
         taus = np.sort(rng.uniform(1e-3, 0.1, nb))
         hinge = PronyFit(k_inf=0.09, branches=tuple(zip(rng.uniform(0.05, 1.0, nb), taus)))
         assert len(hinge.branches) == nb
-        foil = replace(_FOIL, stall_model=stall_model)
         kin = KinematicsSpec(1.25, 0.08, 0.2)
         free = {}
         if virtual_mass is not None:
-            free = {"virtual_mass": virtual_mass, "body_drag_area": _BODY_DRAG * foil.planform_area}
+            free = {"virtual_mass": virtual_mass, "body_drag_area": _BODY_DRAG * _FOIL.planform_area}
         dim = 2 + nb + bool(free)
         states = rng.uniform(-2.0, 2.0, size=(200, dim))  # u < 0 reaches the u|u| drag sign
         t = rng.uniform(0.0, 10.0, size=200)
-        lsoda, loop = _equations(foil, kin, hinge, math, **free), _loop_equations(foil, kin, hinge, math, **free)
+        lsoda, loop = _equations(_FOIL, kin, hinge, math, **free), _loop_equations(_FOIL, kin, hinge, math, **free)
         for ti, si in zip(t, states):
             assert lsoda(float(ti), si).tolist() == loop(float(ti), si.tolist())[0]
         wt = 2.0 * math.pi * kin.heave_freq * t
         phase = (np.cos(wt), np.sin(wt))
-        got = _equations(foil, kin, hinge, np, **free)(phase, states.T)
-        _, want = _loop_equations(foil, kin, hinge, np, **free)(phase, list(states.T))
+        got = _equations(_FOIL, kin, hinge, np, **free)(phase, states.T)
+        _, want = _loop_equations(_FOIL, kin, hinge, np, **free)(phase, list(states.T))
         assert list(got) == list(want) and len(want) == dim + 7
         assert all(np.array_equal(got[name], want[name]) for name in want)
 
@@ -477,14 +483,13 @@ def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0
     vel_amp = h0 * omg
     r = foil.pitch_axis_offset
     force = 0.5 * foil.fluid_density * foil.planform_area * foil.normal_force_slope
-    sincos = foil.stall_model == "sin-cos"
     inv_j = 1.0 / (foil.tail_inertia + foil.added_mass * r * r)
     heave_moment = foil.added_mass * r * h0 * omg * omg
     free = virtual_mass is not None
     inv_mv = 1.0 / virtual_mass if free else 0.0
     half_rho, area, cd0 = 0.5 * foil.fluid_density, foil.planform_area, foil.profile_drag_coeff
     body = half_rho * body_drag_area
-    sin, cos, inflow_angle = lib.sin, lib.cos, lib.atan2
+    sin, cos = lib.sin, lib.cos
 
     def rhs(t, s):
         th, w = s[0], s[1]
@@ -494,11 +499,8 @@ def _loop_equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0
         heave_vel = vel_amp * cos_wt
         v = heave_vel + r * w
         sin_th, cos_th = sin(th), cos(th)
-        if sincos:  # force (u^2 + v^2) sin(alpha) cos(alpha), the inflow taken in the chord frame
-            f_n = -force * (u * cos_th - v * sin_th) * (u * sin_th + v * cos_th)
-        else:
-            alpha = -(th + inflow_angle(v, u))
-            f_n = force * (u * u + v * v) * alpha
+        # force (u^2 + v^2) sin(alpha) cos(alpha), the inflow taken in the chord frame
+        f_n = -force * (u * cos_th - v * sin_th) * (u * sin_th + v * cos_th)
         m_ve = hinge.k_inf * th
         out = [w, 0.0]
         for j, (k, inv_tau) in enumerate(branches, 2):

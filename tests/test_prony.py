@@ -53,7 +53,7 @@ class TestResponse:
             PronyFit(1.0, ((0.1, math.nan),))
         with pytest.raises(ParameterDomainError):
             PronyFit(k_inf=1.0, branches=((0.1, 0.3), (0.1, 0.01)))  # tau not ascending
-        for omega in (-1.0, math.nan):
+        for omega in (-1.0, math.nan, math.inf):
             with pytest.raises(ParameterDomainError):
                 prony_frequency_response(PronyFit(k_inf=1.0, branches=()), omega)
 
@@ -245,6 +245,11 @@ class TestBatch:
         singles = tuple(fit_design_hinge(config, coverage) for _, coverage in config.designs)
         assert fit_design_hinges(config) == singles
         assert singles[0].branches == ()  # the baseline is a spring
+
+    def test_empty_batch_fits_nothing(self):
+        assert fit_prony_batch([], 2) == ()
+        with pytest.raises(ParameterDomainError, match="^n_branches must be >= 1"):
+            fit_prony_batch([], 0)
 
     def test_sample_sets_must_share_one_grid(self):
         samples = _design_samples("a")

@@ -17,9 +17,9 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ._value import Value
 from .errors import ConfigError, ParameterDomainError, UnknownDesignError
 from .foil import FREESWIM_MIN_STEPS_PER_CYCLE, MIN_STEPS_PER_CYCLE, FoilConfig, KinematicsSpec, strouhal
 from .signals import DEFAULT_THETA_AMP, MAX_SAMPLES, record_length
@@ -180,8 +180,7 @@ _DEFAULT_DESIGNS = {"baseline": "0.0", "a": "0.167", "b": "0.333", "c": "0.667"}
 _DESIGN_NAME = re.compile(r"[A-Za-z0-9_-]+")  # a table cell and part of a file name
 
 
-@dataclass(frozen=True)
-class BenderProtocol:
+class BenderProtocol(Value):
     freq_grid_hz: tuple[float, ...]
     theta_amp: float  # rad
     sample_rate: float  # Hz
@@ -190,8 +189,7 @@ class BenderProtocol:
     repeats: int
 
 
-@dataclass(frozen=True)
-class SweepProtocol:
+class SweepProtocol(Value):
     freq_grid_hz: tuple[float, ...]
     heave_amp_pp: float  # m
     freestream: float  # m/s
@@ -199,25 +197,22 @@ class SweepProtocol:
     warmup_cycles: int
     prony_fit_grid_hz: tuple[float, ...]
     prony_branches: int
-    kinematics: tuple[KinematicsSpec, ...] = field(init=False, repr=False)  # one per grid frequency
 
     def __post_init__(self):
         kin = tuple(KinematicsSpec(f, self.heave_amp_pp, self.freestream) for f in self.freq_grid_hz)
         if not all(math.isfinite(strouhal(k)) for k in kin):  # each row's St, the x of its figures
             raise ParameterDomainError(f"Strouhal number f * {self.heave_amp_pp:g} m / {self.freestream:g} m/s overflows at a grid f")
-        object.__setattr__(self, "kinematics", kin)
+        object.__setattr__(self, "kinematics", kin)  # derived, not a field: one KinematicsSpec per grid frequency
 
 
-@dataclass(frozen=True)
-class FreeSwimProtocol:
+class FreeSwimProtocol(Value):
     virtual_mass: float  # kg
     duration: float  # s
     body_drag_coeff: float
     kinematics: KinematicsSpec  # heave_freq_hz with the sweep's amplitude and freestream
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(Value):
     """Fully resolved configuration for all protocol runners."""
 
     layup: SandwichLayup
@@ -228,10 +223,10 @@ class ProtocolConfig:
     freeswim: FreeSwimProtocol
     output_dir: str
     seed: int
-    raw: dict[str, dict[str, str]] = field(repr=False, default_factory=dict)
-    layups: dict[float, SandwichLayup] = field(init=False, repr=False)  # coverage -> design layup
+    raw: dict[str, dict[str, str]]
 
     def __post_init__(self):
+        # Derived, not a field: each design's coverage -> its layup.
         object.__setattr__(self, "layups", {cov: self.layup.with_coverage(cov) for _, cov in self.designs})
 
     def coverage_of(self, name: str) -> float:

@@ -36,13 +36,13 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
+from ._value import Value
 from .errors import IntegrationDivergenceError, ParameterDomainError
 from .prony import PronyFit
 from .signals import MAX_SAMPLES, cycle_average, folded_lockin, lockin_extract  # perfbench/spans.py wraps lockin_extract
@@ -59,8 +59,7 @@ RTOL, ATOL = 1e-10, 1e-13  # LSODA tolerances of free swimming
 CYCLE_RTOL = CYCLE_ATOL = 3e-9  # and of constrained lanes
 
 
-@dataclass(frozen=True)
-class KinematicsSpec:
+class KinematicsSpec(Value):
     """Prescribed heave kinematics and freestream speed."""
 
     heave_freq: float
@@ -79,8 +78,7 @@ def strouhal(kin: KinematicsSpec) -> float:
     return kin.heave_freq * kin.heave_amp_pp / kin.freestream
 
 
-@dataclass(frozen=True)
-class FoilConfig:
+class FoilConfig(Value):
     """Rigid-tail geometry and quasi-steady hydrodynamic coefficients."""
 
     tail_chord: float
@@ -113,8 +111,7 @@ class FoilConfig:
         return self.added_mass_coeff * self.fluid_density * math.pi * (self.tail_chord / 2.0) ** 2 * self.tail_span
 
 
-@dataclass(frozen=True)
-class ConstrainedTrace:
+class ConstrainedTrace(Value):
     """Per-sample log of a constrained run (warm-up cycles already removed), `samples_per_cycle` to a heave cycle."""
 
     time: np.ndarray
@@ -133,16 +130,14 @@ class ConstrainedTrace:
         return 1.0 / float(self.time[1] - self.time[0])
 
 
-@dataclass(frozen=True)
-class CycleMetrics:
+class CycleMetrics(Value):
     mean_thrust: float
     mean_input_power: float
     efficiency: float | None
     effective_stiffness: ComplexStiffness
 
 
-@dataclass(frozen=True)
-class FreeSwimTrace:
+class FreeSwimTrace(Value):
     """Carriage kinematics of a virtual-mass trial, `samples_per_cycle` to a heave cycle from the trace's start."""
 
     time: np.ndarray
@@ -173,7 +168,7 @@ def _grid(hinge: PronyFit, heave_freq: float, minimum: int, dt: float | None) ->
     need = _steps_per_cycle(hinge, heave_freq, 100)
     if not spc >= need:
         raise ParameterDomainError(f"dt={dt:.3e} s gives {spc:.6g} samples per heave cycle, under the step rule's {need}")
-    if abs(spc - round(spc)) > 1e-9 * spc:
+    if not (spc < math.inf and abs(spc - round(spc)) <= 1e-9 * spc):  # inf where 1 / dt overflows
         raise ParameterDomainError(f"whole cycles need an integer number of samples per cycle, got {spc}")
     return dt, round(spc)
 
@@ -373,15 +368,8 @@ def simulate_free_swim(
     t, d = _run(foil, kin, hinge, dt, spc, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
     u, accel, thrust, drag = d["u"], d["accel"], d["thrust"], d["drag"]
     del d  # the plant's other named values, freed before the position is built
-    return FreeSwimTrace(
-        time=t,
-        x=np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))]),
-        u=u,
-        accel=accel,
-        thrust=thrust,
-        drag=drag,
-        samples_per_cycle=spc,
-    )
+    x = np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))])
+    return FreeSwimTrace(time=t, x=x, u=u, accel=accel, thrust=thrust, drag=drag, samples_per_cycle=spc)
 
 
 def swim_metrics(trace: FreeSwimTrace) -> dict[str, float]:

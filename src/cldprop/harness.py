@@ -17,7 +17,6 @@ import json
 import math
 import os
 import shutil
-from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
 from types import SimpleNamespace
@@ -25,6 +24,7 @@ from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
+from ._value import Value
 from ._version import __version__
 from .config import CONFIG_SCHEMA_VERSION, ProtocolConfig
 from .errors import CldPropError
@@ -48,19 +48,16 @@ from .signals import (
     torque_noise,
 )
 from .stiffness import ComplexStiffness, rku_complex_stiffness
-from .svgchart import write_line_chart
 
 
-@dataclass(frozen=True)
-class ImpedanceRow:
+class ImpedanceRow(Value):
     design: str
     freq_hz: float
     stiffness: ComplexStiffness
     loop_area_j: float | None  # None in the model table of `cldprop layup`, which measures no loop
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Value):
     design: str
     st: float
     freq_hz: float
@@ -182,8 +179,7 @@ def _optional_floats(values: Sequence) -> list[str]:
     return ["" if v is None else repr(float(v)) for v in values]
 
 
-@dataclass(frozen=True)
-class _Column:
+class _Column(Value):
     """One CSV column: header, getter and cell formatter.
 
     `get` maps the table's source (its rows, or a whole trace) to the
@@ -340,6 +336,7 @@ def emit_plot_data(rows: Sequence[ImpedanceRow] | Sequence[SweepRow], out_dir: s
 
     The charts draw the values the table's own column getters give; a missing value is drawn as 0.
     """
+    from .svgchart import write_line_chart  # loaded only by the commands that draw
     if not rows:
         raise CldPropError("cannot emit plots from an empty table")
     if type(rows[0]) not in _FIGURES:

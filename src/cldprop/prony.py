@@ -13,12 +13,12 @@ foil simulator consumes hinge stiffness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
+from ._value import Value
 from .errors import FitConvergenceError, ParameterDomainError
 from .stiffness import ComplexStiffness
 
@@ -29,8 +29,7 @@ N_STARTS, MAX_ITER = 8, 200  # fit budget: log-spaced starting taus; residual ev
 XTOL, GTOL = 1e-10, 1e-12  # Levenberg-Marquardt stopping tests on log tau
 
 
-@dataclass(frozen=True)
-class PronyFit:
+class PronyFit(Value):
     """Equilibrium stiffness plus relaxation branches (k_j, tau_j), tau ascending, the negligible ones dropped."""
 
     k_inf: float

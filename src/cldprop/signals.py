@@ -9,11 +9,11 @@ dissipative plant: a pure viscous plant T = c*dtheta/dt yields loss = c*w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._value import Value
 from .errors import (
     DegenerateExcitationError,
     InsufficientRecordError,
@@ -34,8 +34,7 @@ EXCITATION_FLOOR = 1e-6
 MAX_SAMPLES = 10_000_000
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(Value):
     """Uniformly sampled scalar signal. Immutable after construction."""
 
     sample_rate: float
@@ -70,8 +69,7 @@ class TimeSeries:
         return TimeSeries(self.sample_rate, self.samples[idx:], self.start_time + idx / self.sample_rate)
 
 
-@dataclass(frozen=True)
-class LockinResult:
+class LockinResult(Value):
     stiffness: ComplexStiffness
     theta_amplitude: float
     torque_amplitude: float

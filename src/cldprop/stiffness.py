@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 
+from ._value import Value
 from .errors import CldPropError, DegenerateImpedanceError, ParameterDomainError
 
 
-@dataclass(frozen=True)
-class FractionalZenerParams:
+class FractionalZenerParams(Value):
     """Fractional Zener constitutive parameters for the viscoelastic core.
 
     g_low and g_high are the low/high-frequency shear moduli in Pa, tau the
@@ -49,8 +48,7 @@ class FractionalZenerParams:
             raise ParameterDomainError(f"fractional order must be in (0, 1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class SandwichLayup:
+class SandwichLayup(Value):
     """Symmetric damped sandwich plate: base + (core + constraining face) per side.
 
     Thicknesses, length and width in m, the base and face Young's moduli in
@@ -78,11 +76,10 @@ class SandwichLayup:
             raise ParameterDomainError(f"coverage must be in [0, 1], got {self.coverage}")
 
     def with_coverage(self, coverage: float) -> "SandwichLayup":
-        return replace(self, coverage=coverage)
+        return self.replace(coverage=coverage)
 
 
-@dataclass(frozen=True)
-class ComplexStiffness:
+class ComplexStiffness(Value):
     """Storage/loss pair of the lumped root bending stiffness, N*m/rad, with its impedance composition:
     elastic and dissipative fractions (storage and loss over storage + loss) and phase lag atan2(loss, storage).
     """

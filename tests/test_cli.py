@@ -645,6 +645,21 @@ def test_light_commands_load_no_scipy(tmp_path):
     assert proc.stdout.startswith("design,freq_hz")
 
 
+def test_import_builds_no_dataclass_and_loads_no_svg_writer():
+    # The value types share one base class, and only the drawing commands load the SVG writer. numpy may import
+    # dataclasses itself on some versions, so the check is that cldprop adds it.
+    code = (
+        "import sys, numpy\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "import cldprop.cli\n"
+        "assert ('dataclasses' in sys.modules) == before, 'cldprop imported dataclasses'\n"
+        "assert 'cldprop.svgchart' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

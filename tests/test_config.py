@@ -1,6 +1,5 @@
 """Config ingestion: defaults, files, overrides, grids, unit suffixes."""
 
-import dataclasses
 import inspect
 import math
 import re
@@ -60,7 +59,7 @@ class TestDefaults:
             params = inspect.signature(fn).parameters
             return [name for name in names if params[name].default is not inspect.Parameter.empty]
 
-        assert defaulted(FoilConfig, *(f.name for f in dataclasses.fields(FoilConfig))) == []
+        assert defaulted(FoilConfig, *inspect.signature(FoilConfig).parameters) == []
         assert defaulted(KinematicsSpec, "heave_amp_pp", "freestream") == []
         assert defaulted(simulate_constrained, "n_cycles", "warmup_cycles") == []
         assert defaulted(simulate_free_swim, "virtual_mass", "body_drag_coeff", "duration") == []

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -276,6 +275,19 @@ class TestConstrained:
         with pytest.raises(ParameterDomainError, match=match):
             simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, 1.0, dt=2.9e-5)
 
+    @pytest.mark.parametrize("dt", [1e-310, 5e-324])  # 1 / dt overflows to inf samples per cycle
+    def test_overflowing_samples_per_cycle_rejected_before_integrating(self, monkeypatch, dt):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a run with no finite sample grid")
+
+        monkeypatch.setattr(foil_module, "_integrate", integrate)
+        kin, hinge = KinematicsSpec(2.0, 0.08, 0.2), PronyFit(0.09, ())
+        match = r"^whole cycles need an integer number of samples per cycle, got inf$"
+        with pytest.raises(ParameterDomainError, match=match):
+            simulate_constrained(_FOIL, kin, hinge, 3, 1, dt=dt)
+        with pytest.raises(ParameterDomainError, match=match):
+            simulate_free_swim(_FOIL, kin, hinge, _VIRTUAL_MASS, _BODY_DRAG, 1.0, dt=dt)
+
     def test_grid_holds_whole_cycles_of_the_step_rule(self, default_config, design_hinges):
         # The lock-in reads the sample rate off the time column, and the benchmark's step-rule cross-check counts
         # round(sample_rate / drive_freq) samples per cycle: both must agree with the grid the run chose.
@@ -298,7 +310,7 @@ class TestConstrained:
     def test_divergence_reported(self):
         # An anti-restoring hydrodynamic law blows the pitch state up; the
         # integrator must fail loudly, not return garbage.
-        foil = replace(_FOIL, normal_force_slope=-1e50)
+        foil = _FOIL.replace(normal_force_slope=-1e50)
         kin = KinematicsSpec(1.0, 0.08, 0.2)
         with pytest.raises(IntegrationDivergenceError, match=r"diverged near t=") as info:
             simulate_constrained(foil, kin, _SOFT, n_cycles=10, warmup_cycles=0)
@@ -311,7 +323,7 @@ class TestConstrained:
     )
     def test_non_positive_geometry_rejected(self, name, value):
         with pytest.raises(ParameterDomainError, match=f"^{name} must be positive"):
-            replace(_FOIL, **{name: value})
+            _FOIL.replace(**{name: value})
 
     @pytest.mark.parametrize(
         "changes",
@@ -325,7 +337,7 @@ class TestConstrained:
     )
     def test_added_mass_and_pitch_inertia_checked_at_build(self, changes):
         with pytest.raises(ParameterDomainError, match=r"^pitch inertia .* must be finite and > 0$"):
-            replace(_FOIL, **changes)
+            _FOIL.replace(**changes)
 
     @pytest.mark.parametrize("free", [False, True], ids=["constrained", "free"])
     def test_trace_columns_own_their_samples(self, monkeypatch, free):
@@ -763,7 +775,7 @@ class TestPropulsionMetrics:
         values = getattr(trace, column).copy()
         values[-1] = bad  # the closing sample, past the window's whole cycles
         with pytest.raises(ParameterDomainError, match="^a time series needs at least 2 samples, all finite$"):
-            propulsion_metrics(replace(trace, **{column: values}), KinematicsSpec(2.0, 0.08, 0.2))
+            propulsion_metrics(trace.replace(**{column: values}), KinematicsSpec(2.0, 0.08, 0.2))
 
     @pytest.mark.parametrize("thrust, power", [(1e308, 1.0), (-1e308, 1.0), (0.5, 1e308)])
     def test_overflowing_cycle_means_rejected(self, thrust, power):

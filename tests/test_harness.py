@@ -6,7 +6,6 @@ import inspect
 import math
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -224,7 +223,7 @@ class TestFreeSwim:
             baseline,
             run_freeswim_trial(default_config, "c")[0],
             run_freeswim_trial(short, "baseline")[0],
-            replace(baseline, time=baseline.time + 0.5),
+            baseline.replace(time=baseline.time + 0.5),
         ]
         assert np.array_equal(traces[0].time, traces[1].time)
         harness._grid_cells.cache_clear()
@@ -298,7 +297,7 @@ class TestPersistence:
 
     def test_sweep_round_trip(self, sweep_table, tmp_path):
         first = sweep_table[0]
-        missing = replace(first, metrics=replace(first.metrics, efficiency=None))
+        missing = first.replace(metrics=first.metrics.replace(efficiency=None))
         table = (missing,) + sweep_table[1:]
         path = tmp_path / "sweep.csv"
         write_sweep_table(table, str(path))
@@ -361,7 +360,7 @@ class TestPlotData:
         if isinstance(table[0], SweepRow):
             # One missing efficiency, which the efficiency chart draws as 0.
             first = table[0]
-            table = (replace(first, metrics=replace(first.metrics, efficiency=None)),) + table[1:]
+            table = (first.replace(metrics=first.metrics.replace(efficiency=None)),) + table[1:]
         emit_plot_data(table, str(tmp_path))
         for design in dict.fromkeys(r.design for r in table):
             lines = _polylines(tmp_path / f"fig_{kind}_{design}.svg")

@@ -280,3 +280,48 @@ class TestBatch:
                 rows = slice(i * prony.N_STARTS, (i + 1) * prony.N_STARTS)
                 assert np.array_equal(got.x[rows], alone[name].x)
                 assert np.array_equal(got.fun[rows], alone[name].fun)
+
+
+class TestSingleBranchOracle:
+    """At core_alpha = 1 the core is a standard linear solid, and the layup's K*(w) is exactly one Maxwell branch.
+
+    With c = E_c h_c h_v p1^2, G*/(c + G*) has one real pole, so K*(w) = k_inf + k_1 i w tau' / (1 + i w tau') with
+    tau' = tau (c + g_high) / (c + g_low), k_inf = [E_b I_b + 2 cov (E_c I_c + E_c A_c d^2 g_low / (c + g_low))] / L
+    and k_1 = 2 cov E_c A_c d^2 [g_high / (c + g_high) - g_low / (c + g_low)] / L.
+    """
+
+    CONFIG = load_config(None, ["layup.core_alpha=1"])
+
+    @classmethod
+    def oracle(cls, name):
+        """The design's layup and its (k_inf, k_1, tau'), from the formulas above with p1 = 1.875 / L."""
+        layup = cls.CONFIG.layups[cls.CONFIG.coverage_of(name)]
+        zener, b, length, cov = layup.core_shear, layup.width, layup.length, layup.coverage
+        h_b, h_v, h_c, e_c = layup.base_thickness, layup.core_thickness, layup.face_thickness, layup.face_modulus
+        c = e_c * h_c * h_v * (1.875 / length) ** 2
+        shear = 2.0 * cov * e_c * b * h_c * (h_b / 2.0 + h_v + h_c / 2.0) ** 2  # 2 cov E_c A_c d^2
+        low, high = zener.g_low / (c + zener.g_low), zener.g_high / (c + zener.g_high)
+        bending = layup.base_modulus * b * h_b**3 / 12.0 + 2.0 * cov * e_c * b * h_c**3 / 12.0
+        tau = zener.tau * (c + zener.g_high) / (c + zener.g_low)
+        return layup, (bending + shear * low) / length, shear * (high - low) / length, tau
+
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_closed_form_is_the_layup_stiffness(self, name):
+        # 4.9e-16 at worst over the fit grid.
+        layup, k_inf, k_1, tau = self.oracle(name)
+        for f in self.CONFIG.sweep.prony_fit_grid_hz:
+            s = 2j * math.pi * f * tau
+            want = k_inf + k_1 * s / (1.0 + s)
+            assert abs(rku_complex_stiffness(layup, 2.0 * math.pi * f).as_complex - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("n_branches", [1, 2])
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_fit_recovers_the_closed_form(self, name, n_branches):
+        # Within 6.7e-15 and at a residual of at most 5.2e-16; at 2 branches the second carries nothing and is dropped.
+        layup, k_inf, k_1, tau = self.oracle(name)
+        omegas = [2.0 * math.pi * f for f in self.CONFIG.sweep.prony_fit_grid_hz]
+        fit = fit_prony([(w, rku_complex_stiffness(layup, w)) for w in omegas], n_branches)
+        ((got_k_1, got_tau),) = fit.branches
+        for got, want in ((fit.k_inf, k_inf), (got_k_1, k_1), (got_tau, tau)):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert fit.fit_residual < 1e-14

@@ -2,7 +2,6 @@
 complex root stiffness of the sandwich layup."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,7 +97,7 @@ class TestLayerValidation:
     @pytest.mark.parametrize("name", _POSITIVE_FIELDS)
     def test_non_positive_field_rejected_by_name(self, name, value):
         with pytest.raises(ParameterDomainError, match=rf"^{name} must be positive"):
-            replace(_LAYUP, **{name: value})
+            _LAYUP.replace(**{name: value})
 
     def test_coverage_out_of_range(self):
         with pytest.raises(ParameterDomainError):
@@ -145,14 +144,14 @@ class TestRku:
         "change",
         [
             dict(length=1e-303),  # p1**2 overflows
-            dict(core_shear=replace(_LAYUP.core_shear, tau=1e308)),  # (i w tau)**alpha overflows
+            dict(core_shear=_LAYUP.core_shear.replace(tau=1e308)),  # (i w tau)**alpha overflows
             dict(base_modulus=1e308 * 1e9),  # inf, so K* = inf + nan i
         ],
         ids=["length", "core-tau", "base-modulus"],
     )
     def test_overflow_is_a_numerical_failure(self, change):
         with pytest.raises(CldPropError, match=r"^K\*\(omega\) is not finite at omega="):
-            rku_complex_stiffness(replace(_LAYUP, **change), 2.0 * math.pi * 2.0)
+            rku_complex_stiffness(_LAYUP.replace(**change), 2.0 * math.pi * 2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(coverage=st.floats(0.0, 1.0), freq=st.floats(0.01, 50.0))

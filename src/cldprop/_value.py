@@ -1,13 +1,16 @@
 """Immutable value types compared by field, with one shared set of methods and no code generated per class.
 
-A subclass's own annotations are its fields, in order, and its class attributes their defaults. `__post_init__`
-runs after construction and may set attributes with `object.__setattr__`; any other assignment or deletion raises.
+A subclass's own annotations are its fields, in order, and its class attributes their defaults: its `__signature__`,
+which binds every call that does not pass each field by position. `__post_init__` runs after construction and may
+set attributes with `object.__setattr__`; any other assignment or deletion raises. Array fields compare by content.
 """
 
 from __future__ import annotations
 
 import inspect
 import sys
+
+import numpy as np
 
 
 class Value:
@@ -22,28 +25,22 @@ class Value:
         else:
             annotations = cls.__dict__.get("__annotations__", {})
         cls._fields = tuple(annotations)
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         cls.__signature__ = inspect.Signature(  # refuses a field without a default after one with a default
             [inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=annotation,
-                               default=cls._defaults.get(name, inspect.Parameter.empty))
+                               default=cls.__dict__.get(name, inspect.Parameter.empty))
              for name, annotation in annotations.items()],
             return_annotation=None,
         )
 
     def __init__(self, *args, **kwargs):
-        fields, n = self._fields, len(args)
-        if kwargs or n != len(fields):
-            name, rest = type(self).__name__, fields[n:]
-            if n > len(fields):
-                raise TypeError(f"{name}() takes {len(fields)} arguments but {n} were given")
-            for key in kwargs.keys() - rest:
-                problem = "multiple values for argument" if key in fields else "an unexpected keyword argument"
-                raise TypeError(f"{name}() got {problem} {key!r}")
+        if kwargs or len(args) != len(self._fields):
             try:
-                args += tuple([kwargs[f] if f in kwargs else self._defaults[f] for f in rest])
-            except KeyError as exc:
-                raise TypeError(f"{name}() missing argument {exc.args[0]!r}") from None
-        vars(self).update(zip(fields, args))
+                bound = self.__signature__.bind(*args, **kwargs)
+            except TypeError as exc:
+                raise TypeError(f"{type(self).__name__}(): {exc}") from None
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
+        vars(self).update(zip(self._fields, args))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -59,7 +56,10 @@ class Value:
         return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                              else a == b) for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

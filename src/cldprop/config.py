@@ -227,7 +227,7 @@ class ProtocolConfig(Value):
 
     def __post_init__(self):
         # Derived, not a field: each design's coverage -> its layup.
-        object.__setattr__(self, "layups", {cov: self.layup.with_coverage(cov) for _, cov in self.designs})
+        object.__setattr__(self, "layups", {cov: self.layup.replace(coverage=cov) for _, cov in self.designs})
 
     def coverage_of(self, name: str) -> float:
         for design, coverage in self.designs:

@@ -274,7 +274,10 @@ def _run(foil, kin, hinge, dt, spc, total_steps, rtol, atol, keep=0, **free):
     cycle = (f(2.0 * math.pi / spc * np.arange(spc)) for f in (np.cos, np.sin))  # the grid repeats one cycle's phase
     # Laid end to end by generators: the trace form holds each column's only reference and frees it after its use.
     phase = (np.concatenate((c,) * (t.size // spc) + (c[: t.size % spc],)) for c in cycle)
-    return t, _equations(foil, kin, hinge, np, **free)(phase, columns)
+    named = _equations(foil, kin, hinge, np, **free)(phase, columns)
+    for column in (t, *named.values()):
+        column.flags.writeable = False  # the traces' columns: values, not buffers
+    return t, named
 
 
 def _lsoda():
@@ -369,6 +372,7 @@ def simulate_free_swim(
     u, accel, thrust, drag = d["u"], d["accel"], d["thrust"], d["drag"]
     del d  # the plant's other named values, freed before the position is built
     x = np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))])
+    x.flags.writeable = False
     return FreeSwimTrace(time=t, x=x, u=u, accel=accel, thrust=thrust, drag=drag, samples_per_cycle=spc)
 
 

@@ -140,9 +140,7 @@ def fit_prony_batch(
     targets = np.array([[k.as_complex for _, k in s] for s in sample_sets])
     scale = np.maximum(np.abs(targets), 1e-300)
 
-    w_pos = omegas[omegas > 0.0]
-    if w_pos.size == 0:
-        raise ParameterDomainError("need at least one positive sample frequency")
+    w_pos = omegas[omegas > 0.0]  # never empty: 3 or more distinct frequencies >= 0, at most one of them 0
     tau_lo = 0.1 / w_pos.max()
     tau_hi = 10.0 / w_pos.min()
 

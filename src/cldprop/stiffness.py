@@ -75,9 +75,6 @@ class SandwichLayup(Value):
         if not (0.0 <= self.coverage <= 1.0):
             raise ParameterDomainError(f"coverage must be in [0, 1], got {self.coverage}")
 
-    def with_coverage(self, coverage: float) -> "SandwichLayup":
-        return self.replace(coverage=coverage)
-
 
 class ComplexStiffness(Value):
     """Storage/loss pair of the lumped root bending stiffness, N*m/rad, with its impedance composition:

@@ -87,6 +87,12 @@ class TestExtract:
         assert out == ""
         assert err == "config error: extract takes --combined, or --theta with --torque, not both\n"
 
+    def test_two_column_combined_record_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "two.csv"
+        path.write_text("time_s,theta_rad\n0.0,0.0\n0.005,0.1\n")
+        assert main(["extract", "--combined", str(path), "--freq", "3"]) == 2
+        assert capsys.readouterr() == ("", f"config error: {path}: expected a 3-column CSV with a header row\n")
+
     def test_zero_torque_is_numerical_failure_with_empty_stdout(self, tmp_path, capsys):
         # K* = 0 has no fractions: the report fails as it gathers its columns, before it prints a byte.
         t = np.arange(200) / _FS
@@ -232,6 +238,18 @@ class TestUsage:
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0
         assert "cldprop" in capsys.readouterr().out
+
+    def test_module_entry_point_exits_with_mains_code(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
+        argv = [sys.executable, "-m", "cldprop.cli", "--version"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.startswith("cldprop "), proc.stderr
+
+    def test_config_without_designs_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text("[designs]\n")
+        assert main(["layup", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "config error: at least one design must be defined\n")
 
     @pytest.mark.parametrize(
         "command, own",
@@ -747,6 +765,13 @@ class TestProtocols:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: state diverged near t=")
+        assert not out.exists()
+
+    def test_bender_angle_below_the_excitation_floor_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["bender", "--set", "bender.theta_amp_deg=1e-5", "--output-dir", str(out), "--quiet"]) == 3
+        assert capsys.readouterr() == ("", "numerical failure: angle amplitude 1.75e-07 rad is below the excitation"
+                                           " floor; while processing design='baseline', freq=0.5 Hz\n")
         assert not out.exists()
 
     def test_failure_line_names_design_and_frequency(self, tmp_path, capsys):

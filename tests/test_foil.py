@@ -224,6 +224,32 @@ class TestConstrained:
             assert np.max(np.abs(cos_wt - np.cos(wt))) <= 1e-13 and np.max(np.abs(sin_wt - np.sin(wt))) <= 1e-13
             assert cos_wt.flags.owndata and sin_wt.flags.owndata  # no base larger than the trace
 
+    @pytest.mark.parametrize("freq", [1.0, 2.0])
+    @pytest.mark.parametrize("design", ["baseline", "a", "c"])
+    def test_time_and_mass_similarity(self, default_config, design_hinges, design, freq):
+        # Exact oracles for the plant's units. Time x 2 (f and U x 2, every k x 4, every tau / 2) keeps the pitch
+        # and makes thrust 4x; mass x 2 (rho, tail inertia and every k x 2) keeps the pitch and doubles thrust.
+        # Powers of two keep each float product exact, so what is left is LSODA's error control, measured at
+        # 1.9e-7 (time) and 7.5e-8 (mass) of the column peak; the branchless baseline is exact under mass.
+        foil, sweep, hinge = default_config.foil, default_config.sweep, design_hinges[design]
+        [kin] = [k for k in sweep.kinematics if k.heave_freq == freq]
+
+        def run(foil, kin, scale, tau_scale=1.0):
+            branches = tuple((scale * k, tau_scale * tau) for k, tau in hinge.branches)
+            scaled = hinge.replace(k_inf=scale * hinge.k_inf, branches=branches)
+            return simulate_constrained(foil, kin, scaled, sweep.cycles, sweep.warmup_cycles)
+
+        base = run(foil, kin, 1.0)
+        fast = run(foil, kin.replace(heave_freq=2.0 * freq, freestream=2.0 * kin.freestream), 4.0, 0.5)
+        heavy = run(foil.replace(fluid_density=2.0 * foil.fluid_density, tail_inertia=2.0 * foil.tail_inertia),
+                    kin, 2.0)
+        assert np.array_equal(fast.time, base.time / 2.0)
+        for trace, thrust_scale in ((fast, 4.0), (heavy, 2.0)):
+            for got, want in ((trace.pitch, base.pitch), (trace.thrust / thrust_scale, base.thrust)):
+                assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+        if not hinge.branches:
+            assert np.array_equal(heavy.pitch, base.pitch) and np.array_equal(heavy.thrust, 2.0 * base.thrust)
+
     def test_branchless_hinge_reports_loss_as_roundoff(self, default_config, design_hinges):
         # The baseline hinge keeps no branch, so its loss is exactly 0; the lock-in of a default lane reports
         # roundoff of either sign instead (1.0e-16 at most), which the sweep table prints as it is.
@@ -244,6 +270,11 @@ class TestConstrained:
         for dt in (0.0, -1e-5, math.nan):
             with pytest.raises(ParameterDomainError, match="dt must be positive"):
                 simulate_constrained(_FOIL, kin, _RIGID, 10, 5, dt=dt)
+
+    @pytest.mark.parametrize("n_cycles, warmup_cycles", [(0, 0), (1, -1)])
+    def test_cycle_counts_rejected(self, n_cycles, warmup_cycles):
+        with pytest.raises(ParameterDomainError, match="^need n_cycles >= 1 and warmup_cycles >= 0$"):
+            simulate_constrained(_FOIL, KinematicsSpec(2.0, 0.08, 0.2), _SOFT, n_cycles, warmup_cycles)
 
     @pytest.mark.parametrize("freq", [1e306, math.inf])
     def test_heave_frequency_past_the_float_range_of_the_grid_rejected(self, freq):
@@ -342,7 +373,8 @@ class TestConstrained:
     @pytest.mark.parametrize("free", [False, True], ids=["constrained", "free"])
     def test_trace_columns_own_their_samples(self, monkeypatch, free):
         # No trace column is a view of the LSODA history, which would keep the hinge-branch states alive with
-        # the trace and make numpy read a column through a stride; nor do two columns share memory.
+        # the trace and make numpy read a column through a stride; nor do two columns share memory. And no column
+        # can be written: a trace is a value.
         histories = []
         integrate = foil_module._integrate
 
@@ -361,6 +393,9 @@ class TestConstrained:
         assert len(columns) == (6 if free else 8)
         assert all(c.flags.owndata and not np.shares_memory(c, hist) for c in columns)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(columns) for b in columns[i + 1 :])
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
 
 
 class TestEquations:
@@ -742,6 +777,10 @@ class TestPropulsionMetrics:
         metrics = propulsion_metrics(_synthetic_trace(0.5, -1.0), kin)
         assert metrics.mean_input_power == 0.0
         assert metrics.efficiency is None
+
+    def test_trace_under_three_cycles_rejected(self):
+        with pytest.raises(ParameterDomainError, match="^trace must span at least 3 whole cycles$"):
+            propulsion_metrics(_synthetic_trace(0.5, 1.0, n=200), KinematicsSpec(2.0, 0.08, 0.2))
 
     def test_folded_stiffness_is_the_lockin_of_every_sweep_lane(self, sweep_results, design_hinges):
         # The effective stiffness folds the lock-in's window onto one cycle: on the 28 default lanes it is

@@ -73,7 +73,7 @@ class TestBenderSweep:
 
     def test_noiseless_round_trip_matches_model(self, small_config, bender_table):
         for design, coverage in small_config.designs:
-            layup = small_config.layup.with_coverage(coverage)
+            layup = small_config.layup.replace(coverage=coverage)
             for row in _of(bender_table, design):
                 want = rku_complex_stiffness(layup, 2.0 * math.pi * row.freq_hz)
                 assert row.stiffness.storage == pytest.approx(want.storage, rel=1e-4)

@@ -60,6 +60,10 @@ class TestTimeSeries:
         assert trimmed.samples[0] == 10.0
         assert trimmed.start_time == pytest.approx(1.0)
 
+    def test_after_the_last_sample_rejected(self):
+        with pytest.raises(InsufficientRecordError, match="^no samples at or after the requested time$"):
+            TimeSeries(200.0, [0.0, 1.0]).after(1.0)
+
     def test_needs_two_samples(self):
         with pytest.raises(ParameterDomainError):
             TimeSeries(100.0, np.zeros(1))
@@ -453,6 +457,10 @@ class TestSynth:
     def test_non_positive_drive_rejected(self, freq, amp):
         with pytest.raises(ParameterDomainError):
             synth_bender_pair(ComplexStiffness(_K, 0.0), freq, theta_amp=amp, **_RECORD)
+
+    def test_no_cycle_rejected(self):
+        with pytest.raises(ParameterDomainError, match="^need at least one cycle$"):
+            synth_bender_pair(ComplexStiffness(_K, 0.0), _F, sample_rate=_FS, n_cycles=0)
 
     @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -200.0])
     def test_bad_sample_rate_rejected(self, fs):

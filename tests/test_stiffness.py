@@ -101,12 +101,12 @@ class TestLayerValidation:
 
     def test_coverage_out_of_range(self):
         with pytest.raises(ParameterDomainError):
-            _LAYUP.with_coverage(1.5)
+            _LAYUP.replace(coverage=1.5)
 
 
 class TestRku:
     def test_bare_plate_is_exact_elastic_value(self):
-        k = rku_complex_stiffness(_LAYUP.with_coverage(0.0), 2.0 * math.pi * 3.0)
+        k = rku_complex_stiffness(_LAYUP.replace(coverage=0.0), 2.0 * math.pi * 3.0)
         assert k.storage == pytest.approx(_BARE_PLATE_K, rel=1e-12)
         assert k.loss == 0.0
 
@@ -120,9 +120,9 @@ class TestRku:
         assert k.loss == 0.0 and math.copysign(1.0, k.loss) == 1.0
         assert k.storage > _BARE_PLATE_K
 
-    def test_storage_and_loss_grow_with_coverage(self):
+    def test_storage_and_loss_grow_as_coverage_grows(self):
         omega = 2.0 * math.pi * 2.0
-        ks = [rku_complex_stiffness(_LAYUP.with_coverage(c), omega) for c in (0.0, 0.167, 0.333, 0.667, 1.0)]
+        ks = [rku_complex_stiffness(_LAYUP.replace(coverage=c), omega) for c in (0.0, 0.167, 0.333, 0.667, 1.0)]
         storages = [k.storage for k in ks]
         losses = [k.loss for k in ks]
         assert storages == sorted(storages)
@@ -131,9 +131,9 @@ class TestRku:
 
     def test_coverage_scaling_is_linear(self):
         omega = 2.0 * math.pi * 1.0
-        k0 = rku_complex_stiffness(_LAYUP.with_coverage(0.0), omega).as_complex
+        k0 = rku_complex_stiffness(_LAYUP.replace(coverage=0.0), omega).as_complex
         k1 = rku_complex_stiffness(_LAYUP, omega).as_complex
-        k_half = rku_complex_stiffness(_LAYUP.with_coverage(0.5), omega).as_complex
+        k_half = rku_complex_stiffness(_LAYUP.replace(coverage=0.5), omega).as_complex
         assert k_half == pytest.approx(k0 + 0.5 * (k1 - k0), rel=1e-12)
 
     def test_negative_frequency_rejected(self):
@@ -156,7 +156,7 @@ class TestRku:
     @settings(max_examples=60, deadline=None)
     @given(coverage=st.floats(0.0, 1.0), freq=st.floats(0.01, 50.0))
     def test_loss_nonnegative_and_storage_above_bare_plate(self, coverage, freq):
-        k = rku_complex_stiffness(_LAYUP.with_coverage(coverage), 2.0 * math.pi * freq)
+        k = rku_complex_stiffness(_LAYUP.replace(coverage=coverage), 2.0 * math.pi * freq)
         assert k.loss >= 0.0
         assert k.storage >= _BARE_PLATE_K * (1 - 1e-12)
 

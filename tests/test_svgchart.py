@@ -75,3 +75,9 @@ def test_value_that_is_not_finite_rejected(tmp_path, bad):
         write_line_chart(str(tmp_path / "bad.svg"), [("y", [0.0, 1.0], [0.0, bad])], title="t", xlabel="x", ylabel="y")
     with pytest.raises(ValueError, match="not finite"):
         write_line_chart(str(tmp_path / "bad.svg"), [("y", [bad], [0.0])], title="t", xlabel="x", ylabel="y")
+
+
+@pytest.mark.parametrize("series", [[], [("y", [], [])]], ids=["no-series", "no-points"])
+def test_empty_series_rejected(tmp_path, series):
+    with pytest.raises(ValueError, match="^cannot chart empty series$"):
+        write_line_chart(str(tmp_path / "empty.svg"), series, title="t", xlabel="x", ylabel="y")

@@ -64,16 +64,6 @@ DEFAULTS = {SandwichLayup: {"coverage": 1.0}, PronyFit: {"fit_residual": 0.0}, T
 CLASSES = list(FIELDS)
 
 
-def _same(a, b):
-    """a and b of one class with equal fields, arrays compared by value, and the same attributes."""
-    assert type(a) is type(b) and vars(a).keys() == vars(b).keys()
-    for name, value in vars(a).items():
-        if isinstance(value, np.ndarray):
-            np.testing.assert_array_equal(value, getattr(b, name))
-        else:
-            assert value == getattr(b, name), name
-
-
 def test_every_value_class_is_covered():
     def subclasses(cls):
         return {cls, *(c for sub in cls.__subclasses__() for c in subclasses(sub))}
@@ -93,17 +83,17 @@ class TestEveryValue:
     def test_built_by_position_keyword_or_default(self, cls):
         fields = FIELDS[cls]
         value = cls(**fields)
-        _same(value, cls(*fields.values()))
+        assert value == cls(*fields.values())
         defaulted = {name: v for name, v in fields.items() if name not in DEFAULTS.get(cls, {})}
-        _same(cls(**defaulted), cls(**{**fields, **DEFAULTS.get(cls, {})}))
+        assert cls(**defaulted) == cls(**{**fields, **DEFAULTS.get(cls, {})})
         first = next(iter(fields))
-        for args, kwargs in [
-            ((), {n: v for n, v in fields.items() if n != first}),  # missing
-            ((), {**fields, "nope": 1}),  # unknown
-            ((fields[first],), fields),  # repeated
-            ((*fields.values(), 1), {}),  # one too many
+        for args, kwargs, problem in [
+            ((), {n: v for n, v in fields.items() if n != first}, f"missing a required argument: '{first}'"),
+            ((), {**fields, "nope": 1}, "got an unexpected keyword argument 'nope'"),
+            ((fields[first],), fields, f"multiple values for argument '{first}'"),
+            ((*fields.values(), 1), {}, "too many positional arguments"),
         ]:
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\): {problem}$"):
                 cls(*args, **kwargs)
 
     def test_assignment_and_deletion_raise(self, cls):
@@ -119,13 +109,12 @@ class TestEveryValue:
 
     def test_equality_goes_by_field_and_class(self, cls):
         value = cls(**FIELDS[cls])
-        twin = copy.copy(value)  # the same field objects: arrays compare by identity, as in a tuple
+        twin = copy.copy(value)
         assert twin is not value and twin == value and not twin != value
-        for name, field in FIELDS[cls].items():
-            if not isinstance(field, np.ndarray):  # an array's == is elementwise: it has no truth value
-                other = copy.copy(value)
-                vars(other)[name] = object()
-                assert other != value, name
+        for name in FIELDS[cls]:
+            other = copy.copy(value)
+            vars(other)[name] = object()
+            assert other != value and value != other, name
         fields = [getattr(value, name) for name in FIELDS[cls]]
         lookalike = type("Lookalike", (Value,), {"__annotations__": dict.fromkeys(FIELDS[cls], "object")})(*fields)
         assert value.__eq__(lookalike) is NotImplemented and value != lookalike and value != tuple(fields)
@@ -144,15 +133,28 @@ class TestEveryValue:
     def test_pickle_and_deepcopy_round_trips(self, cls):
         value = cls(**FIELDS[cls])
         for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-            _same(twin, value)
+            assert twin == value
             with pytest.raises(AttributeError):
                 twin.nope = 1
 
     def test_replace_builds_a_new_validated_value(self, cls):
         value = cls(**FIELDS[cls])
-        _same(value.replace(), value)
+        assert value.replace() == value
         with pytest.raises(TypeError):
             value.replace(nope=1)
+
+
+def test_values_holding_arrays_compare_by_content():
+    series = TimeSeries(200.0, [0.0, 1.0, 2.0])
+    assert series == TimeSeries(200.0, [0.0, 1.0, 2.0]) == copy.deepcopy(series)
+    assert series != TimeSeries(200.0, [0.0, 1.0, 3.0]) and series != TimeSeries(200.0, [0.0, 1.0])
+    for cls in (ConstrainedTrace, FreeSwimTrace):
+        value = cls(**FIELDS[cls])
+        twin = copy.deepcopy(value)
+        assert twin.thrust is not value.thrust and twin == value and not twin != value
+        changed = twin.thrust.copy()
+        changed[-1] += 1.0
+        assert twin.replace(thrust=changed) != value and value != twin.replace(time=twin.time[:-1])
 
 
 def test_repr_names_every_field_in_order():
@@ -178,7 +180,6 @@ def test_repr_names_every_field_in_order():
 
 def test_replace_runs_post_init_again():
     assert _LAYUP.replace(coverage=0.25) == SandwichLayup(5e-4, 3.5e9, 1e-3, _ZENER, 3e-4, 3e9, 0.1, 0.0765, 0.25)
-    assert _LAYUP.with_coverage(0.25) == _LAYUP.replace(coverage=0.25)
     with pytest.raises(ParameterDomainError, match=r"^coverage must be in \[0, 1\], got 2$"):
         _LAYUP.replace(coverage=2)
     with pytest.raises(ParameterDomainError):
@@ -186,6 +187,6 @@ def test_replace_runs_post_init_again():
     assert PronyFit(1.0, ()).replace(branches=((1e-15, 0.01), (0.5, 0.3))).branches == ((0.5, 0.3),)
     assert _SWEEP.replace(freq_grid_hz=(3.0,)).kinematics == (KinematicsSpec(3.0, 0.08, 0.2),)
     config = ProtocolConfig(**FIELDS[ProtocolConfig])
-    assert config.replace(designs=(("b", 0.75),)).layups == {0.75: _LAYUP.with_coverage(0.75)}
+    assert config.replace(designs=(("b", 0.75),)).layups == {0.75: _LAYUP.replace(coverage=0.75)}
     series = TimeSeries(200.0, [0.0, 1.0]).replace(samples=[2.0, 3.0])
     assert series.samples.tolist() == [2.0, 3.0] and not series.samples.flags.writeable

@@ -7,6 +7,8 @@ lock-in regression, simulates a heave-driven foil with the passive hinge
 end, writing CSV tables and SVG figures.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .config import ProtocolConfig, load_config, parse_grid
 from .errors import (
@@ -58,49 +60,5 @@ from .stiffness import (
     zener_shear_modulus,
 )
 
-__all__ = [
-    "__version__",
-    "CldPropError",
-    "ComplexStiffness",
-    "ConfigError",
-    "ConstrainedTrace",
-    "CycleMetrics",
-    "DegenerateExcitationError",
-    "DegenerateImpedanceError",
-    "FitConvergenceError",
-    "FoilConfig",
-    "FractionalZenerParams",
-    "FreeSwimTrace",
-    "InsufficientRecordError",
-    "IntegrationDivergenceError",
-    "KinematicsSpec",
-    "LockinResult",
-    "ParameterDomainError",
-    "PronyFit",
-    "ProtocolConfig",
-    "SandwichLayup",
-    "SignalMismatchError",
-    "TimeSeries",
-    "UnknownDesignError",
-    "cycle_average",
-    "cycle_fold",
-    "emit_plot_data",
-    "fit_design_hinge",
-    "fit_prony",
-    "hysteresis_loop_area",
-    "load_config",
-    "lockin_extract",
-    "parse_grid",
-    "prony_frequency_response",
-    "propulsion_metrics",
-    "rku_complex_stiffness",
-    "run_bender_sweep",
-    "run_freeswim_trial",
-    "run_strouhal_sweep",
-    "simulate_constrained",
-    "simulate_free_swim",
-    "strouhal",
-    "swim_metrics",
-    "synth_bender_pair",
-    "zener_shear_modulus",
-]
+# The public API is every name bound above but the submodules the imports bind as attributes of the package.
+__all__ = ["__version__", *sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))]

@@ -11,9 +11,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
-import shutil
 import sys
 import warnings
 from functools import partial
@@ -104,17 +102,6 @@ def _info(args, message: str) -> None:
     print(message, file=stream)
 
 
-@contextlib.contextmanager
-def _run_dir(config: ProtocolConfig, protocol: str):
-    """A new run directory for the body to write into, removed again if the body fails."""
-    run_dir = create_run_dir(config, protocol)
-    try:
-        yield run_dir
-    except BaseException:
-        shutil.rmtree(run_dir, ignore_errors=True)
-        raise
-
-
 def _read_signal_csv(path: str, columns: int) -> tuple[np.ndarray, ...]:
     with open(path) as fh:
         if len(fh.readline().split(",")) != columns:
@@ -160,9 +147,12 @@ def _cmd_layup(args, config: ProtocolConfig) -> int:
 def _cmd_table(run, write, table: str, title: str, args, config: ProtocolConfig) -> int:
     """bender or sweep: run the protocol, then write its table and figures into a new run directory."""
     rows = run(config)
-    with _run_dir(config, args.command) as run_dir:
+
+    def fill(run_dir: str) -> None:
         write(rows, f"{run_dir}/{table}")
         emit_plot_data(rows, run_dir)
+
+    run_dir = create_run_dir(config, args.command, fill)
     _info(args, f"{title} written to {run_dir}")
     return 0
 
@@ -199,11 +189,14 @@ def _cmd_freeswim(args, config: ProtocolConfig) -> int:
         config.coverage_of(name)  # an unknown design fails before any trial runs
     trials = [(name, *run_freeswim_trial(config, name)) for name in names]
     summary = [(name, metrics) for name, _, metrics in trials]
-    with _run_dir(config, "freeswim") as run_dir:
+
+    def fill(run_dir: str) -> None:
         for name, trace, _ in trials:
             write_freeswim_trace(trace, f"{run_dir}/trace_{name}.csv")
         with open(f"{run_dir}/swim_metrics.csv", "w", newline="\n") as fh:
             write_swim_metrics(summary, fh)
+
+    run_dir = create_run_dir(config, "freeswim", fill)
     write_swim_metrics(summary, sys.stdout)
     _info(args, f"free-swim trial written to {run_dir}")
     return 0

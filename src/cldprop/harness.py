@@ -102,11 +102,10 @@ def run_bender_sweep(config: ProtocolConfig) -> tuple[ImpedanceRow, ...]:
         layup = config.layups[coverage]
         for f_idx, freq in enumerate(bender.freq_grid_hz):
             try:
-                if freq == 0.0:
-                    k = rku_complex_stiffness(layup, 0.0)
-                    rows.append(ImpedanceRow(design, freq, k, 0.0))
-                    continue
                 plant = rku_complex_stiffness(layup, 2.0 * math.pi * freq)
+                if freq == 0.0:
+                    rows.append(ImpedanceRow(design, freq, plant, 0.0))
+                    continue
                 theta, torque = synth_bender_pair(
                     plant, freq, theta_amp=bender.theta_amp, sample_rate=bender.sample_rate, n_cycles=bender.cycles
                 )
@@ -356,8 +355,11 @@ def emit_plot_data(rows: Sequence[ImpedanceRow] | Sequence[SweepRow], out_dir: s
 # Run directories
 
 
-def create_run_dir(config: ProtocolConfig, protocol: str) -> str:
-    """Timestamped run directory with a manifest of the resolved config."""
+def create_run_dir(config: ProtocolConfig, protocol: str, write: Callable[[str], None]) -> str:
+    """Timestamped run directory with a manifest of the resolved config, filled by `write(path)`.
+
+    If the manifest or `write` fails, the directory is removed and the error raised again.
+    """
     stamp = datetime.datetime.now().strftime("%Y%m%d_%H%M%S")
     base = path = os.path.join(config.output_dir, f"{protocol}_{stamp}")
     for suffix in count(1):
@@ -376,6 +378,7 @@ def create_run_dir(config: ProtocolConfig, protocol: str) -> str:
         with open(os.path.join(path, "manifest.json"), "w", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        write(path)
     except BaseException:
         shutil.rmtree(path, ignore_errors=True)
         raise

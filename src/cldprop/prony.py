@@ -138,6 +138,8 @@ def fit_prony_batch(
     if any([float(w) for w, _ in other] != omegas.tolist() for other in sample_sets[1:]):
         raise ParameterDomainError("sample sets must share one frequency grid")
     targets = np.array([[k.as_complex for _, k in s] for s in sample_sets])
+    if not np.isfinite(targets).all():
+        raise ParameterDomainError("sample stiffnesses must be finite")
     scale = np.maximum(np.abs(targets), 1e-300)
 
     w_pos = omegas[omegas > 0.0]  # never empty: 3 or more distinct frequencies >= 0, at most one of them 0

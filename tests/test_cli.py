@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -678,6 +679,15 @@ def test_import_builds_no_dataclass_and_loads_no_svg_writer():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_public_names_are_the_names_the_package_imports():
+    # `__all__` is __version__ and every public name the package's imports bind: no submodule, no private name.
+    names = cldprop.__all__
+    public = {n for n, v in vars(cldprop).items() if not (n.startswith("_") or isinstance(v, types.ModuleType))}
+    assert names[0] == "__version__" and len(set(names)) == len(names) and set(names[1:]) == public
+    for name in names[1:]:
+        assert getattr(cldprop, name).__module__.startswith("cldprop.")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -814,17 +824,19 @@ class TestProtocols:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, writer, whole", [("sweep", "write_sweep_table", 0), ("freeswim", "write_freeswim_trace", 1)]
+        "command, writer, whole",
+        [("sweep", "write_sweep_table", 0), ("freeswim", "write_freeswim_trace", 1), ("sweep", "emit_plot_data", 0)],
     )
     def test_write_failure_leaves_no_run_dir(self, tmp_path, capsys, monkeypatch, command, writer, whole):
         real_writer, calls = getattr(cli, writer), []
 
         def full_disk(table, path):
-            # The first `whole` files are written whole; the next stops part-way, as on a full disk.
+            # The first `whole` calls write whole; the next stops part-way, as on a full disk. The figure writer
+            # is given the run directory and stops in its first chart.
             calls.append(path)
             if len(calls) <= whole:
                 return real_writer(table, path)
-            with open(path, "w") as fh:
+            with open(os.path.join(path, "fig_thrust_baseline.svg") if os.path.isdir(path) else path, "w") as fh:
                 fh.write("partial,row\n")
             raise OSError(errno.ENOSPC, "No space left on device", path)
 

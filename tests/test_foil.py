@@ -54,6 +54,18 @@ class TestStrouhal:
                 KinematicsSpec(*bad)
 
 
+def _scaled(hinge: PronyFit, k_scale: float, tau_scale: float = 1.0) -> PronyFit:
+    """The hinge with k_inf and every k_j times `k_scale` and every tau_j times `tau_scale`."""
+    branches = tuple((k_scale * k, tau_scale * tau) for k, tau in hinge.branches)
+    return hinge.replace(k_inf=k_scale * hinge.k_inf, branches=branches)
+
+
+def _longer(foil):
+    """The foil at twice the length: chord, span and pitch axis offset x 2, tail inertia (mass x length^2) x 32."""
+    return foil.replace(tail_chord=2.0 * foil.tail_chord, tail_span=2.0 * foil.tail_span,
+                        pitch_axis_offset=2.0 * foil.pitch_axis_offset, tail_inertia=32.0 * foil.tail_inertia)
+
+
 def _linear_response(foil, kin, hinge) -> SimpleNamespace:
     """The plant's small-heave phasors in closed form (derived in test_small_heave_pitch_matches_linear_phasor).
 
@@ -228,27 +240,66 @@ class TestConstrained:
     @pytest.mark.parametrize("design", ["baseline", "a", "c"])
     def test_time_and_mass_similarity(self, default_config, design_hinges, design, freq):
         # Exact oracles for the plant's units. Time x 2 (f and U x 2, every k x 4, every tau / 2) keeps the pitch
-        # and makes thrust 4x; mass x 2 (rho, tail inertia and every k x 2) keeps the pitch and doubles thrust.
-        # Powers of two keep each float product exact, so what is left is LSODA's error control, measured at
-        # 1.9e-7 (time) and 7.5e-8 (mass) of the column peak; the branchless baseline is exact under mass.
+        # and makes thrust 4x; mass x 2 (rho, tail inertia and every k x 2) keeps the pitch and doubles thrust;
+        # length x 2 (chord, span, pitch axis offset, heave amplitude and U x 2, tail inertia and every k x 32)
+        # keeps the pitch and makes thrust 16x. Powers of two keep each float product exact, so what is left is
+        # LSODA's error control, measured at 1.9e-7 (time), 7.5e-8 (mass) and 6.5e-8 (length) of the column
+        # peak; the branchless baseline is exact under mass. Only the length case weighs a moment arm against
+        # its square: the added-mass inertia written as m_a r for m_a r^2 moves c's pitch at 2 Hz by 1.25 peaks.
         foil, sweep, hinge = default_config.foil, default_config.sweep, design_hinges[design]
         [kin] = [k for k in sweep.kinematics if k.heave_freq == freq]
 
         def run(foil, kin, scale, tau_scale=1.0):
-            branches = tuple((scale * k, tau_scale * tau) for k, tau in hinge.branches)
-            scaled = hinge.replace(k_inf=scale * hinge.k_inf, branches=branches)
-            return simulate_constrained(foil, kin, scaled, sweep.cycles, sweep.warmup_cycles)
+            return simulate_constrained(foil, kin, _scaled(hinge, scale, tau_scale), sweep.cycles, sweep.warmup_cycles)
 
         base = run(foil, kin, 1.0)
         fast = run(foil, kin.replace(heave_freq=2.0 * freq, freestream=2.0 * kin.freestream), 4.0, 0.5)
         heavy = run(foil.replace(fluid_density=2.0 * foil.fluid_density, tail_inertia=2.0 * foil.tail_inertia),
                     kin, 2.0)
-        assert np.array_equal(fast.time, base.time / 2.0)
-        for trace, thrust_scale in ((fast, 4.0), (heavy, 2.0)):
+        large = run(_longer(foil), kin.replace(heave_amp_pp=2.0 * kin.heave_amp_pp, freestream=2.0 * kin.freestream),
+                    32.0)
+        assert np.array_equal(fast.time, base.time / 2.0) and np.array_equal(large.time, base.time)
+        for trace, thrust_scale in ((fast, 4.0), (heavy, 2.0), (large, 16.0)):
             for got, want in ((trace.pitch, base.pitch), (trace.thrust / thrust_scale, base.thrust)):
                 assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
         if not hinge.branches:
             assert np.array_equal(heavy.pitch, base.pitch) and np.array_equal(heavy.thrust, 2.0 * base.thrust)
+
+    @pytest.mark.parametrize("design", ["baseline", "c"])
+    def test_free_swim_similarity(self, default_config, design_hinges, design):
+        # The same three scalings on the default free-swim trial, the virtual mass scaled as a mass (x 2 under
+        # mass, x 8 under length). Time x 2 with the duration halved halves the time grid: u x 2, accel and
+        # thrust x 4, x unchanged. Mass x 2 changes nothing but thrust (x 2). Length x 2: u, accel and x x 2,
+        # thrust x 16. Measured at 3.1e-8 (time), 2.5e-10 (mass) and 1.4e-8 (length) of the column peak; the
+        # branchless baseline is exact under mass.
+        foil, free, hinge = default_config.foil, default_config.freeswim, design_hinges[design]
+        kin, mass = free.kinematics, free.virtual_mass
+
+        def run(foil, kin, scale, tau_scale=1.0, virtual_mass=mass, duration=free.duration):
+            hinge_ = _scaled(hinge, scale, tau_scale)
+            return simulate_free_swim(foil, kin, hinge_, virtual_mass, free.body_drag_coeff, duration)
+
+        base = run(foil, kin, 1.0)
+        fast = run(foil, kin.replace(heave_freq=2.0 * kin.heave_freq, freestream=2.0 * kin.freestream), 4.0, 0.5,
+                   duration=free.duration / 2.0)
+        heavy = run(foil.replace(fluid_density=2.0 * foil.fluid_density, tail_inertia=2.0 * foil.tail_inertia),
+                    kin, 2.0, virtual_mass=2.0 * mass)
+        large = run(_longer(foil), kin.replace(heave_amp_pp=2.0 * kin.heave_amp_pp, freestream=2.0 * kin.freestream),
+                    32.0, virtual_mass=8.0 * mass)
+        assert np.array_equal(fast.time, base.time / 2.0)
+        assert np.array_equal(heavy.time, base.time) and np.array_equal(large.time, base.time)
+        cases = (
+            (fast, dict(x=1.0, u=2.0, accel=4.0, thrust=4.0)),
+            (heavy, dict(x=1.0, u=1.0, accel=1.0, thrust=2.0)),
+            (large, dict(x=2.0, u=2.0, accel=2.0, thrust=16.0)),
+        )
+        for trace, scales in cases:
+            for name, scale in scales.items():
+                got, want = getattr(trace, name) / scale, getattr(base, name)
+                assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), name
+        if not hinge.branches:
+            assert all(np.array_equal(getattr(heavy, n), getattr(base, n)) for n in ("x", "u", "accel"))
+            assert np.array_equal(heavy.thrust, 2.0 * base.thrust)
 
     def test_branchless_hinge_reports_loss_as_roundoff(self, default_config, design_hinges):
         # The baseline hinge keeps no branch, so its loss is exactly 0; the lock-in of a default lane reports

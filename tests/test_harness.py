@@ -382,8 +382,9 @@ class TestPlotData:
 class TestRunDir:
     def test_manifest_written(self, small_config, tmp_path):
         config = load_config(overrides=[f"output.directory={tmp_path}"])
-        run_dir = create_run_dir(config, "bender")
-        assert os.path.isdir(run_dir)
+        filled = []
+        run_dir = create_run_dir(config, "bender", filled.append)
+        assert os.path.isdir(run_dir) and filled == [run_dir]
         manifest = Path(run_dir, "manifest.json").read_text()
         assert "toolkit_version" in manifest and "resolved_config" in manifest
 
@@ -394,7 +395,18 @@ class TestRunDir:
         monkeypatch.setattr(harness.json, "dump", full_disk)
         config = load_config(overrides=[f"output.directory={tmp_path}"])
         with pytest.raises(OSError):
-            create_run_dir(config, "sweep")
+            create_run_dir(config, "sweep", lambda path: None)
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupted_fill_leaves_no_run_dir(self, tmp_path):
+        # Any exception the fill raises removes the directory, not only an OSError.
+        def write(path):
+            Path(path, "table.csv").write_text("partial,row\n")
+            raise KeyboardInterrupt
+
+        config = load_config(overrides=[f"output.directory={tmp_path}"])
+        with pytest.raises(KeyboardInterrupt):
+            create_run_dir(config, "sweep", write)
         assert os.listdir(tmp_path) == []
 
     def test_same_second_names_take_the_next_free_suffix(self, tmp_path, monkeypatch):
@@ -417,7 +429,7 @@ class TestRunDir:
             return real_makedirs(path, *args, **kwargs)
 
         monkeypatch.setattr(harness.os, "makedirs", rival_first)
-        run_dir = create_run_dir(config, "sweep")
+        run_dir = create_run_dir(config, "sweep", lambda path: None)
         assert taken == [str(tmp_path / "sweep_20260102_030405_2")]
         assert run_dir == str(tmp_path / "sweep_20260102_030405_3")
         assert os.listdir(run_dir) == ["manifest.json"]

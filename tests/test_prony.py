@@ -139,6 +139,19 @@ class TestFit:
         with pytest.raises(ParameterDomainError, match="^sample frequencies must be finite and >= 0$"):
             fit_prony(samples + [(w, samples[0][1]) for w in bad], n_branches=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["storage", "loss"])
+    def test_stiffnesses_must_be_finite(self, part, bad):
+        # A NaN raised numpy's LinAlgError and an inf a FitConvergenceError, after divide warnings.
+        samples = _sample(PronyFit(k_inf=1.0, branches=((0.5, 0.01),)), _BAND)
+        samples[3] = (samples[3][0], samples[3][1].replace(**{part: bad}))
+        match = "^sample stiffnesses must be finite$"
+        with pytest.raises(ParameterDomainError, match=match):
+            fit_prony(samples, n_branches=1)
+        good = _sample(PronyFit(k_inf=2.0, branches=((0.25, 0.02),)), _BAND)
+        with pytest.raises(ParameterDomainError, match=match):
+            fit_prony_batch([good, samples, good], n_branches=1)
+
 
 _CONFIG = load_config(None, [])
 

@@ -124,10 +124,13 @@ def _read_signal_csv(path: str, columns: int) -> tuple[np.ndarray, ...]:
 
 
 def _sample_rate_of(t: np.ndarray, path: str) -> float:
+    """Sample rate of a time column from its span. Stamps may be absolute: a step may differ from the first by 1e-6
+    of it plus twice the stamps' float resolution."""
     dt = np.diff(t)
-    if dt.size == 0 or np.any(dt <= 0) or np.ptp(dt) > 1e-6 * dt[0]:
+    if dt.size == 0 or np.any(dt <= 0) or np.ptp(dt) > 1e-6 * dt[0] + 2.0 * np.spacing(np.abs(t).max()):
         raise ConfigError(f"{path}: time column must be uniformly increasing")
-    if (fs := 1.0 / float(dt[0])) == math.inf:
+    # In Python floats a span past the float range is inf, a rate of 0 Hz, with no numpy overflow warning.
+    if (fs := dt.size / (float(t[-1]) - float(t[0]))) == math.inf:
         raise ConfigError(f"{path}: time step {dt[0]:g} s gives a sample rate past the float range")
     return fs
 
@@ -175,8 +178,7 @@ def _cmd_extract(args, _config: ProtocolConfig) -> int:
         raise ConfigError("extract needs --combined, or both --theta and --torque")
     if args.freq >= fs / 2.0:
         raise ConfigError(f"--freq must be below the record's Nyquist limit of {fs / 2.0:g} Hz, got {args.freq:g}")
-    theta = TimeSeries(fs, th, float(t[0]))
-    torque = TimeSeries(fs, tq, float(t[0]))
+    theta, torque = TimeSeries(fs, th), TimeSeries(fs, tq)
     result = lockin_extract(theta, torque, args.freq)
     area = hysteresis_loop_area(theta, torque, args.freq)
     write_extract_report(args.freq, result, area, sys.stdout)

@@ -303,11 +303,9 @@ def _integrate(rhs, dim, t, rtol, atol, mxstep=500):
         return rhs(time, s)
 
     for f in (rhs, tracked):  # a solve that stops between two rows runs again, noting the time of each call
-        # The arguments of scipy.integrate.odeint(f, y0, t, rtol=, atol=, mxstep=, tfirst=True), in its order;
-        # istate < 0 is the failed solve that odeint reports as ODEintWarning.
+        # istate < 0 is the failed solve that scipy.integrate.odeint reports as ODEintWarning.
         try:
-            hist, istate = _lsoda()(f, np.zeros(dim), t, (), None, 0, -1, -1, 0, rtol, atol, None, 0.0, 0.0, 0.0,
-                                    0, mxstep, 0, 12, 5, 1)
+            hist, istate = _lsoda()(f, np.zeros(dim), t, rtol=rtol, atol=atol, mxstep=mxstep, tfirst=1)
         except ValueError:  # math.sin of an infinite trial state
             continue
         if istate >= 0:  # a finished solve fails at its first non-finite row
@@ -343,7 +341,7 @@ def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMet
         mean_thrust=mean_thrust,
         mean_input_power=mean_power,
         efficiency=efficiency,
-        effective_stiffness=folded_lockin(trace.pitch, trace.hinge_moment, spc, fs, trace.drive_freq, trace.time[0]),
+        effective_stiffness=folded_lockin(trace.pitch, trace.hinge_moment, spc, fs, trace.drive_freq),
     )
 
 

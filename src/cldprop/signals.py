@@ -39,13 +39,10 @@ class TimeSeries(Value):
 
     sample_rate: float
     samples: np.ndarray
-    start_time: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.sample_rate < math.inf:
             raise ParameterDomainError(f"sample rate must be positive and finite, got {self.sample_rate}")
-        if not math.isfinite(self.start_time):
-            raise ParameterDomainError(f"start time must be finite, got {self.start_time}")
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr)):
             raise ParameterDomainError("a time series needs at least 2 samples, all finite")
@@ -58,15 +55,15 @@ class TimeSeries(Value):
 
     @property
     def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.samples.size) / self.sample_rate
+        """Each sample's time in seconds from the first sample."""
+        return np.arange(self.samples.size) / self.sample_rate
 
     def after(self, time: float) -> "TimeSeries":
-        """Sub-series of samples at or after an absolute time (warm-up trimming)."""
+        """The samples at or after `time` seconds from the first sample, as a series that starts there (warm-up)."""
         keep = self.times >= time - 1e-12
         if not np.any(keep):
             raise InsufficientRecordError("no samples at or after the requested time")
-        idx = int(np.argmax(keep))
-        return TimeSeries(self.sample_rate, self.samples[idx:], self.start_time + idx / self.sample_rate)
+        return TimeSeries(self.sample_rate, self.samples[int(np.argmax(keep)) :])
 
 
 class LockinResult(Value):
@@ -87,14 +84,12 @@ def _check_drive(drive_freq: float, sample_rate: float) -> None:
 
 
 def _whole_cycle_window(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> tuple[int, int]:
-    """(n_full, m) of a pair of equal length, sample rate and start time and a drive frequency below its Nyquist
-    limit: n_full >= 3 whole drive cycles in its first m samples."""
+    """(n_full, m) of a pair of equal length and sample rate and a drive frequency below its Nyquist limit:
+    n_full >= 3 whole drive cycles, counted from its first sample, in its first m samples."""
     if len(theta) != len(torque):
         raise SignalMismatchError(f"signal lengths differ: {len(theta)} vs {len(torque)}")
     if theta.sample_rate != torque.sample_rate:
         raise SignalMismatchError(f"sample rates differ: {theta.sample_rate} vs {torque.sample_rate}")
-    if theta.start_time != torque.start_time:
-        raise SignalMismatchError(f"start times differ: {theta.start_time} vs {torque.start_time}")
     return _cycle_window(len(theta), theta.sample_rate, drive_freq)
 
 
@@ -138,10 +133,10 @@ def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> 
 
 
 def folded_lockin(
-    theta: np.ndarray, torque: np.ndarray, samples_per_cycle: int, sample_rate: float, drive_freq: float, start_time: float
+    theta: np.ndarray, torque: np.ndarray, samples_per_cycle: int, sample_rate: float, drive_freq: float
 ) -> ComplexStiffness:
-    """`lockin_extract`'s stiffness, checks and errors for records of `sample_rate` from `start_time` whose drive cycle
-    is `samples_per_cycle` samples: its window summed onto one cycle's bins, so cos and sin are taken of one cycle."""
+    """`lockin_extract`'s stiffness, checks and errors for records of `sample_rate` whose drive cycle is
+    `samples_per_cycle` samples: its window summed onto one cycle's bins, so cos and sin are taken of one cycle."""
     if not (np.isfinite(theta).all() and np.isfinite(torque).all()):
         raise ParameterDomainError("a time series needs at least 2 samples, all finite")
     whole, extra = divmod(_cycle_window(theta.size, sample_rate, drive_freq)[1], samples_per_cycle)
@@ -149,7 +144,7 @@ def folded_lockin(
     folds = [_whole_cycles(x, samples_per_cycle)[:whole].sum(axis=0) for x in (theta, torque)]
     for fold, x in zip(folds, (theta, torque)):
         fold[:extra] += x[whole * samples_per_cycle :][:extra]
-    wt = 2.0 * math.pi * drive_freq * (start_time + np.arange(samples_per_cycle) / sample_rate)
+    wt = 2.0 * math.pi * drive_freq * (np.arange(samples_per_cycle) / sample_rate)
     return _fundamentals(wt, folds, weight)[2]
 
 

@@ -228,6 +228,23 @@ class TestExtract:
         assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
         assert "usecols" not in err[0]  # numpy's advice names an option cldprop lacks
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8, 1.7e9], ids=["0", "1e6", "1e8", "unix-epoch"])
+    def test_absolute_time_stamps_give_the_report_of_a_record_from_0(self, tmp_path, offset):
+        # A 20 s, 1 kHz record of a 3 Hz spring-damper, its time column shifted by `offset` seconds: the stamps'
+        # float spacing reaches 2.4e-7 s at 1.7e9 s, which the step check and the span's rate allow for.
+        t = np.arange(20_000) / 1000.0
+        theta = 0.157 * np.sin(2.0 * math.pi * _F * t)
+        torque = _K * theta + _C * 0.157 * 2.0 * math.pi * _F * np.cos(2.0 * math.pi * _F * t)
+        reports = []
+        for shift in (0.0, offset):
+            path = tmp_path / f"rec_{shift:g}.csv"
+            np.savetxt(path, np.column_stack([shift + t, theta, torque]), "%.17g", ",",
+                       header="time_s,theta_rad,torque_nm", comments="")
+            code, out, err = _cli_run(["extract", "--quiet", "--combined", str(path), "--freq", "3"])
+            assert (code, err) == (0, "")
+            reports.append([float(cell) for cell in out.splitlines()[1].split(",")])
+        assert reports[1] == pytest.approx(reports[0], rel=1e-8)
+
 
 class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
@@ -512,6 +529,7 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         (["extract", "--combined", "RECORD", "--freq", "3"], 0),  # |T_hat|^2 and np.var of the torque overflowed
         (["extract", "--combined", "HUGE_ANGLE_RECORD", "--freq", "3"], 3),  # its loop area is about 1e320
         (["extract", "--combined", "TINY_STEP_RECORD", "--freq", "3"], 2),
+        (["extract", "--combined", "HUGE_SPAN_RECORD", "--freq", "3"], 2),  # a rate of 0 Hz: any drive is past Nyquist
         (["bender", "--set", "bender.theta_amp_deg=1e200"], 2),  # past about 1e158 deg the loop area is inf
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.freestream_mps=1e-300"], 0),  # one St, 1.6e299
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.prony_fit_grid_hz=1e-300,1,2,3,4"], 0),
@@ -530,6 +548,7 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         "huge-torque-record",
         "huge-angle-and-torque-record",
         "sample-rate-past-the-float-range",
+        "record-span-past-the-float-range",
         "huge-bender-amplitude",
         "one-huge-strouhal-number",
         "prony-fit-down-to-1e-300-hz",
@@ -554,6 +573,9 @@ def test_extreme_value_gives_a_finite_table_or_one_line(tmp_path, argv, want):
     # Uniform steps of 1e-310 s: the sample rate 1/dt overflows to inf.
     record = np.column_stack([np.arange(400) * 1e-310, np.full(400, 0.1), np.full(400, 0.2)])
     np.savetxt(tmp_path / "TINY_STEP_RECORD.csv", record, "%.17g", ",", header="time_s,theta_rad,torque_nm", comments="")
+    # Steps of 5e305 s from -1e308 to 1e308: the span, last stamp minus first, overflows where no step does.
+    record = np.column_stack([(np.arange(400) - 199.5) * 5e305, np.full(400, 0.1), np.full(400, 0.2)])
+    np.savetxt(tmp_path / "HUGE_SPAN_RECORD.csv", record, "%.17g", ",", header="time_s,theta_rad,torque_nm", comments="")
     argv = [str(tmp_path / f"{a}.csv") if a.endswith("RECORD") else a for a in argv]
     out = tmp_path / "runs"
     out.mkdir()
@@ -588,7 +610,8 @@ def test_stdout_cells_are_the_library_values(tmp_path, capsys):
     (row,) = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     t, th = np.loadtxt(theta, delimiter=",", skiprows=1, unpack=True)
     tq = np.loadtxt(torque, delimiter=",", skiprows=1, usecols=1)
-    pair = TimeSeries(1.0 / float(np.diff(t)[0]), th, float(t[0])), TimeSeries(1.0 / float(np.diff(t)[0]), tq, float(t[0]))
+    fs = (t.size - 1) / float(t[-1] - t[0])  # the rate from the record's span
+    pair = TimeSeries(fs, th), TimeSeries(fs, tq)
     lockin, area = lockin_extract(*pair, 3.0), hysteresis_loop_area(*pair, 3.0)
     k = lockin.stiffness
     assert [float(c) for c in row] == [

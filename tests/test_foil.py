@@ -840,7 +840,7 @@ class TestPropulsionMetrics:
         traces, metrics, _ = sweep_results
         got, lockin, closed = [], [], []
         for (design, freq), trace in traces.items():
-            pair = (TimeSeries(trace.sample_rate, x, trace.time[0]) for x in (trace.pitch, trace.hinge_moment))
+            pair = (TimeSeries(trace.sample_rate, x) for x in (trace.pitch, trace.hinge_moment))
             for column, k in zip((got, lockin, closed), (
                 metrics[(design, freq)].effective_stiffness,
                 lockin_extract(*pair, trace.drive_freq).stiffness,

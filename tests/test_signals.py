@@ -58,7 +58,13 @@ class TestTimeSeries:
         ts = TimeSeries(10.0, np.arange(20.0))
         trimmed = ts.after(1.0)
         assert trimmed.samples[0] == 10.0
-        assert trimmed.start_time == pytest.approx(1.0)
+        assert trimmed.times[0] == 0.0  # the trimmed series starts at its own first sample
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.3, 0.7), (1.0, 0.0), (0.2, 1.5)])
+    def test_after_composes(self, a, b):
+        # Times count from the first sample, so trimming a, then b from there, is trimming a + b.
+        ts = TimeSeries(10.0, np.arange(20.0))
+        assert ts.after(a).after(b) == ts.after(a + b)
 
     def test_after_the_last_sample_rejected(self):
         with pytest.raises(InsufficientRecordError, match="^no samples at or after the requested time$"):
@@ -74,12 +80,6 @@ class TestTimeSeries:
             TimeSeries(100.0, [0.0, bad, 1.0])
         with pytest.raises(ParameterDomainError):
             TimeSeries(bad, [0.0, 1.0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_start_time_rejected(self, bad):
-        # A nan start never equals its pair's, and an inf one gives nan times: neither is a record's start.
-        with pytest.raises(ParameterDomainError, match="^start time must be finite"):
-            TimeSeries(100.0, [0.0, 1.0], bad)
 
 
 class TestLockin:
@@ -120,7 +120,7 @@ class TestLockin:
 
     def test_dc_offset_tolerated(self):
         theta, torque = _spring_damper_pair()
-        biased = TimeSeries(torque.sample_rate, torque.samples + 0.7, torque.start_time)
+        biased = TimeSeries(torque.sample_rate, torque.samples + 0.7)
         result = lockin_extract(theta, biased, _F)
         assert result.stiffness.storage == pytest.approx(_K, rel=1e-9)
 
@@ -145,14 +145,17 @@ class TestLockin:
         other_rate = TimeSeries(torque.sample_rate * 2, torque.samples)
         with pytest.raises(SignalMismatchError):
             lockin_extract(theta, other_rate, _F)
-        # Same rate and length, the torque starting 0.1 s later or the angle one sample interval later:
-        # read as one time base, K* would be wrong.
-        late = TimeSeries(torque.sample_rate, torque.samples, 0.1)
-        late_theta = TimeSeries(theta.sample_rate, theta.samples, 1.0 / _FS)
-        for measure in (lockin_extract, hysteresis_loop_area):
-            for pair in ((theta, late), (late_theta, torque)):
-                with pytest.raises(SignalMismatchError, match="^start times differ: "):
-                    measure(*pair, _F)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_phase_from_the_first_sample(self, k):
+        # A steady record that starts k whole drive cycles later holds the same cycles: K* and the amplitudes are
+        # those of the record from its start, up to rounding.
+        f, spc = 2.0, 100  # a drive cycle of 100 samples at 200 Hz
+        theta, torque = _spring_damper_pair(n_cycles=20, f=f)
+        want = lockin_extract(theta, torque, f)
+        got = lockin_extract(*(TimeSeries(_FS, x.samples[k * spc :]) for x in (theta, torque)), f)
+        values = [(r.stiffness.storage, r.stiffness.loss, r.theta_amplitude, r.torque_amplitude) for r in (got, want)]
+        assert values[0] == pytest.approx(values[1], rel=1e-13)
 
     def test_too_few_cycles_rejected(self):
         theta, torque = _spring_damper_pair(n_cycles=2)
@@ -210,8 +213,8 @@ class TestLockin:
             kin = next(k for k in sweep.kinematics if k.heave_freq == 1.0)
             trace = simulate_constrained(default_config.foil, kin, design_hinges["c"], sweep.cycles, sweep.warmup_cycles)
             f = trace.drive_freq
-            theta = TimeSeries(trace.sample_rate, trace.pitch, trace.time[0])
-            torque = TimeSeries(trace.sample_rate, trace.hinge_moment, trace.time[0])
+            theta = TimeSeries(trace.sample_rate, trace.pitch)
+            torque = TimeSeries(trace.sample_rate, trace.hinge_moment)
         elif record == "long-3Hz":  # 120,000 samples, as the extract of a 120 s record at 1 kHz
             f = 3.0
             theta, torque = synth_bender_pair(plant, f, theta_amp=_AMP, sample_rate=1000.0, n_cycles=360, **noisy)
@@ -240,9 +243,9 @@ class TestLockin:
         theta, torque = synth_bender_pair(
             ComplexStiffness(_K, _LOSS_ORACLE), 2.0, theta_amp=_AMP, sample_rate=200.0, n_cycles=6, noise_snr_db=20.0
         )
-        theta, torque, start, f, fs = theta.samples, torque.samples, 0.0, 2.0, 200.0
-        if case == "late-start":
-            start = 0.37
+        theta, torque, f, fs = theta.samples, torque.samples, 2.0, 200.0
+        if case == "late-start":  # the record begins 37 samples into a drive cycle
+            theta, torque = theta[37:], torque[37:]
         elif case == "partial-cycle":
             theta, torque = theta[:-37], torque[:-37]
         elif case == "short":
@@ -262,8 +265,8 @@ class TestLockin:
                 return type(exc), str(exc)
             return k.storage, k.loss
 
-        want = outcome(lambda: lockin_extract(TimeSeries(fs, theta, start), TimeSeries(fs, torque, start), f).stiffness)
-        got = outcome(lambda: folded_lockin(theta, torque, round(fs / f), fs, f, start))
+        want = outcome(lambda: lockin_extract(TimeSeries(fs, theta), TimeSeries(fs, torque), f).stiffness)
+        got = outcome(lambda: folded_lockin(theta, torque, round(fs / f), fs, f))
         errors = {"short": InsufficientRecordError, "nyquist": ParameterDomainError,
                   "flat": DegenerateExcitationError, "nan": ParameterDomainError}
         if case in errors:

@@ -36,7 +36,7 @@ FIELDS = {
                         face_thickness=3e-4, face_modulus=3e9, length=0.1, width=0.0765, coverage=0.5),
     ComplexStiffness: dict(storage=1.0, loss=2.0),
     PronyFit: dict(k_inf=0.09, branches=((0.95, 0.003),), fit_residual=1e-3),
-    TimeSeries: dict(sample_rate=200.0, samples=_COLUMNS[0], start_time=0.25),
+    TimeSeries: dict(sample_rate=200.0, samples=_COLUMNS[0]),
     LockinResult: dict(stiffness=_K, theta_amplitude=0.1, torque_amplitude=0.2, coherence=0.99),
     KinematicsSpec: dict(heave_freq=2.0, heave_amp_pp=0.08, freestream=0.2),
     FoilConfig: dict(tail_chord=0.11, tail_span=0.0765, tail_inertia=6.3e-5, pitch_axis_offset=0.03,
@@ -59,8 +59,7 @@ FIELDS = {
     SweepRow: dict(design="a", st=0.8, freq_hz=2.0, metrics=_METRICS),
     _Column: dict(header="x_m", get=list, cell=_floats),
 }
-DEFAULTS = {SandwichLayup: {"coverage": 1.0}, PronyFit: {"fit_residual": 0.0}, TimeSeries: {"start_time": 0.0},
-            _Column: {"cell": _floats}}
+DEFAULTS = {SandwichLayup: {"coverage": 1.0}, PronyFit: {"fit_residual": 0.0}, _Column: {"cell": _floats}}
 CLASSES = list(FIELDS)
 
 
@@ -168,9 +167,7 @@ def test_repr_names_every_field_in_order():
         " coherence=0.99)"
     )
     assert repr(_ZENER) == "FractionalZenerParams(g_low=10000.0, g_high=2000000.0, tau=0.0002, alpha=0.95)"
-    assert repr(TimeSeries(200.0, np.array([0.0, 1.5]), 0.25)) == (
-        "TimeSeries(sample_rate=200.0, samples=array([0. , 1.5]), start_time=0.25)"
-    )
+    assert repr(TimeSeries(200.0, np.array([0.0, 1.5]))) == "TimeSeries(sample_rate=200.0, samples=array([0. , 1.5]))"
     # The derived kinematics are an attribute, not a field.
     assert repr(_SWEEP) == (
         "SweepProtocol(freq_grid_hz=(1.0, 2.0), heave_amp_pp=0.08, freestream=0.2, cycles=10, warmup_cycles=5,"

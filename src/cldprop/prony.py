@@ -67,40 +67,48 @@ def least_squares(fun, x0: np.ndarray, lower: float, upper: float, max_nfev: int
     `fun(x, rows)` maps the starts at stack rows `rows` (all if omitted) to residuals (s, m), relative errors of order
     one at worst, and their Jacobians (s, m, n), each row from its own start alone. Trials are clipped into
     [lower, upper] and kept only if they lower the sum of squares; the damping follows Nielsen's gain-ratio rule. A
-    start stops when every |J_k . r| < GTOL |J_k| sqrt(m), when its step is below XTOL relative to x, or after
-    max_nfev evaluations. Returns .x, .fun (a row per start) and .nfev, summed over starts.
+    start stops when every |J_k . r| < GTOL |J_k| sqrt(m), when its step is below XTOL relative to x, when a trial is
+    rejected whose model decrease, step . (D step - J^T r), is at most m eps |r|^2 (below the rounding of the start's
+    sum of squares: More 1978, Madsen et al. 2004), or after max_nfev evaluations. Returns .x, .fun (a row per start)
+    and .nfev, summed over starts.
     """
     x = np.array(x0, dtype=float)
     r, jac = fun(x)
-    lam, nu = np.full(len(x), 1e-3), np.full(len(x), 2.0)
-    weight = np.zeros_like(x)  # damping weights: the largest diag(J^T J) seen so far (More 1978)
-    n_eval = np.ones(len(x), dtype=int)
-    live = np.isfinite(r).all(axis=1)
-    eye = np.eye(x.shape[1])
+    n_eval, n = np.ones(len(x), dtype=int), 1  # n: the evaluations so far of every live start
+    # Only the live starts are carried, at stack rows `rows`; a start's point and residual go back when it stops.
+    rows = np.flatnonzero(np.isfinite(r).all(axis=1))
+    xs, rs, js, ss = x[rows], r[rows], jac[rows], np.add.reduce(r[rows] ** 2, axis=1)
+    lam, nu = np.full(len(rows), 1e-3), np.full(len(rows), 2.0)
+    weight = np.zeros_like(xs)  # damping weights: the largest diag(J^T J) seen so far (More 1978)
+    eye, floor = np.eye(x.shape[1]), r.shape[1] * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero step's gain is 0/0, and it is rejected anyway
-        while live.any():
-            i = np.flatnonzero(live)
-            jt = jac[i].transpose(0, 2, 1)
-            grad, jtj = (jt @ r[i][..., None])[..., 0], jt @ jac[i]
-            flat = np.abs(grad) <= GTOL * np.sqrt(r.shape[1]) * np.sqrt(np.add.reduce(jac[i] * jac[i], axis=1))
-            weight[i] = np.maximum(weight[i], np.diagonal(jtj, axis1=1, axis2=2))
-            diag = lam[i, None] * weight[i] + 1e-300  # positive, so the damped system is never singular
+        while rows.size:
+            jt = js.transpose(0, 2, 1)
+            grad, jtj = (jt @ rs[..., None])[..., 0], jt @ js
+            flat = np.abs(grad) <= GTOL * np.sqrt(r.shape[1]) * np.sqrt(np.add.reduce(js * js, axis=1))
+            weight = np.maximum(weight, np.diagonal(jtj, axis1=1, axis2=2))
+            diag = lam[:, None] * weight + 1e-300  # positive, so the damped system is never singular
             step = np.linalg.solve(jtj + diag[..., None] * eye, -grad[..., None])[..., 0]
-            trial = np.minimum(np.maximum(x[i] + step, lower), upper)
-            step = trial - x[i]
-            r_t, jac_t = fun(trial, i)
-            n_eval[i] += 1
-            ss, ss_t = np.sum(r[i] ** 2, axis=1), np.sum(r_t**2, axis=1)
+            trial = np.minimum(np.maximum(xs + step, lower), upper)
+            step = trial - xs
+            r_t, jac_t = fun(trial, rows)
+            n += 1
+            ss_t = np.add.reduce(r_t**2, axis=1)
             better = ss_t < ss
-            gain = (ss - ss_t) / np.sum(step * (diag * step - grad), axis=1)
-            x[i[better]], r[i[better]], jac[i[better]] = trial[better], r_t[better], jac_t[better]
+            predicted = np.add.reduce(step * (diag * step - grad), axis=1)
+            gain = (ss - ss_t) / predicted
+            xs[better], rs[better], js[better], ss[better] = trial[better], r_t[better], jac_t[better], ss_t[better]
             # Held to [-1, 1], the cube cannot overflow: a gain over about 0.94 gives the floor 1/3 anyway,
             # and the huge negative gains seen are those of rejected trials, whose factor is not used.
             gain = np.minimum(np.maximum(gain, -1.0), 1.0)
-            lam[i] *= np.where(better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), nu[i])
-            nu[i] = np.where(better, 2.0, 2.0 * nu[i])
-            size, scale = (np.sqrt(np.add.reduce(v * v, axis=1)) for v in (step, x[i]))
-            live[i] = ~(flat.all(axis=1) | (size <= XTOL * (XTOL + scale)) | (n_eval[i] >= max_nfev))
+            lam *= np.where(better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), nu)
+            nu = np.where(better, 2.0, 2.0 * nu)
+            size, scale = (np.sqrt(np.add.reduce(v * v, axis=1)) for v in (step, xs))
+            done = flat.all(axis=1) | (size <= XTOL * (XTOL + scale)) | (n >= max_nfev)
+            done |= ~better & (predicted <= floor * ss)  # rejected, and its predicted decrease is below rounding
+            if done.any():
+                x[rows[done]], r[rows[done]], n_eval[rows[done]] = xs[done], rs[done], n
+                rows, xs, rs, js, ss, lam, nu, weight = (v[~done] for v in (rows, xs, rs, js, ss, lam, nu, weight))
     return SimpleNamespace(x=x, fun=r, nfev=int(n_eval.sum()))
 
 
@@ -169,11 +177,12 @@ def fit_prony_batch(
         kept = sv > np.finfo(float).eps * a.shape[1] * sv[:, :1]
         inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
         u = u * kept[:, None, :]
-        ub = (np.swapaxes(u, 1, 2) @ rhs[..., None])[..., 0]
+        ut = np.swapaxes(u, 1, 2)
+        ub = (ut @ rhs[..., None])[..., 0]
         c = (np.swapaxes(vt, 1, 2) @ (inv * ub)[..., None])[..., 0]
         r = (u @ ub[..., None])[..., 0] - rhs
         kaufman = da * c[:, None, 1:]
-        kaufman -= u @ (np.swapaxes(u, 1, 2) @ kaufman)
+        kaufman -= u @ (ut @ kaufman)
         pinv_t = (u * inv[:, None, :]) @ vt[..., 1:]
         return r, kaufman - pinv_t * (np.swapaxes(da, 1, 2) @ r[..., None])[..., 0][:, None, :]
 

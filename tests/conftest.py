@@ -7,7 +7,7 @@ from cldprop.config import load_config
 from cldprop.foil import propulsion_metrics, simulate_constrained
 from cldprop.harness import fit_design_hinge
 
-# The override fuzz tests draw fixed examples, except under this profile (see test_config.FIXED_DRAWS).
+# The fuzz tests draw fixed examples, except under this profile (see test_config.FIXED_DRAWS).
 settings.register_profile("random-draws", derandomize=False)
 
 

@@ -262,8 +262,9 @@ class TestFileAndOverrides:
 
 
 _KEYS = [f"{section}.{key}" for section, keys in load_config().raw.items() for key in keys]
-# The override fuzz tests here and in test_cli.py draw the same examples every run, and new random ones under
-# the hypothesis profile `random-draws` (conftest.py; `pytest --hypothesis-profile=random-draws`).
+# The override fuzz tests here and in test_cli.py, and the round trip on drawn truths in test_prony.py, draw the
+# same examples every run, and new random ones under the hypothesis profile `random-draws` (conftest.py;
+# `pytest --hypothesis-profile=random-draws`).
 FIXED_DRAWS = settings.get_current_profile_name() != "random-draws"
 _VALUES = st.one_of(
     st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "1e308", "-1e308", "1e400", str(10**30)]),

@@ -11,6 +11,8 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import sys
 import warnings
@@ -205,6 +207,10 @@ def _cmd_freeswim(args, config: ProtocolConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # At exit, what is still alive moves to the permanent generation, so the final collections skip it and the OS
+    # frees it; registered once per process, however often main runs. Importing cldprop registers nothing.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

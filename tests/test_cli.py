@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import gc
 import io
 import math
 import os
@@ -402,6 +403,55 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: malformed config file {cfg}: ") and len(err.splitlines()) == 1
         assert os.listdir(out) == []
+
+
+class _ExitHooks(list):
+    """The two calls of atexit that main makes, on a list."""
+
+    register = list.append
+
+    def unregister(self, func):
+        self[:] = [f for f in self if f != func]
+
+
+class TestExitHook:
+    def test_main_registers_one_exit_hook(self, monkeypatch, capsys):
+        # In-process callers, such as these tests and the benchmark, call main many times: one hook stays.
+        hooks = _ExitHooks()
+        monkeypatch.setattr(cli, "atexit", hooks)
+        assert main(["layup", "--freq-grid", "1", "--quiet"]) == 0
+        assert main(["--version"]) == 0
+        assert hooks == [gc.freeze]
+
+    def test_import_registers_none_and_main_freezes_at_exit(self):
+        # A library leaves its host's exit alone. main's hook runs at exit before every handler registered earlier
+        # (atexit runs last in, first out) and leaves what is alive then in the permanent generation.
+        code = (
+            "import atexit, gc, numpy\n"
+            "n = atexit._ncallbacks()\n"
+            "import cldprop, cldprop.cli\n"
+            "assert atexit._ncallbacks() == n, 'importing cldprop registered an exit hook'\n"
+            "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+            "assert cldprop.cli.main(['--version']) == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen at exit: True"
+
+    def test_module_entry_point_prints_the_whole_table(self, capsys):
+        # Run as a script, the layup table reaches stdout whole and nothing reaches stderr, even under -X dev,
+        # which warns of files left open; a bad override still exits 2 in one line.
+        assert main(["layup", "--quiet"]) == 0
+        table = capsys.readouterr().out
+        assert len(table.splitlines()) == 45
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cldprop.__file__)))
+        argv = [sys.executable, "-X", "dev", "-m", "cldprop.cli", "layup", "--quiet"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, table, "")
+        proc = subprocess.run([*argv, "--set", "nope.key=1"], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "config error: unknown config section [nope] in override 'nope.key=1'\n"
 
 
 class TestLayup:

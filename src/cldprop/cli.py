@@ -16,7 +16,7 @@ import gc
 import math
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .harness import (
 )
 from .signals import TimeSeries, hysteresis_loop_area, lockin_extract
 from .stiffness import rku_complex_stiffness
+
+_register_once = cache(atexit.register)  # an exit hook per process, however often main runs in it
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -207,10 +209,8 @@ def _cmd_freeswim(args, config: ProtocolConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # At exit, what is still alive moves to the permanent generation, so the final collections skip it and the OS
-    # frees it; registered once per process, however often main runs. Importing cldprop registers nothing.
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    """Run one command. Its first call in a process, a host's too, freezes the collector at exit (see README)."""
+    _register_once(gc.freeze)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

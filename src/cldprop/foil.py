@@ -295,7 +295,10 @@ def _lsoda():
 
 def _integrate(rhs, dim, t, rtol, atol, mxstep=500):
     """LSODA of rhs(t, s) -> ds/dt from rest at t[0] = 0, under error weights rtol |y_i| + atol and with
-    at most `mxstep` steps between two entries of t; the (t.size, dim) history at t."""
+    at most `mxstep` steps between two entries of t; the (t.size, dim) history at t, as LSODA returned it.
+
+    A finished solve is tested for finiteness as a whole array; its rows are searched for the first
+    non-finite one, whose time the error reports, only when that test fails."""
     reached = [0.0]
 
     def tracked(time, s):
@@ -309,10 +312,10 @@ def _integrate(rhs, dim, t, rtol, atol, mxstep=500):
         except ValueError:  # math.sin of an infinite trial state
             continue
         if istate >= 0:  # a finished solve fails at its first non-finite row
-            bad = np.flatnonzero(~np.isfinite(hist).all(axis=1))
-            if bad.size == 0:
+            finite = np.isfinite(hist)
+            if finite.all():
                 return hist
-            reached[0] = float(t[bad[0]])
+            reached[0] = float(t[np.flatnonzero(~finite.all(axis=1))[0]])
             break
     raise IntegrationDivergenceError(f"state diverged near t={reached[0]:.6g} s", time=reached[0])
 

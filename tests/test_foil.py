@@ -792,6 +792,42 @@ class TestIntegrator:
         assert 0.3 < info.value.time < 2.0
         assert len(recwarn) == 0
 
+    def test_divergence_time_is_first_row_with_a_non_finite_value(self, recwarn):
+        # The solve finishes (istate >= 0) with NaN in its last column only, from the row at t = 0.5 on; the
+        # error reports that row's output time exactly, whichever column holds the non-finite value.
+        def rhs(t, s):
+            return [1.0, math.cos(t), math.nan if t > 0.5 else 1.0]
+
+        with pytest.raises(IntegrationDivergenceError, match=r"^state diverged near t=0\.5 s$") as info:
+            foil_module._integrate(rhs, 3, np.linspace(0.0, 1.0, 11), foil_module.RTOL, foil_module.ATOL)
+        assert info.value.time == 0.5
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("free", [False, True], ids=["constrained", "free"])
+    def test_finite_history_is_returned_as_lsoda_gave_it(self, monkeypatch, free):
+        # A finished, finite solve is returned as the driver's own array, not a copy.
+        driven, returned = [], []
+        lsoda, integrate = foil_module._lsoda, foil_module._integrate
+
+        def driver(*args, **kwargs):
+            hist, istate = lsoda()(*args, **kwargs)
+            driven.append(hist)
+            return hist, istate
+
+        def recorded(*args, **kwargs):
+            returned.append(integrate(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(foil_module, "_lsoda", lambda: driver)
+        monkeypatch.setattr(foil_module, "_integrate", recorded)
+        kin = KinematicsSpec(2.0, 0.08, 0.2)
+        if free:
+            simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, duration=1.0)
+        else:
+            simulate_constrained(_FOIL, kin, _SOFT, n_cycles=3, warmup_cycles=1)
+        [hist], [result] = driven, returned
+        assert result is hist
+
 
 def _synthetic_trace(thrust_value, power_value, n=801, fs=200.0, f=2.0):
     t = np.arange(n) / fs

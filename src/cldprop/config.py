@@ -308,10 +308,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError("bender.theta_amp_deg must be in (0, 180], bender.cycles >= 3 and bender.repeats >= 1")
     if bender.noise_snr_db is not None and not bender.noise_snr_db > -6165.0:  # 10^(-SNR/20) overflows at -6165.1
         raise ConfigError("bender.noise_snr_db must be above -6165 dB, below which its gain 10^(-SNR/20) overflows")
-    if bender.sample_rate <= 2.0 * max(bender.freq_grid_hz):
-        raise ConfigError("bender.sample_rate_hz must exceed twice the top of bender.freq_grid_hz (Nyquist)")
-    # Record lengths as synth_bender_pair takes them; the 0 Hz point synthesizes nothing. record_length refuses
-    # a record over MAX_SAMPLES, as in synth_bender_pair, and _built reports that as a [bender] config error.
+    # Record lengths as synth_bender_pair takes them; the 0 Hz point synthesizes nothing. _built reports a record that
+    # breaks record_length's rules (drive below Nyquist, one cycle, MAX_SAMPLES) as a [bender] config error.
     record_samples = _built(
         "bender", sum, (record_length(bender.cycles, bender.sample_rate, f) for f in bender.freq_grid_hz if f > 0.0)
     )

@@ -156,20 +156,18 @@ def _steps_per_cycle(hinge: PronyFit, heave_freq: float, minimum: int) -> int:
 
 def _grid(hinge: PronyFit, heave_freq: float, minimum: int, dt: float | None) -> tuple[float, int]:
     """(dt, samples per heave cycle) of a plant run: the step rule's grid at `minimum` samples per cycle, or a
-    given dt held to the same rule at 100 per cycle and to whole cycles of samples, which the cycle means need."""
-    if dt is None:
-        steps = _steps_per_cycle(hinge, heave_freq, minimum)
-        if not (dt := 1.0 / (steps * heave_freq)) > 0.0:  # 0 once steps * f overflows
-            raise ParameterDomainError(f"heave frequency {heave_freq:g} Hz gives a sample step of 0 s")
-        return dt, steps
-    if not dt > 0.0:
+    given dt held to the same rule at 100 per cycle and to whole cycles of samples, which the cycle means need.
+    Both take one path of checks, which the rule's own grid always passes; only its dt is then tested for 0."""
+    if dt is not None and not dt > 0.0:
         raise ParameterDomainError(f"dt must be positive, got {dt}")
-    spc = 1.0 / dt / heave_freq
-    need = _steps_per_cycle(hinge, heave_freq, 100)
+    need = _steps_per_cycle(hinge, heave_freq, minimum if dt is None else 100)
+    spc = need if dt is None else 1.0 / dt / heave_freq
     if not spc >= need:
         raise ParameterDomainError(f"dt={dt:.3e} s gives {spc:.6g} samples per heave cycle, under the step rule's {need}")
     if not (spc < math.inf and abs(spc - round(spc)) <= 1e-9 * spc):  # inf where 1 / dt overflows
         raise ParameterDomainError(f"whole cycles need an integer number of samples per cycle, got {spc}")
+    if dt is None and not (dt := 1.0 / (need * heave_freq)) > 0.0:  # 0 once need * f overflows
+        raise ParameterDomainError(f"heave frequency {heave_freq:g} Hz gives a sample step of 0 s")
     return dt, round(spc)
 
 
@@ -325,15 +323,13 @@ def propulsion_metrics(trace: ConstrainedTrace, kin: KinematicsSpec) -> CycleMet
 
     Input power counts only non-recoverable (positive) instantaneous actuator
     power. The effective stiffness is a lock-in of the hinge-side moment
-    against the pitch angle at the drive frequency.
+    against the pitch angle at the drive frequency; the lock-in refuses a trace under 3 whole cycles.
     """
     fs, spc = trace.sample_rate, trace.samples_per_cycle
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is reported below
         thrust_means = cycle_average(trace.thrust, spc)
         power_means = cycle_average(np.maximum(trace.power, 0.0), spc)
         mean_thrust, mean_power = float(np.mean(thrust_means)), float(np.mean(power_means))
-    if thrust_means.size < 3:
-        raise ParameterDomainError("trace must span at least 3 whole cycles")
     if not (math.isfinite(mean_thrust) and math.isfinite(mean_power)):
         raise ParameterDomainError(f"mean thrust {mean_thrust:g} N or mean input power {mean_power:g} W is not finite")
     if mean_thrust > 0.0 and mean_power > 0.0:

@@ -138,7 +138,7 @@ def folded_lockin(
     """`lockin_extract`'s stiffness, checks and errors for records of `sample_rate` whose drive cycle is
     `samples_per_cycle` samples: its window summed onto one cycle's bins, so cos and sin are taken of one cycle."""
     if not (np.isfinite(theta).all() and np.isfinite(torque).all()):
-        raise ParameterDomainError("a time series needs at least 2 samples, all finite")
+        raise ParameterDomainError("lock-in angle and torque samples must all be finite")
     whole, extra = divmod(_cycle_window(theta.size, sample_rate, drive_freq)[1], samples_per_cycle)
     weight = whole + (np.arange(samples_per_cycle) < extra)  # the window's samples in each bin
     folds = [_whole_cycles(x, samples_per_cycle)[:whole].sum(axis=0) for x in (theta, torque)]
@@ -188,7 +188,11 @@ def hysteresis_loop_area(theta: TimeSeries, torque: TimeSeries, drive_freq: floa
 def record_length(n_cycles: int, sample_rate: float, drive_freq: float) -> int:
     """Samples in a record of at least `n_cycles` drive cycles: n_cycles * sample_rate / drive_freq rounded up,
     where a count above a whole number by at most 1e-12 of itself, the float product's rounding error, is that number.
-    A record of more than MAX_SAMPLES samples, a count past the float range included, is a ParameterDomainError."""
+    A drive outside `_check_drive`'s limits, under one cycle, or over MAX_SAMPLES samples (a count past the float
+    range included) is a ParameterDomainError, in that order: this function owns the rules of a bender record."""
+    _check_drive(drive_freq, sample_rate)
+    if not n_cycles >= 1:
+        raise ParameterDomainError("need at least one cycle")
     try:
         samples = n_cycles * sample_rate / drive_freq
     except OverflowError:  # a cycle count past the float range
@@ -219,12 +223,8 @@ def synth_bender_pair(
     """
     if not theta_amp > 0.0:
         raise ParameterDomainError(f"theta amplitude must be positive, got {theta_amp}")
-    _check_drive(drive_freq, sample_rate)
-    if n_cycles < 1:
-        raise ParameterDomainError("need at least one cycle")
-
+    n = record_length(n_cycles, sample_rate, drive_freq)  # the record's rules, ahead of any allocation
     omega = 2.0 * math.pi * drive_freq
-    n = record_length(n_cycles, sample_rate, drive_freq)  # refuses an over-long record before it is allocated
     t = np.arange(n) / sample_rate
     theta = theta_amp * np.sin(omega * t)
     k = prony_frequency_response(plant, omega) if isinstance(plant, PronyFit) else plant

@@ -194,11 +194,20 @@ class TestFileAndOverrides:
 
     def test_bender_record_bound_is_the_library_bound(self):
         # load_config refuses the record synth_bender_pair would refuse, with its message.
-        with pytest.raises(ParameterDomainError) as library:
-            record_length(25_001, 200.0, 0.5)
-        with pytest.raises(ConfigError) as config:
-            load_config(overrides=["bender.cycles=25001"])
-        assert str(config.value) == f"[bender] {library.value}"
+        for item, record in (
+            ("bender.cycles=25001", (25_001, 200.0, 0.5)),  # over MAX_SAMPLES at the grid's lowest drive
+            ("bender.sample_rate_hz=8", (10, 8.0, 4.0)),  # the grid's first drive at or past Nyquist
+        ):
+            with pytest.raises(ParameterDomainError) as library:
+                record_length(*record)
+            with pytest.raises(ConfigError) as config:
+                load_config(overrides=[item])
+            assert str(config.value) == f"[bender] {library.value}"
+
+    def test_bender_grid_of_only_0_hz_loads_at_any_sample_rate(self):
+        # The static point makes no record, so no record rule judges the rate against it, 0 Hz included.
+        config = load_config(overrides=["bender.freq_grid_hz=0", "bender.sample_rate_hz=0"])
+        assert config.bender.freq_grid_hz == (0.0,)
 
     def test_bender_amplitude_of_half_a_turn_loads(self):
         assert load_config(overrides=["bender.theta_amp_deg=180"]).bender.theta_amp == math.pi

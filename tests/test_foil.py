@@ -30,7 +30,7 @@ from cldprop import foil as foil_module
 from cldprop.foil import _equations
 from cldprop.harness import fit_design_hinge
 from cldprop.prony import PronyFit, prony_frequency_response
-from cldprop.signals import TimeSeries, cycle_average, lockin_extract
+from cldprop.signals import TimeSeries, cycle_average, folded_lockin, lockin_extract
 
 _CONFIG = load_config()
 _FOIL = _CONFIG.foil
@@ -321,6 +321,21 @@ class TestConstrained:
         for dt in (0.0, -1e-5, math.nan):
             with pytest.raises(ParameterDomainError, match="dt must be positive"):
                 simulate_constrained(_FOIL, kin, _RIGID, 10, 5, dt=dt)
+
+    def test_default_dt_given_is_the_default_grid(self, default_config, design_hinges):
+        # One grid path: a run given the step rule's own dt returns the default run's trace, field for field.
+        sweep, free, hinge = default_config.sweep, default_config.freeswim, design_hinges["c"]
+        kin = KinematicsSpec(2.0, sweep.heave_amp_pp, sweep.freestream)
+        for run in (
+            lambda dt=None: simulate_constrained(default_config.foil, kin, hinge, 3, 1, dt=dt),
+            lambda dt=None: simulate_free_swim(
+                default_config.foil, kin, hinge, free.virtual_mass, free.body_drag_coeff, 1.0, dt=dt),
+        ):
+            default = run()
+            given = run(1.0 / (default.samples_per_cycle * kin.heave_freq))  # the default grid's dt
+            for name in default._fields:
+                a, b = getattr(default, name), getattr(given, name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
 
     @pytest.mark.parametrize("n_cycles, warmup_cycles", [(0, 0), (1, -1)])
     def test_cycle_counts_rejected(self, n_cycles, warmup_cycles):
@@ -866,7 +881,8 @@ class TestPropulsionMetrics:
         assert metrics.efficiency is None
 
     def test_trace_under_three_cycles_rejected(self):
-        with pytest.raises(ParameterDomainError, match="^trace must span at least 3 whole cycles$"):
+        # The lock-in owns the three-cycle rule, and refuses a short trace as it refuses every short record.
+        with pytest.raises(InsufficientRecordError, match="^record spans 2 cycles, need at least 3$"):
             propulsion_metrics(_synthetic_trace(0.5, 1.0, n=200), KinematicsSpec(2.0, 0.08, 0.2))
 
     def test_folded_stiffness_is_the_lockin_of_every_sweep_lane(self, sweep_results, design_hinges):
@@ -900,8 +916,16 @@ class TestPropulsionMetrics:
         trace = _synthetic_trace(0.5, 1.0)
         values = getattr(trace, column).copy()
         values[-1] = bad  # the closing sample, past the window's whole cycles
-        with pytest.raises(ParameterDomainError, match="^a time series needs at least 2 samples, all finite$"):
+        with pytest.raises(ParameterDomainError, match="^lock-in angle and torque samples must all be finite$"):
             propulsion_metrics(trace.replace(**{column: values}), KinematicsSpec(2.0, 0.08, 0.2))
+
+    def test_non_finite_hinge_moment_named_by_the_fold(self):
+        # folded_lockin takes a trace's plant columns, not time series: its error says what it checks.
+        trace = _synthetic_trace(0.5, 1.0)
+        moment = trace.hinge_moment.copy()
+        moment[moment.size // 2] = math.nan  # inside the lock-in's window
+        with pytest.raises(ParameterDomainError, match="^lock-in angle and torque samples must all be finite$"):
+            folded_lockin(trace.pitch, moment, trace.samples_per_cycle, trace.sample_rate, trace.drive_freq)
 
     @pytest.mark.parametrize("thrust, power", [(1e308, 1.0), (-1e308, 1.0), (0.5, 1e308)])
     def test_overflowing_cycle_means_rejected(self, thrust, power):

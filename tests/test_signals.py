@@ -268,8 +268,11 @@ class TestLockin:
         want = outcome(lambda: lockin_extract(TimeSeries(fs, theta), TimeSeries(fs, torque), f).stiffness)
         got = outcome(lambda: folded_lockin(theta, torque, round(fs / f), fs, f))
         errors = {"short": InsufficientRecordError, "nyquist": ParameterDomainError,
-                  "flat": DegenerateExcitationError, "nan": ParameterDomainError}
-        if case in errors:
+                  "flat": DegenerateExcitationError}
+        if case == "nan":  # TimeSeries refuses the record first; the fold's message says what it checks
+            assert want[0] is got[0] is ParameterDomainError
+            assert got[1] == "lock-in angle and torque samples must all be finite"
+        elif case in errors:
             assert got == want and got[0] is errors[case]
         else:
             assert got == pytest.approx(want, rel=1e-12)
@@ -455,6 +458,26 @@ class TestSynth:
         for n_cycles in (25_001, 10**400):  # the second is past the float range
             with pytest.raises(ParameterDomainError, match=f"is over {MAX_SAMPLES}$"):
                 record_length(n_cycles, 200.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "freq, fs, n_cycles, match",
+        [
+            (0.0, 200.0, 10, "^drive frequency must be positive, got 0.0$"),
+            (-1.0, 200.0, 10, "^drive frequency must be positive, got -1.0$"),
+            (math.nan, 200.0, 10, "^drive frequency must be positive, got nan$"),
+            (1.0, 0.0, 10, "^sample rate must be positive and finite, got 0.0$"),
+            (1.0, -200.0, 10, "^sample rate must be positive and finite, got -200.0$"),
+            (150.0, 200.0, 10, r"^drive frequency 150.0 Hz violates Nyquist for fs=200.0 Hz$"),
+            (1.0, 200.0, 0, "^need at least one cycle$"),
+            (1.0, 200.0, -3, "^need at least one cycle$"),
+        ],
+        ids=["drive-0", "drive-negative", "drive-nan", "rate-0", "rate-negative", "past-nyquist", "cycles-0",
+             "cycles-negative"],
+    )
+    def test_record_rules_held_by_record_length(self, freq, fs, n_cycles, match):
+        # record_length owns the record's rules: a drive below Nyquist, at least one cycle, at most MAX_SAMPLES.
+        with pytest.raises(ParameterDomainError, match=match):
+            record_length(n_cycles, fs, freq)
 
     @pytest.mark.parametrize("freq, amp", [(0.0, _AMP), (math.nan, _AMP), (_F, 0.0), (_F, math.nan)])
     def test_non_positive_drive_rejected(self, freq, amp):

@@ -131,7 +131,7 @@ def _sample_rate_of(t: np.ndarray, path: str) -> float:
     """Sample rate of a time column from its span. Stamps may be absolute: a step may differ from the first by 1e-6
     of it plus twice the stamps' float resolution."""
     dt = np.diff(t)
-    if dt.size == 0 or np.any(dt <= 0) or np.ptp(dt) > 1e-6 * dt[0] + 2.0 * np.spacing(np.abs(t).max()):
+    if dt.size == 0 or np.any(dt <= 0) or np.ptp(dt) > 1e-6 * dt[0] + 2.0 * np.spacing(max(t.max(), -t.min())):
         raise ConfigError(f"{path}: time column must be uniformly increasing")
     # In Python floats a span past the float range is inf, a rate of 0 Hz, with no numpy overflow warning.
     if (fs := dt.size / (float(t[-1]) - float(t[0]))) == math.inf:
@@ -164,11 +164,9 @@ def _cmd_table(run, write, table: str, title: str, args, config: ProtocolConfig)
     return 0
 
 
-def _cmd_extract(args, _config: ProtocolConfig) -> int:
-    if args.combined and (args.theta or args.torque):
-        raise ConfigError("extract takes --combined, or --theta with --torque, not both")
-    if not 0.0 < args.freq < math.inf:
-        raise ConfigError(f"--freq must be a finite drive frequency above 0 Hz, got {args.freq:g}")
+def _read_record(args) -> tuple[TimeSeries, TimeSeries]:
+    """The angle and torque series of extract's record. The loaded tables die with this call, once the series hold
+    their copies, so the lock-in runs with the two series alone."""
     if args.combined:
         t, th, tq = _read_signal_csv(args.combined, 3)
         fs = _sample_rate_of(t, args.combined)
@@ -182,7 +180,15 @@ def _cmd_extract(args, _config: ProtocolConfig) -> int:
         raise ConfigError("extract needs --combined, or both --theta and --torque")
     if args.freq >= fs / 2.0:
         raise ConfigError(f"--freq must be below the record's Nyquist limit of {fs / 2.0:g} Hz, got {args.freq:g}")
-    theta, torque = TimeSeries(fs, th), TimeSeries(fs, tq)
+    return TimeSeries(fs, th), TimeSeries(fs, tq)
+
+
+def _cmd_extract(args, _config: ProtocolConfig) -> int:
+    if args.combined and (args.theta or args.torque):
+        raise ConfigError("extract takes --combined, or --theta with --torque, not both")
+    if not 0.0 < args.freq < math.inf:
+        raise ConfigError(f"--freq must be a finite drive frequency above 0 Hz, got {args.freq:g}")
+    theta, torque = _read_record(args)
     result = lockin_extract(theta, torque, args.freq)
     area = hysteresis_loop_area(theta, torque, args.freq)
     write_extract_report(args.freq, result, area, sys.stdout)

@@ -125,6 +125,17 @@ class ConstrainedTrace(Value):
     drive_freq: float
     samples_per_cycle: int
 
+    def __post_init__(self):
+        # The cycle means and the lock-in fold onto samples_per_cycle: it must be the grid's, to 1e-9 of itself.
+        if len(self.time) < 2:
+            raise ParameterDomainError(f"a constrained trace needs at least 2 time samples, got {len(self.time)}")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a zero step or drive is refused below
+            grid = 1.0 / np.float64(self.time[1] - self.time[0]) / self.drive_freq
+        if not abs(self.samples_per_cycle - grid) <= 1e-9 * self.samples_per_cycle:
+            raise ParameterDomainError(
+                f"samples_per_cycle={self.samples_per_cycle} is not the time grid's {grid:.12g} samples per cycle"
+            )
+
     @property
     def sample_rate(self) -> float:
         return 1.0 / float(self.time[1] - self.time[0])

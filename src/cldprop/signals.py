@@ -9,6 +9,8 @@ dissipative plant: a pure viscous plant T = c*dtheta/dt yields loss = c*w.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,10 @@ EXCITATION_FLOOR = 1e-6
 # Longest bender record or plant run, in samples: one float array of it is about 80 MB.
 # The default bender record holds 4,000 samples and a default sweep lane about 45,000.
 MAX_SAMPLES = 10_000_000
+
+# Samples per block of the lock-in's and the loop area's sums. A record of at most one block is summed exactly as one
+# whole-array pass would sum it; every bender record at the defaults, and every sweep fold, is one block.
+_BLOCK = 65_536
 
 
 class TimeSeries(Value):
@@ -103,24 +109,40 @@ def _cycle_window(n_samples: int, sample_rate: float, drive_freq: float) -> tupl
     return n_full, min(n_samples, int(math.ceil(n_full * sample_rate / drive_freq - 1e-9)))
 
 
+def _block_sum(part, m: int):
+    """part(start, end) summed over the blocks of at most _BLOCK samples of an m-sample window, in order from the
+    first block's value: a window of one block gives part(0, m) bit for bit."""
+    return reduce(operator.add, (part(start, min(start + _BLOCK, m)) for start in range(0, m, _BLOCK)))
+
+
 def lockin_extract(theta: TimeSeries, torque: TimeSeries, drive_freq: float) -> LockinResult:
     """Complex stiffness from paired angle/torque records at a single frequency.
 
     Both signals are regressed on one DC + fundamental basis (the DC term keeps
     sensor bias out of the quadrature) over whole drive cycles, the trailing
     partial cycle discarded; the stiffness is the ratio of complex amplitudes.
+    Every sum runs over blocks of _BLOCK samples, so the analysis holds O(_BLOCK) floats however long the record.
     """
     _, m = _whole_cycle_window(theta, torque, drive_freq)
 
-    records = (theta.samples[:m], torque.samples[:m])
-    theta_hat, torque_hat, stiffness = _fundamentals(2.0 * math.pi * drive_freq * theta.times[:m], records)
+    th, tq, fs, omega = theta.samples[:m], torque.samples[:m], theta.sample_rate, 2.0 * math.pi * drive_freq
+
+    def equations(start: int, end: int) -> np.ndarray:  # a block's phases: `theta.times`' own, element for element
+        return _normal_equations(omega * (np.arange(start, end) / fs), (th[start:end], tq[start:end]))
+
+    theta_hat, torque_hat, stiffness = _fundamentals(_block_sum(equations, m))
     # Torque powers in a power-of-two unit near its peak: exact scaling, so nothing overflows and no bit moves.
-    # The variance takes np.var's steps on one array of its own.
-    unit = math.ldexp(1.0, math.frexp(max(records[1].max(), -records[1].min()))[1])
-    deviation = records[1] / unit
-    deviation -= deviation.mean()
-    deviation *= deviation
-    torque_ac = float(deviation.sum() / m)
+    # The variance takes np.var's steps, the mean in one pass over the blocks and the squares in a second.
+    unit = math.ldexp(1.0, math.frexp(max(tq.max(), -tq.min()))[1])
+    mean = _block_sum(lambda start, end: (tq[start:end] / unit).sum(), m) / m
+
+    def squares(start: int, end: int) -> float:
+        deviation = tq[start:end] / unit
+        deviation -= mean
+        deviation *= deviation
+        return deviation.sum()
+
+    torque_ac = float(_block_sum(squares, m) / m)
 
     fundamental_power = abs(torque_hat / unit) ** 2 / 2.0
     coherence = min(1.0, fundamental_power / torque_ac) if torque_ac > 0.0 else 0.0
@@ -145,16 +167,22 @@ def folded_lockin(
     for fold, x in zip(folds, (theta, torque)):
         fold[:extra] += x[whole * samples_per_cycle :][:extra]
     wt = 2.0 * math.pi * drive_freq * (np.arange(samples_per_cycle) / sample_rate)
-    return _fundamentals(wt, folds, weight)[2]
+    return _fundamentals(_normal_equations(wt, folds, weight))[2]
 
 
-def _fundamentals(wt: np.ndarray, records, weight=1.0) -> tuple[complex, complex, ComplexStiffness]:
-    """Complex amplitudes of an angle and a torque record regressed on one DC + fundamental basis at the phases wt,
-    phase j standing for weight[j] samples, by normal equations from dot products (no m x 3 matrix is formed), and
-    their ratio, the stiffness, refused below the excitation floor."""
+def _normal_equations(wt: np.ndarray, records, weight=None) -> np.ndarray:
+    """The normal equations of an angle and a torque record regressed on one DC + fundamental basis at the phases
+    wt, phase j standing for weight[j] samples (one each without a weight), from dot products (no m x 3 matrix is
+    formed): a 3 x 5 array, the Gram matrix beside the two records' right-hand sides."""
     basis = (np.ones(wt.size), np.cos(wt), np.sin(wt))
-    gram = [[wa @ b for b in basis] for wa in (weight * a for a in basis)]
-    coeff = np.linalg.solve(gram, [[a @ x for x in records] for a in basis])
+    weighted = basis if weight is None else [weight * a for a in basis]
+    return np.array([[wa @ b for b in basis] + [a @ x for x in records] for wa, a in zip(weighted, basis)])
+
+
+def _fundamentals(equations: np.ndarray) -> tuple[complex, complex, ComplexStiffness]:
+    """Complex amplitudes of the angle and the torque record from `_normal_equations`, and their ratio, the
+    stiffness, refused below the excitation floor."""
+    coeff = np.linalg.solve(equations[:, :3], equations[:, 3:])
     theta_hat, torque_hat = (complex(b, -c) for b, c in coeff[1:].T)
     if abs(theta_hat) < EXCITATION_FLOOR:
         raise DegenerateExcitationError(
@@ -172,14 +200,18 @@ def hysteresis_loop_area(theta: TimeSeries, torque: TimeSeries, drive_freq: floa
     equals pi * K'' * theta0^2.
     """
     n_full, m = _whole_cycle_window(theta, torque, drive_freq)
+    th, tq = theta.samples, torque.samples
 
-    # Close the polygon back to the first vertex: after whole cycles a
-    # periodic loop returns to its starting point, so this closure is exact
-    # in steady state and avoids boundary-interpolation slop.
-    th = np.append(theta.samples[:m], theta.samples[0])
-    tq = np.append(torque.samples[:m], torque.samples[0])
+    def trapezoids(start: int, end: int) -> float:
+        # A block's edges run to the next block's first sample; the last block closes the polygon back to the first
+        # vertex: after whole cycles a periodic loop returns to its starting point, so this closure is exact in
+        # steady state and avoids boundary-interpolation slop.
+        close = end if end < m else 0
+        a, b = np.append(th[start:end], th[close]), np.append(tq[start:end], tq[close])
+        return np.sum(0.5 * (b[1:] + b[:-1]) * np.diff(a))
+
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite area is reported below
-        area = float(np.sum(0.5 * (tq[1:] + tq[:-1]) * np.diff(th)))
+        area = float(_block_sum(trapezoids, m))
     if not math.isfinite(area):
         raise ParameterDomainError("the torque-angle loop area of these records overflows a float")
     return area / n_full

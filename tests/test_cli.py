@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from cldprop.cli import main
 from cldprop.config import load_config, parse_grid
 from cldprop.errors import IntegrationDivergenceError
 from cldprop.harness import run_freeswim_trial
-from cldprop.signals import TimeSeries, hysteresis_loop_area, lockin_extract
+from cldprop.signals import _BLOCK, TimeSeries, _whole_cycle_window, hysteresis_loop_area, lockin_extract
 from cldprop.stiffness import rku_complex_stiffness
 
 _K, _C, _F, _FS = 2.0, 0.05, 3.0, 200.0
@@ -244,6 +245,58 @@ class TestExtract:
             assert (code, err) == (0, "")
             reports.append([float(cell) for cell in out.splitlines()[1].split(",")])
         assert reports[1] == pytest.approx(reports[0], rel=1e-8)
+
+    def test_record_over_one_block_reports_the_measures_of_its_arrays(self, tmp_path, capsys):
+        # 200 s at 1 kHz, noisy and offset: the lock-in's window spans 4 blocks, and the report is the library's.
+        t = np.arange(200_000) / 1000.0
+        rng = np.random.default_rng(8)
+        theta = 0.157 * np.sin(2.0 * math.pi * _F * t) + 0.01 + 1e-3 * rng.standard_normal(t.size)
+        torque = _K * theta + 0.05 * np.cos(2.0 * math.pi * _F * t) + 0.2 + 1e-2 * rng.standard_normal(t.size)
+        path = tmp_path / "long.csv"
+        np.savetxt(path, np.column_stack([t, theta, torque]), delimiter=",", header="time_s,theta_rad,torque_nm",
+                   comments="")
+        assert main(["extract", "--combined", str(path), "--freq", "3", "--quiet"]) == 0
+        t, th, tq = np.loadtxt(path, delimiter=",", skiprows=1).T
+        fs = cli._sample_rate_of(t, str(path))
+        theta, torque = TimeSeries(fs, th), TimeSeries(fs, tq)
+        assert _whole_cycle_window(theta, torque, _F)[1] > 3 * _BLOCK
+        want = io.StringIO()
+        harness.write_extract_report(
+            _F, lockin_extract(theta, torque, _F), hysteresis_loop_area(theta, torque, _F), want
+        )
+        assert capsys.readouterr().out == want.getvalue()
+
+    @pytest.mark.parametrize("combined", [True, False], ids=["combined", "theta-torque"])
+    def test_loaded_tables_are_freed_before_the_lock_in(self, tmp_path, capsys, monkeypatch, combined):
+        # The series hold copies of the record's columns: each loaded table, and every column of it, is dead by the
+        # time the lock-in runs, so extract's peak is the tables and the series while the series are built.
+        theta, torque = _write_oracle_files(tmp_path)
+        if combined:
+            th, tq = (np.loadtxt(name, delimiter=",", skiprows=1) for name in (theta, torque))
+            path = tmp_path / "combined.csv"
+            np.savetxt(path, np.column_stack([th, tq[:, 1]]), delimiter=",", header="time_s,theta_rad,torque_nm",
+                       comments="")
+            args = ["--combined", str(path)]
+        else:
+            args = ["--theta", theta, "--torque", torque]
+        read, measure = cli._read_signal_csv, cli.lockin_extract
+        loaded, alive = [], []
+
+        def tracked_read(path, columns):
+            table = read(path, columns)
+            assert table[0].base is not None
+            loaded.extend(weakref.ref(a) for a in (*table, table[0].base))
+            return table
+
+        def tracked_measure(*args):
+            alive.extend(ref for ref in loaded if ref() is not None)
+            return measure(*args)
+
+        monkeypatch.setattr(cli, "_read_signal_csv", tracked_read)
+        monkeypatch.setattr(cli, "lockin_extract", tracked_measure)
+        assert main(["extract", *args, "--freq", "3"]) == 0
+        assert "k_storage" in capsys.readouterr().out
+        assert len(loaded) == (4 if combined else 6) and alive == []
 
 
 class TestUsage:

@@ -885,6 +885,28 @@ class TestPropulsionMetrics:
         with pytest.raises(InsufficientRecordError, match="^record spans 2 cycles, need at least 3$"):
             propulsion_metrics(_synthetic_trace(0.5, 1.0, n=200), KinematicsSpec(2.0, 0.08, 0.2))
 
+    @pytest.mark.parametrize("spc", [99, 7, 101, 0])
+    def test_samples_per_cycle_off_the_time_grid_rejected(self, spc):
+        # A 200 Hz grid at 2 Hz holds 100 samples per cycle: a trace claiming another count once folded 2 + 0.5i
+        # into 1.995 + 0.499i (99) or 9.88 + 1.50i (7) with no error.
+        trace = _synthetic_trace(0.5, 1.0, n=2001)
+        with pytest.raises(ParameterDomainError, match=f"^samples_per_cycle={spc} is not the time grid's 100 "):
+            trace.replace(samples_per_cycle=spc)
+
+    @pytest.mark.parametrize("time", [[], [0.0], [0.0, 0.0], [0.0, -0.005]], ids=["empty", "one", "flat", "backward"])
+    def test_time_grid_of_under_2_samples_or_no_step_rejected(self, time):
+        with pytest.raises(ParameterDomainError):
+            _synthetic_trace(0.5, 1.0).replace(time=np.array(time))
+
+    def test_every_default_sweep_lane_is_on_its_grid(self, sweep_results):
+        # The grid's own samples per cycle, 1/(t1 - t0)/f, within 1.5e-12 of the declared count on every lane.
+        traces, _, _ = sweep_results
+        assert len(traces) == 28
+        for trace in traces.values():
+            assert trace.replace() == trace
+            grid = 1.0 / (trace.time[1] - trace.time[0]) / trace.drive_freq
+            assert abs(grid - trace.samples_per_cycle) <= 1.5e-12 * trace.samples_per_cycle
+
     def test_folded_stiffness_is_the_lockin_of_every_sweep_lane(self, sweep_results, design_hinges):
         # The effective stiffness folds the lock-in's window onto one cycle: on the 28 default lanes it is
         # lockin_extract's to 1e-11 of the column peak, and the hinge's frequency response to 3e-6, the O(dt)

@@ -3,6 +3,7 @@ cycle statistics."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from cldprop.errors import (
 from cldprop.foil import simulate_constrained
 from cldprop.prony import NEGLIGIBLE_BRANCH_FRACTION, PronyFit, prony_frequency_response
 from cldprop.signals import (
+    _BLOCK,
     DEFAULT_THETA_AMP,
     MAX_SAMPLES,
     TimeSeries,
+    _cycle_window,
     _whole_cycle_window,
     cycle_average,
     cycle_fold,
@@ -323,6 +326,114 @@ class TestHysteresis:
         area = hysteresis_loop_area(theta, torque, freq)
         expected = math.pi * result.stiffness.loss * result.theta_amplitude**2
         assert area == pytest.approx(expected, rel=5e-3)
+
+
+def _whole_array_measures(theta, torque, f):
+    """The lock-in's K', K'', both amplitudes and coherence, and the loop area, each taken in whole-array passes over
+    the window: the formulas the blocked sums reproduce, bit for bit on one block."""
+    n_full, m = _whole_cycle_window(theta, torque, f)
+    records = (theta.samples[:m], torque.samples[:m])
+    theta_hat, torque_hat = _whole_array_amplitudes(2.0 * math.pi * f * theta.times[:m], records, 1.0)
+    k = torque_hat / theta_hat
+    unit = math.ldexp(1.0, math.frexp(max(records[1].max(), -records[1].min()))[1])
+    deviation = records[1] / unit
+    deviation -= deviation.mean()
+    deviation *= deviation
+    torque_ac = float(deviation.sum() / m)
+    coherence = min(1.0, abs(torque_hat / unit) ** 2 / 2.0 / torque_ac)
+    th = np.append(theta.samples[:m], theta.samples[0])
+    tq = np.append(torque.samples[:m], torque.samples[0])
+    area = float(np.sum(0.5 * (tq[1:] + tq[:-1]) * np.diff(th))) / n_full
+    return [k.real, k.imag, abs(theta_hat), abs(torque_hat), coherence, area]
+
+
+def _whole_array_amplitudes(wt, records, weight):
+    basis = (np.ones(wt.size), np.cos(wt), np.sin(wt))
+    gram = [[wa @ b for b in basis] for wa in (weight * a for a in basis)]
+    coeff = np.linalg.solve(gram, [[a @ x for x in records] for a in basis])
+    return tuple(complex(b, -c) for b, c in coeff[1:].T)
+
+
+def _whole_array_fold(theta, torque, spc, fs, f):
+    """`folded_lockin`'s stiffness in the same whole-array passes."""
+    whole, extra = divmod(_cycle_window(theta.size, fs, f)[1], spc)
+    weight = whole + (np.arange(spc) < extra)
+    folds = [x[: whole * spc].reshape(whole, spc).sum(axis=0) for x in (theta, torque)]
+    for fold, x in zip(folds, (theta, torque)):
+        fold[:extra] += x[whole * spc :][:extra]
+    theta_hat, torque_hat = _whole_array_amplitudes(2.0 * math.pi * f * (np.arange(spc) / fs), folds, weight)
+    k = torque_hat / theta_hat
+    return k.real, k.imag
+
+
+def _measures(theta, torque, f):
+    r = lockin_extract(theta, torque, f)
+    return [r.stiffness.storage, r.stiffness.loss, r.theta_amplitude, r.torque_amplitude, r.coherence,
+            hysteresis_loop_area(theta, torque, f)]
+
+
+def _long_pair(n, fs=1000.0, f=3.0, seed=0):
+    """A noisy spring-damper record of n samples with a DC offset on both channels."""
+    rng = np.random.default_rng(seed)
+    wt = 2.0 * math.pi * f * (np.arange(n) / fs)
+    theta = _AMP * np.sin(wt) + 0.02 + 1e-3 * rng.standard_normal(n)
+    torque = _K * theta + 0.6 * _AMP * np.cos(wt) - 0.3 + 1e-2 * rng.standard_normal(n)
+    return TimeSeries(fs, theta), TimeSeries(fs, torque)
+
+
+class TestBlockedSums:
+    # The lock-in and the loop area sum their window in blocks of _BLOCK samples.
+
+    @pytest.mark.parametrize("record", ["bender", "surrogate"])
+    def test_one_block_is_the_whole_array_pass_bit_for_bit(self, record, design_hinges):
+        if record == "bender":  # the default bender record: 10 cycles at 200 Hz, 20 dB noise
+            f = 2.0
+            theta, torque = synth_bender_pair(
+                ComplexStiffness(_K, _LOSS_ORACLE), f, sample_rate=200.0, n_cycles=10, noise_snr_db=20.0, seed=4
+            )
+        else:  # the benchmark's surrogate: a Prony hinge's record, locked in on its last 5 of 10 cycles
+            f = 3.0
+            theta, torque = synth_bender_pair(design_hinges["a"], f, sample_rate=200.0, n_cycles=10)
+            theta, torque = theta.after(5.0 / f), torque.after(5.0 / f)
+        assert _measures(theta, torque, f) == _whole_array_measures(theta, torque, f)
+
+    def test_window_of_exactly_one_block_is_the_whole_array_pass(self):
+        # 2^16 samples at 2^10 Hz and 1 Hz: 64 whole cycles fill one block to its last sample.
+        theta, torque = _long_pair(_BLOCK + 100, fs=1024.0, f=1.0)
+        assert _whole_cycle_window(theta, torque, 1.0)[1] == _BLOCK
+        assert _measures(theta, torque, 1.0) == _whole_array_measures(theta, torque, 1.0)
+
+    def test_sweep_fold_is_the_whole_array_pass_bit_for_bit(self, sweep_results):
+        # The lane with the longest cycle, design c at 0.5 Hz, folds a few thousand bins: one block.
+        traces, _, _ = sweep_results
+        trace = max(traces.values(), key=lambda tr: tr.samples_per_cycle)
+        assert trace.samples_per_cycle <= _BLOCK
+        args = (trace.pitch, trace.hinge_moment, trace.samples_per_cycle, trace.sample_rate, trace.drive_freq)
+        k = folded_lockin(*args)
+        assert (k.storage, k.loss) == _whole_array_fold(*args)
+
+    @pytest.mark.parametrize("blocks", [2, 3, 7, 16])
+    def test_many_blocks_are_the_whole_array_pass_up_to_rounding(self, blocks):
+        theta, torque = _long_pair(blocks * _BLOCK - 1000, seed=blocks)
+        m = _whole_cycle_window(theta, torque, 3.0)[1]
+        assert (blocks - 1) * _BLOCK < m <= blocks * _BLOCK
+        got, want = _measures(theta, torque, 3.0), _whole_array_measures(theta, torque, 3.0)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_analysis_memory_does_not_grow_with_the_record(self):
+        # Past the records themselves, the two measures hold O(_BLOCK) floats: the peaks of a 4-block and a
+        # 16-block record differ by less than one block of floats (whole-array passes held 6 record lengths).
+        def peak(blocks):
+            theta, torque = _long_pair(blocks * _BLOCK)
+            tracemalloc.start()
+            try:
+                lockin_extract(theta, torque, 3.0)
+                hysteresis_loop_area(theta, torque, 3.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(16) - peak(4)) < _BLOCK * np.dtype(float).itemsize
 
 
 class TestSynth:

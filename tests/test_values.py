@@ -42,9 +42,9 @@ FIELDS = {
     FoilConfig: dict(tail_chord=0.11, tail_span=0.0765, tail_inertia=6.3e-5, pitch_axis_offset=0.03,
                      fluid_density=1000.0, normal_force_slope=2.0 * math.pi, profile_drag_coeff=0.05,
                      added_mass_coeff=0.5),
-    ConstrainedTrace: dict(time=_COLUMNS[0], heave_vel=_COLUMNS[1], pitch=_COLUMNS[2], pitch_rate=_COLUMNS[3],
+    ConstrainedTrace: dict(time=_COLUMNS[:, 1], heave_vel=_COLUMNS[1], pitch=_COLUMNS[2], pitch_rate=_COLUMNS[3],
                            thrust=_COLUMNS[4], lateral=_COLUMNS[5], power=_COLUMNS[6], hinge_moment=_COLUMNS[7],
-                           drive_freq=2.0, samples_per_cycle=2),
+                           drive_freq=1.0, samples_per_cycle=2),  # a time step of 0.5 s: 2 samples per 1 Hz cycle
     CycleMetrics: dict(mean_thrust=0.01, mean_input_power=0.02, efficiency=None, effective_stiffness=_K),
     FreeSwimTrace: dict(time=_COLUMNS[0], x=_COLUMNS[1], u=_COLUMNS[2], accel=_COLUMNS[3], thrust=_COLUMNS[4],
                         drag=_COLUMNS[5], samples_per_cycle=2),

@@ -165,22 +165,26 @@ def _cmd_table(run, write, table: str, title: str, args, config: ProtocolConfig)
 
 
 def _read_record(args) -> tuple[TimeSeries, TimeSeries]:
-    """The angle and torque series of extract's record. The loaded tables die with this call, once the series hold
-    their copies, so the lock-in runs with the two series alone."""
+    """The angle and torque series of extract's record. A loaded table dies once the series hold their copies, so
+    the lock-in runs with the two series alone; of two files, the angle table dies before the torque file is read."""
     if args.combined:
         t, th, tq = _read_signal_csv(args.combined, 3)
-        fs = _sample_rate_of(t, args.combined)
     elif args.theta and args.torque:
-        t, th = _read_signal_csv(args.theta, 2)
-        t2, tq = _read_signal_csv(args.torque, 2)
-        fs = _sample_rate_of(t, args.theta)
-        if t2.size != t.size or np.max(np.abs(t2 - t)) > 1e-6 / fs:
-            raise ConfigError(f"{args.theta} and {args.torque} must hold the same time stamps, row for row")
+        (t, th), tq = _read_signal_csv(args.theta, 2), None
     else:
         raise ConfigError("extract needs --combined, or both --theta and --torque")
+    fs = _sample_rate_of(t, args.combined or args.theta)
     if args.freq >= fs / 2.0:
         raise ConfigError(f"--freq must be below the record's Nyquist limit of {fs / 2.0:g} Hz, got {args.freq:g}")
-    return TimeSeries(fs, th), TimeSeries(fs, tq)
+    theta = TimeSeries(fs, th)
+    if tq is None:  # the angle table dies here, its time stamps kept in a copy that the comparison then overwrites
+        t = t.copy()
+        del th
+        t2, tq = _read_signal_csv(args.torque, 2)
+        if t2.size != t.size or np.max(np.abs(np.subtract(t2, t, out=t), out=t)) > 1e-6 / fs:
+            raise ConfigError(f"{args.theta} and {args.torque} must hold the same time stamps, row for row")
+    del t  # before the torque series is built
+    return theta, TimeSeries(fs, tq)
 
 
 def _cmd_extract(args, _config: ProtocolConfig) -> int:

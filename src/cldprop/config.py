@@ -343,6 +343,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     freeswim = FreeSwimProtocol(**fr, kinematics=kinematics)
     if freeswim.virtual_mass <= 0.0:
         raise ConfigError("freeswim.virtual_mass_kg must be positive")
+    if freeswim.body_drag_coeff < 0.0:
+        raise ConfigError("freeswim.body_drag_coeff must be >= 0")
     cycles = freeswim.duration * kinematics.heave_freq  # a float product: never an OverflowError
     if cycles < 1.0:
         raise ConfigError(f"freeswim.duration_s spans {cycles:.2f} heave cycles, need at least 1")

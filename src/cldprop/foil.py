@@ -12,8 +12,11 @@ compiled driver `scipy.integrate._odepack.odeint`, loaded without running scipy'
 __init__ (21 modules) or scipy.integrate's (355). The right-hand side is one source
 template, compiled once per lane shape and called by LSODA directly, writing ds/dt
 through a memoryview into one array per lane that the next call overwrites (LSODA copies
-it on return); run on the state columns and one heave cycle's cos and sin repeated, it
-returns every value a trace holds by name: one force law.
+it on return). Its trace form returns every value a trace holds by name: one force law. It
+runs on the state columns in blocks of whole heave cycles, each given the same tile of cos
+and sin, and only the values a simulator keeps get full-length arrays: a long constrained
+lane peaks near 81.5 bytes per plant sample and a free swim near 88 (the LSODA history and its
+column copies, two hinge branches), against 120 as one call on the whole run.
 
 LSODA weighs state i's error by rtol |y_i| + atol. Constrained lanes use (3e-9,
 3e-9), chosen by a study of the default sweep against (1e-12, 1e-15); per pair, RHS
@@ -57,6 +60,8 @@ STEPS_PER_TAU = 10
 FREESWIM_MIN_STEPS_PER_CYCLE = 6000
 RTOL, ATOL = 1e-10, 1e-13  # LSODA tolerances of free swimming
 CYCLE_RTOL = CYCLE_ATOL = 3e-9  # and of constrained lanes
+# The trace form runs on blocks of as many whole heave cycles as fit in this many samples, and at least one.
+TRACE_BLOCK = 16_384
 
 
 class KinematicsSpec(Value):
@@ -94,6 +99,8 @@ class FoilConfig(Value):
         for name in ("tail_chord", "tail_span", "tail_inertia", "pitch_axis_offset", "fluid_density"):
             if not getattr(self, name) > 0.0:
                 raise ParameterDomainError(f"{name} must be positive")
+        if not self.profile_drag_coeff >= 0.0:  # a negative one would push the foil forward
+            raise ParameterDomainError(f"profile_drag_coeff must be >= 0, got {self.profile_drag_coeff:g}")
         try:  # the plant's divisor; finite only with a finite added mass, whose chord squared may overflow
             inertia = self.tail_inertia + self.added_mass * self.pitch_axis_offset * self.pitch_axis_offset
         except OverflowError:
@@ -200,7 +207,8 @@ def simulate_constrained(
         raise ParameterDomainError("need n_cycles >= 1 and warmup_cycles >= 0")
     dt, spc = _grid(hinge, kin.heave_freq, MIN_STEPS_PER_CYCLE, dt)
     total = (n_cycles + warmup_cycles) * spc
-    t, d = _run(foil, kin, hinge, dt, spc, total, CYCLE_RTOL, CYCLE_ATOL, keep=warmup_cycles * spc)
+    kept = ("heave_vel", "th", "w", "thrust", "lateral", "power", "m_ve")
+    t, d = _run(foil, kin, hinge, dt, spc, total, CYCLE_RTOL, CYCLE_ATOL, kept, keep=warmup_cycles * spc)
     return ConstrainedTrace(  # the trace form's values, named
         time=t, heave_vel=d["heave_vel"], pitch=d["th"], pitch_rate=d["w"], thrust=d["thrust"], lateral=d["lateral"],
         power=d["power"], hinge_moment=d["m_ve"], drive_freq=kin.heave_freq, samples_per_cycle=spc)
@@ -269,8 +277,8 @@ def _equations(foil, kin, hinge, lib, virtual_mass=None, body_drag_area=0.0):
     return namespace["rhs"]
 
 
-def _run(foil, kin, hinge, dt, spc, total_steps, rtol, atol, keep=0, **free):
-    """Plant history from rest with the first `keep` samples dropped: (t, the trace form's named values)."""
+def _run(foil, kin, hinge, dt, spc, total_steps, rtol, atol, names, keep=0, **free):
+    """Plant history from rest with the first `keep` samples dropped: (t, the trace form's values in `names`)."""
     if total_steps > MAX_SAMPLES:  # a hinge branch with a tiny tau asks for far too many samples
         raise ParameterDomainError(f"plant run of {total_steps} samples at dt={dt:.3e} s is over {MAX_SAMPLES}")
     dim = 2 + len(hinge.branches) + ("virtual_mass" in free)
@@ -280,13 +288,25 @@ def _run(foil, kin, hinge, dt, spc, total_steps, rtol, atol, keep=0, **free):
     hist = _integrate(rhs, dim, np.concatenate((start, t)), rtol, atol, mxstep=max(500, 50 * keep))[len(start) :]
     columns = [c.copy() for c in hist.T]  # columns of their own: no trace keeps the history alive
     del hist  # freed before the trace form allocates its outputs
-    cycle = (f(2.0 * math.pi / spc * np.arange(spc)) for f in (np.cos, np.sin))  # the grid repeats one cycle's phase
-    # Laid end to end by generators: the trace form holds each column's only reference and frees it after its use.
-    phase = (np.concatenate((c,) * (t.size // spc) + (c[: t.size % spc],)) for c in cycle)
-    named = _equations(foil, kin, hinge, np, **free)(phase, columns)
-    for column in (t, *named.values()):
+    # The grid starts on a cycle boundary, so blocks of whole cycles share one tile of cos wt and sin wt; the last
+    # block also takes the sample that ends the grid, the next cycle's first.
+    n = t.size
+    edges = [*range(0, n - 1, spc * max(1, TRACE_BLOCK // spc)), n]
+    longest = max(stop - first for first, stop in zip(edges, edges[1:]))
+    cycle = (f(2.0 * math.pi / spc * np.arange(spc)) for f in (np.cos, np.sin))
+    cos_wt, sin_wt = (np.concatenate((c,) * (longest // spc) + (c[: longest % spc],)) for c in cycle)
+    form = _equations(foil, kin, hinge, np, **free)
+    for first, stop in zip(edges, edges[1:]):
+        named = form((cos_wt[: stop - first], sin_wt[: stop - first]), [c[first:stop] for c in columns])
+        if not first:  # the trace form names the states first: a kept state is its column, a kept output is filled
+            states = dict(zip(named, columns))
+            values = {name: states[name] if name in states else np.empty(n) for name in names}
+        for name in names:
+            if name not in states:
+                values[name][first:stop] = named[name]
+    for column in (t, *values.values()):
         column.flags.writeable = False  # the traces' columns: values, not buffers
-    return t, named
+    return t, values
 
 
 def _lsoda():
@@ -373,12 +393,14 @@ def simulate_free_swim(
     """
     if not (virtual_mass > 0.0 and 0.0 < duration < math.inf):
         raise ParameterDomainError("virtual mass must be positive, and duration positive and finite")
+    if not body_drag_coeff >= 0.0:
+        raise ParameterDomainError(f"body drag coefficient must be >= 0, got {body_drag_coeff:g}")
     dt, spc = _grid(hinge, kin.heave_freq, FREESWIM_MIN_STEPS_PER_CYCLE, dt)
     total = int(math.ceil(duration / dt))
     drag_area = body_drag_coeff * foil.planform_area
-    t, d = _run(foil, kin, hinge, dt, spc, total, RTOL, ATOL, virtual_mass=virtual_mass, body_drag_area=drag_area)
+    t, d = _run(foil, kin, hinge, dt, spc, total, RTOL, ATOL, ("u", "accel", "thrust", "drag"),
+                virtual_mass=virtual_mass, body_drag_area=drag_area)
     u, accel, thrust, drag = d["u"], d["accel"], d["thrust"], d["drag"]
-    del d  # the plant's other named values, freed before the position is built
     x = np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(t))])
     x.flags.writeable = False
     return FreeSwimTrace(time=t, x=x, u=u, accel=accel, thrust=thrust, drag=drag, samples_per_cycle=spc)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -297,6 +298,30 @@ class TestExtract:
         assert main(["extract", *args, "--freq", "3"]) == 0
         assert "k_storage" in capsys.readouterr().out
         assert len(loaded) == (4 if combined else 6) and alive == []
+
+    def test_two_files_peak_no_higher_than_the_combined_record(self, tmp_path, capsys):
+        # Of two files, the angle table dies before the torque file is read, and the time stamps are compared in
+        # the angle stamps' own copy: the peak is at most the combined record's (6.0 record lengths against 5.0,
+        # 5.53 against 4.62 MiB, while both tables lived and the comparison made two full-length temporaries).
+        t = np.arange(120_000) / 1000.0
+        theta = 0.157 * np.sin(2.0 * math.pi * _F * t)
+        torque = _K * theta + _C * 0.157 * 2.0 * math.pi * _F * np.cos(2.0 * math.pi * _F * t)
+        for name, columns, header in (("combined", [t, theta, torque], "time_s,theta_rad,torque_nm"),
+                                      ("theta", [t, theta], "time_s,value"), ("torque", [t, torque], "time_s,value")):
+            np.savetxt(tmp_path / f"{name}.csv", np.column_stack(columns), "%.17g", ",", header=header, comments="")
+
+        def peak(*args):
+            tracemalloc.start()
+            try:
+                assert main(["extract", "--quiet", *args, "--freq", "3"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two = peak("--theta", str(tmp_path / "theta.csv"), "--torque", str(tmp_path / "torque.csv"))
+        combined = peak("--combined", str(tmp_path / "combined.csv"))
+        reports = capsys.readouterr().out.splitlines()
+        assert reports[1] == reports[3] and two <= combined, (two, combined)
 
 
 class TestUsage:
@@ -624,7 +649,7 @@ def test_protocol_override_writes_finite_table_or_fails_in_one_line(command, dat
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.freestream_mps=1e-300"], 0),  # one St, 1.6e299
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "sweep.prony_fit_grid_hz=1e-300,1,2,3,4"], 0),
         (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "foil.profile_drag_coeff=1e308"], 3),  # cycle sums inf
-        (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "foil.profile_drag_coeff=-1e308"], 3),
+        (["sweep", "--set", "sweep.freq_grid_hz=2", "--set", "foil.profile_drag_coeff=-1e308"], 2),  # refused at load
         (["sweep", "--set", "foil.tail_chord_m=1e308"], 2),  # the added mass overflowed
         (["freeswim", "--set", "foil.added_mass_coeff=-0.09628560269158037"], 2),  # a pitch inertia of 0
         (["bender", "--set", "bender.noise_snr_db=-626516"], 2),  # the noise gain overflowed
@@ -681,6 +706,22 @@ def test_extreme_value_gives_a_finite_table_or_one_line(tmp_path, argv, want):
         table = {"bender": "impedance_table.csv", "sweep": "sweep_table.csv"}[argv[0]]
         _assert_finite_table((out / run / table).read_text(), optional=("efficiency",))
         assert not any(re.search(r"\b(inf|nan)\b", p.read_text()) for p in (out / run).glob("*.svg"))
+
+
+@pytest.mark.parametrize(
+    "command, item, message",
+    [
+        ("sweep", "foil.profile_drag_coeff=-1", "config error: [foil] profile_drag_coeff must be >= 0, got -1"),
+        ("freeswim", "freeswim.body_drag_coeff=-1", "config error: freeswim.body_drag_coeff must be >= 0"),
+    ],
+    ids=["profile-drag", "body-drag"],
+)
+def test_negative_drag_coefficient_is_refused_at_load(tmp_path, command, item, message):
+    # A negative drag pushes the foil or the body forward: sweep wrote a table with the drag's sign flipped (exit 0),
+    # and freeswim integrated until the state diverged near t=2.8 s (exit 3).
+    out = tmp_path / "runs"
+    code, stdout, err = _cli_run([command, "--quiet", "--set", item, "--output-dir", str(out)])
+    assert (code, stdout, err) == (2, "", message + "\n") and not out.exists()
 
 
 def test_stdout_cells_are_the_library_values(tmp_path, capsys):

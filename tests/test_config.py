@@ -192,6 +192,13 @@ class TestFileAndOverrides:
         with pytest.raises(ConfigError):
             load_config(overrides=[item])
 
+    @pytest.mark.parametrize("section, key", [("foil", "profile_drag_coeff"), ("freeswim", "body_drag_coeff")])
+    def test_drag_coefficients_are_zero_or_more(self, section, key):
+        # A negative drag pushes the foil or the body forward; no drag at all is a valid idealisation.
+        with pytest.raises(ConfigError, match=rf"{key} must be >= 0"):
+            load_config(overrides=[f"{section}.{key}=-1e-300"])
+        assert getattr(getattr(load_config(overrides=[f"{section}.{key}=0"]), section), key) == 0.0
+
     def test_bender_record_bound_is_the_library_bound(self):
         # load_config refuses the record synth_bender_pair would refuse, with its message.
         for item, record in (

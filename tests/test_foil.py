@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -87,7 +88,8 @@ def _linear_response(foil, kin, hinge) -> SimpleNamespace:
 
 
 def _recorded_trace_forms(monkeypatch) -> list:
-    """Record each trace form the plant runs: ((cos wt, sin wt) it is given, copies of the values it names)."""
+    """Record the trace form of each plant run: a list per run of its block calls, each ((cos wt, sin wt) it is
+    given, copies of the values it names)."""
     runs = []
     equations = foil_module._equations
 
@@ -95,17 +97,25 @@ def _recorded_trace_forms(monkeypatch) -> list:
         rhs = equations(foil, kin, hinge, lib, **free)
         if lib is math:  # LSODA's form
             return rhs
+        blocks = []
+        runs.append(blocks)
 
         def trace_form(phase, s):
             phase = tuple(phase)
             named = rhs(phase, s)
-            runs.append((phase, {name: value.copy() for name, value in named.items()}))
+            blocks.append((phase, {name: value.copy() for name, value in named.items()}))
             return named
 
         return trace_form
 
     monkeypatch.setattr(foil_module, "_equations", recorded)
     return runs
+
+
+def _joined(blocks) -> tuple:
+    """A run's recorded block calls laid end to end, in order: ((cos wt, sin wt), the named values)."""
+    phase = tuple(np.concatenate([p[i] for p, _ in blocks]) for i in range(2))
+    return phase, {name: np.concatenate([named[name] for _, named in blocks]) for name in blocks[0][1]}
 
 
 class TestConstrained:
@@ -201,12 +211,14 @@ class TestConstrained:
         self, monkeypatch, default_config, design_hinges
     ):
         # The trace form writes the lateral force and the power from the sin(wt) it is given and its own
-        # cos(theta); the bits must be those of the plain expressions on the same values.
+        # cos(theta); the bits must be those of the plain expressions on the same values, its blocks laid end to end.
         runs = _recorded_trace_forms(monkeypatch)
         foil, sweep = default_config.foil, default_config.sweep
         kin = next(k for k in sweep.kinematics if k.heave_freq == 2.0)
         trace = simulate_constrained(foil, kin, design_hinges["c"], sweep.cycles, sweep.warmup_cycles)
-        [((_, sin_wt), d)] = runs
+        [blocks] = runs
+        assert len(blocks) > 1
+        (_, sin_wt), d = _joined(blocks)
         h0, omg = kin.heave_amp_pp / 2.0, 2.0 * math.pi * kin.heave_freq
         yddot = -omg * omg * (h0 * sin_wt)
         lateral = d["f_n"] * np.cos(d["th"]) - foil.added_mass * (yddot + foil.pitch_axis_offset * d["pitch_acc"])
@@ -218,9 +230,10 @@ class TestConstrained:
         assert all(np.array_equal(column, d[name]) for name, column in columns)  # the trace's own are kept
 
     def test_heave_phase_is_one_cycle_laid_end_to_end(self, monkeypatch, default_config, design_hinges):
-        # Each plant grid starts on a cycle boundary and holds whole samples to a cycle, so the trace form is
-        # given one cycle's cos(wt) and sin(wt), repeated; they must be those of the trace's own times. Lanes:
-        # the sweep's longest (design c at 0.5 Hz, 15 cycles) and a free swim of 2.5 cycles, not whole ones.
+        # Each plant grid starts on a cycle boundary and holds whole samples to a cycle, so the trace form runs on
+        # blocks of whole cycles that share one tile of cos(wt) and sin(wt); laid end to end, they must be those of
+        # the trace's own times. Lanes: the sweep's longest (design c at 0.5 Hz, 15 cycles) and a free swim of 2.5
+        # cycles, not whole ones.
         runs = _recorded_trace_forms(monkeypatch)
         foil, sweep, free = default_config.foil, default_config.sweep, default_config.freeswim
         hinge = design_hinges["c"]
@@ -231,10 +244,20 @@ class TestConstrained:
             foil, free.kinematics, hinge, free.virtual_mass, free.body_drag_coeff, duration=2.5 / swim_freq
         )
         assert len(runs) == 2 and swim.time.size % swim.samples_per_cycle != 0  # a part cycle at the end
-        for ((cos_wt, sin_wt), _), (f, trace) in zip(runs, ((kin.heave_freq, lane), (swim_freq, swim))):
+        for blocks, (f, trace) in zip(runs, ((kin.heave_freq, lane), (swim_freq, swim))):
+            (cos_wt, sin_wt), _ = _joined(blocks)
             wt = 2.0 * math.pi * f * trace.time
             assert np.max(np.abs(cos_wt - np.cos(wt))) <= 1e-13 and np.max(np.abs(sin_wt - np.sin(wt))) <= 1e-13
-            assert cos_wt.flags.owndata and sin_wt.flags.owndata  # no base larger than the trace
+            # Blocks of whole cycles, the last also holding the sample that ends the grid; a free swim's last block
+            # ends on a part cycle. No phase array outgrows a block: each is a view of the one tile, at most a block
+            # and the end sample long.
+            spc = trace.samples_per_cycle
+            block = spc * max(1, foil_module.TRACE_BLOCK // spc)
+            sizes = [phase[0].size for phase, _ in blocks]
+            assert len(sizes) > 1 and all(size == block for size in sizes[:-1])
+            assert sizes[-1] <= block + 1 and (trace is swim or sizes[-1] % spc == 1)
+            for phase, _ in blocks:
+                assert all(p.base is not None and p.base.size <= block + 1 for p in phase)
 
     @pytest.mark.parametrize("freq", [1.0, 2.0])
     @pytest.mark.parametrize("design", ["baseline", "a", "c"])
@@ -422,6 +445,12 @@ class TestConstrained:
         with pytest.raises(ParameterDomainError, match=f"^{name} must be positive"):
             _FOIL.replace(**{name: value})
 
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan])
+    def test_negative_profile_drag_rejected(self, value):
+        with pytest.raises(ParameterDomainError, match=r"^profile_drag_coeff must be >= 0"):
+            _FOIL.replace(profile_drag_coeff=value)
+        assert _FOIL.replace(profile_drag_coeff=0.0).profile_drag_coeff == 0.0
+
     @pytest.mark.parametrize(
         "changes",
         [
@@ -462,6 +491,24 @@ class TestConstrained:
         for column in columns:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
+
+    @pytest.mark.parametrize("free", [False, True], ids=["constrained", "free"])
+    def test_long_run_peaks_under_96_bytes_per_sample(self, free):
+        # The trace form runs over blocks of whole cycles and allocates full-length arrays only for what a trace
+        # keeps, so a long run's peak is the history and its column copies (88 B per sample free swimming) or the
+        # columns and the five kept outputs (about 85 B constrained), not every named value at once (120 B).
+        tracemalloc.start()
+        try:
+            if free:  # 600,001 samples
+                kin = KinematicsSpec(2.0, 0.08, 0.2)
+                trace = simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, duration=50.0)
+            else:  # 60 cycles of 6,667 samples
+                trace = simulate_constrained(_FOIL, KinematicsSpec(0.5, 0.08, 0.2), _SOFT, n_cycles=60, warmup_cycles=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.time.size >= (600_000 if free else 60 * trace.samples_per_cycle)
+        assert peak <= 96 * trace.time.size, peak / trace.time.size
 
 
 class TestEquations:
@@ -997,6 +1044,10 @@ class TestFreeSwim:
             simulate_free_swim(_FOIL, kin, _SOFT, math.nan, _BODY_DRAG, 1.0)
         with pytest.raises(ParameterDomainError):
             simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, _BODY_DRAG, math.nan)
+        for drag in (-1.0, math.nan):  # refused before the plant runs
+            with pytest.raises(ParameterDomainError, match=r"^body drag coefficient must be >= 0"):
+                simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, drag, 1.0)
+        assert simulate_free_swim(_FOIL, kin, _SOFT, _VIRTUAL_MASS, 0.0, 1.0).drag.max() == 0.0
 
 
 def _trace_from_u(u, fs, f):
